@@ -14,8 +14,10 @@ import numpy as np
 
 from . import nncore, petk
 from .detectors import MALICIOUS
-from .gan import GanPreset, TrainingDivergedError, sample_noise, smooth_union
-from .nncore import AdamState, Mlp, Tensor, adam_step, build_mlp, concat, forward, grad
+from .gan import (GanPreset, TrainingDivergedError, generate, sample_noise,
+                  smooth_union)
+from .nncore import (AdamState, Mlp, Tensor, adam_step, bce, build_mlp, concat,
+                     forward, grad)
 
 
 def benign_injection(pe: petk.PeImage, benign_pool: list[bytes],
@@ -74,27 +76,6 @@ def _build_malgan(preset: GanPreset, seed: int) -> MalganModel:
     return MalganModel(generator=gen, substitute=sub, preset=preset)
 
 
-def malgan_generate(model: MalganModel, m: np.ndarray, z) -> np.ndarray:
-    """Adversarial vector from the substitute-trained generator."""
-    m = np.atleast_2d(np.asarray(m, dtype=np.float64))
-    z_t = z if isinstance(z, Tensor) else Tensor(np.atleast_2d(z))
-    out = forward(model.generator, concat([Tensor(m), z_t])).data
-    if model.preset.is_binary:
-        result = np.logical_or(m > 0.5, out > 0.5).astype(np.float64)
-    else:
-        result = out
-    return result[0] if result.shape[0] == 1 and np.asarray(z).ndim == 1 else result
-
-
-def _bce(p: Tensor, y: np.ndarray) -> Tensor:
-    y_col = Tensor(np.asarray(y, dtype=np.float64).reshape(-1, 1))
-    p_safe = nncore.add(nncore.mul(p, Tensor(1.0 - 1e-7)), Tensor(5e-8))
-    pos = nncore.mul(y_col, nncore.tlog(p_safe))
-    neg = nncore.mul(nncore.sub(Tensor(1.0), y_col),
-                     nncore.tlog(nncore.sub(Tensor(1.0), p_safe)))
-    return nncore.mul(Tensor(-1.0), nncore.tmean(nncore.add(pos, neg)))
-
-
 def train_malgan(malicious_features: np.ndarray, benign_features: np.ndarray,
                  black_box, preset: GanPreset,
                  cfg: MalganConfig | None = None) -> MalganModel:
@@ -120,7 +101,7 @@ def train_malgan(malicious_features: np.ndarray, benign_features: np.ndarray,
         m_batch = xm[m_idx]
         b_batch = xb[b_idx]
         z = sample_noise(preset.noise_dim, cfg.batch_size, rng)
-        fakes = malgan_generate(model, m_batch, z)
+        fakes = generate(model, m_batch, z)
 
         x_train = np.vstack([fakes, b_batch])
         y_train = counter(x_train)
@@ -128,7 +109,7 @@ def train_malgan(malicious_features: np.ndarray, benign_features: np.ndarray,
         try:
             for _ in range(cfg.substitute_steps_per_round):
                 p = forward(model.substitute, Tensor(x_train))
-                loss = _bce(p, y_train)
+                loss = bce(p, y_train)
                 grads = grad(loss, model.substitute.parameters())
                 adam_step(model.substitute.parameters(), grads, sub_state,
                           lr=cfg.substitute_lr, beta1=0.9, beta2=0.999)
@@ -148,7 +129,7 @@ def train_malgan(malicious_features: np.ndarray, benign_features: np.ndarray,
         if round_no % cfg.probe_every == 0:
             probe_idx = rng.integers(0, len(xm), size=cfg.probe_size)
             probe_z = sample_noise(preset.noise_dim, cfg.probe_size, rng)
-            probe = malgan_generate(model, xm[probe_idx], probe_z)
+            probe = generate(model, xm[probe_idx], probe_z)
             rate = float(np.mean(counter(probe)))
             if rate < cfg.target_detection:
                 break

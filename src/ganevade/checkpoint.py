@@ -81,15 +81,3 @@ def mlp_from(meta: dict, arrays: dict[str, np.ndarray], prefix: str) -> Mlp:
                                  spec["activation"], slope=spec["slope"]))
     return Mlp(layers, input_dropout_rate=meta["input_dropout"],
                hidden_dropout_rate=meta["hidden_dropout"])
-
-
-def save_mlp(path, net: Mlp, extra_meta: dict | None = None) -> None:
-    meta = {"kind": "mlp", "net": mlp_meta(net)}
-    if extra_meta:
-        meta.update(extra_meta)
-    save_container(path, meta, mlp_arrays(net, "net"))
-
-
-def load_mlp(path) -> Mlp:
-    meta, arrays = load_container(path)
-    return mlp_from(meta["net"], arrays, "net")

@@ -1,13 +1,15 @@
 """Command-line front end for the evasion toolkit.
 
 Exit codes: 0 success, 2 configuration error, 3 pipeline stage failure.
-Stages share a working directory, so each subcommand can be run alone and
-later stages pick up artifacts written by earlier ones.
+Nothing is resumed from the working directory: each stage subcommand
+re-runs every upstream stage in-process, rewriting their artifacts, then
+runs its own stage.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from pathlib import Path
@@ -31,27 +33,14 @@ def _load_cfg(args) -> ExperimentConfig:
 
 
 def _state(args) -> PipelineState:
-    workdir = Path(args.workdir)
-    workdir.mkdir(parents=True, exist_ok=True)
-    return PipelineState(cfg=_load_cfg(args), workdir=workdir)
-
-
-def _run_prefix(state: PipelineState, upto: str):
-    order = ["corpus", "extract", "detectors", "gans", "attacks"]
-    stages = {
-        "corpus": harness.stage_corpus,
-        "extract": harness.stage_extract,
-        "detectors": harness.stage_detectors,
-        "gans": harness.stage_gans,
-        "attacks": harness.stage_attacks,
-    }
-    for name in order[:order.index(upto) + 1]:
-        stages[name](state)
+    # the stages create the working directory as they write into it, so a
+    # config error leaves nothing behind
+    return PipelineState(cfg=_load_cfg(args), workdir=Path(args.workdir))
 
 
 def cmd_gen_corpus(args) -> int:
     state = _state(args)
-    harness.stage_corpus(state)
+    harness.run_stages(state, "corpus")
     print(f"corpus ready: {len(state.manifest['files'])} files under "
           f"{state.workdir / 'corpus'}")
     return EXIT_OK
@@ -59,7 +48,7 @@ def cmd_gen_corpus(args) -> int:
 
 def cmd_extract(args) -> int:
     state = _state(args)
-    _run_prefix(state, "extract")
+    harness.run_stages(state, "extract")
     print(f"extracted {len(state.file_features)} files; "
           f"vocab sizes api={state.table.vocab_api.size} "
           f"strings={state.table.vocab_strings.size}")
@@ -73,7 +62,7 @@ def cmd_train_detector(args) -> int:
                                if d.name == args.name]
         if not state.cfg.detectors:
             raise ConfigError(f"no detector named {args.name!r} in config")
-    _run_prefix(state, "detectors")
+    harness.run_stages(state, "train-detector")
     for name in state.detector_models:
         print(f"trained detector {name}")
     return EXIT_OK
@@ -84,10 +73,10 @@ def cmd_train_gan(args) -> int:
     if args.kind:
         if args.kind not in harness.GAN_KINDS:
             raise ConfigError(f"unknown feature kind {args.kind!r}")
-        keep = {"byte_histogram": "gan_byte", "api": "gan_api",
-                "strings": "gan_strings"}[args.kind]
-        state.cfg.attacks = [keep]
-    _run_prefix(state, "gans")
+        # the attack that needs this GAN kind alone
+        state.cfg.attacks = [attack for attack, kinds in harness.ATTACK_GANS.items()
+                             if kinds == (args.kind,)]
+    harness.run_stages(state, "train-gan")
     for kind, model in state.gan_models.items():
         print(f"trained {kind} model: {model.training_meta}")
     return EXIT_OK
@@ -96,8 +85,9 @@ def cmd_train_gan(args) -> int:
 def cmd_attack(args) -> int:
     state = _state(args)
     if args.attack:
-        state.cfg.attacks = [args.attack]
-    _run_prefix(state, "attacks")
+        # replace() runs the config checks again on the new roster
+        state.cfg = dataclasses.replace(state.cfg, attacks=[args.attack])
+    harness.run_stages(state, "attack")
     for name, out in state.attack_outputs.items():
         print(f"attack {name}: {len(out.rewritten)} files rewritten, "
               f"queries={out.query_count}, warnings={len(out.warnings)}")

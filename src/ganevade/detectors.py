@@ -12,7 +12,7 @@ import numpy as np
 
 from . import checkpoint as ckpt
 from . import nncore
-from .nncore import AdamState, Tensor, adam_step, build_mlp, forward, grad
+from .nncore import AdamState, Tensor, adam_step, bce, build_mlp, forward, grad
 
 BENIGN = "benign"
 MALICIOUS = "malicious"
@@ -107,16 +107,9 @@ def train_detector(kind: str, feature_spec: FeatureSpec,
         net = build_mlp([x.shape[1], int(hp["hidden"]), 1], "relu", "sigmoid", rng)
         state = AdamState.for_params(net.parameters())
         xs = (x - mu) / sd
-        y_col = y[:, None]
         for _ in range(int(hp["steps"])):
-            p = forward(net, Tensor(xs))
-            # binary cross-entropy, clamped away from {0,1}
-            p_safe = nncore.add(nncore.mul(p, Tensor(1.0 - 1e-7)), Tensor(5e-8))
-            bce = nncore.mul(Tensor(-1.0), nncore.tmean(
-                nncore.add(nncore.mul(Tensor(y_col), nncore.tlog(p_safe)),
-                           nncore.mul(Tensor(1.0 - y_col),
-                                      nncore.tlog(nncore.sub(Tensor(1.0), p_safe))))))
-            grads = grad(bce, net.parameters())
+            loss = bce(forward(net, Tensor(xs)), y)
+            grads = grad(loss, net.parameters())
             adam_step(net.parameters(), grads, state, lr=1e-3, beta1=0.9,
                       beta2=0.999)
         # absorb the standardization into the first layer
@@ -143,25 +136,6 @@ def false_positive_rate(model: DetectorModel, benign_set: np.ndarray) -> float:
     if len(benign_set) == 0:
         raise ValueError("empty benign set")
     return float(np.mean(model.predict_label(benign_set) == MALICIOUS))
-
-
-@dataclass
-class EvalResult:
-    detection_rate: float
-    false_positive_rate: float
-    labels: list
-
-    def __post_init__(self):
-        if not (0.0 <= self.detection_rate <= 1.0
-                and 0.0 <= self.false_positive_rate <= 1.0):
-            raise ValueError("rates must lie in [0,1]")
-
-
-def evaluate(model: DetectorModel, x_malicious, x_benign) -> EvalResult:
-    labels = list(model.predict_label(np.atleast_2d(x_malicious)))
-    return EvalResult(detection_rate=detection_rate(model, x_malicious),
-                      false_positive_rate=false_positive_rate(model, x_benign),
-                      labels=labels)
 
 
 # --- persistence -----------------------------------------------------------

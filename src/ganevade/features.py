@@ -6,12 +6,11 @@ signed hashing-trick vectorizer used by the hashed detector variants.
 
 from __future__ import annotations
 
-import csv
 import hashlib
 import json
 import struct
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -156,14 +155,6 @@ def load_vocab(path) -> Vocabulary:
         entries = [line.rstrip("\n") for line in fh if line.strip()]
     return Vocabulary(kind=fields["kind"], entries=entries,
                       provenance=fields.get("corpus", ""))
-
-
-def save_matrix_csv(matrix: np.ndarray, columns, path) -> None:
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(columns)
-        for row in np.atleast_2d(matrix):
-            w.writerow([repr(v) for v in row])
 
 
 def save_matrix(matrix: np.ndarray, columns, path) -> None:

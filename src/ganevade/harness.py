@@ -1,9 +1,11 @@
 """Experiment orchestration: synthetic corpora, pipeline stages, reports.
 
-Stages communicate through files under a working directory so each CLI
-subcommand can run alone, and a full pipeline run is reproducible from the
-config plus the global seed. Evaluation always re-extracts features from
-the rewritten files on disk, never from in-memory adversarial vectors.
+The stages run in the order of ``STAGES``, in one process, handing their
+results on in memory; each also writes its artifacts under the working
+directory. A CLI subcommand runs the table up to its own stage, and a full
+pipeline run is reproducible from the config plus the global seed.
+Evaluation always re-extracts features from the rewritten files on disk,
+never from in-memory adversarial vectors.
 """
 
 from __future__ import annotations
@@ -24,8 +26,20 @@ from . import __version__
 SCHEMA_VERSION = 1
 CACHE_ENV_VAR = "GANEVADE_CACHE_DIR"
 
-GAN_KINDS = ("byte_histogram", "api", "strings")
 FAMILIES = ("byte", "api_topk", "api_hashed", "strings_topk", "strings_hashed")
+# GAN kind -> the feature family its generator rewrites
+GAN_FAMILIES = {"byte_histogram": "byte", "api": "api_topk",
+                "strings": "strings_topk"}
+GAN_KINDS = tuple(GAN_FAMILIES)
+# attack -> the GAN kinds it needs trained
+ATTACK_GANS = {
+    "gan_byte": ("byte_histogram",),
+    "gan_api": ("api",),
+    "gan_strings": ("strings",),
+    "gan_all": GAN_KINDS,
+    "benign_injection": (),
+    "malgan_byte": (),
+}
 
 
 class ConfigError(ValueError):
@@ -161,13 +175,24 @@ class ExperimentConfig:
         if abs(sum(self.split) - 1.0) > 1e-9:
             raise ConfigError("split fractions must sum to 1")
         for attack in self.attacks:
-            if attack not in ("gan_byte", "gan_api", "gan_strings", "gan_all",
-                              "benign_injection", "malgan_byte", "malgan_api"):
+            if attack not in ATTACK_GANS:
                 raise ConfigError(f"unknown attack {attack!r}")
         for spec in self.detectors:
             for fam in spec.families:
                 if fam not in FAMILIES:
                     raise ConfigError(f"unknown feature family {fam!r}")
+        for kind in self.gans:
+            if kind not in GAN_KINDS:
+                raise ConfigError(f"unknown GAN kind {kind!r} in gans")
+        for gap in (self.gap, *self.gap_sweep):
+            if not 0.0 <= gap < 1.0:
+                raise ConfigError(f"gap {gap!r} outside [0, 1)")
+        if self.sweep_subsample < 1:
+            raise ConfigError("sweep_subsample must be at least 1")
+        if self.corpus.n_per_class < 1:
+            raise ConfigError("corpus.n_per_class must be at least 1")
+        if self.max_new_imports < 0 or self.max_new_strings < 0:
+            raise ConfigError("max_new_imports and max_new_strings must be >= 0")
 
     def to_dict(self) -> dict:
         d = dataclasses.asdict(self)
@@ -349,42 +374,36 @@ class FeatureTable:
                 kind="string")
         self.vocab_api = vocab_api
         self.vocab_strings = vocab_strings
-        self.matrices = {
-            "byte": np.array([f.histogram for f in files]),
-            "api_topk": np.array([features.vectorize(f.import_tokens, vocab_api)
-                                  for f in files]),
-            "api_hashed": np.array([features.hash_features(f.import_tokens,
-                                                           fcfg.hash_dim)
-                                    for f in files]),
-            "strings_topk": np.array([features.vectorize(set(f.string_tokens),
-                                                         vocab_strings)
-                                      for f in files]),
-            "strings_hashed": np.array([features.hash_features(f.string_tokens,
-                                                               fcfg.hash_dim)
-                                        for f in files]),
-        }
+        self.matrices = {fam: np.array([self._family_vector(fam, f) for f in files])
+                         for fam in FAMILIES}
+
+    def _family_vector(self, family: str, feats: FileFeatures) -> np.ndarray:
+        if family == "byte":
+            return feats.histogram
+        if family == "api_topk":
+            return features.vectorize(feats.import_tokens, self.vocab_api)
+        if family == "api_hashed":
+            return features.hash_features(feats.import_tokens, self.fcfg.hash_dim)
+        if family == "strings_topk":
+            return features.vectorize(set(feats.string_tokens), self.vocab_strings)
+        if family == "strings_hashed":
+            return features.hash_features(feats.string_tokens, self.fcfg.hash_dim)
+        raise ConfigError(f"unknown feature family {family!r}")
 
     def assemble(self, spec_families, rows) -> np.ndarray:
         parts = [self.matrices[fam][rows] for fam in spec_families]
         return np.hstack(parts)
 
+    def by_class(self, spec_families, rows) -> tuple[np.ndarray, np.ndarray]:
+        """The benign and the malicious files among ``rows``, assembled."""
+        benign = [i for i in rows if self.files[i].label == "benign"]
+        malicious = [i for i in rows if self.files[i].label == "malicious"]
+        return (self.assemble(spec_families, benign),
+                self.assemble(spec_families, malicious))
+
     def vector_for(self, feats: FileFeatures, spec_families) -> np.ndarray:
-        parts = []
-        for fam in spec_families:
-            if fam == "byte":
-                parts.append(feats.histogram)
-            elif fam == "api_topk":
-                parts.append(features.vectorize(feats.import_tokens, self.vocab_api))
-            elif fam == "api_hashed":
-                parts.append(features.hash_features(feats.import_tokens,
-                                                    self.fcfg.hash_dim))
-            elif fam == "strings_topk":
-                parts.append(features.vectorize(set(feats.string_tokens),
-                                                self.vocab_strings))
-            elif fam == "strings_hashed":
-                parts.append(features.hash_features(feats.string_tokens,
-                                                    self.fcfg.hash_dim))
-        return np.concatenate(parts)
+        return np.concatenate([self._family_vector(fam, feats)
+                               for fam in spec_families])
 
 
 # --- GAN wiring -------------------------------------------------------------
@@ -405,12 +424,7 @@ def pipeline_preset(kind: str, dim: int, stage_cfg: GanStageConfig) -> gan.GanPr
 
 def train_gan_for(kind: str, table: FeatureTable, train_idx, cfg: ExperimentConfig,
                   metrics_path=None) -> gan.GanModel:
-    family = {"byte_histogram": "byte", "api": "api_topk",
-              "strings": "strings_topk"}[kind]
-    labels = [table.files[i].label for i in train_idx]
-    rows = np.asarray(train_idx)
-    benign = table.matrices[family][rows[[l == "benign" for l in labels]]]
-    malicious = table.matrices[family][rows[[l == "malicious" for l in labels]]]
+    benign, malicious = table.by_class((GAN_FAMILIES[kind],), train_idx)
     stage = cfg.gans.get(kind, GanStageConfig())
     preset = pipeline_preset(kind, benign.shape[1], stage)
     tcfg = gan.TrainingConfig(
@@ -441,14 +455,16 @@ class AttackOutput:
     warnings: list = field(default_factory=list)
 
 
-def _pad_to_target(data: bytes, target: np.ndarray, gap, gap_is_ratio=True) -> bytes:
+def _padding_request(data: bytes, target: np.ndarray, gap) -> padopt.PaddingRequest:
+    """Padding of ``data`` towards ``target``; ``gap`` is a ratio or "exact"."""
     counts = np.bincount(np.frombuffer(data, dtype=np.uint8), minlength=256)
-    if isinstance(gap, str) and gap == "exact":
-        req = padopt.PaddingRequest(counts, target, gap=0.0, mode="exact")
-    else:
-        req = padopt.PaddingRequest(counts, target, gap=float(gap),
-                                    mode="relaxed", gap_is_ratio=gap_is_ratio)
-    plan = padopt.plan_for(req)
+    if gap == "exact":
+        return padopt.PaddingRequest(counts, target, mode="exact")
+    return padopt.PaddingRequest(counts, target, gap=float(gap))
+
+
+def _pad_to_target(data: bytes, target: np.ndarray, gap) -> bytes:
+    plan = padopt.plan_for(_padding_request(data, target, gap))
     pe = petk.parse(data, strict=False)
     return petk.append_overlay(pe, plan).data
 
@@ -480,7 +496,7 @@ def attack_gan_byte(model, test_files, blobs, gap, seed) -> AttackOutput:
 def attack_gan_indicator(model, test_files, blobs, table: FeatureTable,
                          kind: str, cap: int, seed) -> AttackOutput:
     vocab = table.vocab_api if kind == "api" else table.vocab_strings
-    family = "api_topk" if kind == "api" else "strings_topk"
+    family = GAN_FAMILIES[kind]
     rng = np.random.default_rng(seed)
     rewritten = {}
     warnings = []
@@ -520,10 +536,7 @@ def attack_benign_injection(test_files, blobs, benign_train_blobs, seed) -> Atta
 
 def attack_malgan_byte(table: FeatureTable, train_idx, test_files, blobs,
                        black_box, gap, cfg: ExperimentConfig) -> AttackOutput:
-    labels = [table.files[i].label for i in train_idx]
-    rows = np.asarray(train_idx)
-    benign = table.matrices["byte"][rows[[l == "benign" for l in labels]]]
-    malicious = table.matrices["byte"][rows[[l == "malicious" for l in labels]]]
+    benign, malicious = table.by_class(("byte",), train_idx)
     stage = cfg.gans.get("byte_histogram", GanStageConfig())
     preset = pipeline_preset("byte_histogram", benign.shape[1], stage)
     mcfg = baselines.MalganConfig(seed=cfg.seed,
@@ -533,8 +546,7 @@ def attack_malgan_byte(table: FeatureTable, train_idx, test_files, blobs,
     rewritten = {}
     for feats in test_files:
         z = gan.sample_noise(preset.noise_dim, 1, rng)
-        target = _safe_target(
-            baselines.malgan_generate(model, feats.histogram[None, :], z)[0])
+        target = _safe_target(gan.generate(model, feats.histogram[None, :], z)[0])
         rewritten[feats.name] = _pad_to_target(blobs[feats.name], target, gap)
     return AttackOutput(name="malgan_byte", rewritten=rewritten,
                         query_count=model.query_count,
@@ -610,13 +622,8 @@ def stage_extract(state: PipelineState):
 def stage_detectors(state: PipelineState):
     model_dir = state.workdir / "models"
     model_dir.mkdir(parents=True, exist_ok=True)
-    train_idx = state.splits["train"]
-    labels = [state.file_features[i].label for i in train_idx]
-    b_rows = [i for i, l in zip(train_idx, labels) if l == "benign"]
-    m_rows = [i for i, l in zip(train_idx, labels) if l == "malicious"]
     for spec in state.cfg.detectors:
-        xb = state.table.assemble(spec.families, b_rows)
-        xm = state.table.assemble(spec.families, m_rows)
+        xb, xm = state.table.by_class(spec.families, state.splits["train"])
         model = detectors.train_detector(
             spec.kind, detectors.FeatureSpec(tuple(spec.families)), xb, xm,
             hyperparams=spec.hyperparams, seed=state.cfg.seed)
@@ -628,16 +635,7 @@ def stage_detectors(state: PipelineState):
 def stage_gans(state: PipelineState):
     model_dir = state.workdir / "models"
     model_dir.mkdir(parents=True, exist_ok=True)
-    needed = set()
-    for attack in state.cfg.attacks:
-        if attack == "gan_byte":
-            needed.add("byte_histogram")
-        elif attack == "gan_api":
-            needed.add("api")
-        elif attack == "gan_strings":
-            needed.add("strings")
-        elif attack == "gan_all":
-            needed.update(GAN_KINDS)
+    needed = {kind for attack in state.cfg.attacks for kind in ATTACK_GANS[attack]}
     for kind in sorted(needed):
         model = train_gan_for(kind, state.table, state.splits["train"], state.cfg,
                               metrics_path=model_dir / f"gan_{kind}_metrics.csv")
@@ -802,24 +800,39 @@ def _gap_sweep(state: PipelineState, test_mal) -> list[dict]:
             # sizes and histograms follow from the plan; no need to
             # materialize the (possibly huge) exact-mode files
             blob = state.blobs[feats.name]
-            counts = np.bincount(np.frombuffer(blob, dtype=np.uint8),
-                                 minlength=256)
-            if gap_value == "exact":
-                req = padopt.PaddingRequest(counts, targets[feats.name],
-                                            gap=0.0, mode="exact")
-            else:
-                req = padopt.PaddingRequest(counts, targets[feats.name],
-                                            gap=float(gap_value))
+            req = _padding_request(blob, targets[feats.name], gap_value)
             plan = padopt.plan_for(req)
-            total = counts.sum() + plan.total_appended
+            total = req.counts.sum() + plan.total_appended
             sizes.append(len(blob) + plan.total_appended)
             appended.append(plan.total_appended)
-            hists.append((counts + plan.p) / total)
+            hists.append((req.counts + plan.p) / total)
         rate = detectors.detection_rate(byte_detector, np.array(hists))
         rows.append({"gap": gap_value, "mean_size_mb": float(np.mean(sizes)) / 1e6,
                      "mean_appended_bytes": float(np.mean(appended)),
                      "detection_rate": rate})
     return rows
+
+
+# stage name -> the module global that runs it, looked up when the stage
+# runs so that a wrapper installed on the attribute sees the call
+STAGES = (
+    ("corpus", "stage_corpus"),
+    ("extract", "stage_extract"),
+    ("train-detector", "stage_detectors"),
+    ("train-gan", "stage_gans"),
+    ("attack", "stage_attacks"),
+    ("evaluate", "stage_evaluate"),
+)
+
+
+def run_stages(state: PipelineState, upto: str = "evaluate"):
+    """Run the stages in order up to and including ``upto``; return the
+    last stage's result."""
+    last = [name for name, _ in STAGES].index(upto)
+    result = None
+    for _, attr in STAGES[:last + 1]:
+        result = globals()[attr](state)
+    return result
 
 
 def run_pipeline(cfg: ExperimentConfig, workdir) -> dict:
@@ -828,13 +841,7 @@ def run_pipeline(cfg: ExperimentConfig, workdir) -> dict:
     t0 = time.time()
     workdir = Path(workdir)
     workdir.mkdir(parents=True, exist_ok=True)
-    state = PipelineState(cfg=cfg, workdir=workdir)
-    stage_corpus(state)
-    stage_extract(state)
-    stage_detectors(state)
-    stage_gans(state)
-    stage_attacks(state)
-    evaluation = stage_evaluate(state)
+    evaluation = run_stages(PipelineState(cfg=cfg, workdir=workdir))
     report = {
         "config_hash": cfg.config_hash(),
         "seed": cfg.seed,

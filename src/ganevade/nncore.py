@@ -170,11 +170,6 @@ def power(a: Tensor, p: float) -> Tensor:
                   [(a, lambda g: mul(g, mul(Tensor(p), power(a, p - 1.0))))])
 
 
-def texp(a: Tensor) -> Tensor:
-    out = Tensor(np.exp(a.data))
-    return Tensor(out.data, [(a, lambda g: mul(g, out))])
-
-
 def tlog(a: Tensor) -> Tensor:
     return Tensor(np.log(a.data), [(a, lambda g: mul(g, power(a, -1.0)))])
 
@@ -252,6 +247,18 @@ def narrow(a: Tensor, axis: int, start: int, length: int) -> Tensor:
         return concat(parts, axis=axis) if len(parts) > 1 else parts[0]
 
     return Tensor(a.data[tuple(idx)], [(a, vjp)])
+
+
+# --- losses ----------------------------------------------------------------
+
+def bce(p: Tensor, y) -> Tensor:
+    """Mean binary cross-entropy of probabilities ``p`` (n, 1) against 0/1
+    labels ``y``, with ``p`` clamped away from {0, 1}."""
+    y_col = Tensor(np.asarray(y, dtype=np.float64).reshape(-1, 1))
+    p_safe = add(mul(p, Tensor(1.0 - 1e-7)), Tensor(5e-8))
+    pos = mul(y_col, tlog(p_safe))
+    neg = mul(sub(Tensor(1.0), y_col), tlog(sub(Tensor(1.0), p_safe)))
+    return mul(Tensor(-1.0), tmean(add(pos, neg)))
 
 
 # --- backward pass ---------------------------------------------------------

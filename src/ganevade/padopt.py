@@ -5,12 +5,12 @@ histogram lands on (exact mode) or within a per-bin gap of (relaxed mode)
 a target distribution. The LP over per-byte counts collapses to a 1-D
 problem in the final total T = sum(b + p): for fixed T every bin has an
 independent interval of admissible counts, and the minimal feasible T is
-found exactly on the piecewise-linear feasibility function.
+found exactly on the piecewise-linear feasibility function. With no gap the
+minimal T has a closed form.
 """
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -32,7 +32,6 @@ class PaddingRequest:
     target: np.ndarray          # target distribution r, sums to 1
     gap: float = 0.0            # allowed per-bin error g; 0 means exact
     mode: str = "relaxed"       # "exact" forces gap 0
-    gap_is_ratio: bool = True   # True: tolerance g*T counts; False: g counts
 
     def __post_init__(self):
         self.counts = np.asarray(self.counts, dtype=np.float64)
@@ -72,7 +71,7 @@ class PaddingPlan:
 
 def _bounds(req: PaddingRequest, total: float):
     """Per-bin count bounds [lo, hi] on b_i + p_i for a fixed total."""
-    tol = req.gap * total if req.gap_is_ratio else req.gap
+    tol = req.gap * total
     lo = req.target * total - tol
     hi = req.target * total + tol
     return lo, hi
@@ -85,15 +84,10 @@ def solve_relaxed(req: PaddingRequest) -> RealPlan:
     g = req.gap
     sum_b = float(b.sum())
 
-    # hi-bound feasibility: (r_i + tol_rate) * T >= b_i
-    if req.gap_is_ratio:
-        cap = r + g
-        dead = (cap <= 0) & (b > 0)
-        t_floor = np.where(cap > 0, b / np.maximum(cap, 1e-300), 0.0).max(initial=0.0)
-    else:
-        dead = (r <= 0) & (b > g)
-        with np.errstate(divide="ignore"):
-            t_floor = np.where(r > 0, (b - g) / np.maximum(r, 1e-300), 0.0).max(initial=0.0)
+    # hi-bound feasibility: (r_i + g) * T >= b_i
+    cap = r + g
+    dead = (cap <= 0) & (b > 0)
+    t_floor = np.where(cap > 0, b / np.maximum(cap, 1e-300), 0.0).max(initial=0.0)
     if np.any(dead):
         bad = np.flatnonzero(dead)
         raise InfeasiblePaddingError(
@@ -111,14 +105,10 @@ def solve_relaxed(req: PaddingRequest) -> RealPlan:
     if h(t0) <= 1e-9:
         t_star = t0
     else:
-        # breakpoints where a bin's lower bound activates: (r_i - tol)*T = b_i
-        rate = r - g if req.gap_is_ratio else r
-        if req.gap_is_ratio:
-            active = rate > 0
-            breaks = b[active] / rate[active]
-        else:
-            active = r > 0
-            breaks = (b[active] + g) / r[active]
+        # breakpoints where a bin's lower bound activates: (r_i - g)*T = b_i
+        rate = r - g
+        active = rate > 0
+        breaks = b[active] / rate[active]
         breaks = np.sort(breaks[breaks > t0])
         knots = np.concatenate(([t0], breaks))
         t_star = None
@@ -131,7 +121,7 @@ def solve_relaxed(req: PaddingRequest) -> RealPlan:
             ta = knots[-1]
             ha = h(ta)
             # past the last knot h is linear with slope sum(active rates) - 1
-            slope = float(np.maximum(rate if req.gap_is_ratio else r, 0.0).sum()) - 1.0
+            slope = float(np.maximum(rate, 0.0).sum()) - 1.0
             if ha <= 1e-9:
                 t_star = ta
             elif slope < -1e-15:
@@ -160,14 +150,22 @@ def solve_relaxed(req: PaddingRequest) -> RealPlan:
 
 
 def solve_exact(req: PaddingRequest) -> RealPlan:
-    """Equality model: hit the target distribution with zero tolerance."""
-    bad = np.flatnonzero((req.target <= 0) & (req.counts > 0))
+    """Equality model: hit the target distribution with zero tolerance.
+
+    Every bin needs r_i * T >= b_i, so the least total is the closed form
+    T* = max(sum(b), max over r_i > 0 of b_i / r_i), padded by r * T* - b.
+    """
+    b = req.counts
+    r = req.target
+    bad = np.flatnonzero((r <= 0) & (b > 0))
     if len(bad):
         raise InfeasiblePaddingError(
             f"zero-probability target bins {bad.tolist()} hold existing bytes", bad)
-    exact = PaddingRequest(req.counts, req.target, gap=0.0, mode="exact",
-                           gap_is_ratio=req.gap_is_ratio)
-    return solve_relaxed(exact)
+    live = r > 0
+    t_star = max(float(b.sum()), float((b[live] / r[live]).max(initial=0.0)))
+    p = np.maximum(0.0, r * t_star - b)
+    return RealPlan(p=p, total_count=float(b.sum() + p.sum()),
+                    total_appended=float(p.sum()))
 
 
 def _violations(req: PaddingRequest, p_int: np.ndarray):
@@ -203,12 +201,11 @@ def round_plan(real: RealPlan, req: PaddingRequest) -> PaddingPlan:
         raise RoundingError("could not certify integer plan within 512 repairs")
 
     short, over, total = _violations(req, p)
-    tol = req.gap * total if req.gap_is_ratio else req.gap
+    tol = req.gap * total
     achieved = (req.counts + p) / total if total > 0 else np.zeros(req.nbins)
     cert = {
         "total": total,
         "gap": req.gap,
-        "gap_is_ratio": req.gap_is_ratio,
         "count_tolerance": tol + req.nbins,
         "max_lower_violation": float(short.max(initial=0.0)),
         "max_upper_violation": float(over.max(initial=0.0)),
@@ -226,15 +223,3 @@ def check_plan(plan: PaddingPlan, req: PaddingRequest) -> bool:
     """Independent re-derivation of the certificate from (b, p)."""
     short, over, _ = _violations(req, plan.p)
     return short.max(initial=0.0) <= 0.0 and over.max(initial=0.0) <= 0.0
-
-
-def write_plan_csv(plan: PaddingPlan, req: PaddingRequest, path) -> None:
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["# total", plan.certificate["total"],
-                    "gap", req.gap, "mode", req.mode,
-                    "max_violation", max(plan.certificate["max_lower_violation"],
-                                         plan.certificate["max_upper_violation"])])
-        w.writerow(["byte_value", "count"])
-        for v, c in enumerate(plan.p):
-            w.writerow([v, int(c)])

@@ -9,7 +9,6 @@ untouched. Serializing an unmodified image is byte-identical to the input.
 
 from __future__ import annotations
 
-import json
 import struct
 from dataclasses import dataclass, field
 
@@ -535,14 +534,3 @@ def synth_pe(spec: SynthSpec, seed: int = 0) -> bytes:
         buf[s_raw:s_raw + len(content)] = content
 
     return bytes(buf) + spec.overlay
-
-
-def edit_manifest(original: PeImage, edited: PeImage, operations: list[dict]) -> str:
-    """JSON record of the edits applied to one file."""
-    return json.dumps({
-        "operations": operations,
-        "size_before": len(original.data),
-        "size_after": len(edited.data),
-        "sections_before": len(original.sections),
-        "sections_after": len(edited.sections),
-    }, sort_keys=True, indent=2)

@@ -2,11 +2,10 @@ import numpy as np
 import pytest
 
 from ganevade import baselines, petk
-from ganevade.baselines import (MalganConfig, benign_injection,
-                                malgan_generate, train_malgan)
+from ganevade.baselines import MalganConfig, benign_injection, train_malgan
 from ganevade.detectors import BENIGN, MALICIOUS
 from ganevade.features import byte_histogram
-from ganevade.gan import GanPreset
+from ganevade.gan import GanPreset, generate
 from ganevade.petk import SectionSpec, SynthSpec, parse, synth_pe
 
 
@@ -91,7 +90,7 @@ class TestMalgan:
         bb = threshold_black_box()
         model = train_malgan(xm, xb, bb, tiny_preset(), cfg)
         z = np.random.default_rng(3).random((60, 4))
-        adv = malgan_generate(model, xm, z)
+        adv = generate(model, xm, z)
         adv_rate = np.mean(bb(adv) == MALICIOUS)
         orig_rate = np.mean(bb(xm) == MALICIOUS)
         assert adv_rate <= orig_rate
@@ -101,7 +100,7 @@ class TestMalgan:
         model = baselines._build_malgan(preset, seed=0)
         rng = np.random.default_rng(4)
         m = (rng.random((20, 10)) > 0.5).astype(np.float64)
-        out = malgan_generate(model, m, rng.random((20, 4)))
+        out = generate(model, m, rng.random((20, 4)))
         assert np.all(out >= m)
 
     def test_training_meta_recorded(self):

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from ganevade import checkpoint as ckpt
+from ganevade.gan import GanModel, GanPreset, load_gan, save_gan
 from ganevade.nncore import build_mlp, forward, Tensor
 
 
@@ -33,13 +34,19 @@ def test_truncated_body_rejected(tmp_path):
         ckpt.load_container(path)
 
 
+def _gan_with(generator, critic) -> GanModel:
+    # save_gan writes the preset as metadata only; it need not fit the nets
+    preset = GanPreset("byte_histogram", 3, 2, (7,), (4,), "softmax")
+    return GanModel(generator=generator, critic=critic, preset=preset)
+
+
 def test_mlp_roundtrip_preserves_outputs(tmp_path):
     rng = np.random.default_rng(0)
     net = build_mlp([5, 7, 2], "leaky_relu", "sigmoid", rng,
                     input_dropout=0.1, hidden_dropout=0.5)
     path = tmp_path / "net.gevd"
-    ckpt.save_mlp(path, net)
-    net2 = ckpt.load_mlp(path)
+    save_gan(path, _gan_with(net, build_mlp([3, 4, 1], "relu", "linear", rng)))
+    net2 = load_gan(path).generator
     x = Tensor(rng.normal(size=(3, 5)))
     np.testing.assert_array_equal(forward(net, x).data, forward(net2, x).data)
     assert net2.input_dropout_rate == 0.1
@@ -50,7 +57,8 @@ def test_mlp_roundtrip_preserves_outputs(tmp_path):
 def test_save_is_deterministic(tmp_path):
     rng = np.random.default_rng(1)
     net = build_mlp([3, 4, 1], "relu", "linear", rng)
+    model = _gan_with(net, net)
     p1, p2 = tmp_path / "a.gevd", tmp_path / "b.gevd"
-    ckpt.save_mlp(p1, net)
-    ckpt.save_mlp(p2, net)
+    save_gan(p1, model)
+    save_gan(p2, model)
     assert p1.read_bytes() == p2.read_bytes()

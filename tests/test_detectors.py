@@ -2,10 +2,9 @@ import numpy as np
 import pytest
 
 from ganevade import detectors, nncore
-from ganevade.detectors import (BENIGN, MALICIOUS, DetectorModel, EvalResult,
-                                FeatureSpec, detection_rate, evaluate,
-                                false_positive_rate, load_detector,
-                                save_detector, train_detector)
+from ganevade.detectors import (BENIGN, MALICIOUS, DetectorModel, FeatureSpec,
+                                detection_rate, false_positive_rate,
+                                load_detector, save_detector, train_detector)
 
 
 def gaussian_classes(n=120, dim=10, sep=3.0, seed=0):
@@ -109,17 +108,6 @@ class TestMetrics:
             detection_rate(model, np.zeros((0, 1)))
         with pytest.raises(ValueError):
             false_positive_rate(model, np.zeros((0, 1)))
-
-    def test_evaluate_bundles_both(self):
-        xb, xm = gaussian_classes(n=50)
-        model = train_detector("logreg", FeatureSpec(("byte",)), xb, xm)
-        res = evaluate(model, xm, xb)
-        assert isinstance(res, EvalResult)
-        assert len(res.labels) == 50
-
-    def test_eval_result_range_checked(self):
-        with pytest.raises(ValueError):
-            EvalResult(detection_rate=1.5, false_positive_rate=0.0, labels=[])
 
 
 class TestPersistence:

@@ -67,6 +67,33 @@ class TestConfig:
         with pytest.raises(ConfigError):
             harness.load_config(p)
 
+    @pytest.mark.parametrize("gap", [-0.1, 1.0, 1.5])
+    def test_gap_outside_unit_interval_rejected(self, gap):
+        with pytest.raises(ConfigError):
+            ExperimentConfig(gap=gap)
+
+    def test_gap_sweep_value_outside_unit_interval_rejected(self):
+        with pytest.raises(ConfigError):
+            ExperimentConfig(gap_sweep=(0.01, 1.2))
+
+    def test_sweep_subsample_below_one_rejected(self):
+        with pytest.raises(ConfigError):
+            ExperimentConfig(sweep_subsample=0)
+
+    def test_empty_corpus_class_rejected(self):
+        with pytest.raises(ConfigError):
+            ExperimentConfig(corpus=CorpusConfig(n_per_class=0))
+
+    @pytest.mark.parametrize("field", ["max_new_imports", "max_new_strings"])
+    def test_negative_token_cap_rejected(self, field):
+        with pytest.raises(ConfigError):
+            ExperimentConfig(**{field: -1})
+
+    def test_unknown_gan_kind_rejected(self):
+        with pytest.raises(ConfigError):
+            ExperimentConfig.from_dict(
+                {"gans": {"bytes_histogram": {"max_steps": 5}}})
+
 
 class TestCorpus:
     def test_gen_corpus_counts_and_labels(self, tmp_path):
@@ -211,6 +238,17 @@ class TestPipeline:
         assert "runtime_seconds" not in stripped
         assert stripped["config_hash"] == report["config_hash"]
 
+    def test_stage_table_calls_module_globals(self, tmp_path, monkeypatch):
+        # stages are looked up when they run, so a replaced attribute is used
+        seen = []
+        for _, attr in harness.STAGES:
+            monkeypatch.setattr(harness, attr,
+                                lambda state, attr=attr: seen.append(attr))
+        state = PipelineState(cfg=tiny_config(), workdir=tmp_path)
+        harness.run_stages(state, "train-gan")
+        assert seen == ["stage_corpus", "stage_extract", "stage_detectors",
+                        "stage_gans"]
+
     def test_stage_error_names_stage(self, tmp_path):
         state = PipelineState(cfg=tiny_config(), workdir=tmp_path)
         with pytest.raises(StageError) as exc:
@@ -245,11 +283,54 @@ class TestCapacityCap:
             assert after == before
 
 
+@pytest.fixture
+def tiny_config_file(tmp_path):
+    cfg = tiny_config().to_dict()
+    cfg["gans"] = {"byte_histogram": {"max_steps": 3}}
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    return path
+
+
 class TestCli:
     def test_bad_config_exit_2(self, tmp_path):
         p = tmp_path / "bad.json"
         p.write_text(json.dumps({"attacks": ["nope"]}))
         rc = cli.main(["pipeline", "--config", str(p),
+                       "--workdir", str(tmp_path / "w")])
+        assert rc == 2
+
+    @pytest.mark.parametrize("command", ["pipeline", "extract", "attack"])
+    def test_invalid_config_writes_nothing(self, tmp_path, command):
+        p = tmp_path / "bad.json"
+        p.write_text(json.dumps({"gap": 1.5}))
+        rc = cli.main([command, "--config", str(p),
+                       "--workdir", str(tmp_path / "w")])
+        assert rc == 2
+        assert not (tmp_path / "w").exists()
+
+    @pytest.mark.parametrize("argv,summary", [
+        (["extract"], "extracted 20 files; vocab sizes"),
+        (["train-detector", "--name", "byte_logreg"],
+         "trained detector byte_logreg\n"),
+        (["train-gan", "--kind", "byte_histogram"],
+         "trained byte_histogram model: "),
+        (["attack", "--attack", "gan_byte"],
+         "attack gan_byte: 1 files rewritten, queries=0, warnings=0"),
+    ])
+    def test_stage_subcommands(self, tmp_path, tiny_config_file, capsys,
+                               argv, summary):
+        rc = cli.main([*argv, "--config", str(tiny_config_file),
+                       "--workdir", str(tmp_path / "w")])
+        assert rc == 0
+        assert summary in capsys.readouterr().out
+
+    @pytest.mark.parametrize("argv", [["train-gan", "--kind", "bogus"],
+                                      ["train-detector", "--name", "nope"],
+                                      ["attack", "--attack", "bogus"]])
+    def test_unknown_subcommand_target_exit_2(self, tmp_path,
+                                              tiny_config_file, argv):
+        rc = cli.main([*argv, "--config", str(tiny_config_file),
                        "--workdir", str(tmp_path / "w")])
         assert rc == 2
 
