@@ -8,14 +8,13 @@ from __future__ import annotations
 
 import hashlib
 import json
+import re
 import struct
 from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
 
-PRINTABLE_LO = 0x20
-PRINTABLE_HI = 0x7E
 DEFAULT_MIN_STRING_LEN = 5
 DEFAULT_HASH_DIM = 1280
 
@@ -79,19 +78,8 @@ def extract_strings(data: bytes, min_len: int = DEFAULT_MIN_STRING_LEN) -> Count
     """Maximal printable-ASCII runs of length >= min_len, as a multiset."""
     if min_len < 1:
         raise ValueError("min_len must be >= 1")
-    out: Counter = Counter()
-    run_start = None
-    for i, byte in enumerate(data):
-        if PRINTABLE_LO <= byte <= PRINTABLE_HI:
-            if run_start is None:
-                run_start = i
-        else:
-            if run_start is not None and i - run_start >= min_len:
-                out[data[run_start:i].decode("ascii")] += 1
-            run_start = None
-    if run_start is not None and len(data) - run_start >= min_len:
-        out[data[run_start:].decode("ascii")] += 1
-    return out
+    return Counter(run.decode("ascii") for run in
+                   re.findall(rb"[\x20-\x7e]{%d,}" % min_len, data))
 
 
 def select_topk(benign_token_sets, k: int, kind: str = "api") -> Vocabulary:

@@ -455,15 +455,14 @@ class AttackOutput:
     warnings: list = field(default_factory=list)
 
 
-def _padding_request(data: bytes, target: np.ndarray, gap) -> padopt.PaddingRequest:
-    """Padding of ``data`` towards ``target``; ``gap`` is a ratio or "exact"."""
+def _padding_request(data: bytes, target: np.ndarray,
+                     gap: float) -> padopt.PaddingRequest:
+    """Padding of ``data`` towards ``target`` within ``gap``; 0 is exact."""
     counts = np.bincount(np.frombuffer(data, dtype=np.uint8), minlength=256)
-    if gap == "exact":
-        return padopt.PaddingRequest(counts, target, mode="exact")
-    return padopt.PaddingRequest(counts, target, gap=float(gap))
+    return padopt.PaddingRequest(counts, target, gap=gap)
 
 
-def _pad_to_target(data: bytes, target: np.ndarray, gap) -> bytes:
+def _pad_to_target(data: bytes, target: np.ndarray, gap: float) -> bytes:
     plan = padopt.plan_for(_padding_request(data, target, gap))
     pe = petk.parse(data, strict=False)
     return petk.append_overlay(pe, plan).data
@@ -478,13 +477,18 @@ def _safe_target(target: np.ndarray) -> np.ndarray:
     return floored / floored.sum()
 
 
+def _byte_target(model, feats: FileFeatures, rng) -> np.ndarray:
+    """One generated byte-histogram target for ``feats``, floored."""
+    z = gan.sample_noise(model.preset.noise_dim, 1, rng)
+    return _safe_target(gan.generate(model, feats.histogram[None, :], z)[0])
+
+
 def attack_gan_byte(model, test_files, blobs, gap, seed) -> AttackOutput:
     rng = np.random.default_rng(seed)
     rewritten = {}
     appended = []
     for feats in test_files:
-        z = gan.sample_noise(model.preset.noise_dim, 1, rng)
-        target = _safe_target(gan.generate(model, feats.histogram[None, :], z)[0])
+        target = _byte_target(model, feats, rng)
         before = len(blobs[feats.name])
         data = _pad_to_target(blobs[feats.name], target, gap)
         rewritten[feats.name] = data
@@ -545,8 +549,7 @@ def attack_malgan_byte(table: FeatureTable, train_idx, test_files, blobs,
     rng = np.random.default_rng(cfg.seed + 2)
     rewritten = {}
     for feats in test_files:
-        z = gan.sample_noise(preset.noise_dim, 1, rng)
-        target = _safe_target(gan.generate(model, feats.histogram[None, :], z)[0])
+        target = _byte_target(model, feats, rng)
         rewritten[feats.name] = _pad_to_target(blobs[feats.name], target, gap)
     return AttackOutput(name="malgan_byte", rewritten=rewritten,
                         query_count=model.query_count,
@@ -784,15 +787,11 @@ def _gap_sweep(state: PipelineState, test_mal) -> list[dict]:
     byte_detector = _primary_byte_detector(state)
 
     # one target per file, shared across every gap value
-    targets = {}
     zrng = np.random.default_rng(sweep_seed + 1)
-    for feats in subset:
-        z = gan.sample_noise(model.preset.noise_dim, 1, zrng)
-        targets[feats.name] = _safe_target(
-            gan.generate(model, feats.histogram[None, :], z)[0])
+    targets = {feats.name: _byte_target(model, feats, zrng) for feats in subset}
 
     rows = []
-    for gap_value in ("exact", *cfg.gap_sweep):
+    for label, gap_value in (("exact", 0.0), *((g, g) for g in cfg.gap_sweep)):
         sizes = []
         appended = []
         hists = []
@@ -807,7 +806,7 @@ def _gap_sweep(state: PipelineState, test_mal) -> list[dict]:
             appended.append(plan.total_appended)
             hists.append((req.counts + plan.p) / total)
         rate = detectors.detection_rate(byte_detector, np.array(hists))
-        rows.append({"gap": gap_value, "mean_size_mb": float(np.mean(sizes)) / 1e6,
+        rows.append({"gap": label, "mean_size_mb": float(np.mean(sizes)) / 1e6,
                      "mean_appended_bytes": float(np.mean(appended)),
                      "detection_rate": rate})
     return rows

@@ -121,6 +121,16 @@ def _read_cstring(data: bytes, offset: int) -> str:
     return data[offset:end].decode("latin-1")
 
 
+def _unpack(fmt: str, data: bytes, offset: int) -> tuple:
+    """``struct.unpack_from`` with an out-of-range read reported as a parse
+    error, so lenient parsing fails only with ``PeEditError``."""
+    try:
+        return struct.unpack_from(fmt, data, offset)
+    except struct.error:
+        raise PeEditError("parse", offset,
+                          f"read of {fmt!r} past end of file") from None
+
+
 def parse(data: bytes, strict: bool = True) -> PeImage:
     """Parse raw bytes into a PeImage; strict mode rejects malformed inputs."""
     anomalies: list[str] = []
@@ -134,34 +144,34 @@ def parse(data: bytes, strict: bool = True) -> PeImage:
         raise PeEditError("parse", 0, "file shorter than a DOS header")
     if data[:2] != b"MZ":
         raise PeEditError("parse", 0, "bad MZ magic")
-    (e_lfanew,) = struct.unpack_from("<I", data, 0x3C)
+    (e_lfanew,) = _unpack("<I", data, 0x3C)
     if e_lfanew + 24 > len(data):
         raise PeEditError("parse", e_lfanew, "PE header past end of file")
     if data[e_lfanew:e_lfanew + 4] != b"PE\x00\x00":
         raise PeEditError("parse", e_lfanew, "bad PE signature")
 
-    machine, nsec, _ts, _symptr, _nsym, opt_size, _chars = struct.unpack_from(
+    machine, nsec, _ts, _symptr, _nsym, opt_size, _chars = _unpack(
         "<HHIIIHH", data, e_lfanew + 4)
     opt = e_lfanew + 24
     if opt + opt_size > len(data):
         raise PeEditError("parse", opt, "optional header truncated")
-    (magic,) = struct.unpack_from("<H", data, opt)
+    (magic,) = _unpack("<H", data, opt)
     if magic == 0x10B:
         is_pe64 = False
-        (image_base,) = struct.unpack_from("<I", data, opt + 28)
+        (image_base,) = _unpack("<I", data, opt + 28)
         ndirs_off = opt + 92
     elif magic == 0x20B:
         is_pe64 = True
-        (image_base,) = struct.unpack_from("<Q", data, opt + 24)
+        (image_base,) = _unpack("<Q", data, opt + 24)
         ndirs_off = opt + 108
     else:
         raise PeEditError("parse", opt, f"unknown optional-header magic {magic:#x}")
-    sect_align, file_align = struct.unpack_from("<II", data, opt + 32)
-    size_of_image, size_of_headers = struct.unpack_from("<II", data, opt + 56)
-    (ndirs,) = struct.unpack_from("<I", data, ndirs_off)
+    sect_align, file_align = _unpack("<II", data, opt + 32)
+    size_of_image, size_of_headers = _unpack("<II", data, opt + 56)
+    (ndirs,) = _unpack("<I", data, ndirs_off)
     dirs = []
     for i in range(ndirs):
-        dirs.append(struct.unpack_from("<II", data, ndirs_off + 4 + 8 * i))
+        dirs.append(_unpack("<II", data, ndirs_off + 4 + 8 * i))
 
     st = opt + opt_size
     sections = []
@@ -169,7 +179,7 @@ def parse(data: bytes, strict: bool = True) -> PeImage:
         off = st + SECTION_HEADER_SIZE * i
         if off + SECTION_HEADER_SIZE > len(data):
             raise PeEditError("parse", off, "section table truncated")
-        raw = struct.unpack_from("<8sIIIIIIHHI", data, off)
+        raw = _unpack("<8sIIIIIIHHI", data, off)
         name = raw[0].rstrip(b"\x00").decode("latin-1")
         sec = Section(name=name, virtual_size=raw[1], virtual_address=raw[2],
                       raw_size=raw[3], raw_offset=raw[4], characteristics=raw[9])
@@ -218,7 +228,7 @@ def _parse_imports(pe: PeImage, strict: bool) -> list[ImportDescriptor]:
         off = pe.rva_to_offset(rva + IMPORT_DESCRIPTOR_SIZE * idx)
         if off + IMPORT_DESCRIPTOR_SIZE > len(data):
             raise PeEditError("parse", off, "import descriptor out of range")
-        ilt, _ts, _fc, name_rva, iat = struct.unpack_from("<IIIII", data, off)
+        ilt, _ts, _fc, name_rva, iat = _unpack("<IIIII", data, off)
         if ilt == 0 and name_rva == 0 and iat == 0:
             break
         library = _read_cstring(data, pe.rva_to_offset(name_rva))
@@ -228,17 +238,19 @@ def _parse_imports(pe: PeImage, strict: bool) -> list[ImportDescriptor]:
         while True:
             toff = pe.rva_to_offset(thunk_rva + thunk_size * j)
             fmt = "<Q" if pe.is_pe64 else "<I"
-            (value,) = struct.unpack_from(fmt, data, toff)
+            (value,) = _unpack(fmt, data, toff)
             if value == 0:
                 break
             if value & ordinal_flag:
                 desc.entries.append(ImportEntry(ordinal=value & 0xFFFF))
             else:
                 hoff = pe.rva_to_offset(value)
-                (hint,) = struct.unpack_from("<H", data, hoff)
+                (hint,) = _unpack("<H", data, hoff)
                 desc.entries.append(
                     ImportEntry(name=_read_cstring(data, hoff + 2), hint=hint))
             j += 1
+            if j > 4096:
+                raise PeEditError("parse", toff, "unterminated import thunk table")
         descriptors.append(desc)
         idx += 1
         if idx > 4096:

@@ -1,9 +1,12 @@
+import importlib.util
 import json
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from ganevade import cli, gan, harness, petk
+from ganevade import cli, gan, harness, padopt, petk
 from ganevade.harness import (ConfigError, CorpusConfig, ExperimentConfig,
                               FeatureConfig, GanStageConfig, PipelineState,
                               StageError, gen_corpus, ingest_dirs, load_corpus,
@@ -263,6 +266,21 @@ class TestPipeline:
             harness.stage_corpus(state)
 
 
+class TestBytePadding:
+    def test_gap_zero_on_floored_targets_certifies(self):
+        # peaked generator-like targets floored as the attacks floor them;
+        # gap 0 is the exact model and must plan, not raise
+        blob = petk.synth_pe(petk.SynthSpec(
+            sections=[petk.SectionSpec(".text", size=3000)]), seed=0)
+        rng = np.random.default_rng(0)
+        for _ in range(16):
+            logits = rng.normal(scale=3.0, size=256)
+            t = np.exp(logits - logits.max())
+            target = harness._safe_target(t / t.sum())
+            req = harness._padding_request(blob, target, 0.0)
+            assert padopt.check_plan(padopt.plan_for(req), req)
+
+
 class TestCapacityCap:
     def test_cap_zero_warns_and_truncates(self, tmp_path):
         cfg = tiny_config(attacks=("gan_api",))
@@ -334,6 +352,22 @@ class TestCli:
                        "--workdir", str(tmp_path / "w")])
         assert rc == 2
 
+    def test_gap_zero_byte_attack_exit_0(self, tmp_path):
+        # gap 0 in the attack and in the sweep is the exact model
+        cfg = tiny_config(attacks=("gan_byte",)).to_dict()
+        cfg.update(gap=0, gap_sweep=[0.0, 0.001],
+                   gans={"byte_histogram": {"max_steps": 3}})
+        p = tmp_path / "cfg.json"
+        p.write_text(json.dumps(cfg))
+        rc = cli.main(["pipeline", "--config", str(p),
+                       "--workdir", str(tmp_path / "w")])
+        assert rc == 0
+        report = json.loads((tmp_path / "w" / "report.json").read_text())
+        rows = report["gap_sweep"]
+        assert [r["gap"] for r in rows] == ["exact", 0.0, 0.001]
+        # the exact row and the gap-0 row are the same model
+        assert rows[0]["mean_appended_bytes"] == rows[1]["mean_appended_bytes"]
+
     def test_report_before_run_exit_3(self, tmp_path):
         rc = cli.main(["report", "--workdir", str(tmp_path / "empty")])
         assert rc == 3
@@ -359,3 +393,17 @@ class TestCli:
 
         loaded = cli._load_cfg(Args)
         assert loaded.seed == 1234
+
+
+def test_gap_sweep_script_smoke(tmp_path, monkeypatch, capsys):
+    path = Path(__file__).resolve().parent.parent / "scripts" / "run_gap_sweep.py"
+    spec = importlib.util.spec_from_file_location("run_gap_sweep", path)
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    monkeypatch.setattr(sys, "argv", [
+        "run_gap_sweep.py", "--workdir", str(tmp_path / "w"),
+        "--n-per-class", "10", "--steps", "5", "--gaps", "0.01", "0"])
+    assert script.main() == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "gap,mean_size_mb,mean_appended_bytes,detection_rate"
+    assert [line.split(",")[0] for line in lines[1:]] == ["exact", "0.01", "0.0"]

@@ -1,10 +1,13 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ganevade.padopt import (InfeasiblePaddingError, PaddingRequest,
-                             check_plan, plan_for, solve_exact, solve_relaxed)
+from ganevade.padopt import (InfeasiblePaddingError, PaddingPlan,
+                             PaddingRequest, check_plan, plan_for,
+                             solve_relaxed)
 
 
 def lp_oracle(counts, target, gap):
@@ -34,8 +37,8 @@ class TestHandInstances:
     def test_two_bins_exact_by_hand(self):
         # b=[2,2], r=[0.75,0.25]: T must be 8, pad 4 into bin 0
         req = PaddingRequest(np.array([2, 2]), np.array([0.75, 0.25]),
-                             mode="exact")
-        real = solve_exact(req)
+                             gap=0.0)
+        real = solve_relaxed(req)
         assert real.total_count == pytest.approx(8.0)
         np.testing.assert_allclose(real.p, [4.0, 0.0])
 
@@ -52,9 +55,9 @@ class TestHandInstances:
 
     def test_exact_infeasible_zero_bin(self):
         req = PaddingRequest(np.array([5, 1]), np.array([1.0, 0.0]),
-                             mode="exact")
+                             gap=0.0)
         with pytest.raises(InfeasiblePaddingError) as exc:
-            solve_exact(req)
+            solve_relaxed(req)
         assert exc.value.bins == [1]
 
     def test_exact_total_past_every_knot(self):
@@ -63,10 +66,25 @@ class TestHandInstances:
         b = np.array([22.0, 27.0, 26.0])
         r = np.array([1.474346255907162e-06, 0.42175125265865937,
                       0.5782472729950847])
-        req = PaddingRequest(b, r, mode="exact")
-        assert solve_exact(req).total_count == pytest.approx(b[0] / r[0],
-                                                             rel=1e-12)
-        assert check_plan(plan_for(req), req)
+        req = PaddingRequest(b, r, gap=0.0)
+        assert solve_relaxed(req).total_count == pytest.approx(b[0] / r[0],
+                                                               rel=1e-12)
+        plan = plan_for(req)
+        assert check_plan(plan, req)
+        assert plan.total_appended == math.ceil(b[0] / r[0]) - b.sum()
+
+    def test_check_plan_rejects_two_counts_off_target(self):
+        b = np.array([2.0, 2.0])
+        req = PaddingRequest(b, np.array([0.75, 0.25]), gap=0.0)
+        plan = plan_for(req)
+        np.testing.assert_array_equal(plan.p, [4, 0])
+        assert check_plan(plan, req)
+        # same total, counts moved from bin 0 to bin 1: one count off each
+        # target is within the certified bound, two are not
+        for shift, ok in ((1, True), (2, False)):
+            moved = PaddingPlan(p=plan.p + np.array([-shift, shift]),
+                                total_appended=4, achieved=plan.achieved)
+            assert check_plan(moved, req) == ok
 
     def test_gap_validation(self):
         with pytest.raises(ValueError):
@@ -107,7 +125,7 @@ class TestMonotonicityAndScaling:
         rng = np.random.default_rng(4)
         b = rng.integers(1, 60, size=6).astype(np.float64)
         r = rng.dirichlet(np.ones(6))
-        exact = solve_exact(PaddingRequest(b, r, mode="exact"))
+        exact = solve_relaxed(PaddingRequest(b, r, gap=0.0))
         relaxed = solve_relaxed(PaddingRequest(b, r, gap=0.01))
         assert exact.total_appended >= relaxed.total_appended - 1e-9
 
@@ -131,7 +149,7 @@ class TestIntegerPlans:
             req = PaddingRequest(b, r, gap=0.01)
             real = solve_relaxed(req)
             plan = plan_for(req)
-            assert plan.total_appended <= real.total_appended + n + 1
+            assert plan.total_appended <= math.ceil(real.total_appended)
             assert check_plan(plan, req)
 
     def test_certificate_fields(self):
@@ -152,7 +170,7 @@ class TestIntegerPlans:
         plan = plan_for(req)
         total = b.sum() + plan.total_appended
         dev_counts = np.abs((b + plan.p) - r * total)
-        assert dev_counts.max() <= 0.001 * total + 256
+        assert dev_counts.max() <= 0.001 * total + 1
 
 
 @settings(max_examples=40, deadline=None)
@@ -187,9 +205,32 @@ def test_exact_plan_on_floored_targets(seed):
     units = np.maximum(1, np.floor(t * 2**20)).astype(np.int64)
     units[np.argmax(units)] += 2**20 - units.sum()
     r = units / 2**20
-    req = PaddingRequest(b, r, mode="exact")
+    req = PaddingRequest(b, r, gap=0.0)
     plan = plan_for(req)
     assert check_plan(plan, req)
     res = lp_oracle(b, r, 0.0)
     assert res.status == 0
-    assert abs(solve_exact(req).total_appended - res.fun) <= 1.0
+    assert abs(solve_relaxed(req).total_appended - res.fun) <= 1.0
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(0, 2**31 - 1), st.booleans())
+def test_plan_within_one_count_on_generator_targets(seed, exact):
+    """Generator-like requests as the attacks build them: a 256-bin softmax
+    target floored at 1e-6 and renormalised, at gap 0 or a random gap.
+    Every plan certifies and no bin ends more than one count past gap*T."""
+    rng = np.random.default_rng(seed)
+    b = rng.multinomial(int(rng.integers(1500, 6001)),
+                        rng.dirichlet(np.full(256, 0.5))).astype(np.float64)
+    logits = rng.normal(scale=3.0, size=256)
+    t = np.exp(logits - logits.max())
+    floored = np.maximum(t / t.sum(), 1e-6)
+    r = floored / floored.sum()
+    gap = 0.0 if exact else float(rng.uniform(0.0, 0.2))
+    req = PaddingRequest(b, r, gap=gap)
+    plan = plan_for(req)
+    assert check_plan(plan, req)
+    total = b.sum() + plan.total_appended
+    assert plan.certificate["total"] == total
+    assert np.abs(b + plan.p - r * total).max() <= gap * total + 1
+    assert plan.total_appended <= math.ceil(solve_relaxed(req).total_appended)

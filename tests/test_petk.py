@@ -1,9 +1,11 @@
+import struct
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ganevade import padopt, petk
+from ganevade import harness, padopt, petk
 from ganevade.features import byte_histogram, extract_imports, extract_strings
 from ganevade.petk import (PeEditError, SectionSpec, SynthSpec, add_section,
                            append_overlay, extend_imports, parse, serialize,
@@ -45,10 +47,30 @@ class TestParse:
         data = bytearray(synth_pe(basic_spec()))
         pe0 = parse(bytes(data))
         # corrupt SizeOfImage
-        import struct
         struct.pack_into("<I", data, pe0.opt_offset + 56, 0x123)
         pe = parse(bytes(data), strict=False)
         assert pe.anomalies
+
+    def test_lenient_read_past_end_is_parse_error(self):
+        # an empty optional header and a file that ends inside its magic
+        data = bytearray(synth_pe(basic_spec()))
+        pe0 = parse(bytes(data))
+        struct.pack_into("<H", data, pe0.e_lfanew + 20, 0)
+        with pytest.raises(PeEditError) as exc:
+            parse(bytes(data[:pe0.opt_offset + 1]), strict=False)
+        assert exc.value.kind == "parse"
+
+    def test_unterminated_thunk_table_is_capped(self):
+        ordinals = struct.pack("<I", 0x80000001) * 5000
+        spec = basic_spec()
+        spec.sections.append(SectionSpec(".thk", content=ordinals))
+        data = bytearray(synth_pe(spec))
+        pe0 = parse(bytes(data))
+        desc = pe0.rva_to_offset(pe0.data_dirs[petk.DIR_IMPORT][0])
+        thk = next(s for s in pe0.sections if s.name == ".thk")
+        struct.pack_into("<I", data, desc, thk.virtual_address)
+        with pytest.raises(PeEditError, match="unterminated import thunk"):
+            parse(bytes(data), strict=False)
 
     def test_pe64_parses(self):
         spec = basic_spec()
@@ -198,3 +220,26 @@ def test_random_specs_survive_all_editors(seed):
     plan = padopt.plan_for(padopt.PaddingRequest(counts, target, gap=0.05))
     out3 = append_overlay(pe, plan)
     parse(out3.data, strict=True)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 2**31 - 1))
+def test_mutated_pe_parses_or_raises_parse_error(seed):
+    """1-5 random bytes in the first KiB, one file in ten also truncated:
+    lenient parsing either succeeds or raises PeEditError, and feature
+    extraction of the file never raises."""
+    rng = np.random.default_rng(seed)
+    spec = basic_spec()
+    spec.pe64 = bool(rng.integers(0, 2))
+    data = bytearray(synth_pe(spec, seed=seed))
+    for _ in range(int(rng.integers(1, 6))):
+        data[int(rng.integers(0, 1024))] = int(rng.integers(0, 256))
+    if rng.random() < 0.1:
+        data = data[:int(rng.integers(64, len(data)))]
+    try:
+        parse(bytes(data), strict=False)
+    except PeEditError:
+        pass
+    feats = harness.extract_file("f", "malicious", bytes(data),
+                                 harness.FeatureConfig())
+    assert feats.histogram.sum() == pytest.approx(1.0)
