@@ -1,0 +1,71 @@
+#!/usr/bin/env python3
+"""Time one WGAN-GP training step of the byte-histogram GAN.
+
+Trains the byte preset (batch 64, the default ``TrainingConfig``) on fixed
+random histograms for ``--steps`` steps, ``--repeats`` times, and prints the
+median and interquartile range of milliseconds per step, followed by the
+SHA-256 of the trained generator and critic weights. Every repeat trains
+from the same seed, so the hash is the same on every repeat; a change that
+keeps it while lowering the step time has not moved the arithmetic.
+
+Usage (from the checkout root)::
+
+    PYTHONPATH=src python3 scripts/bench_gan_step.py --steps 300 --repeats 5
+"""
+
+import argparse
+import hashlib
+import statistics
+import sys
+import time
+
+import numpy as np
+
+from ganevade import gan
+
+
+def weights_sha256(model: gan.GanModel) -> str:
+    h = hashlib.sha256()
+    for net in (model.generator, model.critic):
+        for p in net.parameters():
+            h.update(p.data.tobytes())
+    return h.hexdigest()
+
+
+def main() -> int:
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("--steps", type=int, default=300)
+    ap.add_argument("--repeats", type=int, default=5)
+    ap.add_argument("--seed", type=int, default=0)
+    args = ap.parse_args()
+    if args.steps < 1 or args.repeats < 3:
+        ap.error("need --steps >= 1 and --repeats >= 3")
+
+    preset = gan.byte_preset()
+    rng = np.random.default_rng(args.seed)
+    benign = rng.dirichlet(np.ones(preset.input_dim), size=512)
+    malicious = rng.dirichlet(np.ones(preset.input_dim), size=512)
+    cfg = gan.TrainingConfig(seed=args.seed, max_steps=args.steps)
+
+    ms_per_step = []
+    hashes = set()
+    for _ in range(args.repeats):
+        start = time.perf_counter()
+        model = gan.train(benign, malicious, preset, cfg)
+        ms_per_step.append((time.perf_counter() - start) / args.steps * 1e3)
+        hashes.add(weights_sha256(model))
+
+    q1, med, q3 = statistics.quantiles(ms_per_step, n=4, method="inclusive")
+    print(f"byte preset, batch {cfg.batch_size}, {args.steps} steps "
+          f"x {args.repeats} repeats, seed {args.seed}")
+    print("ms_per_step runs " + " ".join(f"{v:.2f}" for v in ms_per_step))
+    print(f"ms_per_step median {med:.2f} iqr {q3 - q1:.2f} "
+          f"(q1 {q1:.2f}, q3 {q3:.2f})")
+    for digest in sorted(hashes):
+        print(f"weights_sha256 {digest}")
+    # every repeat trains from the same seed: two hashes mean nondeterminism
+    return 0 if len(hashes) == 1 else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main())

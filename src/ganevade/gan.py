@@ -228,7 +228,11 @@ def train(benign: np.ndarray, malicious: np.ndarray, preset: GanPreset,
         eps = rng.random((cfg.batch_size, 1))
 
         try:
-            fake = _generator_path(model, m_batch, z, gen_masks).detach()
+            # one generator forward per step: the critic trains on it
+            # detached, and a generator step below differentiates the same
+            # graph, valid because only the critic is updated in between
+            fake_g = _generator_path(model, m_batch, z, gen_masks)
+            fake = fake_g.detach()
             loss_d, _, gp = critic_loss(model.critic, real, fake, cfg.lambda_gp,
                                         eps=eps, masks=critic_masks,
                                         return_parts=True)
@@ -237,7 +241,6 @@ def train(benign: np.ndarray, malicious: np.ndarray, preset: GanPreset,
                       lr=cfg.learning_rate, beta1=cfg.beta1, beta2=cfg.beta2)
 
             if step % cfg.n_generator == 0:
-                fake_g = _generator_path(model, m_batch, z, gen_masks)
                 loss_g = generator_loss(model.critic, fake_g, critic_masks)
                 # ascend the mean critic score so fakes drift toward "real"
                 g_grads = grad(mul(Tensor(-1.0), loss_g),

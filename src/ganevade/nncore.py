@@ -3,6 +3,12 @@
 Everything is float64. Gradients are built out of the same primitive
 operations they differentiate, so grad-of-grad (needed for the critic's
 gradient penalty) is just another backward pass over the new graph.
+
+Finiteness is checked at the graph's edges, not at every node: a tensor
+built with ``Tensor(...)``, the output of ``forward`` and every gradient
+``grad`` returns raise ``NumericError`` on NaN or Inf. Operation results
+inside the graph are built unchecked by ``Tensor._op``; a non-finite value
+made there surfaces at the next edge it reaches.
 """
 
 from __future__ import annotations
@@ -19,7 +25,8 @@ class ShapeMismatchError(ValueError):
 
 
 class NumericError(ArithmeticError):
-    """A public operation produced NaN or Inf."""
+    """A user-built tensor, a ``forward`` output or a gradient holds NaN or
+    Inf."""
 
 
 class Tensor:
@@ -33,11 +40,16 @@ class Tensor:
     __slots__ = ("data", "parents")
 
     def __init__(self, data, parents=()):
-        arr = np.asarray(data, dtype=np.float64)
-        if not np.all(np.isfinite(arr)):
-            raise NumericError("non-finite values in tensor")
-        self.data = arr
+        self.data = _finite(np.asarray(data, dtype=np.float64))
         self.parents = tuple(parents)
+
+    @classmethod
+    def _op(cls, data, parents=()) -> "Tensor":
+        """Operation result: built without the finiteness check."""
+        t = object.__new__(cls)
+        t.data = np.asarray(data, dtype=np.float64)
+        t.parents = parents
+        return t
 
     @property
     def shape(self):
@@ -76,7 +88,7 @@ class Tensor:
         return mul(self, power(_as_tensor(other), -1.0))
 
     def __neg__(self):
-        return mul(self, Tensor(-1.0))
+        return mul(self, Tensor._op(-1.0))
 
     def __matmul__(self, other):
         return matmul(self, _as_tensor(other))
@@ -85,12 +97,20 @@ class Tensor:
         return power(self, float(p))
 
 
+def _finite(arr: np.ndarray) -> np.ndarray:
+    if not np.isfinite(arr).all():
+        raise NumericError("non-finite values in tensor")
+    return arr
+
+
 def _as_tensor(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(x)
 
 
 def _unbroadcast(g: Tensor, shape: tuple) -> Tensor:
     """Sum ``g`` down to ``shape`` (inverse of numpy broadcasting)."""
+    if g.data.shape == shape:
+        return g
     while g.data.ndim > len(shape):
         g = tsum(g, axis=0)
     for i, s in enumerate(shape):
@@ -102,47 +122,58 @@ def _unbroadcast(g: Tensor, shape: tuple) -> Tensor:
 # --- primitives ------------------------------------------------------------
 
 def add(a: Tensor, b: Tensor) -> Tensor:
-    return Tensor(a.data + b.data, [
+    return Tensor._op(a.data + b.data, (
         (a, lambda g: _unbroadcast(g, a.data.shape)),
         (b, lambda g: _unbroadcast(g, b.data.shape)),
-    ])
+    ))
 
 
 def sub(a: Tensor, b: Tensor) -> Tensor:
-    return Tensor(a.data - b.data, [
+    return Tensor._op(a.data - b.data, (
         (a, lambda g: _unbroadcast(g, a.data.shape)),
-        (b, lambda g: _unbroadcast(mul(g, Tensor(-1.0)), b.data.shape)),
-    ])
+        (b, lambda g: _unbroadcast(mul(g, Tensor._op(-1.0)), b.data.shape)),
+    ))
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
-    return Tensor(a.data * b.data, [
+    return Tensor._op(a.data * b.data, (
         (a, lambda g: _unbroadcast(mul(g, b), a.data.shape)),
         (b, lambda g: _unbroadcast(mul(g, a), b.data.shape)),
-    ])
+    ))
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
     if a.data.shape[-1] != b.data.shape[0]:
         raise ShapeMismatchError(f"matmul {a.data.shape} @ {b.data.shape}")
-    return Tensor(a.data @ b.data, [
+    return Tensor._op(a.data @ b.data, (
         (a, lambda g: matmul(g, transpose(b))),
         (b, lambda g: matmul(transpose(a), g)),
-    ])
+    ))
+
+
+def affine(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
+    """``x @ w.T + b`` as one node: the dense layer's pre-activation."""
+    if x.data.shape[-1] != w.data.shape[1]:
+        raise ShapeMismatchError(f"affine {x.data.shape} @ {w.data.shape}.T")
+    return Tensor._op(x.data @ w.data.T + b.data, (
+        (x, lambda g: matmul(g, w)),
+        (w, lambda g: transpose(matmul(transpose(x), g))),
+        (b, lambda g: tsum(g, axis=0)),
+    ))
 
 
 def transpose(a: Tensor) -> Tensor:
-    return Tensor(a.data.T, [(a, transpose)])
+    return Tensor._op(a.data.T, ((a, transpose),))
 
 
 def reshape(a: Tensor, shape) -> Tensor:
     old = a.data.shape
-    return Tensor(a.data.reshape(shape), [(a, lambda g: reshape(g, old))])
+    return Tensor._op(a.data.reshape(shape), ((a, lambda g: reshape(g, old)),))
 
 
 def broadcast_to(a: Tensor, shape) -> Tensor:
-    return Tensor(np.broadcast_to(a.data, shape),
-                  [(a, lambda g: _unbroadcast(g, a.data.shape))])
+    return Tensor._op(np.broadcast_to(a.data, shape),
+                      ((a, lambda g: _unbroadcast(g, a.data.shape)),))
 
 
 def tsum(a: Tensor, axis=None, keepdims=False) -> Tensor:
@@ -157,60 +188,71 @@ def tsum(a: Tensor, axis=None, keepdims=False) -> Tensor:
             g = reshape(g, (1,) * len(shape))
         return broadcast_to(g, shape)
 
-    return Tensor(a.data.sum(axis=axis, keepdims=keepdims), [(a, vjp)])
+    return Tensor._op(a.data.sum(axis=axis, keepdims=keepdims), ((a, vjp),))
 
 
 def tmean(a: Tensor, axis=None, keepdims=False) -> Tensor:
     n = a.data.size if axis is None else a.data.shape[axis]
-    return mul(tsum(a, axis=axis, keepdims=keepdims), Tensor(1.0 / n))
+    return mul(tsum(a, axis=axis, keepdims=keepdims), Tensor._op(1.0 / n))
 
 
 def power(a: Tensor, p: float) -> Tensor:
-    return Tensor(a.data ** p,
-                  [(a, lambda g: mul(g, mul(Tensor(p), power(a, p - 1.0))))])
+    return Tensor._op(a.data ** p, (
+        (a, lambda g: mul(g, mul(Tensor._op(p), power(a, p - 1.0)))),))
 
 
 def tlog(a: Tensor) -> Tensor:
-    return Tensor(np.log(a.data), [(a, lambda g: mul(g, power(a, -1.0)))])
+    return Tensor._op(np.log(a.data), ((a, lambda g: mul(g, power(a, -1.0))),))
 
 
 def relu(a: Tensor) -> Tensor:
-    mask = Tensor((a.data > 0).astype(np.float64))
-    return Tensor(a.data * mask.data, [(a, lambda g: mul(g, mask))])
+    mask = Tensor._op((a.data > 0).astype(np.float64))
+    return Tensor._op(a.data * mask.data, ((a, lambda g: mul(g, mask)),))
 
 
 def leaky_relu(a: Tensor, slope: float = 0.2) -> Tensor:
-    scale = Tensor(np.where(a.data > 0, 1.0, slope))
-    return Tensor(a.data * scale.data, [(a, lambda g: mul(g, scale))])
+    scale = Tensor._op(np.where(a.data > 0, 1.0, slope))
+    return Tensor._op(a.data * scale.data, ((a, lambda g: mul(g, scale)),))
 
 
 def sigmoid(a: Tensor) -> Tensor:
-    y = Tensor(1.0 / (1.0 + np.exp(-a.data)))
-    out = Tensor(y.data, [(a, lambda g: mul(g, mul(y, sub(Tensor(1.0), y))))])
-    return out
+    return _sigmoid_node(a, 1.0 / (1.0 + np.exp(-a.data)))
+
+
+def _sigmoid_node(a: Tensor, ydata: np.ndarray) -> Tensor:
+    # the VJP rebuilds y as a node of ``a`` (not a leaf) so that a second
+    # backward pass differentiates through it; it reuses the forward values
+    def vjp(g: Tensor) -> Tensor:
+        y = _sigmoid_node(a, ydata)
+        return mul(g, mul(y, sub(Tensor._op(1.0), y)))
+
+    return Tensor._op(ydata, ((a, vjp),))
 
 
 def softmax(a: Tensor) -> Tensor:
     """Row-wise softmax over the last axis."""
     shifted = a.data - a.data.max(axis=-1, keepdims=True)
     e = np.exp(shifted)
-    ydata = e / e.sum(axis=-1, keepdims=True)
-    y = Tensor(ydata)
+    return _softmax_node(a, e / e.sum(axis=-1, keepdims=True))
 
+
+def _softmax_node(a: Tensor, ydata: np.ndarray) -> Tensor:
+    # y is rebuilt as a node of ``a`` for grad-of-grad, as in _sigmoid_node
     def vjp(g: Tensor) -> Tensor:
+        y = _softmax_node(a, ydata)
         gy = mul(g, y)
         return sub(gy, mul(y, tsum(gy, axis=-1, keepdims=True)))
 
-    return Tensor(ydata, [(a, vjp)])
+    return Tensor._op(ydata, ((a, vjp),))
 
 
 def maximum(a: Tensor, b: Tensor) -> Tensor:
-    take_a = Tensor((a.data >= b.data).astype(np.float64))
-    take_b = Tensor(1.0 - take_a.data)
-    return Tensor(np.maximum(a.data, b.data), [
+    take_a = Tensor._op((a.data >= b.data).astype(np.float64))
+    take_b = Tensor._op(1.0 - take_a.data)
+    return Tensor._op(np.maximum(a.data, b.data), (
         (a, lambda g: _unbroadcast(mul(g, take_a), a.data.shape)),
         (b, lambda g: _unbroadcast(mul(g, take_b), b.data.shape)),
-    ])
+    ))
 
 
 def concat(tensors, axis: int = -1) -> Tensor:
@@ -224,8 +266,8 @@ def concat(tensors, axis: int = -1) -> Tensor:
             return narrow(g, ax, int(offsets[i]), widths[i])
         return vjp
 
-    return Tensor(np.concatenate([t.data for t in tensors], axis=ax),
-                  [(t, make_vjp(i)) for i, t in enumerate(tensors)])
+    return Tensor._op(np.concatenate([t.data for t in tensors], axis=ax),
+                      tuple((t, make_vjp(i)) for i, t in enumerate(tensors)))
 
 
 def narrow(a: Tensor, axis: int, start: int, length: int) -> Tensor:
@@ -240,13 +282,13 @@ def narrow(a: Tensor, axis: int, start: int, length: int) -> Tensor:
         after[axis] = shape[axis] - start - length
         parts = []
         if before[axis]:
-            parts.append(Tensor(np.zeros(before)))
+            parts.append(Tensor._op(np.zeros(before)))
         parts.append(g)
         if after[axis]:
-            parts.append(Tensor(np.zeros(after)))
+            parts.append(Tensor._op(np.zeros(after)))
         return concat(parts, axis=axis) if len(parts) > 1 else parts[0]
 
-    return Tensor(a.data[tuple(idx)], [(a, vjp)])
+    return Tensor._op(a.data[tuple(idx)], ((a, vjp),))
 
 
 # --- losses ----------------------------------------------------------------
@@ -255,10 +297,10 @@ def bce(p: Tensor, y) -> Tensor:
     """Mean binary cross-entropy of probabilities ``p`` (n, 1) against 0/1
     labels ``y``, with ``p`` clamped away from {0, 1}."""
     y_col = Tensor(np.asarray(y, dtype=np.float64).reshape(-1, 1))
-    p_safe = add(mul(p, Tensor(1.0 - 1e-7)), Tensor(5e-8))
+    p_safe = add(mul(p, Tensor._op(1.0 - 1e-7)), Tensor._op(5e-8))
     pos = mul(y_col, tlog(p_safe))
-    neg = mul(sub(Tensor(1.0), y_col), tlog(sub(Tensor(1.0), p_safe)))
-    return mul(Tensor(-1.0), tmean(add(pos, neg)))
+    neg = mul(sub(Tensor._op(1.0), y_col), tlog(sub(Tensor._op(1.0), p_safe)))
+    return mul(Tensor._op(-1.0), tmean(add(pos, neg)))
 
 
 # --- backward pass ---------------------------------------------------------
@@ -267,20 +309,28 @@ def grad(output: Tensor, wrt):
     """Gradient of a scalar ``output`` w.r.t. one tensor or a list of them.
 
     The result is itself graph-recorded, so it can be differentiated again.
-    Tensors that do not participate in ``output`` get a zero gradient.
+    Tensors that do not participate in ``output`` get a zero gradient. Only
+    the VJPs of edges into nodes from which a target is reachable are
+    called; every other branch contributes nothing to the result.
+    Raises ``NumericError`` if a gradient holds NaN or Inf.
     """
     if output.data.size != 1:
         raise ShapeMismatchError("grad requires a scalar output")
     single = isinstance(wrt, Tensor)
     targets = [wrt] if single else list(wrt)
 
+    # post-order: every node comes after all of its parents, so whether a
+    # target is reachable from a node is known when the node is appended
     order = []
+    leads = {id(t) for t in targets}
     seen = set()
     stack = [(output, False)]
     while stack:
         node, done = stack.pop()
         if done:
-            order.append(node)
+            if id(node) in leads or any(id(p) in leads for p, _ in node.parents):
+                leads.add(id(node))
+                order.append(node)
             continue
         if id(node) in seen:
             continue
@@ -290,17 +340,22 @@ def grad(output: Tensor, wrt):
             if id(parent) not in seen:
                 stack.append((parent, False))
 
-    grads: dict[int, Tensor] = {id(output): Tensor(np.ones(output.data.shape))}
+    grads: dict[int, Tensor] = {
+        id(output): Tensor._op(np.ones(output.data.shape))}
     for node in reversed(order):
         g = grads.get(id(node))
         if g is None:
             continue
         for parent, vjp in node.parents:
+            if id(parent) not in leads:
+                continue
             contrib = vjp(g)
             prev = grads.get(id(parent))
             grads[id(parent)] = contrib if prev is None else add(prev, contrib)
 
     results = [grads.get(id(t), Tensor(np.zeros(t.data.shape))) for t in targets]
+    for r in results:
+        _finite(r.data)
     return results[0] if single else results
 
 
@@ -332,7 +387,7 @@ class DenseLayer:
         return self.weights.data.shape[0]
 
     def __call__(self, x: Tensor) -> Tensor:
-        z = add(matmul(x, transpose(self.weights)), self.biases)
+        z = affine(x, self.weights, self.biases)
         if self.activation == "relu":
             return relu(z)
         if self.activation == "leaky_relu":
@@ -403,6 +458,7 @@ def forward(net: Mlp, x: Tensor, masks=None) -> Tensor:
         if masks is not None and masks[i] is not None:
             h = mul(h, Tensor(masks[i]))
         h = layer(h)
+    _finite(h.data)
     return h
 
 
@@ -439,14 +495,33 @@ class AdamState:
 
 def adam_step(params, grads, state: AdamState, lr: float = 1e-4,
               beta1: float = 0.0, beta2: float = 0.9, eps: float = 1e-8):
-    """Standard Adam with bias correction; updates ``params`` in place."""
+    """Standard Adam with bias correction; updates ``params`` and the
+    moments in ``state`` in place.
+
+    The arithmetic is, operation for operation,
+    ``m = beta1*m + (1-beta1)*g``, ``v = beta2*v + (1-beta2)*g*g`` and
+    ``p -= lr*m_hat / (sqrt(v_hat) + eps)``, so the bits do not depend on
+    the buffers being reused.
+    """
     state.t += 1
+    m_scale = 1.0 - beta1 ** state.t
+    v_scale = 1.0 - beta2 ** state.t
     for i, (p, g) in enumerate(zip(params, grads)):
         gd = g.data if isinstance(g, Tensor) else np.asarray(g)
         if gd.shape != p.data.shape:
             raise ShapeMismatchError(f"grad shape {gd.shape} != param {p.data.shape}")
-        state.m[i] = beta1 * state.m[i] + (1.0 - beta1) * gd
-        state.v[i] = beta2 * state.v[i] + (1.0 - beta2) * gd * gd
-        m_hat = state.m[i] / (1.0 - beta1 ** state.t)
-        v_hat = state.v[i] / (1.0 - beta2 ** state.t)
-        p.data -= lr * m_hat / (np.sqrt(v_hat) + eps)
+        m, v = state.m[i], state.v[i]
+        step, denom = np.empty_like(m), np.empty_like(v)
+        m *= beta1
+        m += np.multiply(1.0 - beta1, gd, out=step)
+        v *= beta2
+        np.multiply(1.0 - beta2, gd, out=step)
+        step *= gd
+        v += step
+        np.divide(v, v_scale, out=denom)
+        np.sqrt(denom, out=denom)
+        denom += eps
+        np.divide(m, m_scale, out=step)
+        step *= lr
+        step /= denom
+        p.data -= step

@@ -227,6 +227,18 @@ class TestTraining:
                           init.generator.parameters()))
         assert changed
 
+    def test_overflow_in_the_graph_is_training_diverged(self):
+        # finite inputs whose critic scores overflow: the NaN/Inf is made
+        # inside the graph, where no node checks it, and must still stop
+        # training at the first step
+        benign = np.full((8, 256), 1e308)
+        malicious = np.full((8, 256), 1.0 / 256)
+        cfg = TrainingConfig(batch_size=4, seed=0, max_steps=3)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(gan.TrainingDivergedError) as err:
+                train(benign, malicious, gan.byte_preset(), cfg)
+        assert err.value.step == 1
+
     def test_metrics_sink_called_every_step(self):
         benign, malicious = separable_corpora()
         rows = []

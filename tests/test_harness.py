@@ -352,21 +352,41 @@ class TestCli:
                        "--workdir", str(tmp_path / "w")])
         assert rc == 2
 
-    def test_gap_zero_byte_attack_exit_0(self, tmp_path):
+    def test_gap_zero_byte_attack_exit_0(self, tmp_path, monkeypatch):
         # gap 0 in the attack and in the sweep is the exact model
         cfg = tiny_config(attacks=("gan_byte",)).to_dict()
         cfg.update(gap=0, gap_sweep=[0.0, 0.001],
                    gans={"byte_histogram": {"max_steps": 3}})
         p = tmp_path / "cfg.json"
         p.write_text(json.dumps(cfg))
+
+        sweep = {"active": False, "plans": 0, "subset": None}
+        real_sweep, real_plan_for = harness._gap_sweep, padopt.plan_for
+
+        def counting_sweep(state, test_mal):
+            sweep["subset"] = min(len(test_mal), state.cfg.sweep_subsample)
+            sweep["active"] = True
+            try:
+                return real_sweep(state, test_mal)
+            finally:
+                sweep["active"] = False
+
+        def counting_plan_for(req):
+            sweep["plans"] += sweep["active"]
+            return real_plan_for(req)
+
+        monkeypatch.setattr(harness, "_gap_sweep", counting_sweep)
+        monkeypatch.setattr(padopt, "plan_for", counting_plan_for)
         rc = cli.main(["pipeline", "--config", str(p),
                        "--workdir", str(tmp_path / "w")])
         assert rc == 0
         report = json.loads((tmp_path / "w" / "report.json").read_text())
         rows = report["gap_sweep"]
         assert [r["gap"] for r in rows] == ["exact", 0.0, 0.001]
-        # the exact row and the gap-0 row are the same model
-        assert rows[0]["mean_appended_bytes"] == rows[1]["mean_appended_bytes"]
+        # the exact row and the gap-0 row are the same model, planned once
+        assert rows[0] == {**rows[1], "gap": "exact"}
+        assert sweep["subset"] > 0
+        assert sweep["plans"] == sweep["subset"] * 2
 
     def test_report_before_run_exit_3(self, tmp_path):
         rc = cli.main(["report", "--workdir", str(tmp_path / "empty")])

@@ -6,10 +6,10 @@ from hypothesis.extra.numpy import arrays
 
 from ganevade import nncore
 from ganevade.nncore import (AdamState, DenseLayer, Mlp, NumericError,
-                             ShapeMismatchError, Tensor, adam_step, build_mlp,
-                             concat, forward, grad, matmul, maximum, mul,
-                             narrow, power, sigmoid, softmax, sub, tmean,
-                             tsum)
+                             ShapeMismatchError, Tensor, adam_step, add,
+                             affine, build_mlp, concat, forward, grad, matmul,
+                             maximum, mul, narrow, power, sigmoid, softmax,
+                             sub, tlog, tmean, transpose, tsum)
 
 
 def finite_difference(f, x: np.ndarray, h: float = 1e-5) -> np.ndarray:
@@ -174,6 +174,41 @@ class TestGrad:
         rel = np.abs(g.data - fd).max() / (np.abs(fd).max() + 1e-12)
         assert rel <= 1e-4
 
+    def test_sigmoid_second_order(self):
+        # d2/da2 of sum(sigmoid(a)) is s(1-s)(1-2s) element-wise
+        a0 = np.array([0.3, -1.2])
+        a = Tensor(a0)
+        second = grad(tsum(grad(tsum(sigmoid(a)), a)), a)
+        s = 1.0 / (1.0 + np.exp(-a0))
+        np.testing.assert_allclose(second.data, s * (1 - s) * (1 - 2 * s),
+                                   rtol=1e-12)
+        np.testing.assert_allclose(second.data, [-0.036, 0.096], atol=5e-4)
+        fd = finite_difference(
+            lambda x: float((1 / (1 + np.exp(-x)) * (1 - 1 / (1 + np.exp(-x)))
+                             ).sum()), a0.copy())
+        np.testing.assert_allclose(second.data, fd, rtol=1e-6)
+
+    def test_softmax_second_order_matches_fd(self):
+        # differentiate <d/dx sum(softmax(x) @ w), v> once more
+        rng = np.random.default_rng(11)
+        x0 = rng.normal(size=(2, 5))
+        w = rng.normal(size=(5, 1))
+        v = rng.normal(size=(2, 5))
+
+        def first_grad_dot_v(x):
+            e = np.exp(x - x.max(axis=-1, keepdims=True))
+            y = e / e.sum(axis=-1, keepdims=True)
+            g = y * (w[:, 0] - (y @ w))
+            return float((g * v).sum())
+
+        x = Tensor(x0)
+        gx = grad(tsum(matmul(softmax(x), Tensor(w))), x)
+        second = grad(tsum(mul(gx, Tensor(v))), x)
+        fd = finite_difference(first_grad_dot_v, x0.copy())
+        assert np.abs(fd).max() > 1e-3
+        rel = np.abs(second.data - fd).max() / np.abs(fd).max()
+        assert rel <= 1e-6
+
     def test_concat_narrow_roundtrip_grad(self):
         a = Tensor([[1.0, 2.0]])
         b = Tensor([[3.0, 4.0, 5.0]])
@@ -189,6 +224,103 @@ class TestGrad:
         ga, gb = grad(tsum(maximum(a, b)), [a, b])
         np.testing.assert_array_equal(ga.data, [0.0, 1.0])
         np.testing.assert_array_equal(gb.data, [1.0, 0.0])
+
+
+class TestAffine:
+    """``affine`` is one node for ``add(matmul(x, transpose(w)), b)``."""
+
+    @staticmethod
+    def composed(x, w, b):
+        return add(matmul(x, transpose(w)), b)
+
+    @staticmethod
+    def tensors(seed):
+        rng = np.random.default_rng(seed)
+        return (Tensor(rng.normal(size=(6, 4))), Tensor(rng.normal(size=(3, 4))),
+                Tensor(rng.normal(size=3)))
+
+    def test_forward_bit_equal(self):
+        x, w, b = self.tensors(0)
+        np.testing.assert_array_equal(affine(x, w, b).data,
+                                      self.composed(x, w, b).data)
+
+    def test_first_order_bit_equal(self):
+        x, w, b = self.tensors(1)
+        c = Tensor(np.random.default_rng(2).normal(size=(6, 3)))
+        new = grad(tsum(mul(affine(x, w, b), c)), [x, w, b])
+        old = grad(tsum(mul(self.composed(x, w, b), c)), [x, w, b])
+        for n, o in zip(new, old):
+            np.testing.assert_array_equal(n.data, o.data)
+
+    def test_second_order_bit_equal(self):
+        # gradient-penalty shape: the grad-norm w.r.t. x, differentiated
+        # through both layers' weights and biases
+        x, w, b = self.tensors(3)
+        w2 = Tensor(np.random.default_rng(4).normal(size=(1, 3)))
+        b2 = Tensor(np.zeros(1))
+
+        def penalty(layer):
+            h = nncore.leaky_relu(layer(x, w, b))
+            gx = grad(tsum(layer(h, w2, b2)), x)
+            return tsum(power(tsum(mul(gx, gx), axis=1), 0.5))
+
+        params = [w, b, w2, b2]
+        new = grad(penalty(affine), params)
+        old = grad(penalty(self.composed), params)
+        for n, o in zip(new, old):
+            np.testing.assert_array_equal(n.data, o.data)
+        assert np.abs(new[0].data).max() > 0
+
+    def test_shape_checked(self):
+        x, w, b = self.tensors(5)
+        with pytest.raises(ShapeMismatchError):
+            affine(x, transpose(w), b)
+
+
+class TestPrunedBackward:
+    def test_branch_reaching_no_target_is_not_differentiated(self):
+        def boom(g):
+            raise AssertionError("VJP on a branch that reaches no target")
+
+        a = Tensor([1.0, 2.0])
+        b = Tensor([3.0, 4.0])
+        sibling = Tensor(b.data * 2.0, [(b, boom)])
+        out = tsum(add(mul(a, a), sibling))
+        np.testing.assert_array_equal(grad(out, a).data, [2.0, 4.0])
+        with pytest.raises(AssertionError):
+            grad(out, b)
+
+    def test_interior_target_skips_its_inputs(self):
+        # as in the gradient penalty: the target is an interior node and
+        # its inputs' VJPs must not run
+        def boom(g):
+            raise AssertionError("VJP into an input of the target")
+
+        x = Tensor([1.0, -2.0])
+        mixed = Tensor(x.data * 0.5, [(x, boom)])
+        out = tsum(power(mixed, 3.0))
+        np.testing.assert_allclose(grad(out, mixed).data, 3 * mixed.data ** 2)
+
+
+class TestFiniteEdges:
+    def test_forward_raises_on_overflow_inside_the_graph(self):
+        net = build_mlp([3, 4, 1], "relu", "linear", np.random.default_rng(0))
+        net.layers[0].weights.data[:] = 1e308
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(NumericError):
+                forward(net, Tensor(np.full((2, 3), 1e10)))
+
+    def test_grad_raises_on_log_of_zero(self):
+        x = Tensor([0.0, 1.0])
+        with np.errstate(divide="ignore"):
+            out = tsum(tlog(x))
+            with pytest.raises(NumericError):
+                grad(out, x)
+
+    def test_interior_nodes_are_not_checked(self):
+        with np.errstate(divide="ignore"):
+            y = tlog(Tensor([0.0]))
+        assert np.isneginf(y.data).all()
 
 
 @settings(max_examples=30, deadline=None)
@@ -285,6 +417,32 @@ class TestAdam:
         state = AdamState.for_params([x])
         with pytest.raises(ShapeMismatchError):
             adam_step([x], [Tensor(np.zeros(4))], state)
+
+    @pytest.mark.parametrize("beta1", [0.0, 0.9])
+    def test_bit_equal_to_reference_formula(self, beta1):
+        rng = np.random.default_rng(12)
+        shapes = [(4, 3), (3,), ()]
+        params = [Tensor(rng.normal(size=s)) for s in shapes]
+        ref_p = [p.data.copy() for p in params]
+        ref_m = [np.zeros(s) for s in shapes]
+        ref_v = [np.zeros(s) for s in shapes]
+        state = AdamState.for_params(params)
+        lr, beta2, eps = 1e-3, 0.9, 1e-8
+        for t in range(1, 8):
+            grads = [Tensor(rng.normal(size=s)) for s in shapes]
+            adam_step(params, grads, state, lr=lr, beta1=beta1, beta2=beta2,
+                      eps=eps)
+            for i, g in enumerate(grads):
+                gd = g.data
+                ref_m[i] = beta1 * ref_m[i] + (1.0 - beta1) * gd
+                ref_v[i] = beta2 * ref_v[i] + (1.0 - beta2) * gd * gd
+                m_hat = ref_m[i] / (1.0 - beta1 ** t)
+                v_hat = ref_v[i] / (1.0 - beta2 ** t)
+                ref_p[i] = ref_p[i] - lr * m_hat / (np.sqrt(v_hat) + eps)
+            for i, p in enumerate(params):
+                assert p.data.tobytes() == ref_p[i].tobytes()
+                assert state.m[i].tobytes() == ref_m[i].tobytes()
+                assert state.v[i].tobytes() == ref_v[i].tobytes()
 
     def test_bias_correction_first_step(self):
         # with beta1=0.9 the very first corrected step equals lr*sign(g)
