@@ -2,7 +2,9 @@
 """Sweep the padding gap and print the size/detection trade-off table.
 
 Runs a byte-histogram-only pipeline (one detector, one attack) so the
-sweep is cheap, then renders the gap rows as CSV on stdout.
+sweep is cheap, then renders the gap rows as CSV on stdout. A re-run in the
+same --workdir with other --gaps loads the stored features, detector and
+GAN and skips training; delete the workdir to train again.
 """
 
 import argparse

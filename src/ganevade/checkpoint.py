@@ -6,7 +6,9 @@ Layout (little-endian):
     header  UTF-8 JSON: {"meta": {...}, "arrays": [{"name", "shape"}, ...]}
     body    raw float64 buffers, row-major, in header order
 
-Round-trips are bit-exact.
+Round-trips are bit-exact. ``meta["key"]``, when a writer sets it, is the
+content key of the inputs the arrays were computed from; a reader that
+passes ``key`` gets a ``CheckpointError`` for any other.
 """
 
 from __future__ import annotations
@@ -37,13 +39,18 @@ def save_container(path, meta: dict, arrays: dict[str, np.ndarray]) -> None:
             fh.write(np.ascontiguousarray(v, dtype="<f8").tobytes())
 
 
-def load_container(path):
+def load_container(path, key: str | None = None):
     with open(path, "rb") as fh:
         magic = fh.read(5)
         if magic != MAGIC:
             raise CheckpointError(f"bad magic {magic!r}")
-        (hlen,) = struct.unpack("<I", fh.read(4))
+        raw = fh.read(4)
+        if len(raw) != 4:
+            raise CheckpointError("truncated header")
+        (hlen,) = struct.unpack("<I", raw)
         header = json.loads(fh.read(hlen).decode("utf-8"))
+        if key is not None and header["meta"].get("key") != key:
+            raise CheckpointError("checkpoint built from other inputs")
         arrays = {}
         for entry in header["arrays"]:
             shape = tuple(entry["shape"])

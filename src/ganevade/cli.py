@@ -1,9 +1,13 @@
 """Command-line front end for the evasion toolkit.
 
 Exit codes: 0 success, 2 configuration error, 3 pipeline stage failure.
-Nothing is resumed from the working directory: each stage subcommand
-re-runs every upstream stage in-process, rewriting their artifacts, then
-runs its own stage.
+A stage subcommand runs every upstream stage, then its own. The corpus,
+the feature matrices and vocabularies, and each detector and GAN
+checkpoint resume from the working directory: each stores the key of the
+inputs it was computed from, and is loaded when that key matches and
+recomputed otherwise (see ``harness``). A change to an attack field only
+re-runs the attacks and the evaluation. Delete the working directory to
+force a cold run.
 """
 
 from __future__ import annotations
@@ -49,7 +53,7 @@ def cmd_gen_corpus(args) -> int:
 def cmd_extract(args) -> int:
     state = _state(args)
     harness.run_stages(state, "extract")
-    print(f"extracted {len(state.file_features)} files; "
+    print(f"extracted {len(state.table.names)} files; "
           f"vocab sizes api={state.table.vocab_api.size} "
           f"strings={state.table.vocab_strings.size}")
     return EXIT_OK

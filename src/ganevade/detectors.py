@@ -140,11 +140,11 @@ def false_positive_rate(model: DetectorModel, benign_set: np.ndarray) -> float:
 
 # --- persistence -----------------------------------------------------------
 
-def save_detector(path, model: DetectorModel) -> None:
+def save_detector(path, model: DetectorModel, key: str = "") -> None:
     meta = {"kind": "detector", "detector_kind": model.kind,
             "families": list(model.feature_spec.families),
             "threshold": model.threshold,
-            "training_meta": model.training_meta}
+            "training_meta": model.training_meta, "key": key}
     if model.kind == "logreg":
         arrays = {"w": model.weights, "b": np.array([model.bias])}
     else:
@@ -153,8 +153,8 @@ def save_detector(path, model: DetectorModel) -> None:
     ckpt.save_container(path, meta, arrays)
 
 
-def load_detector(path) -> DetectorModel:
-    meta, arrays = ckpt.load_container(path)
+def load_detector(path, key: str | None = None) -> DetectorModel:
+    meta, arrays = ckpt.load_container(path, key)
     if meta.get("kind") != "detector":
         raise ckpt.CheckpointError("not a detector checkpoint")
     spec = FeatureSpec(tuple(meta["families"]))

@@ -128,28 +128,37 @@ def hash_features(tokens, dim: int = DEFAULT_HASH_DIM) -> np.ndarray:
 
 
 # --- persistence -----------------------------------------------------------
+# Each file's header carries ``key``, the content key of the inputs it was
+# computed from; a loader given ``key`` raises ValueError for any other.
 
-def save_vocab(vocab: Vocabulary, path) -> None:
+def save_vocab(vocab: Vocabulary, path, key: str = "") -> None:
+    """Header line, then one JSON string per entry, so that any token
+    (blank, padded, holding a newline) reads back as written."""
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"# kind={vocab.kind} k={vocab.size} corpus={vocab.provenance}\n")
+        fh.write(f"# kind={vocab.kind} k={vocab.size} "
+                 f"corpus={vocab.provenance} key={key}\n")
         for tok in vocab.entries:
-            fh.write(tok + "\n")
+            fh.write(json.dumps(tok) + "\n")
 
 
-def load_vocab(path) -> Vocabulary:
+def load_vocab(path, key: str | None = None) -> Vocabulary:
     with open(path, encoding="utf-8") as fh:
-        header = fh.readline().strip()
-        fields = dict(part.split("=", 1) for part in header.lstrip("# ").split())
-        entries = [line.rstrip("\n") for line in fh if line.strip()]
+        fields = dict(part.split("=", 1)
+                      for part in fh.readline().lstrip("# ").split())
+        if key is not None and fields.get("key") != key:
+            raise ValueError(f"{path}: vocabulary built from other inputs")
+        entries = [json.loads(line) for line in fh]
+    if len(entries) != int(fields["k"]):
+        raise ValueError(f"{path}: {len(entries)} entries, header says {fields['k']}")
     return Vocabulary(kind=fields["kind"], entries=entries,
                       provenance=fields.get("corpus", ""))
 
 
-def save_matrix(matrix: np.ndarray, columns, path) -> None:
+def save_matrix(matrix: np.ndarray, columns, path, key: str = "") -> None:
     """Compact binary feature matrix; bit-exact round trip."""
     matrix = np.atleast_2d(np.asarray(matrix, dtype=np.float64))
-    header = json.dumps({"shape": list(matrix.shape),
-                         "columns": list(columns)}).encode("utf-8")
+    header = json.dumps({"shape": list(matrix.shape), "columns": list(columns),
+                         "key": key}).encode("utf-8")
     with open(path, "wb") as fh:
         fh.write(FEATURE_MAGIC)
         fh.write(struct.pack("<I", len(header)))
@@ -157,11 +166,18 @@ def save_matrix(matrix: np.ndarray, columns, path) -> None:
         fh.write(np.ascontiguousarray(matrix, dtype="<f8").tobytes())
 
 
-def load_matrix(path):
+def load_matrix(path, key: str | None = None):
     with open(path, "rb") as fh:
         if fh.read(5) != FEATURE_MAGIC:
             raise ValueError("bad feature-matrix magic")
-        (hlen,) = struct.unpack("<I", fh.read(4))
-        header = json.loads(fh.read(hlen).decode("utf-8"))
-        data = np.frombuffer(fh.read(), dtype="<f8").reshape(header["shape"]).copy()
-    return data, header["columns"]
+        raw = fh.read(4)
+        if len(raw) != 4:
+            raise ValueError("truncated feature-matrix header")
+        header = json.loads(fh.read(struct.unpack("<I", raw)[0]).decode("utf-8"))
+        if key is not None and header.get("key") != key:
+            raise ValueError(f"{path}: feature matrix built from other inputs")
+        body = fh.read()
+    shape = header["shape"]
+    if len(body) != 8 * int(np.prod(shape)):
+        raise ValueError(f"{path}: truncated feature matrix")
+    return np.frombuffer(body, dtype="<f8").reshape(shape).copy(), header["columns"]

@@ -277,9 +277,10 @@ def train(benign: np.ndarray, malicious: np.ndarray, preset: GanPreset,
 
 # --- persistence -----------------------------------------------------------
 
-def save_gan(path, model: GanModel) -> None:
+def save_gan(path, model: GanModel, key: str = "") -> None:
     meta = {
         "kind": "gan",
+        "key": key,
         "preset": {
             "feature_kind": model.preset.feature_kind,
             "input_dim": model.preset.input_dim,
@@ -298,8 +299,8 @@ def save_gan(path, model: GanModel) -> None:
     ckpt.save_container(path, meta, arrays)
 
 
-def load_gan(path) -> GanModel:
-    meta, arrays = ckpt.load_container(path)
+def load_gan(path, key: str | None = None) -> GanModel:
+    meta, arrays = ckpt.load_container(path, key)
     if meta.get("kind") != "gan":
         raise ckpt.CheckpointError("not a GAN checkpoint")
     p = meta["preset"]

@@ -1,11 +1,20 @@
 """Experiment orchestration: synthetic corpora, pipeline stages, reports.
 
 The stages run in the order of ``STAGES``, in one process, handing their
-results on in memory; each also writes its artifacts under the working
-directory. A CLI subcommand runs the table up to its own stage, and a full
-pipeline run is reproducible from the config plus the global seed.
-Evaluation always re-extracts features from the rewritten files on disk,
-never from in-memory adversarial vectors.
+results on in memory. A CLI subcommand runs the table up to its own stage,
+and a full pipeline run is reproducible from the config plus the global
+seed. Evaluation always re-extracts features from the rewritten files on
+disk, never from in-memory adversarial vectors.
+
+The stages up to train-gan resume. Each of their artifacts carries a
+content key: a SHA-256 over the config slice that determines it and the
+key of what it was computed from (``_key``). The corpus manifest holds the
+key of ``corpus`` + ``seed``; the feature matrices and vocabularies the key
+of the tool and schema versions, the corpus bytes, ``feature_cfg``,
+``split`` and ``seed``; each detector and GAN checkpoint the feature key
+plus its own spec and ``seed``. A stage loads an artifact whose stored key
+matches and recomputes (and rewrites) any other: missing, stale, truncated
+or unreadable. Attack and evaluation always run.
 """
 
 from __future__ import annotations
@@ -14,6 +23,7 @@ import dataclasses
 import hashlib
 import json
 import os
+import shutil
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -261,8 +271,9 @@ def _sample_content(alpha: np.ndarray, size: int, rng: np.random.Generator) -> b
     return rng.permutation(values).tobytes()
 
 
-def gen_corpus(cfg: CorpusConfig, seed: int, out_dir) -> dict:
-    """Write a labeled synthetic PE corpus; same seed, same bytes."""
+def gen_corpus(cfg: CorpusConfig, seed: int, out_dir, key: str | None = None) -> dict:
+    """Write a labeled synthetic PE corpus; same seed, same bytes. ``key``
+    goes into the manifest."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     rng = np.random.default_rng(seed)
@@ -281,7 +292,7 @@ def gen_corpus(cfg: CorpusConfig, seed: int, out_dir) -> dict:
             name = f"{label}_{i:05d}.exe"
             (out_dir / name).write_bytes(data)
             records.append({"name": name, "label": label})
-    manifest = {"seed": seed, "files": records}
+    manifest = {"seed": seed, "files": records, "key": key}
     (out_dir / "manifest.json").write_text(
         json.dumps(manifest, sort_keys=True, indent=1))
     return manifest
@@ -295,8 +306,9 @@ def load_corpus(corpus_dir) -> tuple[dict, dict[str, bytes]]:
     return manifest, blobs
 
 
-def ingest_dirs(benign_dir, malicious_dir, out_dir) -> dict:
-    """Build a manifest over user-supplied PE directories (files copied)."""
+def ingest_dirs(benign_dir, malicious_dir, out_dir, key: str | None = None) -> dict:
+    """Build a manifest over user-supplied PE directories (files copied);
+    ``key`` goes into the manifest."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     records = []
@@ -307,7 +319,7 @@ def ingest_dirs(benign_dir, malicious_dir, out_dir) -> dict:
             name = f"{label}_{i:05d}.exe"
             (out_dir / name).write_bytes(path.read_bytes())
             records.append({"name": name, "label": label, "source": str(path)})
-    manifest = {"seed": None, "files": records}
+    manifest = {"seed": None, "files": records, "key": key}
     (out_dir / "manifest.json").write_text(
         json.dumps(manifest, sort_keys=True, indent=1))
     return manifest
@@ -356,26 +368,24 @@ def split_indices(labels: list[str], fractions, seed: int) -> dict[str, list[int
 
 
 class FeatureTable:
-    """Per-family matrices over a fixed file order, plus the vocabularies."""
+    """Per-family matrices over the manifest's file order, plus the
+    vocabularies: built from extracted ``files`` or from stored ``matrices``
+    (exactly one of the two is given)."""
 
-    def __init__(self, files: list[FileFeatures], fcfg: FeatureConfig,
-                 train_idx: list[int],
-                 vocab_api: features.Vocabulary | None = None,
-                 vocab_strings: features.Vocabulary | None = None):
-        self.files = files
+    def __init__(self, names: list[str], labels: list[str], fcfg: FeatureConfig,
+                 vocab_api: features.Vocabulary,
+                 vocab_strings: features.Vocabulary, *,
+                 files: list[FileFeatures] | None = None,
+                 matrices: dict | None = None):
+        self.names = names
+        self.labels = labels
         self.fcfg = fcfg
-        benign_train = [files[i] for i in train_idx if files[i].label == "benign"]
-        if vocab_api is None:
-            vocab_api = features.select_topk(
-                [f.import_tokens for f in benign_train], fcfg.k_api, kind="api")
-        if vocab_strings is None:
-            vocab_strings = features.select_topk(
-                [set(f.string_tokens) for f in benign_train], fcfg.k_strings,
-                kind="string")
         self.vocab_api = vocab_api
         self.vocab_strings = vocab_strings
-        self.matrices = {fam: np.array([self._family_vector(fam, f) for f in files])
-                         for fam in FAMILIES}
+        if matrices is None:
+            matrices = {fam: np.array([self._family_vector(fam, f) for f in files])
+                        for fam in FAMILIES}
+        self.matrices = matrices
 
     def _family_vector(self, family: str, feats: FileFeatures) -> np.ndarray:
         if family == "byte":
@@ -396,8 +406,8 @@ class FeatureTable:
 
     def by_class(self, spec_families, rows) -> tuple[np.ndarray, np.ndarray]:
         """The benign and the malicious files among ``rows``, assembled."""
-        benign = [i for i in rows if self.files[i].label == "benign"]
-        malicious = [i for i in rows if self.files[i].label == "malicious"]
+        benign = [i for i in rows if self.labels[i] == "benign"]
+        malicious = [i for i in rows if self.labels[i] == "malicious"]
         return (self.assemble(spec_families, benign),
                 self.assemble(spec_families, malicious))
 
@@ -477,68 +487,68 @@ def _safe_target(target: np.ndarray) -> np.ndarray:
     return floored / floored.sum()
 
 
-def _byte_target(model, feats: FileFeatures, rng) -> np.ndarray:
-    """One generated byte-histogram target for ``feats``, floored."""
+def _byte_target(model, histogram: np.ndarray, rng) -> np.ndarray:
+    """One generated byte-histogram target for ``histogram``, floored."""
     z = gan.sample_noise(model.preset.noise_dim, 1, rng)
-    return _safe_target(gan.generate(model, feats.histogram[None, :], z)[0])
+    return _safe_target(gan.generate(model, histogram[None, :], z)[0])
 
 
-def attack_gan_byte(model, test_files, blobs, gap, seed) -> AttackOutput:
+# An attack takes the names of the files it rewrites and, when a generator
+# drives it, the feature vectors the generator starts from, row for row.
+
+def attack_gan_byte(model, names, histograms, blobs, gap, seed) -> AttackOutput:
     rng = np.random.default_rng(seed)
     rewritten = {}
     appended = []
-    for feats in test_files:
-        target = _byte_target(model, feats, rng)
-        before = len(blobs[feats.name])
-        data = _pad_to_target(blobs[feats.name], target, gap)
-        rewritten[feats.name] = data
-        appended.append(len(data) - before)
+    for name, histogram in zip(names, histograms):
+        target = _byte_target(model, histogram, rng)
+        data = _pad_to_target(blobs[name], target, gap)
+        rewritten[name] = data
+        appended.append(len(data) - len(blobs[name]))
     return AttackOutput(name="gan_byte", rewritten=rewritten,
                         stats={"mean_appended_bytes": float(np.mean(appended))})
 
 
-def attack_gan_indicator(model, test_files, blobs, table: FeatureTable,
-                         kind: str, cap: int, seed) -> AttackOutput:
-    vocab = table.vocab_api if kind == "api" else table.vocab_strings
-    family = GAN_FAMILIES[kind]
+def attack_gan_indicator(model, names, indicators, blobs,
+                         vocab: features.Vocabulary, kind: str, cap: int,
+                         seed) -> AttackOutput:
     rng = np.random.default_rng(seed)
     rewritten = {}
     warnings = []
     added_counts = []
-    for feats in test_files:
-        m = table.vector_for(feats, (family,))
+    for name, m in zip(names, indicators):
         z = gan.sample_noise(model.preset.noise_dim, 1, rng)
         m_adv = gan.generate(model, m[None, :], z)[0]
         new = [vocab.entries[i] for i in range(vocab.size)
                if m_adv[i] > 0.5 and m[i] < 0.5]
         if len(new) > cap:
-            warnings.append(f"{feats.name}: {len(new)} new tokens over cap {cap}")
+            warnings.append(f"{name}: {len(new)} new tokens over cap {cap}")
             new = new[:cap]
         added_counts.append(len(new))
-        pe = petk.parse(blobs[feats.name], strict=False)
+        pe = petk.parse(blobs[name], strict=False)
         if kind == "api":
             edited, _ = petk.extend_imports(pe, new)
         else:
             payload = b"\x00" + b"\x00".join(
                 s.encode("latin-1") for s in new) + b"\x00"
             edited = petk.add_section(pe, ".sdat2", payload)
-        rewritten[feats.name] = edited.data
+        rewritten[name] = edited.data
     return AttackOutput(name=f"gan_{kind}", rewritten=rewritten,
                         stats={"mean_new_tokens": float(np.mean(added_counts))},
                         warnings=warnings)
 
 
-def attack_benign_injection(test_files, blobs, benign_train_blobs, seed) -> AttackOutput:
+def attack_benign_injection(names, blobs, benign_train_blobs, seed) -> AttackOutput:
     rng = np.random.default_rng(seed)
     pool = [benign_train_blobs[k] for k in sorted(benign_train_blobs)]
     rewritten = {}
-    for feats in test_files:
-        pe = petk.parse(blobs[feats.name], strict=False)
-        rewritten[feats.name] = baselines.benign_injection(pe, pool, rng).data
+    for name in names:
+        pe = petk.parse(blobs[name], strict=False)
+        rewritten[name] = baselines.benign_injection(pe, pool, rng).data
     return AttackOutput(name="benign_injection", rewritten=rewritten)
 
 
-def attack_malgan_byte(table: FeatureTable, train_idx, test_files, blobs,
+def attack_malgan_byte(table: FeatureTable, train_idx, names, histograms, blobs,
                        black_box, gap, cfg: ExperimentConfig) -> AttackOutput:
     benign, malicious = table.by_class(("byte",), train_idx)
     stage = cfg.gans.get("byte_histogram", GanStageConfig())
@@ -548,9 +558,9 @@ def attack_malgan_byte(table: FeatureTable, train_idx, test_files, blobs,
     model = baselines.train_malgan(malicious, benign, black_box, preset, mcfg)
     rng = np.random.default_rng(cfg.seed + 2)
     rewritten = {}
-    for feats in test_files:
-        target = _byte_target(model, feats, rng)
-        rewritten[feats.name] = _pad_to_target(blobs[feats.name], target, gap)
+    for name, histogram in zip(names, histograms):
+        target = _byte_target(model, histogram, rng)
+        rewritten[name] = _pad_to_target(blobs[name], target, gap)
     return AttackOutput(name="malgan_byte", rewritten=rewritten,
                         query_count=model.query_count,
                         stats={"rounds": model.training_meta.get("rounds", 0)})
@@ -564,8 +574,8 @@ class PipelineState:
     workdir: Path
     manifest: dict | None = None
     blobs: dict | None = None
-    file_features: list | None = None
     splits: dict | None = None
+    extract_key: str | None = None
     table: FeatureTable | None = None
     detector_models: dict = field(default_factory=dict)
     gan_models: dict = field(default_factory=dict)
@@ -586,100 +596,190 @@ def _stage(name):
     return wrap
 
 
+def _key(*parts) -> str:
+    """Content key of an artifact: SHA-256 over the JSON of ``parts``."""
+    blob = json.dumps(parts, sort_keys=True).encode("utf-8")
+    return hashlib.sha256(blob).hexdigest()
+
+
+def _load(loader, path: Path, key: str):
+    """``loader(path, key)``, or None when the artifact is missing, was
+    built from other inputs, or cannot be read back."""
+    if not path.is_file():
+        return None
+    try:
+        return loader(path, key)
+    except (OSError, ValueError):
+        return None
+
+
+def _rows(state: PipelineState, part: str, label: str) -> list[int]:
+    """Table rows of the ``label`` files in split ``part``."""
+    return [i for i in state.splits[part] if state.table.labels[i] == label]
+
+
 @_stage("corpus")
 def stage_corpus(state: PipelineState):
     corpus_dir = state.workdir / "corpus"
     cfg = state.cfg.corpus
-    if cfg.kind == "synthetic":
-        if not (corpus_dir / "manifest.json").exists():
-            gen_corpus(cfg, state.cfg.seed, corpus_dir)
-    elif cfg.kind == "dirs":
-        if cfg.benign_dir is None or cfg.malicious_dir is None:
-            raise ConfigError("dirs corpus needs benign_dir and malicious_dir")
-        if not (corpus_dir / "manifest.json").exists():
-            ingest_dirs(cfg.benign_dir, cfg.malicious_dir, corpus_dir)
-    else:
+    if cfg.kind not in ("synthetic", "dirs"):
         raise ConfigError(f"unknown corpus kind {cfg.kind!r}")
+    if cfg.kind == "dirs" and (cfg.benign_dir is None or cfg.malicious_dir is None):
+        raise ConfigError("dirs corpus needs benign_dir and malicious_dir")
+    key = _key("corpus", dataclasses.asdict(cfg), state.cfg.seed)
+    try:
+        stored = json.loads((corpus_dir / "manifest.json").read_text()).get("key")
+    except (OSError, ValueError):
+        stored = None
+    if stored != key:
+        shutil.rmtree(corpus_dir, ignore_errors=True)
+        if cfg.kind == "synthetic":
+            gen_corpus(cfg, state.cfg.seed, corpus_dir, key)
+        else:
+            ingest_dirs(cfg.benign_dir, cfg.malicious_dir, corpus_dir, key)
     state.manifest, state.blobs = load_corpus(corpus_dir)
+
+
+def _corpus_digest(manifest: dict, blobs: dict) -> str:
+    """SHA-256 over the manifest's file order, labels and blob bytes."""
+    h = hashlib.sha256()
+    for rec in manifest["files"]:
+        data = blobs[rec["name"]]
+        h.update(json.dumps([rec["name"], rec["label"], len(data)]).encode("utf-8"))
+        h.update(data)
+    return h.hexdigest()
+
+
+def _load_table(feat_dir: Path, names, labels, fcfg: FeatureConfig,
+                key: str) -> FeatureTable | None:
+    vocab_api = _load(features.load_vocab, feat_dir / "vocab_api.txt", key)
+    vocab_strings = _load(features.load_vocab, feat_dir / "vocab_strings.txt", key)
+    if vocab_api is None or vocab_strings is None:
+        return None
+    matrices = {}
+    for fam in FAMILIES:
+        loaded = _load(features.load_matrix, feat_dir / f"{fam}.gevf", key)
+        if loaded is None or loaded[1] != names:
+            return None
+        matrices[fam] = loaded[0]
+    return FeatureTable(names, labels, fcfg, vocab_api, vocab_strings,
+                        matrices=matrices)
 
 
 @_stage("extract")
 def stage_extract(state: PipelineState):
-    fcfg = state.cfg.feature_cfg
-    files = [extract_file(rec["name"], rec["label"], state.blobs[rec["name"]], fcfg)
-             for rec in state.manifest["files"]]
-    state.file_features = files
-    state.splits = split_indices([f.label for f in files], state.cfg.split,
-                                 state.cfg.seed)
-    state.table = FeatureTable(files, fcfg, state.splits["train"])
+    cfg = state.cfg
+    fcfg = cfg.feature_cfg
+    names = [rec["name"] for rec in state.manifest["files"]]
+    labels = [rec["label"] for rec in state.manifest["files"]]
+    state.splits = split_indices(labels, cfg.split, cfg.seed)
+    state.extract_key = _key(
+        "extract", SCHEMA_VERSION, __version__,
+        _corpus_digest(state.manifest, state.blobs),
+        dataclasses.asdict(fcfg), cfg.split, cfg.seed)
     feat_dir = state.workdir / "features"
+    state.table = _load_table(feat_dir, names, labels, fcfg, state.extract_key)
+    if state.table is not None:
+        return
+    files = [extract_file(name, label, state.blobs[name], fcfg)
+             for name, label in zip(names, labels)]
+    benign_train = [files[i] for i in state.splits["train"]
+                    if labels[i] == "benign"]
+    vocab_api = features.select_topk(
+        [f.import_tokens for f in benign_train], fcfg.k_api, kind="api")
+    vocab_strings = features.select_topk(
+        [set(f.string_tokens) for f in benign_train], fcfg.k_strings,
+        kind="string")
+    state.table = FeatureTable(names, labels, fcfg, vocab_api, vocab_strings,
+                               files=files)
     feat_dir.mkdir(parents=True, exist_ok=True)
-    features.save_vocab(state.table.vocab_api, feat_dir / "vocab_api.txt")
-    features.save_vocab(state.table.vocab_strings, feat_dir / "vocab_strings.txt")
+    features.save_vocab(vocab_api, feat_dir / "vocab_api.txt", state.extract_key)
+    features.save_vocab(vocab_strings, feat_dir / "vocab_strings.txt",
+                        state.extract_key)
     for fam, mat in state.table.matrices.items():
-        features.save_matrix(mat, [f.name for f in files], feat_dir / f"{fam}.gevf")
-    (feat_dir / "splits.json").write_text(json.dumps(state.splits, sort_keys=True))
+        features.save_matrix(mat, names, feat_dir / f"{fam}.gevf",
+                             state.extract_key)
 
 
 @_stage("train-detector")
 def stage_detectors(state: PipelineState):
     model_dir = state.workdir / "models"
-    model_dir.mkdir(parents=True, exist_ok=True)
     for spec in state.cfg.detectors:
-        xb, xm = state.table.by_class(spec.families, state.splits["train"])
-        model = detectors.train_detector(
-            spec.kind, detectors.FeatureSpec(tuple(spec.families)), xb, xm,
-            hyperparams=spec.hyperparams, seed=state.cfg.seed)
+        path = model_dir / f"detector_{spec.name}.gevd"
+        key = _key("detector", state.extract_key, dataclasses.asdict(spec),
+                   state.cfg.seed)
+        model = _load(detectors.load_detector, path, key)
+        if model is None:
+            xb, xm = state.table.by_class(spec.families, state.splits["train"])
+            model = detectors.train_detector(
+                spec.kind, detectors.FeatureSpec(tuple(spec.families)), xb, xm,
+                hyperparams=spec.hyperparams, seed=state.cfg.seed)
+            model_dir.mkdir(parents=True, exist_ok=True)
+            detectors.save_detector(path, model, key)
         state.detector_models[spec.name] = model
-        detectors.save_detector(model_dir / f"detector_{spec.name}.gevd", model)
 
 
 @_stage("train-gan")
 def stage_gans(state: PipelineState):
     model_dir = state.workdir / "models"
-    model_dir.mkdir(parents=True, exist_ok=True)
     needed = {kind for attack in state.cfg.attacks for kind in ATTACK_GANS[attack]}
     for kind in sorted(needed):
-        model = train_gan_for(kind, state.table, state.splits["train"], state.cfg,
-                              metrics_path=model_dir / f"gan_{kind}_metrics.csv")
+        path = model_dir / f"gan_{kind}.gevd"
+        key = _key("gan", state.extract_key, kind,
+                   dataclasses.asdict(state.cfg.gans.get(kind, GanStageConfig())),
+                   state.cfg.seed)
+        model = _load(gan.load_gan, path, key)
+        if model is None:
+            model_dir.mkdir(parents=True, exist_ok=True)
+            model = train_gan_for(kind, state.table, state.splits["train"],
+                                  state.cfg,
+                                  metrics_path=model_dir / f"gan_{kind}_metrics.csv")
+            gan.save_gan(path, model, key)
         state.gan_models[kind] = model
-        gan.save_gan(model_dir / f"gan_{kind}.gevd", model)
 
 
 @_stage("attack")
 def stage_attacks(state: PipelineState):
     cfg = state.cfg
-    test_mal = [state.file_features[i] for i in state.splits["test"]
-                if state.file_features[i].label == "malicious"]
-    benign_train = {state.file_features[i].name: state.blobs[state.file_features[i].name]
-                    for i in state.splits["train"]
-                    if state.file_features[i].label == "benign"}
+    table = state.table
+    test_mal = _rows(state, "test", "malicious")
+    names = [table.names[i] for i in test_mal]
+    benign_train = {table.names[i]: state.blobs[table.names[i]]
+                    for i in _rows(state, "train", "benign")}
     for attack in cfg.attacks:
         if attack == "gan_byte":
-            out = attack_gan_byte(state.gan_models["byte_histogram"], test_mal,
+            out = attack_gan_byte(state.gan_models["byte_histogram"], names,
+                                  table.matrices["byte"][test_mal],
                                   state.blobs, cfg.gap, cfg.seed + 10)
         elif attack == "gan_api":
-            out = attack_gan_indicator(state.gan_models["api"], test_mal,
-                                       state.blobs, state.table, "api",
+            out = attack_gan_indicator(state.gan_models["api"], names,
+                                       table.matrices["api_topk"][test_mal],
+                                       state.blobs, table.vocab_api, "api",
                                        cfg.max_new_imports, cfg.seed + 11)
         elif attack == "gan_strings":
-            out = attack_gan_indicator(state.gan_models["strings"], test_mal,
-                                       state.blobs, state.table, "strings",
-                                       cfg.max_new_strings, cfg.seed + 12)
+            out = attack_gan_indicator(state.gan_models["strings"], names,
+                                       table.matrices["strings_topk"][test_mal],
+                                       state.blobs, table.vocab_strings,
+                                       "strings", cfg.max_new_strings,
+                                       cfg.seed + 12)
         elif attack == "gan_all":
             out = _attack_gan_all(state, test_mal)
         elif attack == "benign_injection":
-            out = attack_benign_injection(test_mal, state.blobs, benign_train,
+            out = attack_benign_injection(names, state.blobs, benign_train,
                                           cfg.seed + 13)
         elif attack == "malgan_byte":
             target = _primary_byte_detector(state)
-            out = attack_malgan_byte(state.table, state.splits["train"], test_mal,
+            out = attack_malgan_byte(table, state.splits["train"], names,
+                                     table.matrices["byte"][test_mal],
                                      state.blobs, target.label_fn(), cfg.gap, cfg)
         else:
             raise ConfigError(f"attack {attack!r} not implemented")
         state.attack_outputs[attack] = out
+        # replace, not add to, what an earlier run (maybe of another
+        # corpus, whose file names repeat) left there
         attack_dir = state.workdir / "attacks" / attack
-        attack_dir.mkdir(parents=True, exist_ok=True)
+        shutil.rmtree(attack_dir, ignore_errors=True)
+        attack_dir.mkdir(parents=True)
         for name, data in sorted(out.rewritten.items()):
             (attack_dir / name).write_bytes(data)
         (attack_dir / "manifest.json").write_text(json.dumps({
@@ -689,23 +789,30 @@ def stage_attacks(state: PipelineState):
 
 
 def _attack_gan_all(state: PipelineState, test_mal) -> AttackOutput:
-    """Stack byte, API, and string modifications on each file."""
+    """Stack byte, API, and string modifications on each file; each step
+    starts from the features of the file the step before rewrote."""
     cfg = state.cfg
-    api_out = attack_gan_indicator(state.gan_models["api"], test_mal,
-                                   state.blobs, state.table, "api",
+    table = state.table
+    names = [table.names[i] for i in test_mal]
+    api_out = attack_gan_indicator(state.gan_models["api"], names,
+                                   table.matrices["api_topk"][test_mal],
+                                   state.blobs, table.vocab_api, "api",
                                    cfg.max_new_imports, cfg.seed + 11)
     blobs2 = dict(state.blobs)
     blobs2.update(api_out.rewritten)
-    feats2 = [extract_file(f.name, f.label, blobs2[f.name], cfg.feature_cfg)
-              for f in test_mal]
-    str_out = attack_gan_indicator(state.gan_models["strings"], feats2, blobs2,
-                                   state.table, "strings",
-                                   cfg.max_new_strings, cfg.seed + 12)
+    feats2 = [extract_file(name, "malicious", blobs2[name], cfg.feature_cfg)
+              for name in names]
+    str_out = attack_gan_indicator(
+        state.gan_models["strings"], names,
+        np.array([table.vector_for(f, ("strings_topk",)) for f in feats2]),
+        blobs2, table.vocab_strings, "strings", cfg.max_new_strings,
+        cfg.seed + 12)
     blobs3 = dict(blobs2)
     blobs3.update(str_out.rewritten)
-    feats3 = [extract_file(f.name, f.label, blobs3[f.name], cfg.feature_cfg)
-              for f in test_mal]
-    byte_out = attack_gan_byte(state.gan_models["byte_histogram"], feats3,
+    feats3 = [extract_file(name, "malicious", blobs3[name], cfg.feature_cfg)
+              for name in names]
+    byte_out = attack_gan_byte(state.gan_models["byte_histogram"], names,
+                               np.array([f.histogram for f in feats3]),
                                blobs3, cfg.gap, cfg.seed + 10)
     return AttackOutput(name="gan_all", rewritten=byte_out.rewritten,
                         warnings=api_out.warnings + str_out.warnings)
@@ -721,40 +828,39 @@ def _primary_byte_detector(state: PipelineState) -> detectors.DetectorModel:
 @_stage("evaluate")
 def stage_evaluate(state: PipelineState) -> dict:
     cfg = state.cfg
-    fcfg = cfg.feature_cfg
-    test_idx = state.splits["test"]
-    test_mal = [state.file_features[i] for i in test_idx
-                if state.file_features[i].label == "malicious"]
-    test_ben = [state.file_features[i] for i in test_idx
-                if state.file_features[i].label == "benign"]
+    table = state.table
+    test_mal = _rows(state, "test", "malicious")
+    names = [table.names[i] for i in test_mal]
+    models = {spec.name: state.detector_models[spec.name] for spec in cfg.detectors}
 
-    def rates_for(feats_list):
-        out = {}
-        for spec in cfg.detectors:
-            model = state.detector_models[spec.name]
-            x = np.array([state.table.vector_for(f, spec.families)
-                          for f in feats_list])
-            out[spec.name] = detectors.detection_rate(model, x)
-        return out
+    # the original files' rows come from the table; a rewritten file is
+    # re-extracted and vectorized once per family, then assembled per detector
+    original_rates = {
+        spec.name: detectors.detection_rate(
+            models[spec.name], table.assemble(spec.families, test_mal))
+        for spec in cfg.detectors}
+    test_ben = _rows(state, "test", "benign")
+    fpr = {spec.name: detectors.false_positive_rate(
+               models[spec.name], table.assemble(spec.families, test_ben))
+           for spec in cfg.detectors}
 
-    original_rates = rates_for(test_mal)
-    fpr = {}
-    for spec in cfg.detectors:
-        model = state.detector_models[spec.name]
-        x = np.array([state.table.vector_for(f, spec.families) for f in test_ben])
-        fpr[spec.name] = detectors.false_positive_rate(model, x)
-
+    used = sorted({fam for spec in cfg.detectors for fam in spec.families})
     attack_rates = {}
     query_counts = {}
     attack_stats = {}
     for attack, out in state.attack_outputs.items():
-        feats_adv = [extract_file(f.name, f.label, out.rewritten[f.name], fcfg)
-                     for f in test_mal]
-        attack_rates[attack] = rates_for(feats_adv)
+        feats_adv = [extract_file(name, "malicious", out.rewritten[name],
+                                  cfg.feature_cfg) for name in names]
+        adv = {fam: np.array([table.vector_for(f, (fam,)) for f in feats_adv])
+               for fam in used}
+        attack_rates[attack] = {
+            spec.name: detectors.detection_rate(
+                models[spec.name], np.hstack([adv[fam] for fam in spec.families]))
+            for spec in cfg.detectors}
         query_counts[attack] = out.query_count
         stats = dict(out.stats)
         stats["mean_size_mb"] = float(np.mean(
-            [len(out.rewritten[f.name]) for f in test_mal])) / 1e6
+            [len(out.rewritten[name]) for name in names])) / 1e6
         stats["capacity_warnings"] = len(out.warnings)
         attack_stats[attack] = stats
 
@@ -770,7 +876,7 @@ def stage_evaluate(state: PipelineState) -> dict:
         "attack_stats": attack_stats,
         "gap_sweep": gap_rows,
         "original_mean_size_mb": float(np.mean(
-            [len(state.blobs[f.name]) for f in test_mal])) / 1e6,
+            [len(state.blobs[name]) for name in names])) / 1e6,
     }
 
 
@@ -788,7 +894,8 @@ def _gap_sweep(state: PipelineState, test_mal) -> list[dict]:
 
     # one target per file, shared across every gap value
     zrng = np.random.default_rng(sweep_seed + 1)
-    targets = {feats.name: _byte_target(model, feats, zrng) for feats in subset}
+    byte_rows = state.table.matrices["byte"]
+    targets = {i: _byte_target(model, byte_rows[i], zrng) for i in subset}
 
     # the "exact" row is gap 0, as is a 0 in the sweep: plan each gap once
     by_gap: dict[float, dict] = {}
@@ -798,11 +905,11 @@ def _gap_sweep(state: PipelineState, test_mal) -> list[dict]:
             sizes = []
             appended = []
             hists = []
-            for feats in subset:
+            for i in subset:
                 # sizes and histograms follow from the plan; no need to
                 # materialize the (possibly huge) exact-mode files
-                blob = state.blobs[feats.name]
-                req = _padding_request(blob, targets[feats.name], gap_value)
+                blob = state.blobs[state.table.names[i]]
+                req = _padding_request(blob, targets[i], gap_value)
                 plan = padopt.plan_for(req)
                 total = req.counts.sum() + plan.total_appended
                 sizes.append(len(blob) + plan.total_appended)

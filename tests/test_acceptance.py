@@ -257,6 +257,31 @@ def test_ac09_pipeline_determinism(tmp_path):
           "(runtime excluded)")
 
 
+def test_ac09b_resumed_run_determinism(tmp_path):
+    # AC9's config, run twice in one workdir: the second run loads the
+    # features and models the first stored
+    cfg_dict = {
+        "corpus": {"n_per_class": 10, "content_size": [400, 800]},
+        "feature_cfg": {"k_api": 40, "k_strings": 40, "hash_dim": 64},
+        "gans": {"byte_histogram": {"max_steps": 20}},
+        "detectors": [{"name": "byte_logreg", "kind": "logreg",
+                       "families": ["byte"]}],
+        "attacks": ["gan_byte"],
+        "gap_sweep": [0.01, 0.001],
+        "sweep_subsample": 3,
+        "seed": 3,
+    }
+    texts = []
+    for _ in range(2):
+        cfg = ExperimentConfig.from_dict(json.loads(json.dumps(cfg_dict)))
+        report = run_pipeline(cfg, tmp_path / "one")
+        texts.append(json.dumps(report_without_runtime(report),
+                                sort_keys=True))
+    assert texts[0] == texts[1]
+    print("AC9b PASS: a resumed run reproduced the cold run's report JSON "
+          "byte for byte (runtime excluded)")
+
+
 def test_ac10_hashed_representation_attenuates(api_runs):
     wins = 0
     pairs = []

@@ -34,6 +34,22 @@ def test_truncated_body_rejected(tmp_path):
         ckpt.load_container(path)
 
 
+def test_key_checked(tmp_path):
+    path = tmp_path / "c.gevd"
+    ckpt.save_container(path, {"key": "k1"}, {"a": np.zeros(2)})
+    assert ckpt.load_container(path, "k1")[0] == {"key": "k1"}
+    with pytest.raises(ckpt.CheckpointError):
+        ckpt.load_container(path, "k2")
+
+
+def test_truncated_header_rejected(tmp_path):
+    path = tmp_path / "c.gevd"
+    ckpt.save_container(path, {}, {"a": np.zeros(2)})
+    path.write_bytes(path.read_bytes()[:7])
+    with pytest.raises(ckpt.CheckpointError):
+        ckpt.load_container(path)
+
+
 def _gan_with(generator, critic) -> GanModel:
     # save_gan writes the preset as metadata only; it need not fit the nets
     preset = GanPreset("byte_histogram", 3, 2, (7,), (4,), "softmax")

@@ -1,4 +1,6 @@
+import tempfile
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -6,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ganevade import features, petk
-from ganevade.features import (EmptyInputError, byte_histogram,
+from ganevade.features import (EmptyInputError, Vocabulary, byte_histogram,
                                extract_imports, extract_strings, fnv1a64,
                                hash_features, load_matrix, load_vocab,
                                save_matrix, save_vocab, select_topk,
@@ -184,6 +186,54 @@ class TestPersistence:
         path.write_bytes(b"WRONG" + b"\x00" * 8)
         with pytest.raises(ValueError):
             load_matrix(path)
+
+    def test_vocab_keeps_blank_and_padded_tokens(self, tmp_path):
+        # a whitespace-only run is a valid string token at min_len 5
+        tokens = ["     ", "abcde", " lead", "trail ", "lib!a\nb", ""]
+        path = tmp_path / "v.txt"
+        save_vocab(Vocabulary("string", tokens), path)
+        assert load_vocab(path).entries == tokens
+
+    def test_vocab_key_checked(self, tmp_path):
+        path = tmp_path / "v.txt"
+        save_vocab(Vocabulary("api", ["a!b"]), path, key="k1")
+        assert load_vocab(path, "k1").entries == ["a!b"]
+        with pytest.raises(ValueError):
+            load_vocab(path, "k2")
+
+    def test_truncated_vocab_rejected(self, tmp_path):
+        path = tmp_path / "v.txt"
+        save_vocab(Vocabulary("api", ["a!b", "c!d"]), path)
+        path.write_text(path.read_text().rsplit("\n", 2)[0] + "\n")
+        with pytest.raises(ValueError):
+            load_vocab(path)
+
+    def test_matrix_key_checked(self, tmp_path):
+        path = tmp_path / "m.gevf"
+        save_matrix(np.eye(3), ["a", "b", "c"], path, key="k1")
+        back, _ = load_matrix(path, "k1")
+        assert back.tobytes() == np.eye(3).tobytes()
+        with pytest.raises(ValueError):
+            load_matrix(path, "k2")
+
+    @pytest.mark.parametrize("cut", [3, 7, 20, 8])
+    def test_truncated_matrix_rejected(self, tmp_path, cut):
+        path = tmp_path / "m.gevf"
+        save_matrix(np.eye(3), ["a", "b", "c"], path)
+        data = path.read_bytes()
+        path.write_bytes(data[:cut] if cut < 20 else data[:-cut])
+        with pytest.raises(ValueError):
+            load_matrix(path)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.text(alphabet=st.characters(max_codepoint=255)),
+                unique=True, max_size=12))
+def test_vocab_roundtrip_any_latin1_tokens(tokens):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "v.txt"
+        save_vocab(Vocabulary("api", tokens), path)
+        assert load_vocab(path).entries == tokens
 
 
 @settings(max_examples=30, deadline=None)

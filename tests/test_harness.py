@@ -1,3 +1,4 @@
+import dataclasses
 import importlib.util
 import json
 import sys
@@ -6,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ganevade import cli, gan, harness, padopt, petk
+from ganevade import cli, detectors, gan, harness, padopt, petk
 from ganevade.harness import (ConfigError, CorpusConfig, ExperimentConfig,
                               FeatureConfig, GanStageConfig, PipelineState,
                               StageError, gen_corpus, ingest_dirs, load_corpus,
@@ -266,6 +267,128 @@ class TestPipeline:
             harness.stage_corpus(state)
 
 
+class TestResume:
+    """Stages up to train-gan load what a run in the same workdir stored,
+    when the inputs that determine it are unchanged."""
+
+    ATTACKS = ("gan_byte", "gan_api", "gan_strings", "benign_injection")
+
+    @staticmethod
+    def record_training(monkeypatch, workdir, fail=False):
+        """Record (or refuse) every extraction of a file of the corpus in
+        ``workdir`` and every detector and GAN fit."""
+        done = {"extract": 0, "detectors": [], "gans": []}
+        corpus = load_corpus(workdir / "corpus")[1]
+        real_extract, real_train = harness.extract_file, gan.train
+        real_detector = detectors.train_detector
+
+        def extract_file(name, label, data, fcfg):
+            if corpus.get(name) == data:
+                assert not fail, f"corpus file {name} extracted again"
+                done["extract"] += 1
+            return real_extract(name, label, data, fcfg)
+
+        def train_detector(kind, spec, *args, **kwargs):
+            assert not fail, "detector trained again"
+            done["detectors"].append(spec.families)
+            return real_detector(kind, spec, *args, **kwargs)
+
+        def train(benign, malicious, preset, *args, **kwargs):
+            assert not fail, "GAN trained again"
+            done["gans"].append(preset.feature_kind)
+            return real_train(benign, malicious, preset, *args, **kwargs)
+
+        monkeypatch.setattr(harness, "extract_file", extract_file)
+        monkeypatch.setattr(detectors, "train_detector", train_detector)
+        monkeypatch.setattr(gan, "train", train)
+        return done
+
+    def test_attack_only_change_trains_nothing(self, tmp_path, monkeypatch):
+        cfg = tiny_config(attacks=self.ATTACKS)
+        run_pipeline(cfg, tmp_path / "w")
+        changed = dataclasses.replace(cfg, max_new_imports=1)
+        cold = run_pipeline(changed, tmp_path / "cold")
+        self.record_training(monkeypatch, tmp_path / "w", fail=True)
+        warm = run_pipeline(changed, tmp_path / "w")
+        assert report_without_runtime(warm) == report_without_runtime(cold)
+
+    def test_one_gan_changed_retrains_only_it(self, tmp_path, monkeypatch):
+        cfg = tiny_config(attacks=self.ATTACKS)
+        run_pipeline(cfg, tmp_path / "w")
+        gans = dict(cfg.gans, api=GanStageConfig(max_steps=11))
+        done = self.record_training(monkeypatch, tmp_path / "w")
+        run_pipeline(dataclasses.replace(cfg, gans=gans), tmp_path / "w")
+        assert done["gans"] == ["api"]
+        assert done["detectors"] == [] and done["extract"] == 0
+
+    def test_feature_change_recomputes_everything(self, tmp_path, monkeypatch):
+        cfg = tiny_config(attacks=self.ATTACKS)
+        run_pipeline(cfg, tmp_path / "w")
+        fcfg = dataclasses.replace(cfg.feature_cfg, k_api=30)
+        done = self.record_training(monkeypatch, tmp_path / "w")
+        run_pipeline(dataclasses.replace(cfg, feature_cfg=fcfg), tmp_path / "w")
+        assert done["extract"] == 2 * cfg.corpus.n_per_class
+        assert len(done["detectors"]) == len(cfg.detectors)
+        assert sorted(done["gans"]) == sorted(harness.GAN_KINDS)
+
+    def test_truncated_checkpoint_is_recomputed(self, tmp_path, monkeypatch,
+                                                tiny_config_file):
+        argv = ["pipeline", "--config", str(tiny_config_file),
+                "--workdir", str(tmp_path / "w")]
+        assert cli.main(argv) == 0
+        path = tmp_path / "w" / "models" / "detector_byte_logreg.gevd"
+        intact = path.read_bytes()
+        path.write_bytes(intact[:len(intact) // 2])
+        done = self.record_training(monkeypatch, tmp_path / "w")
+        assert cli.main(argv) == 0
+        assert done["detectors"] == [("byte",)] and done["gans"] == []
+        assert path.read_bytes() == intact
+
+    def test_cli_attack_after_train_gan_trains_nothing(self, tmp_path,
+                                                       monkeypatch,
+                                                       tiny_config_file):
+        common = ["--config", str(tiny_config_file),
+                  "--workdir", str(tmp_path / "w")]
+        assert cli.main(["train-gan", *common]) == 0
+        self.record_training(monkeypatch, tmp_path / "w", fail=True)
+        assert cli.main(["attack", *common]) == 0
+
+    def test_hit_rewrites_nothing(self, tmp_path):
+        cfg = tiny_config(attacks=self.ATTACKS)
+        run_pipeline(cfg, tmp_path / "w")
+        stored = {p: p.stat().st_mtime_ns
+                  for d in ("corpus", "features", "models")
+                  for p in (tmp_path / "w" / d).iterdir()}
+        run_pipeline(cfg, tmp_path / "w")
+        assert {p: p.stat().st_mtime_ns for p in stored} == stored
+        assert not (tmp_path / "w" / "features" / "splits.json").exists()
+
+    def test_corpus_regenerated_when_its_config_changes(self, tmp_path):
+        cfg = tiny_config()
+        cfg.corpus.n_per_class = 3
+        harness.run_stages(PipelineState(cfg=cfg, workdir=tmp_path / "w"),
+                           "corpus")
+        bigger = dataclasses.replace(
+            cfg, corpus=dataclasses.replace(cfg.corpus, n_per_class=4))
+        state = PipelineState(cfg=bigger, workdir=tmp_path / "w")
+        harness.run_stages(state, "corpus")
+        assert len(state.manifest["files"]) == 8
+        fresh = PipelineState(cfg=bigger, workdir=tmp_path / "fresh")
+        harness.run_stages(fresh, "corpus")
+        assert state.manifest == fresh.manifest
+        assert state.blobs == fresh.blobs
+
+    def test_attack_outputs_replace_an_earlier_run(self, tmp_path):
+        # 4 test files per class at the first split, 1 at the second
+        cfg = tiny_config(attacks=("gan_byte",))
+        run_pipeline(dataclasses.replace(cfg, split=(0.5, 0.1, 0.4)),
+                     tmp_path / "w")
+        run_pipeline(cfg, tmp_path / "w")
+        attack_dir = tmp_path / "w" / "attacks" / "gan_byte"
+        listed = json.loads((attack_dir / "manifest.json").read_text())["files"]
+        assert sorted(p.name for p in attack_dir.glob("*.exe")) == listed
+
+
 class TestBytePadding:
     def test_gap_zero_on_floored_targets_certifies(self):
         # peaked generator-like targets floored as the attacks floor them;
@@ -290,14 +413,18 @@ class TestCapacityCap:
         preset = pipeline_preset("api", state.table.vocab_api.size,
                                  GanStageConfig())
         model = gan.build_gan(preset, seed=0)
-        test_mal = [f for f in state.file_features if f.label == "malicious"]
-        out = harness.attack_gan_indicator(model, test_mal, state.blobs,
-                                           state.table, "api", 0, seed=0)
+        table = state.table
+        mal = [i for i, label in enumerate(table.labels) if label == "malicious"]
+        names = [table.names[i] for i in mal]
+        out = harness.attack_gan_indicator(model, names,
+                                           table.matrices["api_topk"][mal],
+                                           state.blobs, table.vocab_api, "api",
+                                           0, seed=0)
         assert out.warnings
         from ganevade.features import extract_imports
-        for feats in test_mal:
-            before = extract_imports(petk.parse(state.blobs[feats.name]))
-            after = extract_imports(petk.parse(out.rewritten[feats.name]))
+        for name in names:
+            before = extract_imports(petk.parse(state.blobs[name]))
+            after = extract_imports(petk.parse(out.rewritten[name]))
             assert after == before
 
 
