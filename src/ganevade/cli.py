@@ -42,6 +42,11 @@ def _state(args) -> PipelineState:
     return PipelineState(cfg=_load_cfg(args), workdir=Path(args.workdir))
 
 
+def _verb(state: PipelineState, kind: str, name: str) -> str:
+    """Whether this run trained the ``kind`` model ``name`` or loaded it."""
+    return "trained" if (kind, name) in state.computed else "loaded"
+
+
 def cmd_gen_corpus(args) -> int:
     state = _state(args)
     harness.run_stages(state, "corpus")
@@ -68,7 +73,7 @@ def cmd_train_detector(args) -> int:
             raise ConfigError(f"no detector named {args.name!r} in config")
     harness.run_stages(state, "train-detector")
     for name in state.detector_models:
-        print(f"trained detector {name}")
+        print(f"{_verb(state, 'detector', name)} detector {name}")
     return EXIT_OK
 
 
@@ -78,11 +83,12 @@ def cmd_train_gan(args) -> int:
         if args.kind not in harness.GAN_KINDS:
             raise ConfigError(f"unknown feature kind {args.kind!r}")
         # the attack that needs this GAN kind alone
-        state.cfg.attacks = [attack for attack, kinds in harness.ATTACK_GANS.items()
-                             if kinds == (args.kind,)]
+        state.cfg.attacks = [name for name, attack in harness.ATTACKS.items()
+                             if attack.gans == (args.kind,)]
     harness.run_stages(state, "train-gan")
     for kind, model in state.gan_models.items():
-        print(f"trained {kind} model: {model.training_meta}")
+        print(f"{_verb(state, 'gan', kind)} {kind} model: "
+              f"{model.training_meta}")
     return EXIT_OK
 
 

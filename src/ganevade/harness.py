@@ -6,11 +6,17 @@ and a full pipeline run is reproducible from the config plus the global
 seed. Evaluation always re-extracts features from the rewritten files on
 disk, never from in-memory adversarial vectors.
 
+Each attack is one entry of ``ATTACKS``: the GAN kinds it needs trained
+and the function that runs it. ``gan_all`` runs the ``gan_api``,
+``gan_strings`` and ``gan_byte`` entries in sequence, each step on the
+files the step before rewrote.
+
 The stages up to train-gan resume. Each of their artifacts carries a
 content key: a SHA-256 over the config slice that determines it and the
 key of what it was computed from (``_key``). The corpus manifest holds the
-key of ``corpus`` + ``seed``; the feature matrices and vocabularies the key
-of the tool and schema versions, the corpus bytes, ``feature_cfg``,
+key of ``corpus`` + ``seed`` (for a ``dirs`` corpus also each source
+file's name, size and SHA-256); the feature matrices and vocabularies the
+key of the tool and schema versions, the corpus bytes, ``feature_cfg``,
 ``split`` and ``seed``; each detector and GAN checkpoint the feature key
 plus its own spec and ``seed``. A stage loads an artifact whose stored key
 matches and recomputes (and rewrites) any other: missing, stale, truncated
@@ -27,6 +33,7 @@ import shutil
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -41,15 +48,6 @@ FAMILIES = ("byte", "api_topk", "api_hashed", "strings_topk", "strings_hashed")
 GAN_FAMILIES = {"byte_histogram": "byte", "api": "api_topk",
                 "strings": "strings_topk"}
 GAN_KINDS = tuple(GAN_FAMILIES)
-# attack -> the GAN kinds it needs trained
-ATTACK_GANS = {
-    "gan_byte": ("byte_histogram",),
-    "gan_api": ("api",),
-    "gan_strings": ("strings",),
-    "gan_all": GAN_KINDS,
-    "benign_injection": (),
-    "malgan_byte": (),
-}
 
 
 class ConfigError(ValueError):
@@ -185,7 +183,7 @@ class ExperimentConfig:
         if abs(sum(self.split) - 1.0) > 1e-9:
             raise ConfigError("split fractions must sum to 1")
         for attack in self.attacks:
-            if attack not in ATTACK_GANS:
+            if attack not in ATTACKS:
                 raise ConfigError(f"unknown attack {attack!r}")
         for spec in self.detectors:
             for fam in spec.families:
@@ -329,15 +327,12 @@ def ingest_dirs(benign_dir, malicious_dir, out_dir, key: str | None = None) -> d
 
 @dataclass
 class FileFeatures:
-    name: str
-    label: str
     histogram: np.ndarray
     import_tokens: set
     string_tokens: "features.Counter"
 
 
-def extract_file(name: str, label: str, data: bytes,
-                 fcfg: FeatureConfig) -> FileFeatures:
+def extract_file(data: bytes, fcfg: FeatureConfig) -> FileFeatures:
     hist = features.byte_histogram(data).freq
     try:
         pe = petk.parse(data, strict=False)
@@ -345,8 +340,8 @@ def extract_file(name: str, label: str, data: bytes,
     except petk.PeEditError:
         imports = set()
     strings = features.extract_strings(data, fcfg.min_string_len)
-    return FileFeatures(name=name, label=label, histogram=hist,
-                        import_tokens=imports, string_tokens=strings)
+    return FileFeatures(histogram=hist, import_tokens=imports,
+                        string_tokens=strings)
 
 
 def split_indices(labels: list[str], fractions, seed: int) -> dict[str, list[int]]:
@@ -458,7 +453,6 @@ def train_gan_for(kind: str, table: FeatureTable, train_idx, cfg: ExperimentConf
 
 @dataclass
 class AttackOutput:
-    name: str
     rewritten: dict                 # file name -> bytes
     query_count: int = 0
     stats: dict = field(default_factory=dict)
@@ -493,19 +487,21 @@ def _byte_target(model, histogram: np.ndarray, rng) -> np.ndarray:
     return _safe_target(gan.generate(model, histogram[None, :], z)[0])
 
 
-# An attack takes the names of the files it rewrites and, when a generator
-# drives it, the feature vectors the generator starts from, row for row.
+# An attack runs on the state, the names of the files it rewrites, the
+# blobs it starts from and ``rows``: ``rows(family)`` holds those files'
+# feature rows of ``family``, row for row.
 
-def attack_gan_byte(model, names, histograms, blobs, gap, seed) -> AttackOutput:
-    rng = np.random.default_rng(seed)
+def attack_gan_byte(state, names, blobs, rows) -> AttackOutput:
+    model = state.gan_models["byte_histogram"]
+    rng = np.random.default_rng(state.cfg.seed + 10)
     rewritten = {}
     appended = []
-    for name, histogram in zip(names, histograms):
+    for name, histogram in zip(names, rows("byte")):
         target = _byte_target(model, histogram, rng)
-        data = _pad_to_target(blobs[name], target, gap)
+        data = _pad_to_target(blobs[name], target, state.cfg.gap)
         rewritten[name] = data
         appended.append(len(data) - len(blobs[name]))
-    return AttackOutput(name="gan_byte", rewritten=rewritten,
+    return AttackOutput(rewritten=rewritten,
                         stats={"mean_appended_bytes": float(np.mean(appended))})
 
 
@@ -533,37 +529,90 @@ def attack_gan_indicator(model, names, indicators, blobs,
                 s.encode("latin-1") for s in new) + b"\x00"
             edited = petk.add_section(pe, ".sdat2", payload)
         rewritten[name] = edited.data
-    return AttackOutput(name=f"gan_{kind}", rewritten=rewritten,
+    return AttackOutput(rewritten=rewritten,
                         stats={"mean_new_tokens": float(np.mean(added_counts))},
                         warnings=warnings)
 
 
-def attack_benign_injection(names, blobs, benign_train_blobs, seed) -> AttackOutput:
-    rng = np.random.default_rng(seed)
-    pool = [benign_train_blobs[k] for k in sorted(benign_train_blobs)]
+def attack_gan_api(state, names, blobs, rows) -> AttackOutput:
+    return attack_gan_indicator(state.gan_models["api"], names,
+                                rows("api_topk"), blobs, state.table.vocab_api,
+                                "api", state.cfg.max_new_imports,
+                                state.cfg.seed + 11)
+
+
+def attack_gan_strings(state, names, blobs, rows) -> AttackOutput:
+    return attack_gan_indicator(state.gan_models["strings"], names,
+                                rows("strings_topk"), blobs,
+                                state.table.vocab_strings, "strings",
+                                state.cfg.max_new_strings, state.cfg.seed + 12)
+
+
+def attack_gan_all(state, names, blobs, rows) -> AttackOutput:
+    """The API, string and byte attacks in sequence: each step starts from
+    the blobs the step before rewrote, its rows extracted from them. Only
+    the steps' warnings are kept."""
+    warnings = []
+    for step in ("gan_api", "gan_strings", "gan_byte"):
+        out = ATTACKS[step].run(state, names, blobs, rows)
+        warnings += out.warnings
+        blobs = {**blobs, **out.rewritten}
+        rows = _reextracted(state, names, blobs)
+    return AttackOutput(rewritten=out.rewritten, warnings=warnings)
+
+
+def _reextracted(state, names, blobs):
+    """``rows`` of the files ``names`` as ``blobs`` holds them, extracted
+    when they are asked for."""
+    def rows(family):
+        feats = [extract_file(blobs[name], state.cfg.feature_cfg)
+                 for name in names]
+        return np.array([state.table.vector_for(f, (family,)) for f in feats])
+    return rows
+
+
+def attack_benign_injection(state, names, blobs, rows) -> AttackOutput:
+    rng = np.random.default_rng(state.cfg.seed + 13)
+    pool = [state.blobs[name] for name in sorted(
+        state.table.names[i] for i in _rows(state, "train", "benign"))]
     rewritten = {}
     for name in names:
         pe = petk.parse(blobs[name], strict=False)
         rewritten[name] = baselines.benign_injection(pe, pool, rng).data
-    return AttackOutput(name="benign_injection", rewritten=rewritten)
+    return AttackOutput(rewritten=rewritten)
 
 
-def attack_malgan_byte(table: FeatureTable, train_idx, names, histograms, blobs,
-                       black_box, gap, cfg: ExperimentConfig) -> AttackOutput:
-    benign, malicious = table.by_class(("byte",), train_idx)
+def attack_malgan_byte(state, names, blobs, rows) -> AttackOutput:
+    cfg = state.cfg
+    benign, malicious = state.table.by_class(("byte",), state.splits["train"])
     stage = cfg.gans.get("byte_histogram", GanStageConfig())
     preset = pipeline_preset("byte_histogram", benign.shape[1], stage)
     mcfg = baselines.MalganConfig(seed=cfg.seed,
                                   max_queries=cfg.malgan_max_queries)
+    black_box = _primary_byte_detector(state).label_fn()
     model = baselines.train_malgan(malicious, benign, black_box, preset, mcfg)
     rng = np.random.default_rng(cfg.seed + 2)
     rewritten = {}
-    for name, histogram in zip(names, histograms):
+    for name, histogram in zip(names, rows("byte")):
         target = _byte_target(model, histogram, rng)
-        rewritten[name] = _pad_to_target(blobs[name], target, gap)
-    return AttackOutput(name="malgan_byte", rewritten=rewritten,
-                        query_count=model.query_count,
+        rewritten[name] = _pad_to_target(blobs[name], target, cfg.gap)
+    return AttackOutput(rewritten=rewritten, query_count=model.query_count,
                         stats={"rounds": model.training_meta.get("rounds", 0)})
+
+
+class Attack(NamedTuple):
+    gans: tuple             # the GAN kinds it needs trained
+    run: Callable           # (state, names, blobs, rows) -> AttackOutput
+
+
+ATTACKS = {
+    "gan_byte": Attack(("byte_histogram",), attack_gan_byte),
+    "gan_api": Attack(("api",), attack_gan_api),
+    "gan_strings": Attack(("strings",), attack_gan_strings),
+    "gan_all": Attack(GAN_KINDS, attack_gan_all),
+    "benign_injection": Attack((), attack_benign_injection),
+    "malgan_byte": Attack((), attack_malgan_byte),
+}
 
 
 # --- pipeline ---------------------------------------------------------------
@@ -579,6 +628,9 @@ class PipelineState:
     table: FeatureTable | None = None
     detector_models: dict = field(default_factory=dict)
     gan_models: dict = field(default_factory=dict)
+    # ("detector", name) and ("gan", kind) of each model this run trained
+    # rather than loaded from the workdir
+    computed: set = field(default_factory=set)
     attack_outputs: dict = field(default_factory=dict)
 
 
@@ -626,7 +678,9 @@ def stage_corpus(state: PipelineState):
         raise ConfigError(f"unknown corpus kind {cfg.kind!r}")
     if cfg.kind == "dirs" and (cfg.benign_dir is None or cfg.malicious_dir is None):
         raise ConfigError("dirs corpus needs benign_dir and malicious_dir")
-    key = _key("corpus", dataclasses.asdict(cfg), state.cfg.seed)
+    # a dirs corpus is also keyed by its files, so an edited one is copied again
+    sources = [] if cfg.kind == "synthetic" else [_source_listing(cfg)]
+    key = _key("corpus", dataclasses.asdict(cfg), state.cfg.seed, *sources)
     try:
         stored = json.loads((corpus_dir / "manifest.json").read_text()).get("key")
     except (OSError, ValueError):
@@ -638,6 +692,18 @@ def stage_corpus(state: PipelineState):
         else:
             ingest_dirs(cfg.benign_dir, cfg.malicious_dir, corpus_dir, key)
     state.manifest, state.blobs = load_corpus(corpus_dir)
+
+
+def _source_listing(cfg: CorpusConfig) -> list:
+    """Name, size and SHA-256 of each file a dirs corpus ingests."""
+    listing = []
+    for src in (cfg.benign_dir, cfg.malicious_dir):
+        for path in sorted(Path(src).iterdir()):
+            if path.is_file():
+                data = path.read_bytes()
+                listing.append([path.name, len(data),
+                                hashlib.sha256(data).hexdigest()])
+    return listing
 
 
 def _corpus_digest(manifest: dict, blobs: dict) -> str:
@@ -681,8 +747,7 @@ def stage_extract(state: PipelineState):
     state.table = _load_table(feat_dir, names, labels, fcfg, state.extract_key)
     if state.table is not None:
         return
-    files = [extract_file(name, label, state.blobs[name], fcfg)
-             for name, label in zip(names, labels)]
+    files = [extract_file(state.blobs[name], fcfg) for name in names]
     benign_train = [files[i] for i in state.splits["train"]
                     if labels[i] == "benign"]
     vocab_api = features.select_topk(
@@ -716,13 +781,15 @@ def stage_detectors(state: PipelineState):
                 hyperparams=spec.hyperparams, seed=state.cfg.seed)
             model_dir.mkdir(parents=True, exist_ok=True)
             detectors.save_detector(path, model, key)
+            state.computed.add(("detector", spec.name))
         state.detector_models[spec.name] = model
 
 
 @_stage("train-gan")
 def stage_gans(state: PipelineState):
     model_dir = state.workdir / "models"
-    needed = {kind for attack in state.cfg.attacks for kind in ATTACK_GANS[attack]}
+    needed = {kind for attack in state.cfg.attacks
+              for kind in ATTACKS[attack].gans}
     for kind in sorted(needed):
         path = model_dir / f"gan_{kind}.gevd"
         key = _key("gan", state.extract_key, kind,
@@ -735,45 +802,20 @@ def stage_gans(state: PipelineState):
                                   state.cfg,
                                   metrics_path=model_dir / f"gan_{kind}_metrics.csv")
             gan.save_gan(path, model, key)
+            state.computed.add(("gan", kind))
         state.gan_models[kind] = model
 
 
 @_stage("attack")
 def stage_attacks(state: PipelineState):
-    cfg = state.cfg
-    table = state.table
     test_mal = _rows(state, "test", "malicious")
-    names = [table.names[i] for i in test_mal]
-    benign_train = {table.names[i]: state.blobs[table.names[i]]
-                    for i in _rows(state, "train", "benign")}
-    for attack in cfg.attacks:
-        if attack == "gan_byte":
-            out = attack_gan_byte(state.gan_models["byte_histogram"], names,
-                                  table.matrices["byte"][test_mal],
-                                  state.blobs, cfg.gap, cfg.seed + 10)
-        elif attack == "gan_api":
-            out = attack_gan_indicator(state.gan_models["api"], names,
-                                       table.matrices["api_topk"][test_mal],
-                                       state.blobs, table.vocab_api, "api",
-                                       cfg.max_new_imports, cfg.seed + 11)
-        elif attack == "gan_strings":
-            out = attack_gan_indicator(state.gan_models["strings"], names,
-                                       table.matrices["strings_topk"][test_mal],
-                                       state.blobs, table.vocab_strings,
-                                       "strings", cfg.max_new_strings,
-                                       cfg.seed + 12)
-        elif attack == "gan_all":
-            out = _attack_gan_all(state, test_mal)
-        elif attack == "benign_injection":
-            out = attack_benign_injection(names, state.blobs, benign_train,
-                                          cfg.seed + 13)
-        elif attack == "malgan_byte":
-            target = _primary_byte_detector(state)
-            out = attack_malgan_byte(table, state.splits["train"], names,
-                                     table.matrices["byte"][test_mal],
-                                     state.blobs, target.label_fn(), cfg.gap, cfg)
-        else:
-            raise ConfigError(f"attack {attack!r} not implemented")
+    names = [state.table.names[i] for i in test_mal]
+
+    def rows(family):
+        return state.table.matrices[family][test_mal]
+
+    for attack in state.cfg.attacks:
+        out = ATTACKS[attack].run(state, names, state.blobs, rows)
         state.attack_outputs[attack] = out
         # replace, not add to, what an earlier run (maybe of another
         # corpus, whose file names repeat) left there
@@ -786,36 +828,6 @@ def stage_attacks(state: PipelineState):
             "attack": attack, "query_count": out.query_count,
             "stats": out.stats, "warnings": out.warnings,
             "files": sorted(out.rewritten)}, sort_keys=True, indent=1))
-
-
-def _attack_gan_all(state: PipelineState, test_mal) -> AttackOutput:
-    """Stack byte, API, and string modifications on each file; each step
-    starts from the features of the file the step before rewrote."""
-    cfg = state.cfg
-    table = state.table
-    names = [table.names[i] for i in test_mal]
-    api_out = attack_gan_indicator(state.gan_models["api"], names,
-                                   table.matrices["api_topk"][test_mal],
-                                   state.blobs, table.vocab_api, "api",
-                                   cfg.max_new_imports, cfg.seed + 11)
-    blobs2 = dict(state.blobs)
-    blobs2.update(api_out.rewritten)
-    feats2 = [extract_file(name, "malicious", blobs2[name], cfg.feature_cfg)
-              for name in names]
-    str_out = attack_gan_indicator(
-        state.gan_models["strings"], names,
-        np.array([table.vector_for(f, ("strings_topk",)) for f in feats2]),
-        blobs2, table.vocab_strings, "strings", cfg.max_new_strings,
-        cfg.seed + 12)
-    blobs3 = dict(blobs2)
-    blobs3.update(str_out.rewritten)
-    feats3 = [extract_file(name, "malicious", blobs3[name], cfg.feature_cfg)
-              for name in names]
-    byte_out = attack_gan_byte(state.gan_models["byte_histogram"], names,
-                               np.array([f.histogram for f in feats3]),
-                               blobs3, cfg.gap, cfg.seed + 10)
-    return AttackOutput(name="gan_all", rewritten=byte_out.rewritten,
-                        warnings=api_out.warnings + str_out.warnings)
 
 
 def _primary_byte_detector(state: PipelineState) -> detectors.DetectorModel:
@@ -849,8 +861,8 @@ def stage_evaluate(state: PipelineState) -> dict:
     query_counts = {}
     attack_stats = {}
     for attack, out in state.attack_outputs.items():
-        feats_adv = [extract_file(name, "malicious", out.rewritten[name],
-                                  cfg.feature_cfg) for name in names]
+        feats_adv = [extract_file(out.rewritten[name], cfg.feature_cfg)
+                     for name in names]
         adv = {fam: np.array([table.vector_for(f, (fam,)) for f in feats_adv])
                for fam in used}
         attack_rates[attack] = {

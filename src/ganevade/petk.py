@@ -270,6 +270,23 @@ def _zero_checksum(buf: bytearray, pe: PeImage) -> None:
     struct.pack_into("<I", buf, pe.opt_offset + 64, 0)
 
 
+def _check_layout(pe: PeImage) -> None:
+    """Reject the header values a new section cannot be laid out from: a
+    zero alignment, a file alignment over the format's 64 KiB, or raw data
+    declared to end more than one file alignment past the end of the file
+    (the section's padding and the gap before it would be zero-filled)."""
+    if pe.section_align == 0 or not 0 < pe.file_align <= 0x10000:
+        raise PeEditError("alignment", pe.opt_offset + 32,
+                          f"section alignment {pe.section_align:#x} or file "
+                          f"alignment {pe.file_align:#x} unusable")
+    raw_ends = [s.raw_end for s in pe.sections if s.raw_size]
+    raw_end = _align_up(max(raw_ends + [pe.size_of_headers]), pe.file_align)
+    if raw_end > len(pe.data) + pe.file_align:
+        raise PeEditError("invariant", pe.section_table_offset,
+                          f"raw data declared to end at {raw_end:#x}, past "
+                          f"the file's {len(pe.data):#x} bytes")
+
+
 def _next_virtual_address(pe: PeImage) -> int:
     if not pe.sections:
         return pe.section_align
@@ -287,6 +304,7 @@ def add_section(pe: PeImage, name: str, content: bytes,
     """
     if len(name.encode("latin-1")) > 8:
         raise PeEditError("capacity", 0, f"section name {name!r} longer than 8 bytes")
+    _check_layout(pe)
     buf = bytearray(pe.data)
     st = pe.section_table_offset
     header_end = st + SECTION_HEADER_SIZE * (len(pe.sections) + 1)
@@ -407,6 +425,7 @@ def extend_imports(pe: PeImage, new_tokens, section_name: str = ".idat2"
     """
     from .features import extract_imports
 
+    _check_layout(pe)
     existing = extract_imports(pe)
     descriptors = [ImportDescriptor(d.library, list(d.entries))
                    for d in pe.import_descriptors]

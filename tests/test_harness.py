@@ -278,15 +278,15 @@ class TestResume:
         """Record (or refuse) every extraction of a file of the corpus in
         ``workdir`` and every detector and GAN fit."""
         done = {"extract": 0, "detectors": [], "gans": []}
-        corpus = load_corpus(workdir / "corpus")[1]
+        corpus = set(load_corpus(workdir / "corpus")[1].values())
         real_extract, real_train = harness.extract_file, gan.train
         real_detector = detectors.train_detector
 
-        def extract_file(name, label, data, fcfg):
-            if corpus.get(name) == data:
-                assert not fail, f"corpus file {name} extracted again"
+        def extract_file(data, fcfg):
+            if data in corpus:
+                assert not fail, "a corpus file extracted again"
                 done["extract"] += 1
-            return real_extract(name, label, data, fcfg)
+            return real_extract(data, fcfg)
 
         def train_detector(kind, spec, *args, **kwargs):
             assert not fail, "detector trained again"
@@ -353,6 +353,37 @@ class TestResume:
         self.record_training(monkeypatch, tmp_path / "w", fail=True)
         assert cli.main(["attack", *common]) == 0
 
+    def test_cli_says_loaded_when_nothing_was_trained(self, tmp_path, capsys,
+                                                      tiny_config_file):
+        argv = ["train-gan", "--kind", "byte_histogram",
+                "--config", str(tiny_config_file),
+                "--workdir", str(tmp_path / "w")]
+        assert cli.main(argv) == 0
+        assert "trained byte_histogram model" in capsys.readouterr().out
+        assert cli.main(argv) == 0
+        assert "loaded byte_histogram model" in capsys.readouterr().out
+
+    def test_edited_dirs_corpus_file_copied_again(self, tmp_path):
+        dirs = {}
+        for label, seed in (("benign", 1), ("malicious", 2)):
+            dirs[label] = tmp_path / label
+            dirs[label].mkdir()
+            (dirs[label] / "a.exe").write_bytes(petk.synth_pe(petk.SynthSpec(
+                sections=[petk.SectionSpec(".t", size=100)]), seed=seed))
+        cfg = tiny_config()
+        cfg.corpus = CorpusConfig(kind="dirs", benign_dir=str(dirs["benign"]),
+                                  malicious_dir=str(dirs["malicious"]))
+        harness.run_stages(PipelineState(cfg=cfg, workdir=tmp_path / "w"),
+                           "corpus")
+        edited = petk.synth_pe(petk.SynthSpec(
+            sections=[petk.SectionSpec(".t", size=100)]), seed=3)
+        (dirs["benign"] / "a.exe").write_bytes(edited)
+        state = PipelineState(cfg=cfg, workdir=tmp_path / "w")
+        harness.run_stages(state, "corpus")
+        assert state.blobs["benign_00000.exe"] == edited
+        assert (tmp_path / "w" / "corpus" / "benign_00000.exe").read_bytes() \
+            == edited
+
     def test_hit_rewrites_nothing(self, tmp_path):
         cfg = tiny_config(attacks=self.ATTACKS)
         run_pipeline(cfg, tmp_path / "w")
@@ -387,6 +418,39 @@ class TestResume:
         attack_dir = tmp_path / "w" / "attacks" / "gan_byte"
         listed = json.loads((attack_dir / "manifest.json").read_text())["files"]
         assert sorted(p.name for p in attack_dir.glob("*.exe")) == listed
+
+
+@pytest.fixture(scope="module")
+def gan_all_run(tmp_path_factory):
+    workdir = tmp_path_factory.mktemp("gan_all")
+    cfg = tiny_config(attacks=("gan_api", "gan_strings", "gan_byte", "gan_all"))
+    return workdir, run_pipeline(cfg, workdir)
+
+
+class TestGanAll:
+    """gan_all stacks the API, the string and the byte rewrite on each file."""
+
+    def test_rewritten_files(self, gan_all_run):
+        from ganevade.features import extract_imports, extract_strings
+        workdir, _ = gan_all_run
+        files = sorted((workdir / "attacks" / "gan_all").glob("*.exe"))
+        assert files
+        for path in files:
+            data = path.read_bytes()
+            pe = petk.parse(data, strict=True)
+            api_only = (workdir / "attacks" / "gan_api" / path.name).read_bytes()
+            assert extract_imports(pe) >= extract_imports(petk.parse(api_only))
+            sdat2 = [s for s in pe.sections if s.name == ".sdat2"]
+            assert len(sdat2) == 1
+            raw = data[sdat2[0].raw_offset:sdat2[0].raw_end]
+            tokens = {t.decode("latin-1") for t in raw.split(b"\x00") if t}
+            assert tokens <= set(extract_strings(data, 5))
+
+    def test_stats_keys(self, gan_all_run):
+        _, report = gan_all_run
+        assert set(report["attack_stats"]["gan_all"]) == {"mean_size_mb",
+                                                          "capacity_warnings"}
+        assert report["query_counts"]["gan_all"] == 0
 
 
 class TestBytePadding:
@@ -540,6 +604,18 @@ class TestCli:
 
         loaded = cli._load_cfg(Args)
         assert loaded.seed == 1234
+
+
+def test_full_run_config_is_the_old_scripts_default():
+    # scripts/full_run.json replaced a script whose default path built this
+    path = Path(__file__).resolve().parent.parent / "scripts" / "full_run.json"
+    old_default = ExperimentConfig(
+        corpus=CorpusConfig(n_per_class=500),
+        gans={"byte_histogram": GanStageConfig(max_steps=3000),
+              "api": GanStageConfig(max_steps=300),
+              "strings": GanStageConfig(max_steps=300)},
+        seed=0)
+    assert harness.load_config(path).config_hash() == old_default.config_hash()
 
 
 def test_gap_sweep_script_smoke(tmp_path, monkeypatch, capsys):

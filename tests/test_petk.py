@@ -1,3 +1,5 @@
+import contextlib
+import resource
 import struct
 
 import numpy as np
@@ -193,6 +195,45 @@ class TestExtendImports:
             extract_imports(parse(out.data, strict=True))
 
 
+@contextlib.contextmanager
+def address_space_limit(extra: int):
+    """Cap this process's address space at its current size plus ``extra``
+    bytes, so that allocating gigabytes fails at once with MemoryError."""
+    soft, hard = resource.getrlimit(resource.RLIMIT_AS)
+    with open("/proc/self/statm") as fh:
+        size = int(fh.read().split()[0]) * resource.getpagesize()
+    resource.setrlimit(resource.RLIMIT_AS, (size + extra, hard))
+    try:
+        yield
+    finally:
+        resource.setrlimit(resource.RLIMIT_AS, (soft, hard))
+
+
+class TestUntrustedLayout:
+    """Header values a lenient parse accepts and no new section can be laid
+    out from: both editors raise PeEditError, and allocate nothing large
+    on the way."""
+
+    @pytest.mark.parametrize("field,value", [
+        (lambda pe: pe.opt_offset + 32, 0),                  # SectionAlignment
+        (lambda pe: pe.opt_offset + 36, 0),                  # FileAlignment
+        (lambda pe: pe.opt_offset + 36, 0x70000200),
+        # the last section's SizeOfRawData, far past the end of the file
+        (lambda pe: pe.section_table_offset + 40 * (len(pe.sections) - 1)
+         + 16, 0x7C000000),
+    ], ids=["section-align-0", "file-align-0", "file-align-huge",
+            "raw-size-huge"])
+    def test_editors_reject(self, field, value):
+        data = bytearray(synth_pe(basic_spec()))
+        struct.pack_into("<I", data, field(parse(bytes(data))), value)
+        pe = parse(bytes(data), strict=False)
+        with address_space_limit(256 << 20):
+            with pytest.raises(PeEditError):
+                add_section(pe, ".x", b"yy")
+            with pytest.raises(PeEditError):
+                extend_imports(pe, ["x.dll!y"])
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.integers(0, 2**31 - 1))
 def test_random_specs_survive_all_editors(seed):
@@ -240,6 +281,5 @@ def test_mutated_pe_parses_or_raises_parse_error(seed):
         parse(bytes(data), strict=False)
     except PeEditError:
         pass
-    feats = harness.extract_file("f", "malicious", bytes(data),
-                                 harness.FeatureConfig())
+    feats = harness.extract_file(bytes(data), harness.FeatureConfig())
     assert feats.histogram.sum() == pytest.approx(1.0)
