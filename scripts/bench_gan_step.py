@@ -45,13 +45,13 @@ def main() -> int:
     rng = np.random.default_rng(args.seed)
     benign = rng.dirichlet(np.ones(preset.input_dim), size=512)
     malicious = rng.dirichlet(np.ones(preset.input_dim), size=512)
-    cfg = gan.TrainingConfig(seed=args.seed, max_steps=args.steps)
+    cfg = gan.TrainingConfig(max_steps=args.steps)
 
     ms_per_step = []
     hashes = set()
     for _ in range(args.repeats):
         start = time.perf_counter()
-        model = gan.train(benign, malicious, preset, cfg)
+        model = gan.train(benign, malicious, preset, cfg, args.seed)
         ms_per_step.append((time.perf_counter() - start) / args.steps * 1e3)
         hashes.add(weights_sha256(model))
 

@@ -3,21 +3,20 @@
 The substitute-detector attack (after MalGAN) queries the target detector
 for labels and trains a local stand-in; every label request is counted so
 reports can contrast it with the query-free attack, whose count is always
-zero.
+zero. Its model is a ``gan.GanModel``: the generator is the GAN's, and the
+critic, read through a sigmoid, is the substitute detector.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from . import nncore, petk
+from . import gan, nncore, petk
 from .detectors import MALICIOUS
-from .gan import (GanPreset, TrainingDivergedError, generate, sample_noise,
-                  smooth_union)
-from .nncore import (AdamState, Mlp, Tensor, adam_step, bce, build_mlp, concat,
-                     forward, grad)
+from .gan import GanModel, GanPreset, TrainingDivergedError, generate, sample_noise
+from .nncore import AdamState, Tensor, adam_step, bce, forward, grad, sigmoid
 
 
 def benign_injection(pe: petk.PeImage, benign_pool: list[bytes],
@@ -43,15 +42,6 @@ class MalganConfig:
     seed: int = 0
 
 
-@dataclass
-class MalganModel:
-    generator: Mlp
-    substitute: Mlp
-    preset: GanPreset
-    query_count: int = 0
-    training_meta: dict = field(default_factory=dict)
-
-
 class _QueryCounter:
     def __init__(self, label_fn):
         self.label_fn = label_fn
@@ -64,33 +54,22 @@ class _QueryCounter:
         return (np.asarray(labels) == MALICIOUS).astype(np.float64)
 
 
-def _build_malgan(preset: GanPreset, seed: int) -> MalganModel:
-    rng = np.random.default_rng(seed)
-    gen = build_mlp(
-        [preset.input_dim + preset.noise_dim, *preset.generator_hidden,
-         preset.input_dim],
-        "relu", preset.output_activation, rng)
-    # substitute mirrors the critic preset with a sigmoid head
-    sub = build_mlp([preset.input_dim, *preset.critic_hidden, 1],
-                    "leaky_relu", "sigmoid", rng)
-    return MalganModel(generator=gen, substitute=sub, preset=preset)
-
-
 def train_malgan(malicious_features: np.ndarray, benign_features: np.ndarray,
                  black_box, preset: GanPreset,
-                 cfg: MalganConfig | None = None) -> MalganModel:
+                 cfg: MalganConfig | None = None) -> GanModel:
     """Alternate substitute fitting (against black-box labels) with
     generator updates that lower the substitute's malicious probability.
 
     ``black_box`` must be a label-only callable; scores are never used.
+    ``training_meta["queries"]`` counts the labels it was asked for.
     """
     cfg = cfg or MalganConfig()
     xm = np.atleast_2d(np.asarray(malicious_features, dtype=np.float64))
     xb = np.atleast_2d(np.asarray(benign_features, dtype=np.float64))
     rng = np.random.default_rng(cfg.seed)
-    model = _build_malgan(preset, cfg.seed)
+    model = gan.build_gan(preset, cfg.seed)
     counter = _QueryCounter(black_box)
-    sub_state = AdamState.for_params(model.substitute.parameters())
+    sub_state = AdamState.for_params(model.critic.parameters())
     gen_state = AdamState.for_params(model.generator.parameters())
 
     round_no = 0
@@ -108,17 +87,15 @@ def train_malgan(malicious_features: np.ndarray, benign_features: np.ndarray,
 
         try:
             for _ in range(cfg.substitute_steps_per_round):
-                p = forward(model.substitute, Tensor(x_train))
+                p = sigmoid(forward(model.critic, Tensor(x_train)))
                 loss = bce(p, y_train)
-                grads = grad(loss, model.substitute.parameters())
-                adam_step(model.substitute.parameters(), grads, sub_state,
+                grads = grad(loss, model.critic.parameters())
+                adam_step(model.critic.parameters(), grads, sub_state,
                           lr=cfg.substitute_lr, beta1=0.9, beta2=0.999)
 
             for _ in range(cfg.generator_steps_per_round):
-                c = concat([Tensor(m_batch), z])
-                o = forward(model.generator, c)
-                fake_t = smooth_union(m_batch, o) if preset.is_binary else o
-                p_fake = forward(model.substitute, fake_t)
+                fake_t = gan._generator_path(model, m_batch, z, None)
+                p_fake = sigmoid(forward(model.critic, fake_t))
                 loss_g = nncore.tmean(p_fake)
                 grads = grad(loss_g, model.generator.parameters())
                 adam_step(model.generator.parameters(), grads, gen_state,
@@ -134,7 +111,6 @@ def train_malgan(malicious_features: np.ndarray, benign_features: np.ndarray,
             if rate < cfg.target_detection:
                 break
 
-    model.query_count = counter.count
     model.training_meta = {"rounds": round_no, "seed": cfg.seed,
                            "queries": counter.count}
     return model

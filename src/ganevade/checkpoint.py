@@ -1,4 +1,5 @@
-"""Binary checkpoint container shared by networks and detectors.
+"""Binary container for every artifact a stage reads back: the feature
+matrices and vocabularies, and the detector and GAN checkpoints.
 
 Layout (little-endian):
     magic   b"GEVD1"

@@ -16,6 +16,9 @@ from .nncore import AdamState, Tensor, adam_step, bce, build_mlp, forward, grad
 
 BENIGN = "benign"
 MALICIOUS = "malicious"
+KINDS = ("logreg", "mlp")
+# lr, l2: logreg gradient descent; hidden: the mlp's width; steps: both
+DEFAULT_HYPERPARAMS = {"lr": 0.5, "steps": 400, "hidden": 64, "l2": 1e-4}
 
 
 @dataclass(frozen=True)
@@ -69,8 +72,7 @@ def train_detector(kind: str, feature_spec: FeatureSpec,
                    hyperparams: dict | None = None, seed: int = 0) -> DetectorModel:
     """Fit a surrogate; logreg via plain gradient descent, mlp via the
     network substrate. Deterministic under the seed."""
-    hp = {"lr": 0.5, "steps": 400, "hidden": 64, "l2": 1e-4}
-    hp.update(hyperparams or {})
+    hp = {**DEFAULT_HYPERPARAMS, **(hyperparams or {})}
     xb = np.atleast_2d(np.asarray(x_benign, dtype=np.float64))
     xm = np.atleast_2d(np.asarray(x_malicious, dtype=np.float64))
     if len(xb) == 0 or len(xm) == 0:

@@ -7,18 +7,16 @@ signed hashing-trick vectorizer used by the hashed detector variants.
 from __future__ import annotations
 
 import hashlib
-import json
 import re
-import struct
 from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
 
+from . import checkpoint as ckpt
+
 DEFAULT_MIN_STRING_LEN = 5
 DEFAULT_HASH_DIM = 1280
-
-FEATURE_MAGIC = b"GEVF1"
 
 
 class EmptyInputError(ValueError):
@@ -128,56 +126,28 @@ def hash_features(tokens, dim: int = DEFAULT_HASH_DIM) -> np.ndarray:
 
 
 # --- persistence -----------------------------------------------------------
-# Each file's header carries ``key``, the content key of the inputs it was
-# computed from; a loader given ``key`` raises ValueError for any other.
+# Both are checkpoint containers whose ``key`` is the content key of the
+# inputs they were computed from; a loader given ``key`` raises
+# ``CheckpointError`` (a ValueError) for any other.
 
 def save_vocab(vocab: Vocabulary, path, key: str = "") -> None:
-    """Header line, then one JSON string per entry, so that any token
-    (blank, padded, holding a newline) reads back as written."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"# kind={vocab.kind} k={vocab.size} "
-                 f"corpus={vocab.provenance} key={key}\n")
-        for tok in vocab.entries:
-            fh.write(json.dumps(tok) + "\n")
+    ckpt.save_container(path, {"kind": vocab.kind, "entries": vocab.entries,
+                               "provenance": vocab.provenance, "key": key}, {})
 
 
 def load_vocab(path, key: str | None = None) -> Vocabulary:
-    with open(path, encoding="utf-8") as fh:
-        fields = dict(part.split("=", 1)
-                      for part in fh.readline().lstrip("# ").split())
-        if key is not None and fields.get("key") != key:
-            raise ValueError(f"{path}: vocabulary built from other inputs")
-        entries = [json.loads(line) for line in fh]
-    if len(entries) != int(fields["k"]):
-        raise ValueError(f"{path}: {len(entries)} entries, header says {fields['k']}")
-    return Vocabulary(kind=fields["kind"], entries=entries,
-                      provenance=fields.get("corpus", ""))
+    meta, _ = ckpt.load_container(path, key)
+    return Vocabulary(kind=meta["kind"], entries=meta["entries"],
+                      provenance=meta["provenance"])
 
 
 def save_matrix(matrix: np.ndarray, columns, path, key: str = "") -> None:
-    """Compact binary feature matrix; bit-exact round trip."""
+    """Feature matrix with its ``columns`` names; bit-exact round trip."""
     matrix = np.atleast_2d(np.asarray(matrix, dtype=np.float64))
-    header = json.dumps({"shape": list(matrix.shape), "columns": list(columns),
-                         "key": key}).encode("utf-8")
-    with open(path, "wb") as fh:
-        fh.write(FEATURE_MAGIC)
-        fh.write(struct.pack("<I", len(header)))
-        fh.write(header)
-        fh.write(np.ascontiguousarray(matrix, dtype="<f8").tobytes())
+    ckpt.save_container(path, {"columns": list(columns), "key": key},
+                        {"matrix": matrix})
 
 
 def load_matrix(path, key: str | None = None):
-    with open(path, "rb") as fh:
-        if fh.read(5) != FEATURE_MAGIC:
-            raise ValueError("bad feature-matrix magic")
-        raw = fh.read(4)
-        if len(raw) != 4:
-            raise ValueError("truncated feature-matrix header")
-        header = json.loads(fh.read(struct.unpack("<I", raw)[0]).decode("utf-8"))
-        if key is not None and header.get("key") != key:
-            raise ValueError(f"{path}: feature matrix built from other inputs")
-        body = fh.read()
-    shape = header["shape"]
-    if len(body) != 8 * int(np.prod(shape)):
-        raise ValueError(f"{path}: truncated feature matrix")
-    return np.frombuffer(body, dtype="<f8").reshape(shape).copy(), header["columns"]
+    meta, arrays = ckpt.load_container(path, key)
+    return arrays["matrix"], meta["columns"]

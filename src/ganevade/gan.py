@@ -15,7 +15,7 @@ import numpy as np
 
 from . import checkpoint as ckpt
 from . import nncore
-from .nncore import (AdamState, Mlp, NumericError, Tensor, adam_step,
+from .nncore import (AdamState, Mlp, NumericError, Tensor, adam_step, add,
                      build_mlp, concat, forward, grad, maximum, mul, power,
                      sub, tmean, tsum)
 
@@ -62,26 +62,33 @@ def preset_for(kind: str) -> GanPreset:
         raise ValueError(f"unknown feature kind {kind!r}") from None
 
 
+BETA1, BETA2 = 0.0, 0.9                 # Adam moment decays
+# training stops early once the mean |L_D| over a window of steps moves by
+# less than the tolerance from the window before, patience times in a row
+EARLY_STOP_WINDOW = 100
+EARLY_STOP_TOL = 1e-4
+EARLY_STOP_PATIENCE = 10
+INPUT_DROPOUT, HIDDEN_DROPOUT = 0.1, 0.5    # both networks, training only
+
+
 @dataclass
 class TrainingConfig:
+    """GAN settings of one feature kind; the config's ``gans`` entries."""
+    max_steps: int = 3000
+    batch_size: int = 64
     lambda_gp: float = 10.0
     n_generator: int = 5
-    batch_size: int = 64
-    num_epochs: int = 10
     learning_rate: float = 1e-4
-    beta1: float = 0.0
-    beta2: float = 0.9
-    seed: int = 0
-    max_steps: int | None = None    # overrides the epoch-derived cap
-    early_stop_window: int = 100
-    early_stop_tol: float = 1e-4
-    early_stop_patience: int = 10
+    generator_hidden: list | None = None    # None: size-appropriate default
+    critic_hidden: list | None = None
 
     def __post_init__(self):
-        if self.lambda_gp <= 0:
-            raise ValueError("lambda_gp must be positive")
-        if self.n_generator < 1:
-            raise ValueError("n_generator must be >= 1")
+        if self.lambda_gp <= 0 or self.learning_rate <= 0:
+            raise ValueError("lambda_gp and learning_rate must be positive")
+        hidden = [*(self.generator_hidden or ()), *(self.critic_hidden or ())]
+        if min(self.max_steps, self.batch_size, self.n_generator, *hidden) < 1:
+            raise ValueError("max_steps, batch_size, n_generator and hidden "
+                             "sizes must be >= 1")
 
 
 @dataclass
@@ -92,18 +99,17 @@ class GanModel:
     training_meta: dict = field(default_factory=dict)
 
 
-def build_gan(preset: GanPreset, seed: int = 0,
-              input_dropout: float = 0.1, hidden_dropout: float = 0.5) -> GanModel:
+def build_gan(preset: GanPreset, seed: int = 0) -> GanModel:
     rng = np.random.default_rng(seed)
     gen = build_mlp(
         [preset.input_dim + preset.noise_dim, *preset.generator_hidden,
          preset.input_dim],
         "relu", preset.output_activation, rng,
-        input_dropout=input_dropout, hidden_dropout=hidden_dropout)
+        input_dropout=INPUT_DROPOUT, hidden_dropout=HIDDEN_DROPOUT)
     critic = build_mlp(
         [preset.input_dim, *preset.critic_hidden, 1],
         "leaky_relu", "linear", rng,
-        input_dropout=input_dropout, hidden_dropout=hidden_dropout)
+        input_dropout=INPUT_DROPOUT, hidden_dropout=HIDDEN_DROPOUT)
     return GanModel(generator=gen, critic=critic, preset=preset,
                     training_meta={"steps": 0, "seed": seed})
 
@@ -140,16 +146,14 @@ def generate(model: GanModel, m: np.ndarray, z) -> np.ndarray:
 
 
 def critic_loss(critic: Mlp, real: Tensor, fake: Tensor, lambda_gp: float,
-                rng: np.random.Generator | None = None, eps=None, masks=None,
-                return_parts: bool = False):
-    """Wasserstein critic loss with the straight-line gradient penalty."""
+                eps, masks=None):
+    """Wasserstein critic loss with the straight-line gradient penalty at
+    ``eps*real + (1-eps)*fake``; returns (loss, distance, penalty)."""
     if real.data.shape[0] == 0 or fake.data.shape[0] == 0:
         raise ValueError("empty batch")
     if real.data.shape != fake.data.shape:
         raise nncore.ShapeMismatchError("real/fake batch shapes differ")
     n = real.data.shape[0]
-    if eps is None:
-        eps = rng.random((n, 1))
     eps_t = Tensor(np.asarray(eps, dtype=np.float64).reshape(n, 1))
     x_hat = straight_line_mix(real, fake, eps_t)
 
@@ -160,15 +164,13 @@ def critic_loss(critic: Mlp, real: Tensor, fake: Tensor, lambda_gp: float,
     norms = power(tsum(mul(grads, grads), axis=1), 0.5)
     penalty = tmean(power(sub(norms, Tensor(1.0)), 2.0))
     wdist = sub(tmean(f_fake), tmean(f_real))
-    loss = wdist + mul(Tensor(lambda_gp), penalty)
-    if return_parts:
-        return loss, wdist, penalty
-    return loss
+    loss = add(wdist, mul(Tensor(lambda_gp), penalty))
+    return loss, wdist, penalty
 
 
 def straight_line_mix(real: Tensor, fake: Tensor, eps: Tensor) -> Tensor:
     """Per-sample interpolation eps*real + (1-eps)*fake along a straight line."""
-    return mul(eps, real) + mul(sub(Tensor(1.0), eps), fake)
+    return add(mul(eps, real), mul(sub(Tensor(1.0), eps), fake))
 
 
 def generator_loss(critic: Mlp, fake: Tensor, masks=None) -> Tensor:
@@ -188,7 +190,7 @@ def _generator_path(model: GanModel, m_batch: np.ndarray, z: Tensor,
 
 
 def train(benign: np.ndarray, malicious: np.ndarray, preset: GanPreset,
-          cfg: TrainingConfig, metrics_sink=None) -> GanModel:
+          cfg: TrainingConfig, seed: int = 0, metrics_sink=None) -> GanModel:
     """Alternating critic/generator training loop.
 
     Every step updates the critic; every ``n_generator``-th step the
@@ -202,14 +204,10 @@ def train(benign: np.ndarray, malicious: np.ndarray, preset: GanPreset,
     if benign.shape[1] != preset.input_dim or malicious.shape[1] != preset.input_dim:
         raise nncore.ShapeMismatchError("corpus dim does not match preset")
 
-    rng = np.random.default_rng(cfg.seed)
-    model = build_gan(preset, seed=cfg.seed)
+    rng = np.random.default_rng(seed)
+    model = build_gan(preset, seed=seed)
     d_state = AdamState.for_params(model.critic.parameters())
     g_state = AdamState.for_params(model.generator.parameters())
-
-    max_steps = cfg.max_steps
-    if max_steps is None:
-        max_steps = max(1, (len(benign) * cfg.num_epochs) // cfg.batch_size)
 
     window: list[float] = []
     prev_window_mean = None
@@ -217,7 +215,7 @@ def train(benign: np.ndarray, malicious: np.ndarray, preset: GanPreset,
     last_lg = float("nan")
     steps_run = 0
 
-    for step in range(1, max_steps + 1):
+    for step in range(1, cfg.max_steps + 1):
         b_idx = rng.integers(0, len(benign), size=cfg.batch_size)
         m_idx = rng.integers(0, len(malicious), size=cfg.batch_size)
         real = Tensor(benign[b_idx])
@@ -234,11 +232,10 @@ def train(benign: np.ndarray, malicious: np.ndarray, preset: GanPreset,
             fake_g = _generator_path(model, m_batch, z, gen_masks)
             fake = fake_g.detach()
             loss_d, _, gp = critic_loss(model.critic, real, fake, cfg.lambda_gp,
-                                        eps=eps, masks=critic_masks,
-                                        return_parts=True)
+                                        eps, critic_masks)
             d_grads = grad(loss_d, model.critic.parameters())
             adam_step(model.critic.parameters(), d_grads, d_state,
-                      lr=cfg.learning_rate, beta1=cfg.beta1, beta2=cfg.beta2)
+                      lr=cfg.learning_rate, beta1=BETA1, beta2=BETA2)
 
             if step % cfg.n_generator == 0:
                 loss_g = generator_loss(model.critic, fake_g, critic_masks)
@@ -246,7 +243,7 @@ def train(benign: np.ndarray, malicious: np.ndarray, preset: GanPreset,
                 g_grads = grad(mul(Tensor(-1.0), loss_g),
                                model.generator.parameters())
                 adam_step(model.generator.parameters(), g_grads, g_state,
-                          lr=cfg.learning_rate, beta1=cfg.beta1, beta2=cfg.beta2)
+                          lr=cfg.learning_rate, beta1=BETA1, beta2=BETA2)
                 last_lg = loss_g.item()
         except NumericError:
             raise TrainingDivergedError(step, None, last_lg) from None
@@ -259,19 +256,19 @@ def train(benign: np.ndarray, malicious: np.ndarray, preset: GanPreset,
         steps_run = step
 
         window.append(abs(ld_val))
-        if len(window) == cfg.early_stop_window:
+        if len(window) == EARLY_STOP_WINDOW:
             mean = float(np.mean(window))
             window.clear()
             if prev_window_mean is not None:
-                if abs(mean - prev_window_mean) < cfg.early_stop_tol:
+                if abs(mean - prev_window_mean) < EARLY_STOP_TOL:
                     stable_windows += 1
                 else:
                     stable_windows = 0
             prev_window_mean = mean
-            if stable_windows >= cfg.early_stop_patience:
+            if stable_windows >= EARLY_STOP_PATIENCE:
                 break
 
-    model.training_meta = {"steps": steps_run, "seed": cfg.seed}
+    model.training_meta = {"steps": steps_run, "seed": seed}
     return model
 
 

@@ -3,8 +3,9 @@
 The stages run in the order of ``STAGES``, in one process, handing their
 results on in memory. A CLI subcommand runs the table up to its own stage,
 and a full pipeline run is reproducible from the config plus the global
-seed. Evaluation always re-extracts features from the rewritten files on
-disk, never from in-memory adversarial vectors.
+seed. Evaluation always re-extracts features from the bytes of the
+rewritten files (held in memory, the same bytes the attack stage writes),
+never from the adversarial feature vectors.
 
 Each attack is one entry of ``ATTACKS``: the GAN kinds it needs trained
 and the function that runs it. ``gan_all`` runs the ``gan_api``,
@@ -39,6 +40,7 @@ import numpy as np
 
 from . import baselines, detectors, features, gan, padopt, petk
 from . import __version__
+from .gan import TrainingConfig as GanStageConfig
 
 SCHEMA_VERSION = 1
 CACHE_ENV_VAR = "GANEVADE_CACHE_DIR"
@@ -121,22 +123,14 @@ class FeatureConfig:
 
 
 @dataclass
-class GanStageConfig:
-    max_steps: int = 3000
-    batch_size: int = 64
-    lambda_gp: float = 10.0
-    n_generator: int = 5
-    learning_rate: float = 1e-4
-    generator_hidden: list | None = None    # None: size-appropriate default
-    critic_hidden: list | None = None
-
-
-@dataclass
 class DetectorSpec:
     name: str
     kind: str = "logreg"                    # logreg | mlp
     families: tuple = ("byte",)
     hyperparams: dict = field(default_factory=dict)
+
+    def __post_init__(self):
+        self.families = tuple(self.families)
 
 
 def _default_detectors() -> list:
@@ -185,10 +179,25 @@ class ExperimentConfig:
         for attack in self.attacks:
             if attack not in ATTACKS:
                 raise ConfigError(f"unknown attack {attack!r}")
+        names = [spec.name for spec in self.detectors]
+        if len(set(names)) != len(names):
+            raise ConfigError(f"detector names repeat: {names}")
         for spec in self.detectors:
+            if spec.kind not in detectors.KINDS:
+                raise ConfigError(f"unknown detector kind {spec.kind!r}")
+            if not spec.families:
+                raise ConfigError(f"detector {spec.name!r} reads no family")
+            unknown = set(spec.hyperparams) - set(detectors.DEFAULT_HYPERPARAMS)
+            if unknown:
+                raise ConfigError(f"unknown hyperparams {sorted(unknown)} "
+                                  f"of detector {spec.name!r}")
             for fam in spec.families:
                 if fam not in FAMILIES:
                     raise ConfigError(f"unknown feature family {fam!r}")
+        fcfg = self.feature_cfg
+        if min(fcfg.k_api, fcfg.k_strings, fcfg.hash_dim, fcfg.min_string_len) < 1:
+            raise ConfigError("k_api, k_strings, hash_dim and min_string_len "
+                              "must be at least 1")
         for kind in self.gans:
             if kind not in GAN_KINDS:
                 raise ConfigError(f"unknown GAN kind {kind!r} in gans")
@@ -222,16 +231,15 @@ class ExperimentConfig:
                 d["gans"] = {k: GanStageConfig(**v) if isinstance(v, dict) else v
                              for k, v in d["gans"].items()}
             if "detectors" in d:
-                d["detectors"] = [
-                    DetectorSpec(**{**s, "families": tuple(s["families"])})
-                    if isinstance(s, dict) else s for s in d["detectors"]]
+                d["detectors"] = [DetectorSpec(**s) if isinstance(s, dict) else s
+                                  for s in d["detectors"]]
             for key in ("split", "gap_sweep"):
                 if key in d:
                     d[key] = tuple(d[key])
             if "corpus" in d and isinstance(d["corpus"].content_size, list):
                 d["corpus"].content_size = tuple(d["corpus"].content_size)
             return cls(**d)
-        except TypeError as exc:
+        except (TypeError, ValueError) as exc:
             raise ConfigError(str(exc)) from None
 
     def config_hash(self) -> str:
@@ -432,16 +440,13 @@ def train_gan_for(kind: str, table: FeatureTable, train_idx, cfg: ExperimentConf
     benign, malicious = table.by_class((GAN_FAMILIES[kind],), train_idx)
     stage = cfg.gans.get(kind, GanStageConfig())
     preset = pipeline_preset(kind, benign.shape[1], stage)
-    tcfg = gan.TrainingConfig(
-        lambda_gp=stage.lambda_gp, n_generator=stage.n_generator,
-        batch_size=stage.batch_size, learning_rate=stage.learning_rate,
-        seed=cfg.seed, max_steps=stage.max_steps)
     sink = None
     rows_out = []
     if metrics_path is not None:
         def sink(step, ld, lg, gp):
             rows_out.append(f"{step},{ld!r},{lg!r},{gp!r}\n")
-    model = gan.train(benign, malicious, preset, tcfg, metrics_sink=sink)
+    model = gan.train(benign, malicious, preset, stage, cfg.seed,
+                      metrics_sink=sink)
     if metrics_path is not None:
         with open(metrics_path, "w") as fh:
             fh.write("step,loss_critic,loss_generator,gradient_penalty\n")
@@ -596,7 +601,8 @@ def attack_malgan_byte(state, names, blobs, rows) -> AttackOutput:
     for name, histogram in zip(names, rows("byte")):
         target = _byte_target(model, histogram, rng)
         rewritten[name] = _pad_to_target(blobs[name], target, cfg.gap)
-    return AttackOutput(rewritten=rewritten, query_count=model.query_count,
+    return AttackOutput(rewritten=rewritten,
+                        query_count=model.training_meta["queries"],
                         stats={"rounds": model.training_meta.get("rounds", 0)})
 
 
@@ -718,8 +724,8 @@ def _corpus_digest(manifest: dict, blobs: dict) -> str:
 
 def _load_table(feat_dir: Path, names, labels, fcfg: FeatureConfig,
                 key: str) -> FeatureTable | None:
-    vocab_api = _load(features.load_vocab, feat_dir / "vocab_api.txt", key)
-    vocab_strings = _load(features.load_vocab, feat_dir / "vocab_strings.txt", key)
+    vocab_api = _load(features.load_vocab, feat_dir / "vocab_api.gevf", key)
+    vocab_strings = _load(features.load_vocab, feat_dir / "vocab_strings.gevf", key)
     if vocab_api is None or vocab_strings is None:
         return None
     matrices = {}
@@ -758,8 +764,8 @@ def stage_extract(state: PipelineState):
     state.table = FeatureTable(names, labels, fcfg, vocab_api, vocab_strings,
                                files=files)
     feat_dir.mkdir(parents=True, exist_ok=True)
-    features.save_vocab(vocab_api, feat_dir / "vocab_api.txt", state.extract_key)
-    features.save_vocab(vocab_strings, feat_dir / "vocab_strings.txt",
+    features.save_vocab(vocab_api, feat_dir / "vocab_api.gevf", state.extract_key)
+    features.save_vocab(vocab_strings, feat_dir / "vocab_strings.gevf",
                         state.extract_key)
     for fam, mat in state.table.matrices.items():
         features.save_matrix(mat, names, feat_dir / f"{fam}.gevf",

@@ -51,10 +51,6 @@ class Tensor:
         t.parents = parents
         return t
 
-    @property
-    def shape(self):
-        return self.data.shape
-
     def item(self) -> float:
         if self.data.size != 1:
             raise ShapeMismatchError(f"item() on shape {self.data.shape}")
@@ -65,36 +61,6 @@ class Tensor:
 
     def __repr__(self):
         return f"Tensor(shape={self.data.shape})"
-
-    def __add__(self, other):
-        return add(self, _as_tensor(other))
-
-    def __radd__(self, other):
-        return add(_as_tensor(other), self)
-
-    def __sub__(self, other):
-        return sub(self, _as_tensor(other))
-
-    def __rsub__(self, other):
-        return sub(_as_tensor(other), self)
-
-    def __mul__(self, other):
-        return mul(self, _as_tensor(other))
-
-    def __rmul__(self, other):
-        return mul(_as_tensor(other), self)
-
-    def __truediv__(self, other):
-        return mul(self, power(_as_tensor(other), -1.0))
-
-    def __neg__(self):
-        return mul(self, Tensor._op(-1.0))
-
-    def __matmul__(self, other):
-        return matmul(self, _as_tensor(other))
-
-    def __pow__(self, p):
-        return power(self, float(p))
 
 
 def _finite(arr: np.ndarray) -> np.ndarray:
@@ -417,10 +383,6 @@ class Mlp:
     @property
     def in_dim(self) -> int:
         return self.layers[0].in_dim
-
-    @property
-    def out_dim(self) -> int:
-        return self.layers[-1].out_dim
 
     def parameters(self) -> list[Tensor]:
         out = []

@@ -131,6 +131,17 @@ def _unpack(fmt: str, data: bytes, offset: int) -> tuple:
                           f"read of {fmt!r} past end of file") from None
 
 
+def _pack(fmt: str, buf: bytearray, offset: int, *values) -> None:
+    """``struct.pack_into`` with a value its field cannot hold (one derived
+    from an untrusted header value) reported as an edit error, the twin of
+    ``_unpack``."""
+    try:
+        struct.pack_into(fmt, buf, offset, *values)
+    except struct.error:
+        raise PeEditError("capacity", offset,
+                          f"value out of range for {fmt!r}") from None
+
+
 def parse(data: bytes, strict: bool = True) -> PeImage:
     """Parse raw bytes into a PeImage; strict mode rejects malformed inputs."""
     anomalies: list[str] = []
@@ -267,7 +278,7 @@ def append_overlay(pe: PeImage, plan) -> PeImage:
 
 
 def _zero_checksum(buf: bytearray, pe: PeImage) -> None:
-    struct.pack_into("<I", buf, pe.opt_offset + 64, 0)
+    _pack("<I", buf, pe.opt_offset + 64, 0)
 
 
 def _check_layout(pe: PeImage) -> None:
@@ -295,8 +306,8 @@ def _next_virtual_address(pe: PeImage) -> int:
 
 
 def add_section(pe: PeImage, name: str, content: bytes,
-                characteristics: int = CHAR_INITIALIZED_DATA | CHAR_MEM_READ,
-                allow_shift: bool = True) -> PeImage:
+                characteristics: int = CHAR_INITIALIZED_DATA | CHAR_MEM_READ
+                ) -> PeImage:
     """Append a new final section holding ``content``.
 
     Raw data is padded to file alignment (one unit minimum); existing raw
@@ -313,16 +324,13 @@ def add_section(pe: PeImage, name: str, content: bytes,
     headers_cap = min(pe.size_of_headers, first_raw)
     shift = 0
     if header_end > headers_cap:
-        if not allow_shift:
-            raise PeEditError("capacity", st,
-                              "no room for another section header")
         shift = _align_up(header_end - headers_cap, pe.file_align)
         buf[pe.size_of_headers:pe.size_of_headers] = bytes(shift)
-        struct.pack_into("<I", buf, pe.opt_offset + 60, pe.size_of_headers + shift)
+        _pack("<I", buf, pe.opt_offset + 60, pe.size_of_headers + shift)
         for i, s in enumerate(pe.sections):
             if s.raw_size:
-                struct.pack_into("<I", buf, st + SECTION_HEADER_SIZE * i + 20,
-                                 s.raw_offset + shift)
+                _pack("<I", buf, st + SECTION_HEADER_SIZE * i + 20,
+                      s.raw_offset + shift)
 
     raw_ends = [s.raw_end + shift for s in pe.sections if s.raw_size]
     raw_ends.append(pe.size_of_headers + shift)
@@ -337,12 +345,12 @@ def add_section(pe: PeImage, name: str, content: bytes,
     va = _next_virtual_address(pe)
     vsize = len(content) if content else raw_size
     hdr_off = st + SECTION_HEADER_SIZE * len(pe.sections)
-    struct.pack_into("<8sIIIIIIHHI", buf, hdr_off,
-                     name.encode("latin-1").ljust(8, b"\x00"),
-                     vsize, va, raw_size, raw_base, 0, 0, 0, 0, characteristics)
-    struct.pack_into("<H", buf, pe.e_lfanew + 6, len(pe.sections) + 1)
-    struct.pack_into("<I", buf, pe.opt_offset + 56,
-                     _align_up(va + max(vsize, 1), pe.section_align))
+    _pack("<8sIIIIIIHHI", buf, hdr_off,
+          name.encode("latin-1").ljust(8, b"\x00"),
+          vsize, va, raw_size, raw_base, 0, 0, 0, 0, characteristics)
+    _pack("<H", buf, pe.e_lfanew + 6, len(pe.sections) + 1)
+    _pack("<I", buf, pe.opt_offset + 56,
+          _align_up(va + max(vsize, 1), pe.section_align))
     _zero_checksum(buf, pe)
 
     new_data = bytes(buf[:insert_at]) + gap + payload + bytes(buf[insert_at:])
@@ -400,17 +408,17 @@ def _build_import_blob(descriptors: list[ImportDescriptor], base_rva: int,
     blob = bytearray(cursor)
     for i, desc in enumerate(descriptors):
         ilt_off, iat_off = thunk_offsets[i]
-        struct.pack_into("<IIIII", blob, IMPORT_DESCRIPTOR_SIZE * i,
-                         base_rva + ilt_off, 0, 0,
-                         base_rva + name_offsets[i], base_rva + iat_off)
+        _pack("<IIIII", blob, IMPORT_DESCRIPTOR_SIZE * i,
+              base_rva + ilt_off, 0, 0,
+              base_rva + name_offsets[i], base_rva + iat_off)
         fmt = "<Q" if is_pe64 else "<I"
         for j, entry in enumerate(desc.entries):
             if entry.name is None:
                 value = ordinal_flag | entry.ordinal
             else:
                 value = base_rva + hint_name_offsets[i][j]
-            struct.pack_into(fmt, blob, ilt_off + thunk_size * j, value)
-            struct.pack_into(fmt, blob, iat_off + thunk_size * j, value)
+            _pack(fmt, blob, ilt_off + thunk_size * j, value)
+            _pack(fmt, blob, iat_off + thunk_size * j, value)
     blob[cursor - len(name_blob) - len(hint_blob):cursor - len(name_blob)] = hint_blob
     blob[cursor - len(name_blob):cursor] = name_blob
     return bytes(blob), desc_bytes
@@ -455,9 +463,9 @@ def extend_imports(pe: PeImage, new_tokens, section_name: str = ".idat2"
 
     buf = bytearray(edited.data)
     ndirs_off = edited.opt_offset + (108 if edited.is_pe64 else 92)
-    struct.pack_into("<II", buf, ndirs_off + 4 + 8 * DIR_IMPORT, base_rva, dir_size)
+    _pack("<II", buf, ndirs_off + 4 + 8 * DIR_IMPORT, base_rva, dir_size)
     if len(edited.data_dirs) > DIR_IAT:
-        struct.pack_into("<II", buf, ndirs_off + 4 + 8 * DIR_IAT, 0, 0)
+        _pack("<II", buf, ndirs_off + 4 + 8 * DIR_IAT, 0, 0)
     return parse(bytes(buf), strict=True), skipped
 
 

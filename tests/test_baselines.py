@@ -1,11 +1,11 @@
 import numpy as np
 import pytest
 
-from ganevade import baselines, petk
+from ganevade import petk
 from ganevade.baselines import MalganConfig, benign_injection, train_malgan
 from ganevade.detectors import BENIGN, MALICIOUS
 from ganevade.features import byte_histogram
-from ganevade.gan import GanPreset, generate
+from ganevade.gan import GanPreset, build_gan, generate
 from ganevade.petk import SectionSpec, SynthSpec, parse, synth_pe
 
 
@@ -67,8 +67,8 @@ class TestMalgan:
         xb = rng.dirichlet([5] + [1] * 9, 40)
         cfg = MalganConfig(max_queries=500, seed=0)
         model = train_malgan(xm, xb, threshold_black_box(), tiny_preset(), cfg)
-        assert model.query_count > 0
-        assert model.query_count >= cfg.max_queries or \
+        assert model.training_meta["queries"] > 0
+        assert model.training_meta["queries"] >= cfg.max_queries or \
             model.training_meta["rounds"] > 0
 
     def test_query_budget_respected_within_round(self):
@@ -79,7 +79,7 @@ class TestMalgan:
         model = train_malgan(xm, xb, threshold_black_box(), tiny_preset(), cfg)
         # at most one round of overshoot past the budget
         per_round = 2 * cfg.batch_size + cfg.probe_size
-        assert model.query_count <= cfg.max_queries + per_round
+        assert model.training_meta["queries"] <= cfg.max_queries + per_round
 
     def test_evades_simple_threshold_detector(self):
         # black box: first-bin mass must look benign; generator can add it
@@ -97,7 +97,7 @@ class TestMalgan:
 
     def test_generate_superset_for_binary_preset(self):
         preset = GanPreset("api", 10, 4, (16,), (8,), "sigmoid")
-        model = baselines._build_malgan(preset, seed=0)
+        model = build_gan(preset, seed=0)
         rng = np.random.default_rng(4)
         m = (rng.random((20, 10)) > 0.5).astype(np.float64)
         out = generate(model, m, rng.random((20, 4)))
@@ -110,4 +110,4 @@ class TestMalgan:
         cfg = MalganConfig(max_queries=200, seed=9)
         model = train_malgan(xm, xb, threshold_black_box(), tiny_preset(), cfg)
         assert model.training_meta["seed"] == 9
-        assert model.training_meta["queries"] == model.query_count
+        assert model.training_meta["queries"] > 0

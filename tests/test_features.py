@@ -204,7 +204,7 @@ class TestPersistence:
     def test_truncated_vocab_rejected(self, tmp_path):
         path = tmp_path / "v.txt"
         save_vocab(Vocabulary("api", ["a!b", "c!d"]), path)
-        path.write_text(path.read_text().rsplit("\n", 2)[0] + "\n")
+        path.write_bytes(path.read_bytes()[:-8])
         with pytest.raises(ValueError):
             load_vocab(path)
 

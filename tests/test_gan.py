@@ -139,9 +139,9 @@ class TestLosses:
         for p in critic.parameters():
             p.data[...] = 0.0
         rng = np.random.default_rng(8)
-        loss = critic_loss(critic, Tensor(rng.random((5, 6))),
-                           Tensor(rng.random((5, 6))), lambda_gp=10.0,
-                           eps=rng.random((5, 1)))
+        loss, _, _ = critic_loss(critic, Tensor(rng.random((5, 6))),
+                                 Tensor(rng.random((5, 6))), lambda_gp=10.0,
+                                 eps=rng.random((5, 1)))
         assert loss.item() == pytest.approx(10.0)
 
     def test_batch_shape_checks(self):
@@ -162,7 +162,7 @@ class TestLosses:
         def loss_of(w):
             critic.layers[0].weights.data = w
             return critic_loss(critic, Tensor(real), Tensor(fake), 10.0,
-                               eps=eps).item()
+                               eps=eps)[0].item()
 
         w0 = critic.layers[0].weights.data.copy()
         h = 1e-5
@@ -177,7 +177,7 @@ class TestLosses:
             fd[i] = (loss_of(wp) - loss_of(wm)) / (2 * h)
             it.iternext()
         critic.layers[0].weights.data = w0
-        loss = critic_loss(critic, Tensor(real), Tensor(fake), 10.0, eps=eps)
+        loss, _, _ = critic_loss(critic, Tensor(real), Tensor(fake), 10.0, eps=eps)
         g = nncore.grad(loss, critic.layers[0].weights)
         rel = np.abs(g.data - fd).max() / (np.abs(fd).max() + 1e-12)
         assert rel <= 1e-4
@@ -206,12 +206,16 @@ class TestTraining:
             TrainingConfig(lambda_gp=0.0)
         with pytest.raises(ValueError):
             TrainingConfig(n_generator=0)
+        with pytest.raises(ValueError):
+            TrainingConfig(batch_size=0)
+        with pytest.raises(ValueError):
+            TrainingConfig(critic_hidden=[16, 0])
 
     def test_generator_updates_every_fifth_step(self):
         benign, malicious = separable_corpora()
         preset = tiny_preset("byte_histogram")
-        cfg = TrainingConfig(batch_size=8, seed=3, max_steps=4)
-        model = train(benign, malicious, preset, cfg)
+        cfg = TrainingConfig(batch_size=8, max_steps=4)
+        model = train(benign, malicious, preset, cfg, seed=3)
         init = build_gan(preset, seed=3)
         # 4 steps < n_generator: generator untouched, critic moved
         for a, b in zip(model.generator.parameters(), init.generator.parameters()):
@@ -220,8 +224,8 @@ class TestTraining:
                     zip(model.critic.parameters(), init.critic.parameters()))
         assert moved
 
-        cfg5 = TrainingConfig(batch_size=8, seed=3, max_steps=5)
-        model5 = train(benign, malicious, preset, cfg5)
+        cfg5 = TrainingConfig(batch_size=8, max_steps=5)
+        model5 = train(benign, malicious, preset, cfg5, seed=3)
         changed = any(not np.array_equal(a.data, b.data) for a, b in
                       zip(model5.generator.parameters(),
                           init.generator.parameters()))
@@ -233,7 +237,7 @@ class TestTraining:
         # training at the first step
         benign = np.full((8, 256), 1e308)
         malicious = np.full((8, 256), 1.0 / 256)
-        cfg = TrainingConfig(batch_size=4, seed=0, max_steps=3)
+        cfg = TrainingConfig(batch_size=4, max_steps=3)
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(gan.TrainingDivergedError) as err:
                 train(benign, malicious, gan.byte_preset(), cfg)
@@ -242,7 +246,7 @@ class TestTraining:
     def test_metrics_sink_called_every_step(self):
         benign, malicious = separable_corpora()
         rows = []
-        cfg = TrainingConfig(batch_size=8, seed=0, max_steps=12)
+        cfg = TrainingConfig(batch_size=8, max_steps=12)
         train(benign, malicious, tiny_preset("byte_histogram"), cfg,
               metrics_sink=lambda *a: rows.append(a))
         assert len(rows) == 12
@@ -250,19 +254,13 @@ class TestTraining:
 
     def test_seed_reproducibility_bit_exact(self, tmp_path):
         benign, malicious = separable_corpora()
-        cfg = TrainingConfig(batch_size=8, seed=11, max_steps=10)
-        m1 = train(benign, malicious, tiny_preset("api"), cfg)
-        m2 = train(benign, malicious, tiny_preset("api"), cfg)
+        cfg = TrainingConfig(batch_size=8, max_steps=10)
+        m1 = train(benign, malicious, tiny_preset("api"), cfg, seed=11)
+        m2 = train(benign, malicious, tiny_preset("api"), cfg, seed=11)
         p1, p2 = tmp_path / "a.gevd", tmp_path / "b.gevd"
         save_gan(p1, m1)
         save_gan(p2, m2)
         assert p1.read_bytes() == p2.read_bytes()
-
-    def test_epoch_derived_step_cap(self):
-        benign, malicious = separable_corpora(n=32)
-        cfg = TrainingConfig(batch_size=8, num_epochs=2, seed=0)
-        model = train(benign, malicious, tiny_preset("byte_histogram"), cfg)
-        assert model.training_meta["steps"] == (32 * 2) // 8
 
     def test_mismatched_dims_rejected(self):
         with pytest.raises(nncore.ShapeMismatchError):
@@ -278,8 +276,9 @@ class TestTraining:
 class TestPersistence:
     def test_roundtrip_preserves_generation(self, tmp_path):
         benign, malicious = separable_corpora()
-        cfg = TrainingConfig(batch_size=8, seed=2, max_steps=10)
-        model = train(benign, malicious, tiny_preset("byte_histogram"), cfg)
+        cfg = TrainingConfig(batch_size=8, max_steps=10)
+        model = train(benign, malicious, tiny_preset("byte_histogram"), cfg,
+                      seed=2)
         path = tmp_path / "gan.gevd"
         save_gan(path, model)
         back = load_gan(path)

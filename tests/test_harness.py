@@ -98,6 +98,47 @@ class TestConfig:
             ExperimentConfig.from_dict(
                 {"gans": {"bytes_histogram": {"max_steps": 5}}})
 
+    @pytest.mark.parametrize("setting", [
+        {"lambda_gp": 0}, {"batch_size": 0}, {"max_steps": 0},
+        {"n_generator": 0}, {"learning_rate": -1e-4}, {"critic_hidden": [0]}])
+    def test_gan_setting_out_of_range_rejected(self, setting):
+        with pytest.raises(ConfigError):
+            ExperimentConfig.from_dict({"gans": {"byte_histogram": setting}})
+
+    def test_gan_settings_are_one_class(self):
+        assert GanStageConfig is gan.TrainingConfig
+        assert len(dataclasses.fields(GanStageConfig)) == 7
+
+    def test_unknown_detector_kind_rejected(self):
+        with pytest.raises(ConfigError):
+            ExperimentConfig(detectors=[harness.DetectorSpec("x", "svm")])
+
+    def test_repeated_detector_name_rejected(self):
+        with pytest.raises(ConfigError):
+            ExperimentConfig(detectors=[
+                harness.DetectorSpec("x", "logreg", ("byte",)),
+                harness.DetectorSpec("x", "mlp", ("api_topk",))])
+
+    def test_detector_families_default_to_byte(self):
+        cfg = ExperimentConfig.from_dict({"detectors": [{"name": "x"}]})
+        assert cfg.detectors[0].families == ("byte",)
+
+    def test_detector_without_families_rejected(self):
+        with pytest.raises(ConfigError):
+            ExperimentConfig.from_dict(
+                {"detectors": [{"name": "x", "families": []}]})
+
+    def test_unknown_hyperparam_rejected(self):
+        with pytest.raises(ConfigError):
+            ExperimentConfig(detectors=[harness.DetectorSpec(
+                "x", "mlp", ("byte",), hyperparams={"hiden": 8})])
+
+    @pytest.mark.parametrize("field", ["hash_dim", "k_api", "k_strings",
+                                       "min_string_len"])
+    def test_feature_size_below_one_rejected(self, field):
+        with pytest.raises(ConfigError):
+            ExperimentConfig(feature_cfg=FeatureConfig(**{field: 0}))
+
 
 class TestCorpus:
     def test_gen_corpus_counts_and_labels(self, tmp_path):
@@ -188,7 +229,7 @@ class TestPipeline:
         assert set(report["attack_rates"]) == set(cfg.attacks)
         assert (workdir / "report.json").exists()
         assert (workdir / "corpus" / "manifest.json").exists()
-        assert (workdir / "features" / "vocab_api.txt").exists()
+        assert (workdir / "features" / "vocab_api.gevf").exists()
         assert (workdir / "models" / "gan_byte_histogram.gevd").exists()
         assert (workdir / "attacks" / "gan_byte" / "manifest.json").exists()
 
@@ -508,6 +549,20 @@ class TestCli:
         rc = cli.main(["pipeline", "--config", str(p),
                        "--workdir", str(tmp_path / "w")])
         assert rc == 2
+
+    @pytest.mark.parametrize("bad", [
+        {"gans": {"byte_histogram": {"lambda_gp": 0}}},
+        {"gans": {"api": {"batch_size": 0}}},
+        {"feature_cfg": {"hash_dim": 0}},
+        {"detectors": [{"name": "d", "kind": "svm", "families": ["byte"]}]},
+    ])
+    def test_setting_error_exit_2_writes_nothing(self, tmp_path, bad):
+        p = tmp_path / "bad.json"
+        p.write_text(json.dumps(bad))
+        rc = cli.main(["pipeline", "--config", str(p),
+                       "--workdir", str(tmp_path / "w")])
+        assert rc == 2
+        assert not (tmp_path / "w").exists()
 
     @pytest.mark.parametrize("command", ["pipeline", "extract", "attack"])
     def test_invalid_config_writes_nothing(self, tmp_path, command):

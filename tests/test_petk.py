@@ -151,6 +151,29 @@ class TestAddSection:
         out = add_section(pe, ".x", b"yy")
         assert out.overlay == b"TRAILING"
 
+    def test_full_section_table_shifts_raw_data(self):
+        # the synthetic headers hold 17 section headers; the 18th makes
+        # SizeOfHeaders grow by one file alignment, moving all raw data
+        spec = basic_spec()
+        spec.overlay = b"TRAILING"
+        pe0 = parse(synth_pe(spec))
+        pe = pe0
+        while pe.size_of_headers == pe0.size_of_headers:
+            pe = add_section(pe, f".n{len(pe.sections)}", b"new")
+            parse(pe.data, strict=True)
+        assert len(pe.sections) == 18
+        assert (pe0.size_of_headers, pe.size_of_headers) == (0x400, 0x600)
+        for old, new in zip(pe0.sections, pe.sections):
+            assert new.raw_offset == old.raw_offset + 0x200
+            assert pe.data[new.raw_offset:new.raw_end] == \
+                pe0.data[old.raw_offset:old.raw_end]
+        assert pe.overlay == b"TRAILING"
+        assert extract_imports(pe) == extract_imports(pe0)
+
+        out, _ = extend_imports(pe, ["x.dll!y"])
+        assert extract_imports(parse(out.data, strict=True)) == \
+            extract_imports(pe0) | {"x.dll!y"}
+
 
 class TestExtendImports:
     def test_union_of_tokens(self):
@@ -216,13 +239,15 @@ class TestUntrustedLayout:
 
     @pytest.mark.parametrize("field,value", [
         (lambda pe: pe.opt_offset + 32, 0),                  # SectionAlignment
+        # a new section's SizeOfImage would not fit its 32-bit field
+        (lambda pe: pe.opt_offset + 32, 0xab001000),
         (lambda pe: pe.opt_offset + 36, 0),                  # FileAlignment
         (lambda pe: pe.opt_offset + 36, 0x70000200),
         # the last section's SizeOfRawData, far past the end of the file
         (lambda pe: pe.section_table_offset + 40 * (len(pe.sections) - 1)
          + 16, 0x7C000000),
-    ], ids=["section-align-0", "file-align-0", "file-align-huge",
-            "raw-size-huge"])
+    ], ids=["section-align-0", "section-align-huge", "file-align-0",
+            "file-align-huge", "raw-size-huge"])
     def test_editors_reject(self, field, value):
         data = bytearray(synth_pe(basic_spec()))
         struct.pack_into("<I", data, field(parse(bytes(data))), value)
