@@ -5,8 +5,11 @@ Trains the byte preset (batch 64, the default ``TrainingConfig``) on fixed
 random histograms for ``--steps`` steps, ``--repeats`` times, and prints the
 median and interquartile range of milliseconds per step, followed by the
 SHA-256 of the trained generator and critic weights. Every repeat trains
-from the same seed, so the hash is the same on every repeat; a change that
-keeps it while lowering the step time has not moved the arithmetic.
+from the same seed, so the hash is the same on every repeat, and under any
+``OPENBLAS_NUM_THREADS``; the exit status is 1 when the repeats disagree. A
+change that keeps the hash while lowering the step time has not moved the
+arithmetic. One that reorders float operations, as the closed-form critic
+step did, moves it and has to show that the pipeline's rates hold.
 
 Usage (from the checkout root)::
 

@@ -7,6 +7,7 @@ Layout (little-endian):
     header  UTF-8 JSON: {"meta": {...}, "arrays": [{"name", "shape"}, ...]}
     body    raw float64 buffers, row-major, in header order
 
+The file ends with the last array; any byte after it is an error.
 Round-trips are bit-exact. ``meta["key"]``, when a writer sets it, is the
 content key of the inputs the arrays were computed from; a reader that
 passes ``key`` gets a ``CheckpointError`` for any other.
@@ -60,6 +61,8 @@ def load_container(path, key: str | None = None):
             if len(buf) != 8 * n:
                 raise CheckpointError(f"truncated array {entry['name']}")
             arrays[entry["name"]] = np.frombuffer(buf, dtype="<f8").reshape(shape).copy()
+        if fh.read(1):
+            raise CheckpointError("bytes after the last array")
     return header["meta"], arrays
 
 

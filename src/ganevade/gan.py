@@ -5,19 +5,37 @@ noise and emits a benign-looking vector: a softmax distribution for byte
 histograms, or sigmoid activations that are thresholded and OR-ed onto the
 original indicator vector for the binary families (features are only ever
 added, never removed).
+
+The critic step is closed-form numpy; the generator step runs on
+``nncore``. The critic is dense layers 1..k, ``f(x) = z_k``,
+``z_i = (h_{i-1} * m_i) W_i^T + b_i``, ``h_i = z_i * s_i`` with ``h_0 = x``,
+dropout masks ``m_i`` and leaky-ReLU slopes ``s_i`` (1 where ``z_i > 0``,
+else the layer's slope). Backprop gives ``grad_x f = c_1 * m_1`` through
+the chain ``a_k = 1``, ``c_i = a_i W_i``, ``a_{i-1} = c_i * m_i * s_{i-1}``.
+The slopes are piecewise constant (leaky ReLU's second derivative is 0
+almost everywhere), so ``grad_x f`` is linear in each ``W_i`` and the
+penalty's weight gradient is one more backward pass along the same chain
+(double backpropagation, Drucker & LeCun 1992): with ``c_bar_1 =
+dP/d(grad_x f) * m_1``, ``W_i += a_i^T c_bar_i`` and ``c_bar_{i+1} =
+(c_bar_i W_i^T) * s_i * m_{i+1}``. Biases get no penalty term.
+``critic_loss`` runs the forward once over the stacked rows
+``[real; fake; x_hat]`` and the ``a`` chain in the same stacked backward as
+the Wasserstein part's. It raises ``NumericError`` when the critic's
+output or a gradient is not finite; ``train`` turns that into
+``TrainingDivergedError``.
 """
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import checkpoint as ckpt
 from . import nncore
-from .nncore import (AdamState, Mlp, NumericError, Tensor, adam_step, add,
-                     build_mlp, concat, forward, grad, maximum, mul, power,
-                     sub, tmean, tsum)
+from .nncore import (AdamState, Mlp, NumericError, Tensor, adam_step,
+                     build_mlp, concat, forward, grad, maximum, mul, tmean)
 
 BINARY_KINDS = ("api", "strings")
 
@@ -145,32 +163,100 @@ def generate(model: GanModel, m: np.ndarray, z) -> np.ndarray:
     return result[0] if result.shape[0] == 1 and np.asarray(z).ndim == 1 else result
 
 
-def critic_loss(critic: Mlp, real: Tensor, fake: Tensor, lambda_gp: float,
-                eps, masks=None):
-    """Wasserstein critic loss with the straight-line gradient penalty at
-    ``eps*real + (1-eps)*fake``; returns (loss, distance, penalty)."""
-    if real.data.shape[0] == 0 or fake.data.shape[0] == 0:
-        raise ValueError("empty batch")
-    if real.data.shape != fake.data.shape:
+def critic_loss(critic: Mlp, real: np.ndarray, fake: np.ndarray,
+                lambda_gp: float, eps, masks=None):
+    """WGAN-GP critic loss and its parameter gradients, in closed form.
+
+    The loss is ``mean f(fake) - mean f(real) + lambda_gp * penalty`` with
+    ``penalty = mean (|grad_x f(x_hat)| - 1)^2`` at the per-row straight-line
+    mix ``x_hat = eps*real + (1-eps)*fake``. ``masks`` are the critic's
+    dropout masks (``None``: eval mode), shared by the real, fake and mixed
+    rows. Returns ``(loss, wdist, penalty, grads)``, with ``grads`` ordered
+    like ``critic.parameters()``. Raises ``NumericError`` on a non-finite
+    critic output or gradient.
+    """
+    layers = critic.layers
+    if layers[-1].activation != "linear" or \
+            any(l.activation != "leaky_relu" for l in layers[:-1]):
+        raise ValueError("the critic must have leaky_relu hidden layers and "
+                         "a linear output")
+    real = np.asarray(real, dtype=np.float64)
+    fake = np.asarray(fake, dtype=np.float64)
+    if real.shape != fake.shape:
         raise nncore.ShapeMismatchError("real/fake batch shapes differ")
-    n = real.data.shape[0]
-    eps_t = Tensor(np.asarray(eps, dtype=np.float64).reshape(n, 1))
-    x_hat = straight_line_mix(real, fake, eps_t)
+    if real.ndim != 2 or real.shape[1] != critic.in_dim:
+        raise nncore.ShapeMismatchError(
+            f"batch shape {real.shape} does not fit critic in-dim {critic.in_dim}")
+    n = real.shape[0]
+    if n == 0:
+        raise ValueError("empty batch")
+    eps = np.asarray(eps, dtype=np.float64).reshape(n, 1)
+    masks = [None] * len(layers) if masks is None else masks
+    weights = [layer.weights.data for layer in layers]
 
-    f_real = forward(critic, real, masks)
-    f_fake = forward(critic, fake, masks)
-    f_hat = forward(critic, x_hat, masks)
-    grads = grad(tsum(f_hat), x_hat)
-    norms = power(tsum(mul(grads, grads), axis=1), 0.5)
-    penalty = tmean(power(sub(norms, Tensor(1.0)), 2.0))
-    wdist = sub(tmean(f_fake), tmean(f_real))
-    loss = add(wdist, mul(Tensor(lambda_gp), penalty))
-    return loss, wdist, penalty
+    # forward over the blocks [real; fake; x_hat], each array (3, n, width);
+    # u[i] is layer i's masked input and s[i] hidden layer i's slopes (the
+    # module docstring's u_{i+1} and s_{i+1}: code indices start at 0)
+    h = np.empty((3, *real.shape))
+    h[0], h[1] = real, fake
+    np.multiply(eps, real, out=h[2])
+    h[2] += (1.0 - eps) * fake
+    u, s = [], []
+    for layer, w, mask in zip(layers, weights, masks):
+        if mask is not None:
+            h *= mask
+        u.append(h)
+        h = (h.reshape(3 * n, -1) @ w.T).reshape(3, n, -1)
+        h += layer.biases.data
+        if layer.activation == "leaky_relu":
+            s.append(np.array([layer.slope, 1.0]).take(h > 0))
+            h *= s[-1]
+    f = h[..., 0]
+    if not np.isfinite(f).all():
+        raise NumericError("non-finite critic output")
+    wdist = f[1].sum() * (1.0 / n) - f[0].sum() * (1.0 / n)
 
+    # one backward over the same blocks. Seeded with d wdist/d f (-1/n on
+    # the real rows, +1/n on the fake ones) and with a = 1 on the x_hat
+    # rows, g[i] holds d wdist/d z_i on the first two blocks and the chain's
+    # a_i on the third: both follow g[i-1] = (g[i] W_i) * m_i * s_{i-1}
+    g = [np.empty((3, n, 1))]
+    g[0][0], g[0][1], g[0][2] = -1.0 / n, 1.0 / n, 1.0
+    for i in range(len(layers) - 1, 0, -1):
+        back = (g[0].reshape(3 * n, -1) @ weights[i]).reshape(3, n, -1)
+        if masks[i] is not None:
+            back *= masks[i]
+        back *= s[i - 1]
+        g.insert(0, back)
+    gx = g[0][2] @ weights[0]
+    if masks[0] is not None:
+        gx *= masks[0]
+    norms = np.sqrt(np.einsum("ij,ij->i", gx, gx))
+    penalty = ((norms - 1.0) ** 2).sum() * (1.0 / n)
 
-def straight_line_mix(real: Tensor, fake: Tensor, eps: Tensor) -> Tensor:
-    """Per-sample interpolation eps*real + (1-eps)*fake along a straight line."""
-    return add(mul(eps, real), mul(sub(Tensor(1.0), eps), fake))
+    # the penalty's chain walked back, W_i += a_i^T c_bar_i: c_bar_i takes
+    # the place of the x_hat block of u[i], which nothing reads any more,
+    # so each weight gradient is one product over the three blocks. At
+    # |gx| = 0 the penalty contributes no gradient
+    coef = np.divide(2.0 * lambda_gp / n * (norms - 1.0), norms,
+                     out=np.zeros_like(norms), where=norms > 0)
+    np.multiply(gx, coef[:, None], out=u[0][2])
+    if masks[0] is not None:
+        u[0][2] *= masks[0]
+    grads = []
+    for i, w in enumerate(weights):
+        grads.append(g[i].reshape(3 * n, -1).T @ u[i].reshape(3 * n, -1))
+        grads.append(g[i][:2].reshape(2 * n, -1).sum(axis=0))
+        if i + 1 < len(layers):
+            c_bar = np.matmul(u[i][2], w.T, out=u[i + 1][2])
+            c_bar *= s[i][2]
+            if masks[i + 1] is not None:
+                c_bar *= masks[i + 1]
+    for d in grads:
+        if not np.isfinite(d).all():
+            raise NumericError("non-finite critic gradient")
+    loss = wdist + lambda_gp * penalty
+    return float(loss), float(wdist), float(penalty), grads
 
 
 def generator_loss(critic: Mlp, fake: Tensor, masks=None) -> Tensor:
@@ -195,7 +281,11 @@ def train(benign: np.ndarray, malicious: np.ndarray, preset: GanPreset,
 
     Every step updates the critic; every ``n_generator``-th step the
     generator. Stops at the step cap or when the windowed moving average
-    of |L_D| stops moving. The loop never touches any detector.
+    of |L_D| stops moving; ``training_meta["stopped"]`` says which
+    (``"max_steps"`` or ``"early_stop"``). ``metrics_sink``, if given, is
+    called after every step with ``(step, L_D, L_G, penalty, step_ms)``,
+    where ``step_ms`` is the step's wall time. The loop never touches any
+    detector.
     """
     benign = np.asarray(benign, dtype=np.float64)
     malicious = np.asarray(malicious, dtype=np.float64)
@@ -214,11 +304,13 @@ def train(benign: np.ndarray, malicious: np.ndarray, preset: GanPreset,
     stable_windows = 0
     last_lg = float("nan")
     steps_run = 0
+    stopped = "max_steps"
 
     for step in range(1, cfg.max_steps + 1):
+        started = time.perf_counter()
         b_idx = rng.integers(0, len(benign), size=cfg.batch_size)
         m_idx = rng.integers(0, len(malicious), size=cfg.batch_size)
-        real = Tensor(benign[b_idx])
+        real = benign[b_idx]
         m_batch = malicious[m_idx]
         z = sample_noise(preset.noise_dim, cfg.batch_size, rng)
         gen_masks = model.generator.sample_dropout_masks(rng, cfg.batch_size)
@@ -226,14 +318,13 @@ def train(benign: np.ndarray, malicious: np.ndarray, preset: GanPreset,
         eps = rng.random((cfg.batch_size, 1))
 
         try:
-            # one generator forward per step: the critic trains on it
-            # detached, and a generator step below differentiates the same
+            # one generator forward per step: the critic trains on its
+            # values, and a generator step below differentiates the same
             # graph, valid because only the critic is updated in between
             fake_g = _generator_path(model, m_batch, z, gen_masks)
-            fake = fake_g.detach()
-            loss_d, _, gp = critic_loss(model.critic, real, fake, cfg.lambda_gp,
-                                        eps, critic_masks)
-            d_grads = grad(loss_d, model.critic.parameters())
+            ld_val, _, gp, d_grads = critic_loss(
+                model.critic, real, fake_g.data, cfg.lambda_gp, eps,
+                critic_masks)
             adam_step(model.critic.parameters(), d_grads, d_state,
                       lr=cfg.learning_rate, beta1=BETA1, beta2=BETA2)
 
@@ -248,11 +339,11 @@ def train(benign: np.ndarray, malicious: np.ndarray, preset: GanPreset,
         except NumericError:
             raise TrainingDivergedError(step, None, last_lg) from None
 
-        ld_val = loss_d.item()
         if not np.isfinite(ld_val):
             raise TrainingDivergedError(step, ld_val, last_lg)
         if metrics_sink is not None:
-            metrics_sink(step, ld_val, last_lg, gp.item())
+            metrics_sink(step, ld_val, last_lg, gp,
+                         (time.perf_counter() - started) * 1e3)
         steps_run = step
 
         window.append(abs(ld_val))
@@ -266,9 +357,10 @@ def train(benign: np.ndarray, malicious: np.ndarray, preset: GanPreset,
                     stable_windows = 0
             prev_window_mean = mean
             if stable_windows >= EARLY_STOP_PATIENCE:
+                stopped = "early_stop"
                 break
 
-    model.training_meta = {"steps": steps_run, "seed": seed}
+    model.training_meta = {"steps": steps_run, "seed": seed, "stopped": stopped}
     return model
 
 

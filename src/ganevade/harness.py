@@ -208,6 +208,13 @@ class ExperimentConfig:
             raise ConfigError("sweep_subsample must be at least 1")
         if self.corpus.n_per_class < 1:
             raise ConfigError("corpus.n_per_class must be at least 1")
+        size = self.corpus.content_size
+        if not (isinstance(size, (tuple, list)) and len(size) == 2
+                and all(isinstance(v, int) and not isinstance(v, bool)
+                        for v in size)
+                and 1 <= size[0] <= size[1]):
+            raise ConfigError(f"corpus.content_size must be two integers "
+                              f"1 <= lo <= hi, got {size!r}")
         if self.max_new_imports < 0 or self.max_new_strings < 0:
             raise ConfigError("max_new_imports and max_new_strings must be >= 0")
 
@@ -443,13 +450,14 @@ def train_gan_for(kind: str, table: FeatureTable, train_idx, cfg: ExperimentConf
     sink = None
     rows_out = []
     if metrics_path is not None:
-        def sink(step, ld, lg, gp):
-            rows_out.append(f"{step},{ld!r},{lg!r},{gp!r}\n")
+        def sink(step, ld, lg, gp, step_ms):
+            rows_out.append(f"{step},{ld!r},{lg!r},{gp!r},{step_ms:.4f}\n")
     model = gan.train(benign, malicious, preset, stage, cfg.seed,
                       metrics_sink=sink)
     if metrics_path is not None:
         with open(metrics_path, "w") as fh:
-            fh.write("step,loss_critic,loss_generator,gradient_penalty\n")
+            fh.write("step,loss_critic,loss_generator,gradient_penalty,"
+                     "step_ms\n")
             fh.writelines(rows_out)
     return model
 

@@ -13,7 +13,7 @@ made there surfaces at the next edge it reaches.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -445,14 +445,29 @@ def build_mlp(dims, hidden_activation: str, output_activation: str,
 
 @dataclass
 class AdamState:
-    m: list = field(default_factory=list)
-    v: list = field(default_factory=list)
+    """Adam moments of one network.
+
+    ``for_params`` moves the parameters into ``flat``, one array end to
+    end, and leaves each ``Tensor.data`` a view into it, so a step updates
+    the whole network with a few whole-array ufuncs. ``m`` and ``v`` are
+    laid out like ``flat``; ``grad`` and ``step`` are scratch buffers.
+    """
+    flat: np.ndarray
+    m: np.ndarray
+    v: np.ndarray
+    grad: np.ndarray
+    step: np.ndarray
     t: int = 0
 
     @classmethod
     def for_params(cls, params) -> "AdamState":
-        return cls(m=[np.zeros_like(p.data) for p in params],
-                   v=[np.zeros_like(p.data) for p in params])
+        flat = np.concatenate([p.data.ravel() for p in params])
+        offset = 0
+        for p in params:
+            p.data = flat[offset:offset + p.data.size].reshape(p.data.shape)
+            offset += p.data.size
+        return cls(flat, np.zeros_like(flat), np.zeros_like(flat),
+                   np.empty_like(flat), np.empty_like(flat))
 
 
 def adam_step(params, grads, state: AdamState, lr: float = 1e-4,
@@ -460,30 +475,36 @@ def adam_step(params, grads, state: AdamState, lr: float = 1e-4,
     """Standard Adam with bias correction; updates ``params`` and the
     moments in ``state`` in place.
 
+    ``params`` must be the ones ``state`` was made for, in the same order.
     The arithmetic is, operation for operation,
     ``m = beta1*m + (1-beta1)*g``, ``v = beta2*v + (1-beta2)*g*g`` and
-    ``p -= lr*m_hat / (sqrt(v_hat) + eps)``, so the bits do not depend on
-    the buffers being reused.
+    ``p -= lr*m_hat / (sqrt(v_hat) + eps)``; it is element-wise, so the
+    bits do not depend on the parameters sharing one buffer.
     """
-    state.t += 1
-    m_scale = 1.0 - beta1 ** state.t
-    v_scale = 1.0 - beta2 ** state.t
-    for i, (p, g) in enumerate(zip(params, grads)):
-        gd = g.data if isinstance(g, Tensor) else np.asarray(g)
+    g, step = state.grad, state.step
+    offset = 0
+    for p, gr in zip(params, grads, strict=True):
+        gd = gr.data if isinstance(gr, Tensor) else np.asarray(gr)
         if gd.shape != p.data.shape:
             raise ShapeMismatchError(f"grad shape {gd.shape} != param {p.data.shape}")
-        m, v = state.m[i], state.v[i]
-        step, denom = np.empty_like(m), np.empty_like(v)
-        m *= beta1
-        m += np.multiply(1.0 - beta1, gd, out=step)
-        v *= beta2
-        np.multiply(1.0 - beta2, gd, out=step)
-        step *= gd
-        v += step
-        np.divide(v, v_scale, out=denom)
-        np.sqrt(denom, out=denom)
-        denom += eps
-        np.divide(m, m_scale, out=step)
-        step *= lr
-        step /= denom
-        p.data -= step
+        if p.data.base is not state.flat:
+            raise ValueError("parameter is not laid out in this AdamState")
+        g[offset:offset + gd.size] = gd.ravel()
+        offset += gd.size
+    if offset != g.size:
+        raise ShapeMismatchError(f"{offset} gradient values for {g.size} parameters")
+    state.t += 1
+    np.multiply(1.0 - beta2, g, out=step)
+    step *= g
+    state.v *= beta2
+    state.v += step
+    g *= 1.0 - beta1
+    state.m *= beta1
+    state.m += g
+    np.divide(state.v, 1.0 - beta2 ** state.t, out=step)
+    np.sqrt(step, out=step)
+    step += eps
+    np.divide(state.m, 1.0 - beta1 ** state.t, out=g)
+    g *= lr
+    g /= step
+    state.flat -= g

@@ -34,6 +34,14 @@ def test_truncated_body_rejected(tmp_path):
         ckpt.load_container(path)
 
 
+def test_bytes_after_last_array_rejected(tmp_path):
+    path = tmp_path / "c.gevd"
+    ckpt.save_container(path, {"key": "k1"}, {"a": np.zeros(3)})
+    path.write_bytes(path.read_bytes() + b"\x00" * 22)
+    with pytest.raises(ckpt.CheckpointError):
+        ckpt.load_container(path, "k1")
+
+
 def test_key_checked(tmp_path):
     path = tmp_path / "c.gevd"
     ckpt.save_container(path, {"key": "k1"}, {"a": np.zeros(2)})

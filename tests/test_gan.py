@@ -1,13 +1,15 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ganevade import gan, nncore
 from ganevade.gan import (GanPreset, TrainingConfig, api_preset, build_gan,
                           byte_preset, critic_loss, generate, generator_loss,
                           load_gan, preset_for, sample_noise, save_gan,
-                          smooth_union, straight_line_mix, strings_preset,
-                          train)
-from ganevade.nncore import Tensor, build_mlp
+                          smooth_union, strings_preset, train)
+from ganevade.nncore import (Tensor, add, build_mlp, forward, mul, power, sub,
+                             tmean, tsum)
 
 
 class TestPresets:
@@ -122,35 +124,82 @@ class TestGenerate:
             generate(model, np.zeros((1, 5)), np.zeros((1, 4)))
 
 
-class TestLosses:
-    def test_straight_line_mix_independent_oracle(self):
-        rng = np.random.default_rng(7)
-        real = rng.normal(size=(10, 6))
-        fake = rng.normal(size=(10, 6))
-        eps = rng.random((10, 1))
-        mixed = straight_line_mix(Tensor(real), Tensor(fake), Tensor(eps))
-        expected = eps * real + (1.0 - eps) * fake
-        assert np.abs(mixed.data - expected).max() <= 1e-10
+def graph_critic_loss(critic, real, fake, lambda_gp, eps, masks=None):
+    """The critic loss as an ``nncore`` graph, the oracle of the closed
+    form: (loss, distance, penalty) tensors and the gradient of the loss
+    w.r.t. ``critic.parameters()`` by grad-of-grad."""
+    real, fake = Tensor(real), Tensor(fake)
+    eps_t = Tensor(np.asarray(eps, dtype=np.float64).reshape(-1, 1))
+    x_hat = add(mul(eps_t, real), mul(sub(Tensor(1.0), eps_t), fake))
+    f_real = forward(critic, real, masks)
+    f_fake = forward(critic, fake, masks)
+    f_hat = forward(critic, x_hat, masks)
+    gx = nncore.grad(tsum(f_hat), x_hat)
+    norms = power(tsum(mul(gx, gx), axis=1), 0.5)
+    penalty = tmean(power(sub(norms, Tensor(1.0)), 2.0))
+    wdist = sub(tmean(f_fake), tmean(f_real))
+    loss = add(wdist, mul(Tensor(lambda_gp), penalty))
+    return loss, wdist, penalty, nncore.grad(loss, critic.parameters())
 
+
+def dropout_masks(rng, batch, widths, rates):
+    """Inverted-dropout masks that keep at least one unit of every row, so
+    no row's input gradient is 0 (where the penalty is not differentiable)."""
+    masks = []
+    for width, rate in zip(widths, rates):
+        keep = rng.random((batch, width)) >= rate
+        keep[np.arange(batch), rng.integers(0, width, size=batch)] = True
+        masks.append(keep / (1.0 - rate))
+    return masks
+
+
+class TestLosses:
     def test_constant_critic_loss_is_lambda(self):
-        # zero-weight critic scores everything 0: wdist 0, penalty (0-1)^2
+        # zero-weight critic scores everything 0: wdist 0, penalty (0-1)^2,
+        # and at a zero input gradient the penalty contributes no gradient
         critic = build_mlp([6, 4, 1], "leaky_relu", "linear",
                            np.random.default_rng(0))
         for p in critic.parameters():
             p.data[...] = 0.0
         rng = np.random.default_rng(8)
-        loss, _, _ = critic_loss(critic, Tensor(rng.random((5, 6))),
-                                 Tensor(rng.random((5, 6))), lambda_gp=10.0,
-                                 eps=rng.random((5, 1)))
-        assert loss.item() == pytest.approx(10.0)
+        loss, wdist, penalty, grads = critic_loss(
+            critic, rng.random((5, 6)), rng.random((5, 6)), lambda_gp=10.0,
+            eps=rng.random((5, 1)))
+        assert loss == pytest.approx(10.0)
+        assert (wdist, penalty) == (0.0, 1.0)
+        assert [g.shape for g in grads] == \
+            [p.data.shape for p in critic.parameters()]
+        for g in grads[:-1]:
+            assert not g.any()
 
     def test_batch_shape_checks(self):
         critic = build_mlp([4, 3, 1], "leaky_relu", "linear",
                            np.random.default_rng(0))
         with pytest.raises(nncore.ShapeMismatchError):
-            critic_loss(critic, Tensor(np.zeros((2, 4))),
-                        Tensor(np.zeros((3, 4))), 10.0,
+            critic_loss(critic, np.zeros((2, 4)), np.zeros((3, 4)), 10.0,
                         eps=np.zeros((2, 1)))
+        with pytest.raises(nncore.ShapeMismatchError):
+            critic_loss(critic, np.zeros((2, 5)), np.zeros((2, 5)), 10.0,
+                        eps=np.zeros((2, 1)))
+        with pytest.raises(ValueError):
+            critic_loss(critic, np.zeros((0, 4)), np.zeros((0, 4)), 10.0,
+                        eps=np.zeros((0, 1)))
+
+    @pytest.mark.parametrize("hidden,output", [
+        ("relu", "linear"), ("leaky_relu", "sigmoid")])
+    def test_other_critic_architecture_rejected(self, hidden, output):
+        critic = build_mlp([4, 3, 1], hidden, output, np.random.default_rng(0))
+        with pytest.raises(ValueError):
+            critic_loss(critic, np.zeros((2, 4)), np.ones((2, 4)), 10.0,
+                        eps=np.full((2, 1), 0.5))
+
+    def test_non_finite_output_raises(self):
+        critic = build_mlp([4, 3, 1], "leaky_relu", "linear",
+                           np.random.default_rng(0))
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(nncore.NumericError):
+                critic_loss(critic, np.full((2, 4), 1e308),
+                            np.ones((2, 4)), 10.0, eps=np.full((2, 1), 0.5))
 
     def test_critic_gradient_matches_fd(self):
         rng = np.random.default_rng(9)
@@ -158,29 +207,56 @@ class TestLosses:
         real = rng.normal(size=(6, 5))
         fake = rng.normal(size=(6, 5))
         eps = rng.random((6, 1))
-
-        def loss_of(w):
-            critic.layers[0].weights.data = w
-            return critic_loss(critic, Tensor(real), Tensor(fake), 10.0,
-                               eps=eps)[0].item()
-
-        w0 = critic.layers[0].weights.data.copy()
+        masks = dropout_masks(rng, 6, (5, 7), (0.1, 0.5))
+        params = critic.parameters()
+        _, _, _, grads = critic_loss(critic, real, fake, 10.0, eps, masks)
         h = 1e-5
-        fd = np.zeros_like(w0)
-        it = np.nditer(w0, flags=["multi_index"])
-        while not it.finished:
-            i = it.multi_index
-            wp = w0.copy()
-            wp[i] += h
-            wm = w0.copy()
-            wm[i] -= h
-            fd[i] = (loss_of(wp) - loss_of(wm)) / (2 * h)
-            it.iternext()
-        critic.layers[0].weights.data = w0
-        loss, _, _ = critic_loss(critic, Tensor(real), Tensor(fake), 10.0, eps=eps)
-        g = nncore.grad(loss, critic.layers[0].weights)
-        rel = np.abs(g.data - fd).max() / (np.abs(fd).max() + 1e-12)
-        assert rel <= 1e-4
+        for p, g in zip(params, grads):
+            p0 = p.data.copy()
+            fd = np.zeros_like(p0)
+            for i in np.ndindex(p0.shape):
+                for sign in (1, -1):
+                    p.data[...] = p0
+                    p.data[i] += sign * h
+                    fd[i] += sign * critic_loss(critic, real, fake, 10.0, eps,
+                                                masks)[0] / (2 * h)
+            p.data[...] = p0
+            rel = np.abs(g - fd).max() / (np.abs(fd).max() + 1e-12)
+            assert rel <= 1e-4
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1),
+           widths=st.lists(st.integers(1, 12), min_size=2, max_size=4),
+           batch=st.integers(1, 16),
+           slope=st.floats(0.01, 0.99),
+           lambda_gp=st.floats(0.01, 100.0),
+           with_masks=st.booleans())
+    def test_closed_form_matches_graph_oracle(self, seed, widths, batch, slope,
+                                              lambda_gp, with_masks):
+        # widths: input, then 1-3 hidden layers; the output is 1 wide
+        rng = np.random.default_rng(seed)
+        critic = build_mlp([*widths, 1], "leaky_relu", "linear", rng,
+                           slope=slope)
+        real = rng.random((batch, widths[0]))
+        fake = rng.normal(size=(batch, widths[0]))
+        eps = rng.random((batch, 1))
+        masks = dropout_masks(rng, batch, widths,
+                              [0.1] + [0.5] * (len(widths) - 1)) \
+            if with_masks else None
+        loss, wdist, penalty, grads = critic_loss(critic, real, fake,
+                                                  lambda_gp, eps, masks)
+        o_loss, o_wdist, o_penalty, o_grads = graph_critic_loss(
+            critic, real, fake, lambda_gp, eps, masks)
+        for got, want in ((loss, o_loss), (wdist, o_wdist),
+                          (penalty, o_penalty)):
+            assert got == pytest.approx(want.item(), rel=1e-10, abs=1e-12)
+        assert len(grads) == len(o_grads)
+        for got, want in zip(grads, o_grads):
+            assert got.shape == want.data.shape
+            # relative to the array's scale, with a floor of 1 for arrays
+            # whose exact value is 0 (the output bias's)
+            scale = max(np.abs(want.data).max(), 1.0)
+            assert np.abs(got - want.data).max() <= 1e-10 * scale
 
     def test_generator_loss_is_mean_score(self):
         rng = np.random.default_rng(10)
@@ -251,6 +327,24 @@ class TestTraining:
               metrics_sink=lambda *a: rows.append(a))
         assert len(rows) == 12
         assert [r[0] for r in rows] == list(range(1, 13))
+        # (step, L_D, L_G, penalty, step_ms)
+        assert all(len(r) == 5 and r[4] > 0.0 for r in rows)
+
+    def test_stop_reason_recorded(self, monkeypatch):
+        benign, malicious = separable_corpora()
+        preset = tiny_preset("byte_histogram")
+        cfg = TrainingConfig(batch_size=8, max_steps=40)
+        model = train(benign, malicious, preset, cfg)
+        assert model.training_meta["stopped"] == "max_steps"
+        assert model.training_meta["steps"] == 40
+        # windows of 5 steps that always count as stable: the second and
+        # third windows make the patience of 2, so training stops at 15
+        monkeypatch.setattr(gan, "EARLY_STOP_WINDOW", 5)
+        monkeypatch.setattr(gan, "EARLY_STOP_PATIENCE", 2)
+        monkeypatch.setattr(gan, "EARLY_STOP_TOL", np.inf)
+        model = train(benign, malicious, preset, cfg)
+        assert model.training_meta["stopped"] == "early_stop"
+        assert model.training_meta["steps"] == 15
 
     def test_seed_reproducibility_bit_exact(self, tmp_path):
         benign, malicious = separable_corpora()

@@ -88,6 +88,12 @@ class TestConfig:
         with pytest.raises(ConfigError):
             ExperimentConfig(corpus=CorpusConfig(n_per_class=0))
 
+    @pytest.mark.parametrize("size", [(400,), (800, 400), (0, 400),
+                                      (400.0, 800), 400])
+    def test_content_size_not_a_size_range_rejected(self, size):
+        with pytest.raises(ConfigError):
+            ExperimentConfig(corpus=CorpusConfig(content_size=size))
+
     @pytest.mark.parametrize("field", ["max_new_imports", "max_new_strings"])
     def test_negative_token_cap_rejected(self, field):
         with pytest.raises(ConfigError):
@@ -246,6 +252,20 @@ class TestPipeline:
         assert rows[0]["gap"] == "exact"
         assert [r["gap"] for r in rows[1:]] == list(cfg.gap_sweep)
 
+    def test_gan_metrics_csv_has_a_row_per_step(self, tiny_run):
+        cfg, workdir, _ = tiny_run
+        model = gan.load_gan(workdir / "models" / "gan_byte_histogram.gevd")
+        lines = (workdir / "models" / "gan_byte_histogram_metrics.csv") \
+            .read_text().splitlines()
+        assert lines[0] == ("step,loss_critic,loss_generator,"
+                            "gradient_penalty,step_ms")
+        steps = cfg.gans["byte_histogram"].max_steps
+        assert model.training_meta["steps"] == steps
+        assert model.training_meta["stopped"] == "max_steps"
+        rows = [line.split(",") for line in lines[1:]]
+        assert [int(r[0]) for r in rows] == list(range(1, steps + 1))
+        assert all(len(r) == 5 and float(r[4]) > 0.0 for r in rows)
+
     def test_attack_files_strict_parseable(self, tiny_run):
         _, workdir, _ = tiny_run
         files = sorted((workdir / "attacks" / "gan_byte").glob("*.exe"))
@@ -372,18 +392,30 @@ class TestResume:
         assert len(done["detectors"]) == len(cfg.detectors)
         assert sorted(done["gans"]) == sorted(harness.GAN_KINDS)
 
-    def test_truncated_checkpoint_is_recomputed(self, tmp_path, monkeypatch,
-                                                tiny_config_file):
-        argv = ["pipeline", "--config", str(tiny_config_file),
+    def damaged_detector_is_recomputed(self, tmp_path, monkeypatch,
+                                       config_file, damage):
+        argv = ["pipeline", "--config", str(config_file),
                 "--workdir", str(tmp_path / "w")]
         assert cli.main(argv) == 0
         path = tmp_path / "w" / "models" / "detector_byte_logreg.gevd"
         intact = path.read_bytes()
-        path.write_bytes(intact[:len(intact) // 2])
+        path.write_bytes(damage(intact))
         done = self.record_training(monkeypatch, tmp_path / "w")
         assert cli.main(argv) == 0
         assert done["detectors"] == [("byte",)] and done["gans"] == []
         assert path.read_bytes() == intact
+
+    def test_truncated_checkpoint_is_recomputed(self, tmp_path, monkeypatch,
+                                                tiny_config_file):
+        self.damaged_detector_is_recomputed(
+            tmp_path, monkeypatch, tiny_config_file,
+            lambda data: data[:len(data) // 2])
+
+    def test_checkpoint_with_bytes_appended_is_recomputed(
+            self, tmp_path, monkeypatch, tiny_config_file):
+        self.damaged_detector_is_recomputed(
+            tmp_path, monkeypatch, tiny_config_file,
+            lambda data: data + b"\x00" * 22)
 
     def test_cli_attack_after_train_gan_trains_nothing(self, tmp_path,
                                                        monkeypatch,
@@ -555,6 +587,9 @@ class TestCli:
         {"gans": {"api": {"batch_size": 0}}},
         {"feature_cfg": {"hash_dim": 0}},
         {"detectors": [{"name": "d", "kind": "svm", "families": ["byte"]}]},
+        {"corpus": {"n_per_class": 3, "content_size": [400]}},
+        {"corpus": {"n_per_class": 3, "content_size": [800, 400]}},
+        {"corpus": {"n_per_class": 3, "content_size": [0, 400]}},
     ])
     def test_setting_error_exit_2_writes_nothing(self, tmp_path, bad):
         p = tmp_path / "bad.json"

@@ -441,8 +441,36 @@ class TestAdam:
                 ref_p[i] = ref_p[i] - lr * m_hat / (np.sqrt(v_hat) + eps)
             for i, p in enumerate(params):
                 assert p.data.tobytes() == ref_p[i].tobytes()
-                assert state.m[i].tobytes() == ref_m[i].tobytes()
-                assert state.v[i].tobytes() == ref_v[i].tobytes()
+            # the moments are laid out like the parameters, end to end
+            flat = [np.concatenate([r.ravel() for r in ref]) for ref in (ref_m, ref_v)]
+            assert state.m.tobytes() == flat[0].tobytes()
+            assert state.v.tobytes() == flat[1].tobytes()
+
+    def test_parameters_become_views_into_one_buffer(self):
+        rng = np.random.default_rng(13)
+        net = build_mlp([5, 4, 1], "leaky_relu", "linear", rng)
+        before = [p.data.copy() for p in net.parameters()]
+        state = AdamState.for_params(net.parameters())
+        assert state.flat.size == sum(b.size for b in before)
+        for p, b in zip(net.parameters(), before):
+            assert p.data.base is state.flat
+            assert p.data.tobytes() == b.tobytes()
+        x = Tensor(rng.normal(size=(3, 5)))
+        grads = grad(tsum(forward(net, x)), net.parameters())
+        adam_step(net.parameters(), grads, state)
+        # the step reached every parameter through its view
+        for p, b in zip(net.parameters(), before):
+            assert p.data.base is state.flat
+            assert not np.array_equal(p.data, b)
+
+    def test_parameter_rebound_outside_the_buffer_rejected(self):
+        x, y = Tensor(np.zeros(3)), Tensor(np.zeros(2))
+        state = AdamState.for_params([x, y])
+        x.data = np.zeros(3)
+        with pytest.raises(ValueError):
+            adam_step([x, y], [np.ones(3), np.ones(2)], state)
+        with pytest.raises(ValueError):
+            adam_step([y], [np.ones(2), np.ones(3)], state)
 
     def test_bias_correction_first_step(self):
         # with beta1=0.9 the very first corrected step equals lr*sign(g)
