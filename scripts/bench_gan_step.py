@@ -4,12 +4,14 @@
 Trains the byte preset (batch 64, the default ``TrainingConfig``) on fixed
 random histograms for ``--steps`` steps, ``--repeats`` times, and prints the
 median and interquartile range of milliseconds per step, followed by the
-SHA-256 of the trained generator and critic weights. Every repeat trains
-from the same seed, so the hash is the same on every repeat, and under any
-``OPENBLAS_NUM_THREADS``; the exit status is 1 when the repeats disagree. A
-change that keeps the hash while lowering the step time has not moved the
-arithmetic. One that reorders float operations, as the closed-form critic
-step did, moves it and has to show that the pipeline's rates hold.
+SHA-256 of the trained generator and critic parameter arrays. Every repeat
+trains from the same seed, so the hash is the same on every repeat, and
+under any ``OPENBLAS_NUM_THREADS``; the exit status is 1 when the repeats
+disagree. A change that keeps the hash while lowering the step time has not
+moved the arithmetic. One that reorders float operations, as the
+closed-form critic step did, moves it and has to show that the pipeline's
+rates hold. The closed-form generator step kept the hash: ``--steps 300``
+at seed 0 prints ``405511569a1ee03b…``.
 
 Usage (from the checkout root)::
 
@@ -31,7 +33,7 @@ def weights_sha256(model: gan.GanModel) -> str:
     h = hashlib.sha256()
     for net in (model.generator, model.critic):
         for p in net.parameters():
-            h.update(p.data.tobytes())
+            h.update(p.tobytes())
     return h.hexdigest()
 
 

@@ -16,7 +16,8 @@ import numpy as np
 from . import gan, nncore, petk
 from .detectors import MALICIOUS
 from .gan import GanModel, GanPreset, TrainingDivergedError, generate, sample_noise
-from .nncore import AdamState, Tensor, adam_step, bce, forward, grad, sigmoid
+from .nncore import (AdamState, adam_step, bce, forward, grad, sigmoid,
+                     sigmoid_backward)
 
 
 def benign_injection(pe: petk.PeImage, benign_pool: list[bytes],
@@ -54,6 +55,28 @@ class _QueryCounter:
         return (np.asarray(labels) == MALICIOUS).astype(np.float64)
 
 
+def _substitute_grads(critic: nncore.Mlp, x: np.ndarray,
+                      y: np.ndarray) -> list:
+    """Gradients of the substitute's BCE against the black-box labels ``y``;
+    the substitute is the critic read through a sigmoid."""
+    out, cache = forward(critic, x)
+    p = sigmoid(out)
+    _, g_p = bce(p, y)
+    return grad(critic, cache, sigmoid_backward(p, g_p))[0]
+
+
+def _malgan_generator_grads(model: GanModel, m_batch: np.ndarray,
+                            z: np.ndarray) -> list:
+    """Gradients of the generator's loss: the substitute's mean malicious
+    probability on its fakes."""
+    fake, path = gan._generator_path(model, m_batch, z, None)
+    out, cache = forward(model.critic, fake)
+    seed = np.full(out.shape, 1.0 / len(fake))
+    _, g_fake = grad(model.critic, cache, sigmoid_backward(sigmoid(out), seed),
+                     params=False, inputs=True)
+    return gan._generator_grads(model, path, g_fake)
+
+
 def train_malgan(malicious_features: np.ndarray, benign_features: np.ndarray,
                  black_box, preset: GanPreset,
                  cfg: MalganConfig | None = None) -> GanModel:
@@ -69,8 +92,8 @@ def train_malgan(malicious_features: np.ndarray, benign_features: np.ndarray,
     rng = np.random.default_rng(cfg.seed)
     model = gan.build_gan(preset, cfg.seed)
     counter = _QueryCounter(black_box)
-    sub_state = AdamState.for_params(model.critic.parameters())
-    gen_state = AdamState.for_params(model.generator.parameters())
+    sub_state = AdamState.for_net(model.critic)
+    gen_state = AdamState.for_net(model.generator)
 
     round_no = 0
     while counter.count < cfg.max_queries:
@@ -87,19 +110,15 @@ def train_malgan(malicious_features: np.ndarray, benign_features: np.ndarray,
 
         try:
             for _ in range(cfg.substitute_steps_per_round):
-                p = sigmoid(forward(model.critic, Tensor(x_train)))
-                loss = bce(p, y_train)
-                grads = grad(loss, model.critic.parameters())
-                adam_step(model.critic.parameters(), grads, sub_state,
-                          lr=cfg.substitute_lr, beta1=0.9, beta2=0.999)
-
+                adam_step(model.critic.parameters(),
+                          _substitute_grads(model.critic, x_train, y_train),
+                          sub_state, lr=cfg.substitute_lr, beta1=0.9,
+                          beta2=0.999)
             for _ in range(cfg.generator_steps_per_round):
-                fake_t = gan._generator_path(model, m_batch, z, None)
-                p_fake = sigmoid(forward(model.critic, fake_t))
-                loss_g = nncore.tmean(p_fake)
-                grads = grad(loss_g, model.generator.parameters())
-                adam_step(model.generator.parameters(), grads, gen_state,
-                          lr=cfg.generator_lr, beta1=0.9, beta2=0.999)
+                adam_step(model.generator.parameters(),
+                          _malgan_generator_grads(model, m_batch, z),
+                          gen_state, lr=cfg.generator_lr, beta1=0.9,
+                          beta2=0.999)
         except nncore.NumericError:
             raise TrainingDivergedError(round_no, None, None) from None
 

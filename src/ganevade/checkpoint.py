@@ -20,7 +20,7 @@ import struct
 
 import numpy as np
 
-from .nncore import DenseLayer, Mlp, Tensor
+from .nncore import DenseLayer, Mlp
 
 MAGIC = b"GEVD1"
 
@@ -79,16 +79,16 @@ def mlp_meta(net: Mlp) -> dict:
 def mlp_arrays(net: Mlp, prefix: str) -> dict[str, np.ndarray]:
     out = {}
     for i, layer in enumerate(net.layers):
-        out[f"{prefix}.{i}.w"] = layer.weights.data
-        out[f"{prefix}.{i}.b"] = layer.biases.data
+        out[f"{prefix}.{i}.w"] = layer.weights
+        out[f"{prefix}.{i}.b"] = layer.biases
     return out
 
 
 def mlp_from(meta: dict, arrays: dict[str, np.ndarray], prefix: str) -> Mlp:
     layers = []
     for i, spec in enumerate(meta["layers"]):
-        layers.append(DenseLayer(Tensor(arrays[f"{prefix}.{i}.w"]),
-                                 Tensor(arrays[f"{prefix}.{i}.b"]),
+        layers.append(DenseLayer(arrays[f"{prefix}.{i}.w"],
+                                 arrays[f"{prefix}.{i}.b"],
                                  spec["activation"], slope=spec["slope"]))
     return Mlp(layers, input_dropout_rate=meta["input_dropout"],
                hidden_dropout_rate=meta["hidden_dropout"])

@@ -12,7 +12,7 @@ import numpy as np
 
 from . import checkpoint as ckpt
 from . import nncore
-from .nncore import AdamState, Tensor, adam_step, bce, build_mlp, forward, grad
+from .nncore import AdamState, adam_step, bce, build_mlp, forward, grad
 
 BENIGN = "benign"
 MALICIOUS = "malicious"
@@ -55,7 +55,7 @@ class DetectorModel:
         if self.kind == "logreg":
             z = x @ self.weights + self.bias
             return 1.0 / (1.0 + np.exp(-z))
-        return forward(self.net, Tensor(x)).data[:, 0]
+        return forward(self.net, x)[0][:, 0]
 
     def predict_label(self, x: np.ndarray):
         scores = self.score(x)
@@ -107,19 +107,17 @@ def train_detector(kind: str, feature_spec: FeatureSpec,
     if kind == "mlp":
         rng = np.random.default_rng(seed)
         net = build_mlp([x.shape[1], int(hp["hidden"]), 1], "relu", "sigmoid", rng)
-        state = AdamState.for_params(net.parameters())
+        state = AdamState.for_net(net)
         xs = (x - mu) / sd
         for _ in range(int(hp["steps"])):
-            loss = bce(forward(net, Tensor(xs)), y)
-            grads = grad(loss, net.parameters())
+            p, cache = forward(net, xs)
+            grads, _ = grad(net, cache, bce(p, y)[1])
             adam_step(net.parameters(), grads, state, lr=1e-3, beta1=0.9,
                       beta2=0.999)
         # absorb the standardization into the first layer
         first = net.layers[0]
-        w0 = first.weights.data / sd
-        b0 = first.biases.data - w0 @ mu
-        first.weights.data = w0
-        first.biases.data = b0
+        first.weights = first.weights / sd
+        first.biases = first.biases - first.weights @ mu
         return DetectorModel(kind="mlp", feature_spec=feature_spec, net=net,
                              training_meta={"seed": seed, "steps": hp["steps"]})
 

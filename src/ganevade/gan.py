@@ -6,12 +6,15 @@ histograms, or sigmoid activations that are thresholded and OR-ed onto the
 original indicator vector for the binary families (features are only ever
 added, never removed).
 
-The critic step is closed-form numpy; the generator step runs on
-``nncore``. The critic is dense layers 1..k, ``f(x) = z_k``,
-``z_i = (h_{i-1} * m_i) W_i^T + b_i``, ``h_i = z_i * s_i`` with ``h_0 = x``,
-dropout masks ``m_i`` and leaky-ReLU slopes ``s_i`` (1 where ``z_i > 0``,
-else the layer's slope). Backprop gives ``grad_x f = c_1 * m_1`` through
-the chain ``a_k = 1``, ``c_i = a_i W_i``, ``a_{i-1} = c_i * m_i * s_{i-1}``.
+Both steps are closed-form numpy. The generator step is one ``nncore``
+forward and first-order backward, through the critic and the generator.
+
+The critic step is written out here. The critic is dense layers 1..k,
+``f(x) = z_k``, ``z_i = (h_{i-1} * m_i) W_i^T + b_i``, ``h_i = z_i * s_i``
+with ``h_0 = x``, dropout masks ``m_i`` and leaky-ReLU slopes ``s_i`` (1
+where ``z_i > 0``, else the layer's slope). Backprop gives
+``grad_x f = c_1 * m_1`` through the chain ``a_k = 1``, ``c_i = a_i W_i``,
+``a_{i-1} = c_i * m_i * s_{i-1}``.
 The slopes are piecewise constant (leaky ReLU's second derivative is 0
 almost everywhere), so ``grad_x f`` is linear in each ``W_i`` and the
 penalty's weight gradient is one more backward pass along the same chain
@@ -34,8 +37,8 @@ import numpy as np
 
 from . import checkpoint as ckpt
 from . import nncore
-from .nncore import (AdamState, Mlp, NumericError, Tensor, adam_step,
-                     build_mlp, concat, forward, grad, maximum, mul, tmean)
+from .nncore import (AdamState, Mlp, NumericError, adam_step, build_mlp,
+                     forward, grad)
 
 BINARY_KINDS = ("api", "strings")
 
@@ -132,35 +135,35 @@ def build_gan(preset: GanPreset, seed: int = 0) -> GanModel:
                     training_meta={"steps": 0, "seed": seed})
 
 
-def sample_noise(noise_dim: int, count: int, rng: np.random.Generator) -> Tensor:
+def sample_noise(noise_dim: int, count: int,
+                 rng: np.random.Generator) -> np.ndarray:
     if noise_dim <= 0:
         raise ValueError("noise dimension must be positive")
-    return Tensor(rng.random((count, noise_dim)))
+    return rng.random((count, noise_dim))
 
 
-def smooth_union(m, o: Tensor) -> Tensor:
+def smooth_union(m: np.ndarray, o: np.ndarray) -> np.ndarray:
     """Element-wise max(m, o): the differentiable stand-in for binarize+OR."""
-    m_t = m if isinstance(m, Tensor) else Tensor(m)
-    if m_t.data.shape[-1] != o.data.shape[-1]:
+    if np.shape(m)[-1] != np.shape(o)[-1]:
         raise nncore.ShapeMismatchError("feature dims differ in smooth_union")
-    return maximum(m_t, o)
+    return np.maximum(m, o)
 
 
 def generate(model: GanModel, m: np.ndarray, z) -> np.ndarray:
     """Adversarial vector for one sample or a batch; eval-mode dropout."""
     preset = model.preset
     m = np.atleast_2d(np.asarray(m, dtype=np.float64))
-    z_t = z if isinstance(z, Tensor) else Tensor(np.atleast_2d(z))
-    if m.shape[1] != preset.input_dim or z_t.data.shape[-1] != preset.noise_dim:
+    z2 = np.atleast_2d(np.asarray(z, dtype=np.float64))
+    if m.shape[1] != preset.input_dim or z2.shape[-1] != preset.noise_dim:
         raise nncore.ShapeMismatchError(
             f"expected dims ({preset.input_dim}, {preset.noise_dim}), "
-            f"got ({m.shape[1]}, {z_t.data.shape[-1]})")
-    out = forward(model.generator, concat([Tensor(m), z_t])).data
+            f"got ({m.shape[1]}, {z2.shape[-1]})")
+    out, _ = forward(model.generator, np.concatenate([m, z2], axis=1))
     if not preset.is_binary:
         result = out
     else:
         result = np.logical_or(m > 0.5, out > 0.5).astype(np.float64)
-    return result[0] if result.shape[0] == 1 and np.asarray(z).ndim == 1 else result
+    return result[0] if result.shape[0] == 1 and np.ndim(z) == 1 else result
 
 
 def critic_loss(critic: Mlp, real: np.ndarray, fake: np.ndarray,
@@ -192,7 +195,7 @@ def critic_loss(critic: Mlp, real: np.ndarray, fake: np.ndarray,
         raise ValueError("empty batch")
     eps = np.asarray(eps, dtype=np.float64).reshape(n, 1)
     masks = [None] * len(layers) if masks is None else masks
-    weights = [layer.weights.data for layer in layers]
+    weights = [layer.weights for layer in layers]
 
     # forward over the blocks [real; fake; x_hat], each array (3, n, width);
     # u[i] is layer i's masked input and s[i] hidden layer i's slopes (the
@@ -207,7 +210,7 @@ def critic_loss(critic: Mlp, real: np.ndarray, fake: np.ndarray,
             h *= mask
         u.append(h)
         h = (h.reshape(3 * n, -1) @ w.T).reshape(3, n, -1)
-        h += layer.biases.data
+        h += layer.biases
         if layer.activation == "leaky_relu":
             s.append(np.array([layer.slope, 1.0]).take(h > 0))
             h *= s[-1]
@@ -259,20 +262,36 @@ def critic_loss(critic: Mlp, real: np.ndarray, fake: np.ndarray,
     return float(loss), float(wdist), float(penalty), grads
 
 
-def generator_loss(critic: Mlp, fake: Tensor, masks=None) -> Tensor:
-    """Mean critic score on fakes; the generator is updated to raise it."""
-    if fake.data.shape[0] == 0:
+def generator_loss(critic: Mlp, fake: np.ndarray, masks=None):
+    """Mean critic score on fakes, and the gradient w.r.t. ``fake`` of its
+    negative: the generator descends that gradient to raise the score."""
+    n = len(fake)
+    if n == 0:
         raise ValueError("empty batch")
-    return tmean(forward(critic, fake, masks))
+    score, cache = forward(critic, fake, masks)
+    seed = np.broadcast_to(-1.0 * (1.0 / n), score.shape)
+    _, g_fake = grad(critic, cache, seed, params=False, inputs=True)
+    return float(score.sum() * (1.0 / n)), g_fake
 
 
-def _generator_path(model: GanModel, m_batch: np.ndarray, z: Tensor,
-                    masks) -> Tensor:
-    c = concat([Tensor(m_batch), z])
-    o = forward(model.generator, c, masks)
-    if model.preset.is_binary:
-        return smooth_union(m_batch, o)
-    return o
+def _generator_path(model: GanModel, m_batch: np.ndarray, z: np.ndarray,
+                    masks):
+    """The fakes the generator makes from ``[m_batch, z]``, through
+    ``smooth_union`` on binary presets, and what ``_generator_grads`` reads."""
+    out, cache = forward(model.generator, np.concatenate([m_batch, z], axis=1),
+                         masks)
+    if not model.preset.is_binary:
+        return out, (cache, None)
+    # smooth_union hands the gradient to o where o > m
+    return smooth_union(m_batch, out), (cache, 1.0 - (m_batch >= out))
+
+
+def _generator_grads(model: GanModel, path, g_fake: np.ndarray) -> list:
+    """Gradients of the generator's parameters from those of its fakes."""
+    cache, route = path
+    if route is not None:
+        g_fake = g_fake * route
+    return grad(model.generator, cache, g_fake)[0]
 
 
 def train(benign: np.ndarray, malicious: np.ndarray, preset: GanPreset,
@@ -296,8 +315,8 @@ def train(benign: np.ndarray, malicious: np.ndarray, preset: GanPreset,
 
     rng = np.random.default_rng(seed)
     model = build_gan(preset, seed=seed)
-    d_state = AdamState.for_params(model.critic.parameters())
-    g_state = AdamState.for_params(model.generator.parameters())
+    d_state = AdamState.for_net(model.critic)
+    g_state = AdamState.for_net(model.generator)
 
     window: list[float] = []
     prev_window_mean = None
@@ -319,23 +338,22 @@ def train(benign: np.ndarray, malicious: np.ndarray, preset: GanPreset,
 
         try:
             # one generator forward per step: the critic trains on its
-            # values, and a generator step below differentiates the same
-            # graph, valid because only the critic is updated in between
-            fake_g = _generator_path(model, m_batch, z, gen_masks)
+            # values, and a generator step below backpropagates through
+            # the same forward, valid because only the critic is updated
+            # in between
+            fake, path = _generator_path(model, m_batch, z, gen_masks)
             ld_val, _, gp, d_grads = critic_loss(
-                model.critic, real, fake_g.data, cfg.lambda_gp, eps,
-                critic_masks)
+                model.critic, real, fake, cfg.lambda_gp, eps, critic_masks)
             adam_step(model.critic.parameters(), d_grads, d_state,
                       lr=cfg.learning_rate, beta1=BETA1, beta2=BETA2)
 
             if step % cfg.n_generator == 0:
-                loss_g = generator_loss(model.critic, fake_g, critic_masks)
                 # ascend the mean critic score so fakes drift toward "real"
-                g_grads = grad(mul(Tensor(-1.0), loss_g),
-                               model.generator.parameters())
-                adam_step(model.generator.parameters(), g_grads, g_state,
+                last_lg, g_fake = generator_loss(model.critic, fake,
+                                                 critic_masks)
+                adam_step(model.generator.parameters(),
+                          _generator_grads(model, path, g_fake), g_state,
                           lr=cfg.learning_rate, beta1=BETA1, beta2=BETA2)
-                last_lg = loss_g.item()
         except NumericError:
             raise TrainingDivergedError(step, None, last_lg) from None
 

@@ -146,6 +146,14 @@ def _default_detectors() -> list:
     ]
 
 
+def _is_int(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+def _is_number(v) -> bool:
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
 DEFAULT_GAP_SWEEP = (0.01, 0.008, 0.005, 0.003, 0.001, 0.0008, 0.0005,
                      0.0003, 0.0001)
 
@@ -191,6 +199,14 @@ class ExperimentConfig:
             if unknown:
                 raise ConfigError(f"unknown hyperparams {sorted(unknown)} "
                                   f"of detector {spec.name!r}")
+            hp = {**detectors.DEFAULT_HYPERPARAMS, **spec.hyperparams}
+            if not all(_is_int(hp[k]) and hp[k] >= 1 for k in ("steps", "hidden")):
+                raise ConfigError(f"detector {spec.name!r}: steps and hidden "
+                                  f"must be integers >= 1")
+            if not (_is_number(hp["lr"]) and hp["lr"] > 0
+                    and _is_number(hp["l2"]) and hp["l2"] >= 0):
+                raise ConfigError(f"detector {spec.name!r}: lr must be > 0 "
+                                  f"and l2 >= 0")
             for fam in spec.families:
                 if fam not in FAMILIES:
                     raise ConfigError(f"unknown feature family {fam!r}")
@@ -210,8 +226,7 @@ class ExperimentConfig:
             raise ConfigError("corpus.n_per_class must be at least 1")
         size = self.corpus.content_size
         if not (isinstance(size, (tuple, list)) and len(size) == 2
-                and all(isinstance(v, int) and not isinstance(v, bool)
-                        for v in size)
+                and all(_is_int(v) for v in size)
                 and 1 <= size[0] <= size[1]):
             raise ConfigError(f"corpus.content_size must be two integers "
                               f"1 <= lo <= hi, got {size!r}")
@@ -479,8 +494,17 @@ def _padding_request(data: bytes, target: np.ndarray,
     return padopt.PaddingRequest(counts, target, gap=gap)
 
 
+def _certified_plan(req: padopt.PaddingRequest) -> padopt.PaddingPlan:
+    """``padopt.plan_for``'s plan, re-checked against its certificate."""
+    plan = padopt.plan_for(req)
+    if not padopt.check_plan(plan, req):
+        raise padopt.InfeasiblePaddingError(
+            "padding plan misses its certified bound")
+    return plan
+
+
 def _pad_to_target(data: bytes, target: np.ndarray, gap: float) -> bytes:
-    plan = padopt.plan_for(_padding_request(data, target, gap))
+    plan = _certified_plan(_padding_request(data, target, gap))
     pe = petk.parse(data, strict=False)
     return petk.append_overlay(pe, plan).data
 
@@ -936,7 +960,7 @@ def _gap_sweep(state: PipelineState, test_mal) -> list[dict]:
                 # materialize the (possibly huge) exact-mode files
                 blob = state.blobs[state.table.names[i]]
                 req = _padding_request(blob, targets[i], gap_value)
-                plan = padopt.plan_for(req)
+                plan = _certified_plan(req)
                 total = req.counts.sum() + plan.total_appended
                 sizes.append(len(blob) + plan.total_appended)
                 appended.append(plan.total_appended)

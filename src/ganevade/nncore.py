@@ -1,14 +1,24 @@
-"""Dense-network substrate with reverse-mode differentiation.
+"""Dense networks in float64: forward, one first-order backward, and Adam.
 
-Everything is float64. Gradients are built out of the same primitive
-operations they differentiate, so grad-of-grad (needed for the critic's
-gradient penalty) is just another backward pass over the new graph.
+A network is a chain of dense layers ``z_i = u_i W_i^T + b_i`` with
+``u_i = h_{i-1} * m_i``, ``h_i = act_i(z_i)`` and ``h_0 = x``, where
+``m_i`` is the layer's inverted-dropout mask (none in eval mode).
+``forward`` keeps each layer's ``u_i`` and what its activation's backward
+reads; ``grad`` walks the chain back once from ``g = dL/d(output)``:
 
-Finiteness is checked at the graph's edges, not at every node: a tensor
-built with ``Tensor(...)``, the output of ``forward`` and every gradient
-``grad`` returns raise ``NumericError`` on NaN or Inf. Operation results
-inside the graph are built unchecked by ``Tensor._op``; a non-finite value
-made there surfaces at the next edge it reaches.
+    relu, leaky_relu   g <- g * s_i            s_i: each unit's slope
+    sigmoid            g <- g * (y * (1 - y))
+    softmax            g <- gy - y * sum(gy)   gy = g * y, summed per row
+    dense              dW_i = (u_i^T g)^T, db_i = sum over rows of g,
+                       g <- (g W_i) * m_i
+
+It computes the weight gradients and the input gradient only when the
+caller asks for them. The backward is first order; the critic's gradient
+penalty, the one place that differentiates an input gradient again, is
+closed form in ``gan.critic_loss``.
+
+Finiteness is checked at the edges: the output of ``forward`` and every
+gradient ``grad`` returns raise ``NumericError`` on NaN or Inf.
 """
 
 from __future__ import annotations
@@ -25,344 +35,52 @@ class ShapeMismatchError(ValueError):
 
 
 class NumericError(ArithmeticError):
-    """A user-built tensor, a ``forward`` output or a gradient holds NaN or
-    Inf."""
+    """A ``forward`` output or a gradient holds NaN or Inf."""
 
 
-class Tensor:
-    """Node in the computation graph.
-
-    ``parents`` holds ``(parent, vjp)`` pairs where ``vjp(upstream)`` returns
-    the gradient contribution to that parent as a new Tensor, so replaying
-    gradients records a differentiable graph of its own.
-    """
-
-    __slots__ = ("data", "parents")
-
-    def __init__(self, data, parents=()):
-        self.data = _finite(np.asarray(data, dtype=np.float64))
-        self.parents = tuple(parents)
-
-    @classmethod
-    def _op(cls, data, parents=()) -> "Tensor":
-        """Operation result: built without the finiteness check."""
-        t = object.__new__(cls)
-        t.data = np.asarray(data, dtype=np.float64)
-        t.parents = parents
-        return t
-
-    def item(self) -> float:
-        if self.data.size != 1:
-            raise ShapeMismatchError(f"item() on shape {self.data.shape}")
-        return float(self.data.reshape(()))
-
-    def detach(self) -> "Tensor":
-        return Tensor(self.data)
-
-    def __repr__(self):
-        return f"Tensor(shape={self.data.shape})"
-
-
-def _finite(arr: np.ndarray) -> np.ndarray:
+def _finite(arr: np.ndarray, what: str) -> np.ndarray:
     if not np.isfinite(arr).all():
-        raise NumericError("non-finite values in tensor")
+        raise NumericError(f"non-finite values in {what}")
     return arr
 
 
-def _as_tensor(x) -> Tensor:
-    return x if isinstance(x, Tensor) else Tensor(x)
+def sigmoid(z: np.ndarray) -> np.ndarray:
+    return 1.0 / (1.0 + np.exp(-z))
 
 
-def _unbroadcast(g: Tensor, shape: tuple) -> Tensor:
-    """Sum ``g`` down to ``shape`` (inverse of numpy broadcasting)."""
-    if g.data.shape == shape:
-        return g
-    while g.data.ndim > len(shape):
-        g = tsum(g, axis=0)
-    for i, s in enumerate(shape):
-        if s == 1 and g.data.shape[i] != 1:
-            g = tsum(g, axis=i, keepdims=True)
-    return g
-
-
-# --- primitives ------------------------------------------------------------
-
-def add(a: Tensor, b: Tensor) -> Tensor:
-    return Tensor._op(a.data + b.data, (
-        (a, lambda g: _unbroadcast(g, a.data.shape)),
-        (b, lambda g: _unbroadcast(g, b.data.shape)),
-    ))
-
-
-def sub(a: Tensor, b: Tensor) -> Tensor:
-    return Tensor._op(a.data - b.data, (
-        (a, lambda g: _unbroadcast(g, a.data.shape)),
-        (b, lambda g: _unbroadcast(mul(g, Tensor._op(-1.0)), b.data.shape)),
-    ))
-
-
-def mul(a: Tensor, b: Tensor) -> Tensor:
-    return Tensor._op(a.data * b.data, (
-        (a, lambda g: _unbroadcast(mul(g, b), a.data.shape)),
-        (b, lambda g: _unbroadcast(mul(g, a), b.data.shape)),
-    ))
-
-
-def matmul(a: Tensor, b: Tensor) -> Tensor:
-    if a.data.shape[-1] != b.data.shape[0]:
-        raise ShapeMismatchError(f"matmul {a.data.shape} @ {b.data.shape}")
-    return Tensor._op(a.data @ b.data, (
-        (a, lambda g: matmul(g, transpose(b))),
-        (b, lambda g: matmul(transpose(a), g)),
-    ))
-
-
-def affine(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
-    """``x @ w.T + b`` as one node: the dense layer's pre-activation."""
-    if x.data.shape[-1] != w.data.shape[1]:
-        raise ShapeMismatchError(f"affine {x.data.shape} @ {w.data.shape}.T")
-    return Tensor._op(x.data @ w.data.T + b.data, (
-        (x, lambda g: matmul(g, w)),
-        (w, lambda g: transpose(matmul(transpose(x), g))),
-        (b, lambda g: tsum(g, axis=0)),
-    ))
-
-
-def transpose(a: Tensor) -> Tensor:
-    return Tensor._op(a.data.T, ((a, transpose),))
-
-
-def reshape(a: Tensor, shape) -> Tensor:
-    old = a.data.shape
-    return Tensor._op(a.data.reshape(shape), ((a, lambda g: reshape(g, old)),))
-
-
-def broadcast_to(a: Tensor, shape) -> Tensor:
-    return Tensor._op(np.broadcast_to(a.data, shape),
-                      ((a, lambda g: _unbroadcast(g, a.data.shape)),))
-
-
-def tsum(a: Tensor, axis=None, keepdims=False) -> Tensor:
-    shape = a.data.shape
-
-    def vjp(g: Tensor) -> Tensor:
-        if axis is not None and not keepdims:
-            kept = list(g.data.shape)
-            kept.insert(axis % len(shape), 1)
-            g = reshape(g, kept)
-        elif axis is None:
-            g = reshape(g, (1,) * len(shape))
-        return broadcast_to(g, shape)
-
-    return Tensor._op(a.data.sum(axis=axis, keepdims=keepdims), ((a, vjp),))
-
-
-def tmean(a: Tensor, axis=None, keepdims=False) -> Tensor:
-    n = a.data.size if axis is None else a.data.shape[axis]
-    return mul(tsum(a, axis=axis, keepdims=keepdims), Tensor._op(1.0 / n))
-
-
-def power(a: Tensor, p: float) -> Tensor:
-    return Tensor._op(a.data ** p, (
-        (a, lambda g: mul(g, mul(Tensor._op(p), power(a, p - 1.0)))),))
-
-
-def tlog(a: Tensor) -> Tensor:
-    return Tensor._op(np.log(a.data), ((a, lambda g: mul(g, power(a, -1.0))),))
-
-
-def relu(a: Tensor) -> Tensor:
-    mask = Tensor._op((a.data > 0).astype(np.float64))
-    return Tensor._op(a.data * mask.data, ((a, lambda g: mul(g, mask)),))
-
-
-def leaky_relu(a: Tensor, slope: float = 0.2) -> Tensor:
-    scale = Tensor._op(np.where(a.data > 0, 1.0, slope))
-    return Tensor._op(a.data * scale.data, ((a, lambda g: mul(g, scale)),))
-
-
-def sigmoid(a: Tensor) -> Tensor:
-    return _sigmoid_node(a, 1.0 / (1.0 + np.exp(-a.data)))
-
-
-def _sigmoid_node(a: Tensor, ydata: np.ndarray) -> Tensor:
-    # the VJP rebuilds y as a node of ``a`` (not a leaf) so that a second
-    # backward pass differentiates through it; it reuses the forward values
-    def vjp(g: Tensor) -> Tensor:
-        y = _sigmoid_node(a, ydata)
-        return mul(g, mul(y, sub(Tensor._op(1.0), y)))
-
-    return Tensor._op(ydata, ((a, vjp),))
-
-
-def softmax(a: Tensor) -> Tensor:
-    """Row-wise softmax over the last axis."""
-    shifted = a.data - a.data.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    return _softmax_node(a, e / e.sum(axis=-1, keepdims=True))
-
-
-def _softmax_node(a: Tensor, ydata: np.ndarray) -> Tensor:
-    # y is rebuilt as a node of ``a`` for grad-of-grad, as in _sigmoid_node
-    def vjp(g: Tensor) -> Tensor:
-        y = _softmax_node(a, ydata)
-        gy = mul(g, y)
-        return sub(gy, mul(y, tsum(gy, axis=-1, keepdims=True)))
-
-    return Tensor._op(ydata, ((a, vjp),))
-
-
-def maximum(a: Tensor, b: Tensor) -> Tensor:
-    take_a = Tensor._op((a.data >= b.data).astype(np.float64))
-    take_b = Tensor._op(1.0 - take_a.data)
-    return Tensor._op(np.maximum(a.data, b.data), (
-        (a, lambda g: _unbroadcast(mul(g, take_a), a.data.shape)),
-        (b, lambda g: _unbroadcast(mul(g, take_b), b.data.shape)),
-    ))
-
-
-def concat(tensors, axis: int = -1) -> Tensor:
-    tensors = [_as_tensor(t) for t in tensors]
-    ax = axis % tensors[0].data.ndim
-    widths = [t.data.shape[ax] for t in tensors]
-    offsets = np.cumsum([0] + widths)
-
-    def make_vjp(i):
-        def vjp(g: Tensor) -> Tensor:
-            return narrow(g, ax, int(offsets[i]), widths[i])
-        return vjp
-
-    return Tensor._op(np.concatenate([t.data for t in tensors], axis=ax),
-                      tuple((t, make_vjp(i)) for i, t in enumerate(tensors)))
-
-
-def narrow(a: Tensor, axis: int, start: int, length: int) -> Tensor:
-    idx = [slice(None)] * a.data.ndim
-    idx[axis] = slice(start, start + length)
-    shape = a.data.shape
-
-    def vjp(g: Tensor) -> Tensor:
-        before = list(shape)
-        before[axis] = start
-        after = list(shape)
-        after[axis] = shape[axis] - start - length
-        parts = []
-        if before[axis]:
-            parts.append(Tensor._op(np.zeros(before)))
-        parts.append(g)
-        if after[axis]:
-            parts.append(Tensor._op(np.zeros(after)))
-        return concat(parts, axis=axis) if len(parts) > 1 else parts[0]
-
-    return Tensor._op(a.data[tuple(idx)], ((a, vjp),))
-
-
-# --- losses ----------------------------------------------------------------
-
-def bce(p: Tensor, y) -> Tensor:
-    """Mean binary cross-entropy of probabilities ``p`` (n, 1) against 0/1
-    labels ``y``, with ``p`` clamped away from {0, 1}."""
-    y_col = Tensor(np.asarray(y, dtype=np.float64).reshape(-1, 1))
-    p_safe = add(mul(p, Tensor._op(1.0 - 1e-7)), Tensor._op(5e-8))
-    pos = mul(y_col, tlog(p_safe))
-    neg = mul(sub(Tensor._op(1.0), y_col), tlog(sub(Tensor._op(1.0), p_safe)))
-    return mul(Tensor._op(-1.0), tmean(add(pos, neg)))
-
-
-# --- backward pass ---------------------------------------------------------
-
-def grad(output: Tensor, wrt):
-    """Gradient of a scalar ``output`` w.r.t. one tensor or a list of them.
-
-    The result is itself graph-recorded, so it can be differentiated again.
-    Tensors that do not participate in ``output`` get a zero gradient. Only
-    the VJPs of edges into nodes from which a target is reachable are
-    called; every other branch contributes nothing to the result.
-    Raises ``NumericError`` if a gradient holds NaN or Inf.
-    """
-    if output.data.size != 1:
-        raise ShapeMismatchError("grad requires a scalar output")
-    single = isinstance(wrt, Tensor)
-    targets = [wrt] if single else list(wrt)
-
-    # post-order: every node comes after all of its parents, so whether a
-    # target is reachable from a node is known when the node is appended
-    order = []
-    leads = {id(t) for t in targets}
-    seen = set()
-    stack = [(output, False)]
-    while stack:
-        node, done = stack.pop()
-        if done:
-            if id(node) in leads or any(id(p) in leads for p, _ in node.parents):
-                leads.add(id(node))
-                order.append(node)
-            continue
-        if id(node) in seen:
-            continue
-        seen.add(id(node))
-        stack.append((node, True))
-        for parent, _ in node.parents:
-            if id(parent) not in seen:
-                stack.append((parent, False))
-
-    grads: dict[int, Tensor] = {
-        id(output): Tensor._op(np.ones(output.data.shape))}
-    for node in reversed(order):
-        g = grads.get(id(node))
-        if g is None:
-            continue
-        for parent, vjp in node.parents:
-            if id(parent) not in leads:
-                continue
-            contrib = vjp(g)
-            prev = grads.get(id(parent))
-            grads[id(parent)] = contrib if prev is None else add(prev, contrib)
-
-    results = [grads.get(id(t), Tensor(np.zeros(t.data.shape))) for t in targets]
-    for r in results:
-        _finite(r.data)
-    return results[0] if single else results
+def sigmoid_backward(y: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """dL/dz from ``g = dL/dy`` at ``y = sigmoid(z)``."""
+    return g * (y * (1.0 - y))
 
 
 # --- layers and networks ---------------------------------------------------
 
 @dataclass
 class DenseLayer:
-    weights: Tensor            # (out, in)
-    biases: Tensor             # (out,)
+    weights: np.ndarray         # (out, in)
+    biases: np.ndarray          # (out,)
     activation: str = "linear"
-    slope: float = 0.2         # leaky_relu only
+    slope: float = 0.2          # leaky_relu only
 
     def __post_init__(self):
+        self.weights = np.asarray(self.weights, dtype=np.float64)
+        self.biases = np.asarray(self.biases, dtype=np.float64)
         if self.activation not in ACTIVATIONS:
             raise ValueError(f"unknown activation {self.activation!r}")
-        if self.weights.data.ndim != 2 or self.biases.data.ndim != 1:
+        if self.weights.ndim != 2 or self.biases.ndim != 1:
             raise ShapeMismatchError("dense layer expects 2-D weights, 1-D biases")
-        if self.weights.data.shape[0] != self.biases.data.shape[0]:
+        if self.weights.shape[0] != self.biases.shape[0]:
             raise ShapeMismatchError("weight/bias out-dims differ")
         if self.activation == "leaky_relu" and not 0.0 < self.slope < 1.0:
             raise ValueError("leaky_relu slope must be in (0,1)")
 
     @property
     def in_dim(self) -> int:
-        return self.weights.data.shape[1]
+        return self.weights.shape[1]
 
     @property
     def out_dim(self) -> int:
-        return self.weights.data.shape[0]
-
-    def __call__(self, x: Tensor) -> Tensor:
-        z = affine(x, self.weights, self.biases)
-        if self.activation == "relu":
-            return relu(z)
-        if self.activation == "leaky_relu":
-            return leaky_relu(z, self.slope)
-        if self.activation == "sigmoid":
-            return sigmoid(z)
-        if self.activation == "softmax":
-            return softmax(z)
-        return z
+        return self.weights.shape[0]
 
 
 @dataclass
@@ -384,7 +102,7 @@ class Mlp:
     def in_dim(self) -> int:
         return self.layers[0].in_dim
 
-    def parameters(self) -> list[Tensor]:
+    def parameters(self) -> list[np.ndarray]:
         out = []
         for layer in self.layers:
             out.append(layer.weights)
@@ -409,19 +127,84 @@ class Mlp:
         return masks
 
 
-def forward(net: Mlp, x: Tensor, masks=None) -> Tensor:
-    """Run the network; ``masks=None`` means eval mode (dropout identity)."""
-    x = _as_tensor(x)
-    if x.data.shape[-1] != net.in_dim:
+def forward(net: Mlp, x, masks=None):
+    """Run the network on the rows of ``x``; ``masks=None`` is eval mode
+    (dropout is the identity). Returns the output and the cache ``grad``
+    reads: per layer, its masked input, mask and activation record."""
+    h = np.asarray(x, dtype=np.float64)
+    if h.shape[-1] != net.in_dim:
         raise ShapeMismatchError(
-            f"input dim {x.data.shape[-1]} != network in-dim {net.in_dim}")
-    h = x
+            f"input dim {h.shape[-1]} != network in-dim {net.in_dim}")
+    cache = []
     for i, layer in enumerate(net.layers):
-        if masks is not None and masks[i] is not None:
-            h = mul(h, Tensor(masks[i]))
-        h = layer(h)
-    _finite(h.data)
-    return h
+        mask = None if masks is None else masks[i]
+        u = h if mask is None else h * mask
+        z = u @ layer.weights.T + layer.biases
+        act = layer.activation
+        if act == "relu":
+            record = (z > 0).astype(np.float64)
+            h = z * record
+        elif act == "leaky_relu":
+            record = np.where(z > 0, 1.0, layer.slope)
+            h = z * record
+        elif act == "sigmoid":
+            h = record = sigmoid(z)
+        elif act == "softmax":
+            e = np.exp(z - z.max(axis=-1, keepdims=True))
+            h = record = e / e.sum(axis=-1, keepdims=True)
+        else:
+            h, record = z, None
+        cache.append((u, mask, record))
+    return _finite(h, "network output"), cache
+
+
+def grad(net: Mlp, cache, g_out, params: bool = True, inputs: bool = False):
+    """Backward pass of ``forward`` from ``g_out = dL/d(output)``.
+
+    Returns ``(param_grads, input_grad)``: dL/d``net.parameters()``, in
+    that order, when ``params``, and dL/dx when ``inputs``; what is not
+    asked for is ``None`` and is not computed. Raises ``NumericError`` if
+    a returned gradient holds NaN or Inf.
+    """
+    if len(cache) != len(net.layers):
+        raise ShapeMismatchError("cache is not from a forward of this network")
+    g = np.asarray(g_out, dtype=np.float64)
+    param_grads = []
+    for i in range(len(net.layers) - 1, -1, -1):
+        layer = net.layers[i]
+        u, mask, record = cache[i]
+        act = layer.activation
+        if act in ("relu", "leaky_relu"):
+            g = g * record
+        elif act == "sigmoid":
+            g = sigmoid_backward(record, g)
+        elif act == "softmax":
+            gy = g * record
+            g = gy - record * gy.sum(axis=-1, keepdims=True)
+        if params:
+            param_grads.append(_finite(g.sum(axis=0), "gradient"))
+            param_grads.append(_finite((u.T @ g).T, "gradient"))
+        if i == 0 and not inputs:
+            break
+        g = g @ layer.weights
+        if mask is not None:
+            g = g * mask
+    return (param_grads[::-1] if params else None,
+            _finite(g, "gradient") if inputs else None)
+
+
+def bce(p: np.ndarray, y):
+    """Mean binary cross-entropy of probabilities ``p`` (n, 1) against 0/1
+    labels ``y``, with ``p`` clamped away from {0, 1}. Returns the loss and
+    dL/dp."""
+    y = np.asarray(y, dtype=np.float64).reshape(-1, 1)
+    n = p.shape[0]
+    p_safe = p * (1.0 - 1e-7) + 5e-8
+    q = 1.0 - p_safe
+    loss = -1.0 * ((y * np.log(p_safe) + (1.0 - y) * np.log(q)).sum() * (1.0 / n))
+    seed = np.broadcast_to(np.float64(-1.0 * (1.0 / n)), p.shape)
+    g = (seed * y) * p_safe ** -1.0 + ((seed * (1.0 - y)) * q ** -1.0) * -1.0
+    return float(loss), g * (1.0 - 1e-7)
 
 
 def build_mlp(dims, hidden_activation: str, output_activation: str,
@@ -432,9 +215,8 @@ def build_mlp(dims, hidden_activation: str, output_activation: str,
     for i, (d_in, d_out) in enumerate(zip(dims, dims[1:])):
         last = i == len(dims) - 2
         bound = np.sqrt(6.0 / (d_in + d_out))
-        w = Tensor(rng.uniform(-bound, bound, size=(d_out, d_in)))
-        b = Tensor(np.zeros(d_out))
-        layers.append(DenseLayer(w, b,
+        w = rng.uniform(-bound, bound, size=(d_out, d_in))
+        layers.append(DenseLayer(w, np.zeros(d_out),
                                  output_activation if last else hidden_activation,
                                  slope=slope))
     return Mlp(layers, input_dropout_rate=input_dropout,
@@ -447,10 +229,11 @@ def build_mlp(dims, hidden_activation: str, output_activation: str,
 class AdamState:
     """Adam moments of one network.
 
-    ``for_params`` moves the parameters into ``flat``, one array end to
-    end, and leaves each ``Tensor.data`` a view into it, so a step updates
-    the whole network with a few whole-array ufuncs. ``m`` and ``v`` are
-    laid out like ``flat``; ``grad`` and ``step`` are scratch buffers.
+    ``for_net`` moves the network's parameters into ``flat``, one array
+    end to end, and rebinds each layer's weights and biases to views into
+    it, so a step updates the whole network with a few whole-array ufuncs.
+    ``m`` and ``v`` are laid out like ``flat``; ``grad`` and ``step`` are
+    scratch buffers.
     """
     flat: np.ndarray
     m: np.ndarray
@@ -460,12 +243,15 @@ class AdamState:
     t: int = 0
 
     @classmethod
-    def for_params(cls, params) -> "AdamState":
-        flat = np.concatenate([p.data.ravel() for p in params])
+    def for_net(cls, net: Mlp) -> "AdamState":
+        flat = np.concatenate([p.ravel() for p in net.parameters()])
         offset = 0
-        for p in params:
-            p.data = flat[offset:offset + p.data.size].reshape(p.data.shape)
-            offset += p.data.size
+        for layer in net.layers:
+            for attr in ("weights", "biases"):
+                p = getattr(layer, attr)
+                setattr(layer, attr,
+                        flat[offset:offset + p.size].reshape(p.shape))
+                offset += p.size
         return cls(flat, np.zeros_like(flat), np.zeros_like(flat),
                    np.empty_like(flat), np.empty_like(flat))
 
@@ -475,19 +261,19 @@ def adam_step(params, grads, state: AdamState, lr: float = 1e-4,
     """Standard Adam with bias correction; updates ``params`` and the
     moments in ``state`` in place.
 
-    ``params`` must be the ones ``state`` was made for, in the same order.
-    The arithmetic is, operation for operation,
-    ``m = beta1*m + (1-beta1)*g``, ``v = beta2*v + (1-beta2)*g*g`` and
-    ``p -= lr*m_hat / (sqrt(v_hat) + eps)``; it is element-wise, so the
+    ``params`` must be the parameters of the network ``state`` was made
+    for, in ``parameters()`` order. The arithmetic is, operation for
+    operation, ``m = beta1*m + (1-beta1)*g``, ``v = beta2*v + (1-beta2)*g*g``
+    and ``p -= lr*m_hat / (sqrt(v_hat) + eps)``; it is element-wise, so the
     bits do not depend on the parameters sharing one buffer.
     """
     g, step = state.grad, state.step
     offset = 0
     for p, gr in zip(params, grads, strict=True):
-        gd = gr.data if isinstance(gr, Tensor) else np.asarray(gr)
-        if gd.shape != p.data.shape:
-            raise ShapeMismatchError(f"grad shape {gd.shape} != param {p.data.shape}")
-        if p.data.base is not state.flat:
+        gd = np.asarray(gr)
+        if gd.shape != p.shape:
+            raise ShapeMismatchError(f"grad shape {gd.shape} != param {p.shape}")
+        if p.base is not state.flat:
             raise ValueError("parameter is not laid out in this AdamState")
         g[offset:offset + gd.size] = gd.ravel()
         offset += gd.size

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from ganevade import petk
+import tape
+from ganevade import baselines, petk
 from ganevade.baselines import MalganConfig, benign_injection, train_malgan
 from ganevade.detectors import BENIGN, MALICIOUS
 from ganevade.features import byte_histogram
@@ -111,3 +112,34 @@ class TestMalgan:
         model = train_malgan(xm, xb, threshold_black_box(), tiny_preset(), cfg)
         assert model.training_meta["seed"] == 9
         assert model.training_meta["queries"] > 0
+
+
+class TestMalganBackward:
+    """MalGAN's two losses against the tape, bit for bit."""
+
+    def test_substitute_grads_match_tape(self):
+        model = build_gan(tiny_preset(), seed=6)
+        rng = np.random.default_rng(6)
+        x = rng.dirichlet(np.ones(10), size=12)
+        y = np.repeat([0.0, 1.0], 6)
+        grads = baselines._substitute_grads(model.critic, x, y)
+        out, params = tape.forward(model.critic, tape.Tensor(x))
+        want = tape.grad(tape.bce(tape.sigmoid(out), y), params)
+        for got, w in zip(grads, want, strict=True):
+            np.testing.assert_array_equal(got, w.data)
+
+    @pytest.mark.parametrize("preset", [
+        tiny_preset(), GanPreset("api", 10, 4, (16,), (8,), "sigmoid")])
+    def test_generator_grads_match_tape(self, preset):
+        model = build_gan(preset, seed=7)
+        rng = np.random.default_rng(7)
+        m = (rng.random((12, 10)) > 0.5).astype(np.float64)
+        z = rng.random((12, 4))
+        grads = baselines._malgan_generator_grads(model, m, z)
+        x = tape.Tensor(np.concatenate([m, z], axis=1))
+        o, params = tape.forward(model.generator, x)
+        fake = tape.maximum(tape.Tensor(m), o) if preset.is_binary else o
+        out, _ = tape.forward(model.critic, fake)
+        want = tape.grad(tape.tmean(tape.sigmoid(out)), params)
+        for got, w in zip(grads, want, strict=True):
+            np.testing.assert_array_equal(got, w.data)

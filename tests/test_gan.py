@@ -8,8 +8,9 @@ from ganevade.gan import (GanPreset, TrainingConfig, api_preset, build_gan,
                           byte_preset, critic_loss, generate, generator_loss,
                           load_gan, preset_for, sample_noise, save_gan,
                           smooth_union, strings_preset, train)
-from ganevade.nncore import (Tensor, add, build_mlp, forward, mul, power, sub,
-                             tmean, tsum)
+from ganevade.nncore import build_mlp
+import tape
+from tape import Tensor, add, mul, power, sub, tmean, tsum
 
 
 class TestPresets:
@@ -42,17 +43,17 @@ class TestPresets:
 class TestNoise:
     def test_range_half_open(self):
         z = sample_noise(16, 1000, np.random.default_rng(0))
-        assert z.data.min() >= 0.0
-        assert z.data.max() < 1.0
+        assert z.min() >= 0.0
+        assert z.max() < 1.0
 
     def test_seed_determinism(self):
         a = sample_noise(4, 5, np.random.default_rng(7))
         b = sample_noise(4, 5, np.random.default_rng(7))
-        np.testing.assert_array_equal(a.data, b.data)
+        np.testing.assert_array_equal(a, b)
 
     def test_mean_near_half(self):
         z = sample_noise(8, 5000, np.random.default_rng(1))
-        assert abs(z.data.mean() - 0.5) < 0.01
+        assert abs(z.mean() - 0.5) < 0.01
 
     def test_dim_validation(self):
         with pytest.raises(ValueError):
@@ -61,20 +62,19 @@ class TestNoise:
 
 class TestSmoothUnion:
     def test_hand_example(self):
-        out = smooth_union(np.array([[1.0, 0.0]]), Tensor([[0.3, 0.7]]))
-        np.testing.assert_array_equal(out.data, [[1.0, 0.7]])
+        out = smooth_union(np.array([[1.0, 0.0]]), np.array([[0.3, 0.7]]))
+        np.testing.assert_array_equal(out, [[1.0, 0.7]])
 
     def test_at_least_m_and_fixed_points(self):
         rng = np.random.default_rng(2)
         m = (rng.random((6, 9)) > 0.5).astype(np.float64)
-        o = Tensor(rng.random((6, 9)))
-        out = smooth_union(m, o)
-        assert np.all(out.data >= m)
-        assert np.all(out.data[m == 1.0] == 1.0)
+        out = smooth_union(m, rng.random((6, 9)))
+        assert np.all(out >= m)
+        assert np.all(out[m == 1.0] == 1.0)
 
     def test_dim_mismatch(self):
         with pytest.raises(nncore.ShapeMismatchError):
-            smooth_union(np.zeros((1, 3)), Tensor(np.zeros((1, 4))))
+            smooth_union(np.zeros((1, 3)), np.zeros((1, 4)))
 
 
 def tiny_preset(kind="api"):
@@ -125,21 +125,21 @@ class TestGenerate:
 
 
 def graph_critic_loss(critic, real, fake, lambda_gp, eps, masks=None):
-    """The critic loss as an ``nncore`` graph, the oracle of the closed
-    form: (loss, distance, penalty) tensors and the gradient of the loss
-    w.r.t. ``critic.parameters()`` by grad-of-grad."""
+    """The critic loss as a tape graph, the oracle of the closed form:
+    (loss, distance, penalty) tensors and the gradient of the loss w.r.t.
+    ``critic.parameters()`` by grad-of-grad."""
     real, fake = Tensor(real), Tensor(fake)
     eps_t = Tensor(np.asarray(eps, dtype=np.float64).reshape(-1, 1))
     x_hat = add(mul(eps_t, real), mul(sub(Tensor(1.0), eps_t), fake))
-    f_real = forward(critic, real, masks)
-    f_fake = forward(critic, fake, masks)
-    f_hat = forward(critic, x_hat, masks)
-    gx = nncore.grad(tsum(f_hat), x_hat)
+    f_real, params = tape.forward(critic, real, masks)
+    f_fake, _ = tape.forward(critic, fake, masks, params)
+    f_hat, _ = tape.forward(critic, x_hat, masks, params)
+    gx = tape.grad(tsum(f_hat), x_hat)
     norms = power(tsum(mul(gx, gx), axis=1), 0.5)
     penalty = tmean(power(sub(norms, Tensor(1.0)), 2.0))
     wdist = sub(tmean(f_fake), tmean(f_real))
     loss = add(wdist, mul(Tensor(lambda_gp), penalty))
-    return loss, wdist, penalty, nncore.grad(loss, critic.parameters())
+    return loss, wdist, penalty, tape.grad(loss, params)
 
 
 def dropout_masks(rng, batch, widths, rates):
@@ -160,7 +160,7 @@ class TestLosses:
         critic = build_mlp([6, 4, 1], "leaky_relu", "linear",
                            np.random.default_rng(0))
         for p in critic.parameters():
-            p.data[...] = 0.0
+            p[...] = 0.0
         rng = np.random.default_rng(8)
         loss, wdist, penalty, grads = critic_loss(
             critic, rng.random((5, 6)), rng.random((5, 6)), lambda_gp=10.0,
@@ -168,7 +168,7 @@ class TestLosses:
         assert loss == pytest.approx(10.0)
         assert (wdist, penalty) == (0.0, 1.0)
         assert [g.shape for g in grads] == \
-            [p.data.shape for p in critic.parameters()]
+            [p.shape for p in critic.parameters()]
         for g in grads[:-1]:
             assert not g.any()
 
@@ -212,15 +212,15 @@ class TestLosses:
         _, _, _, grads = critic_loss(critic, real, fake, 10.0, eps, masks)
         h = 1e-5
         for p, g in zip(params, grads):
-            p0 = p.data.copy()
+            p0 = p.copy()
             fd = np.zeros_like(p0)
             for i in np.ndindex(p0.shape):
                 for sign in (1, -1):
-                    p.data[...] = p0
-                    p.data[i] += sign * h
+                    p[...] = p0
+                    p[i] += sign * h
                     fd[i] += sign * critic_loss(critic, real, fake, 10.0, eps,
                                                 masks)[0] / (2 * h)
-            p.data[...] = p0
+            p[...] = p0
             rel = np.abs(g - fd).max() / (np.abs(fd).max() + 1e-12)
             assert rel <= 1e-4
 
@@ -249,7 +249,7 @@ class TestLosses:
             critic, real, fake, lambda_gp, eps, masks)
         for got, want in ((loss, o_loss), (wdist, o_wdist),
                           (penalty, o_penalty)):
-            assert got == pytest.approx(want.item(), rel=1e-10, abs=1e-12)
+            assert got == pytest.approx(float(want.data), rel=1e-10, abs=1e-12)
         assert len(grads) == len(o_grads)
         for got, want in zip(grads, o_grads):
             assert got.shape == want.data.shape
@@ -262,9 +262,49 @@ class TestLosses:
         rng = np.random.default_rng(10)
         critic = build_mlp([4, 3, 1], "leaky_relu", "linear", rng)
         fake = rng.normal(size=(8, 4))
-        expected = nncore.forward(critic, Tensor(fake)).data.mean()
-        assert generator_loss(critic, Tensor(fake)).item() == \
-            pytest.approx(expected)
+        expected = nncore.forward(critic, fake)[0].mean()
+        assert generator_loss(critic, fake)[0] == pytest.approx(expected)
+
+
+def tape_generator_grads(model, m, z, gen_masks, critic_masks):
+    """The generator step by the tape: the gradient of the negated mean
+    critic score w.r.t. the generator's parameters."""
+    o, params = tape.forward(model.generator,
+                             Tensor(np.concatenate([m, z], axis=1)), gen_masks)
+    fake = tape.maximum(Tensor(m), o) if model.preset.is_binary else o
+    score, _ = tape.forward(model.critic, fake, critic_masks)
+    loss = tmean(score)
+    return float(loss.data), tape.grad(mul(Tensor(-1.0), loss), params)
+
+
+class TestGeneratorStep:
+    @pytest.mark.parametrize("kind", ["byte_histogram", "api"])
+    def test_matches_tape(self, kind):
+        # the step train() takes: masks on both networks, and on a binary
+        # preset the gradient routed through smooth_union
+        model = build_gan(tiny_preset(kind), seed=4)
+        rng = np.random.default_rng(5)
+        batch = 16
+        if kind == "api":
+            m = (rng.random((batch, 12)) > 0.5).astype(np.float64)
+        else:
+            m = rng.dirichlet(np.ones(12), size=batch)
+        z = sample_noise(4, batch, rng)
+        gen_masks = model.generator.sample_dropout_masks(rng, batch)
+        critic_masks = model.critic.sample_dropout_masks(rng, batch)
+
+        fake, path = gan._generator_path(model, m, z, gen_masks)
+        score, g_fake = generator_loss(model.critic, fake, critic_masks)
+        grads = gan._generator_grads(model, path, g_fake)
+        want_score, want = tape_generator_grads(model, m, z, gen_masks,
+                                                critic_masks)
+        assert score == want_score
+        assert len(grads) == len(want)
+        for got, w in zip(grads, want):
+            np.testing.assert_array_equal(got, w.data)
+        if kind == "api":
+            # some units pass the gradient on, the ones under m = 1 do not
+            assert 0 < path[1].sum() < path[1].size
 
 
 def separable_corpora(n=80, dim=12, seed=0):
@@ -295,22 +335,22 @@ class TestTraining:
         init = build_gan(preset, seed=3)
         # 4 steps < n_generator: generator untouched, critic moved
         for a, b in zip(model.generator.parameters(), init.generator.parameters()):
-            np.testing.assert_array_equal(a.data, b.data)
-        moved = any(not np.array_equal(a.data, b.data) for a, b in
+            np.testing.assert_array_equal(a, b)
+        moved = any(not np.array_equal(a, b) for a, b in
                     zip(model.critic.parameters(), init.critic.parameters()))
         assert moved
 
         cfg5 = TrainingConfig(batch_size=8, max_steps=5)
         model5 = train(benign, malicious, preset, cfg5, seed=3)
-        changed = any(not np.array_equal(a.data, b.data) for a, b in
+        changed = any(not np.array_equal(a, b) for a, b in
                       zip(model5.generator.parameters(),
                           init.generator.parameters()))
         assert changed
 
     def test_overflow_in_the_graph_is_training_diverged(self):
         # finite inputs whose critic scores overflow: the NaN/Inf is made
-        # inside the graph, where no node checks it, and must still stop
-        # training at the first step
+        # inside the forward, which checks only its output, and must still
+        # stop training at the first step
         benign = np.full((8, 256), 1e308)
         malicious = np.full((8, 256), 1.0 / 256)
         cfg = TrainingConfig(batch_size=4, max_steps=3)

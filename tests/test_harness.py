@@ -57,6 +57,34 @@ class TestConfig:
             ExperimentConfig(detectors=[harness.DetectorSpec(
                 "x", "logreg", ("registry",))])
 
+    @staticmethod
+    def mlp_with(**hyperparams):
+        return [harness.DetectorSpec("m", "mlp", ("byte",), hyperparams)]
+
+    @pytest.mark.parametrize("steps", [0, -3, 2.5, "many", True])
+    def test_detector_steps_must_be_integer_at_least_one(self, steps):
+        with pytest.raises(ConfigError):
+            ExperimentConfig(detectors=self.mlp_with(steps=steps))
+
+    @pytest.mark.parametrize("hidden", [0, -1, 8.0, "wide"])
+    def test_detector_hidden_must_be_integer_at_least_one(self, hidden):
+        with pytest.raises(ConfigError):
+            ExperimentConfig(detectors=self.mlp_with(hidden=hidden))
+
+    @pytest.mark.parametrize("lr", [0, -1, float("nan"), "fast"])
+    def test_detector_lr_must_be_positive(self, lr):
+        with pytest.raises(ConfigError):
+            ExperimentConfig(detectors=self.mlp_with(lr=lr))
+
+    @pytest.mark.parametrize("l2", [-1e-4, float("nan"), None])
+    def test_detector_l2_must_be_non_negative(self, l2):
+        with pytest.raises(ConfigError):
+            ExperimentConfig(detectors=self.mlp_with(l2=l2))
+
+    def test_detector_hyperparams_at_their_bounds_accepted(self):
+        ExperimentConfig(detectors=self.mlp_with(steps=1, hidden=1, lr=2,
+                                                 l2=0))
+
     def test_schema_version_checked(self):
         with pytest.raises(ConfigError):
             ExperimentConfig.from_dict({"schema_version": 99})
@@ -540,6 +568,25 @@ class TestBytePadding:
             req = harness._padding_request(blob, target, 0.0)
             assert padopt.check_plan(padopt.plan_for(req), req)
 
+    def test_uncertified_plan_fails_the_attack(self, tmp_path, monkeypatch):
+        # two counts moved between bins put an exact-mode plan past its
+        # certified bound: the stage fails rather than write the file
+        plan_for = padopt.plan_for
+
+        def two_counts_moved(req):
+            plan = plan_for(req)
+            p = plan.p.copy()
+            i = int(np.argmax(p))
+            p[i] -= 2
+            p[(i + 1) % len(p)] += 2
+            return dataclasses.replace(plan, p=p)
+
+        monkeypatch.setattr(padopt, "plan_for", two_counts_moved)
+        cfg = dataclasses.replace(tiny_config(attacks=("gan_byte",)), gap=0.0)
+        with pytest.raises(StageError, match="InfeasiblePaddingError"):
+            run_pipeline(cfg, tmp_path)
+        assert not (tmp_path / "attacks").exists()
+
 
 class TestCapacityCap:
     def test_cap_zero_warns_and_truncates(self, tmp_path):
@@ -590,6 +637,10 @@ class TestCli:
         {"corpus": {"n_per_class": 3, "content_size": [400]}},
         {"corpus": {"n_per_class": 3, "content_size": [800, 400]}},
         {"corpus": {"n_per_class": 3, "content_size": [0, 400]}},
+        *({"detectors": [{"name": "d", "kind": "mlp", "families": ["byte"],
+                          "hyperparams": hp}]}
+          for hp in ({"steps": "many"}, {"hidden": 0}, {"steps": -3},
+                     {"lr": -1})),
     ])
     def test_setting_error_exit_2_writes_nothing(self, tmp_path, bad):
         p = tmp_path / "bad.json"
