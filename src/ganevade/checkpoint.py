@@ -7,7 +7,8 @@ Layout (little-endian):
     header  UTF-8 JSON: {"meta": {...}, "arrays": [{"name", "shape"}, ...]}
     body    raw float64 buffers, row-major, in header order
 
-The file ends with the last array; any byte after it is an error.
+The file ends with the last array. A header of any other shape, a body
+of any other length and a short file raise ``CheckpointError``.
 Round-trips are bit-exact. ``meta["key"]``, when a writer sets it, is the
 content key of the inputs the arrays were computed from; a reader that
 passes ``key`` gets a ``CheckpointError`` for any other.
@@ -16,7 +17,8 @@ passes ``key`` gets a ``CheckpointError`` for any other.
 from __future__ import annotations
 
 import json
-import struct
+import math
+from itertools import accumulate
 
 import numpy as np
 
@@ -35,34 +37,46 @@ def save_container(path, meta: dict, arrays: dict[str, np.ndarray]) -> None:
                         sort_keys=True).encode("utf-8")
     with open(path, "wb") as fh:
         fh.write(MAGIC)
-        fh.write(struct.pack("<I", len(header)))
+        fh.write(len(header).to_bytes(4, "little"))
         fh.write(header)
         for v in arrays.values():
             fh.write(np.ascontiguousarray(v, dtype="<f8").tobytes())
 
 
+def _well_formed(header) -> bool:
+    """An object whose ``meta`` is an object and whose ``arrays`` lists
+    ``{name, shape}`` entries, each shape a list of non-negative ints."""
+    return (isinstance(header, dict) and isinstance(header.get("meta"), dict)
+            and isinstance(header.get("arrays"), list)
+            and all(isinstance(e, dict) and isinstance(e.get("name"), str)
+                    and isinstance(e.get("shape"), list)
+                    and all(type(d) is int and d >= 0 for d in e["shape"])
+                    for e in header["arrays"]))
+
+
 def load_container(path, key: str | None = None):
     with open(path, "rb") as fh:
-        magic = fh.read(5)
-        if magic != MAGIC:
-            raise CheckpointError(f"bad magic {magic!r}")
-        raw = fh.read(4)
-        if len(raw) != 4:
-            raise CheckpointError("truncated header")
-        (hlen,) = struct.unpack("<I", raw)
-        header = json.loads(fh.read(hlen).decode("utf-8"))
-        if key is not None and header["meta"].get("key") != key:
-            raise CheckpointError("checkpoint built from other inputs")
-        arrays = {}
-        for entry in header["arrays"]:
-            shape = tuple(entry["shape"])
-            n = int(np.prod(shape)) if shape else 1
-            buf = fh.read(8 * n)
-            if len(buf) != 8 * n:
-                raise CheckpointError(f"truncated array {entry['name']}")
-            arrays[entry["name"]] = np.frombuffer(buf, dtype="<f8").reshape(shape).copy()
-        if fh.read(1):
-            raise CheckpointError("bytes after the last array")
+        data = fh.read()
+    if data[:5] != MAGIC:
+        raise CheckpointError(f"bad magic {data[:5]!r}")
+    end = 9 + int.from_bytes(data[5:9], "little")
+    if len(data) < end:
+        raise CheckpointError("truncated header")
+    try:
+        header = json.loads(data[9:end].decode("utf-8"))
+    except ValueError as exc:
+        raise CheckpointError(f"unreadable header: {exc}") from None
+    if not _well_formed(header):
+        raise CheckpointError("malformed header")
+    if key is not None and header["meta"].get("key") != key:
+        raise CheckpointError("checkpoint built from other inputs")
+    ends = list(accumulate((8 * math.prod(e["shape"]) for e in header["arrays"]),
+                           initial=end))
+    if ends[-1] != len(data):
+        raise CheckpointError("body length differs from the header's arrays")
+    arrays = {e["name"]: np.frombuffer(data, "<f8", (hi - lo) // 8, lo)
+              .reshape(e["shape"]).copy()
+              for e, lo, hi in zip(header["arrays"], ends, ends[1:])}
     return header["meta"], arrays
 
 

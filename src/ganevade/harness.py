@@ -210,6 +210,11 @@ class ExperimentConfig:
             for fam in spec.families:
                 if fam not in FAMILIES:
                     raise ConfigError(f"unknown feature family {fam!r}")
+        # MalGAN queries a byte-only detector; gan_byte's gap sweep scores on one
+        if ({"gan_byte", "malgan_byte"} & set(self.attacks) and
+                ("byte",) not in [spec.families for spec in self.detectors]):
+            raise ConfigError("gan_byte and malgan_byte need a detector that "
+                              "reads the byte family alone")
         fcfg = self.feature_cfg
         if min(fcfg.k_api, fcfg.k_strings, fcfg.hash_dim, fcfg.min_string_len) < 1:
             raise ConfigError("k_api, k_strings, hash_dim and min_string_len "
@@ -425,16 +430,12 @@ class FeatureTable:
             return features.hash_features(feats.string_tokens, self.fcfg.hash_dim)
         raise ConfigError(f"unknown feature family {family!r}")
 
-    def assemble(self, spec_families, rows) -> np.ndarray:
-        parts = [self.matrices[fam][rows] for fam in spec_families]
-        return np.hstack(parts)
-
     def by_class(self, spec_families, rows) -> tuple[np.ndarray, np.ndarray]:
         """The benign and the malicious files among ``rows``, assembled."""
-        benign = [i for i in rows if self.labels[i] == "benign"]
-        malicious = [i for i in rows if self.labels[i] == "malicious"]
-        return (self.assemble(spec_families, benign),
-                self.assemble(spec_families, malicious))
+        def assemble(label):
+            part = [i for i in rows if self.labels[i] == label]
+            return np.hstack([self.matrices[fam][part] for fam in spec_families])
+        return assemble("benign"), assemble("malicious")
 
     def vector_for(self, feats: FileFeatures, spec_families) -> np.ndarray:
         return np.concatenate([self._family_vector(fam, feats)
@@ -815,8 +816,8 @@ def stage_detectors(state: PipelineState):
         if model is None:
             xb, xm = state.table.by_class(spec.families, state.splits["train"])
             model = detectors.train_detector(
-                spec.kind, detectors.FeatureSpec(tuple(spec.families)), xb, xm,
-                hyperparams=spec.hyperparams, seed=state.cfg.seed)
+                spec.kind, xb, xm, hyperparams=spec.hyperparams,
+                seed=state.cfg.seed)
             model_dir.mkdir(parents=True, exist_ok=True)
             detectors.save_detector(path, model, key)
             state.computed.add(("detector", spec.name))
@@ -869,10 +870,9 @@ def stage_attacks(state: PipelineState):
 
 
 def _primary_byte_detector(state: PipelineState) -> detectors.DetectorModel:
-    for spec in state.cfg.detectors:
-        if tuple(spec.families) == ("byte",):
-            return state.detector_models[spec.name]
-    raise StageError("attack", "no byte-only detector available for MalGAN")
+    """The first byte-only detector; the config ensures one where needed."""
+    return next(state.detector_models[spec.name] for spec in state.cfg.detectors
+                if spec.families == ("byte",))
 
 
 @_stage("evaluate")
@@ -881,18 +881,19 @@ def stage_evaluate(state: PipelineState) -> dict:
     table = state.table
     test_mal = _rows(state, "test", "malicious")
     names = [table.names[i] for i in test_mal]
-    models = {spec.name: state.detector_models[spec.name] for spec in cfg.detectors}
+
+    def rates(rows_of) -> dict:
+        """Each detector's rate on the rows ``rows_of(family)`` gives."""
+        return {spec.name: detectors.detection_rate(
+                    state.detector_models[spec.name],
+                    np.hstack([rows_of(fam) for fam in spec.families]))
+                for spec in cfg.detectors}
 
     # the original files' rows come from the table; a rewritten file is
-    # re-extracted and vectorized once per family, then assembled per detector
-    original_rates = {
-        spec.name: detectors.detection_rate(
-            models[spec.name], table.assemble(spec.families, test_mal))
-        for spec in cfg.detectors}
+    # re-extracted and vectorized once per family
+    original_rates = rates(lambda fam: table.matrices[fam][test_mal])
     test_ben = _rows(state, "test", "benign")
-    fpr = {spec.name: detectors.false_positive_rate(
-               models[spec.name], table.assemble(spec.families, test_ben))
-           for spec in cfg.detectors}
+    fpr = rates(lambda fam: table.matrices[fam][test_ben])
 
     used = sorted({fam for spec in cfg.detectors for fam in spec.families})
     attack_rates = {}
@@ -903,10 +904,7 @@ def stage_evaluate(state: PipelineState) -> dict:
                      for name in names]
         adv = {fam: np.array([table.vector_for(f, (fam,)) for f in feats_adv])
                for fam in used}
-        attack_rates[attack] = {
-            spec.name: detectors.detection_rate(
-                models[spec.name], np.hstack([adv[fam] for fam in spec.families]))
-            for spec in cfg.detectors}
+        attack_rates[attack] = rates(adv.__getitem__)
         query_counts[attack] = out.query_count
         stats = dict(out.stats)
         stats["mean_size_mb"] = float(np.mean(

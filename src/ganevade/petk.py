@@ -110,10 +110,6 @@ class PeImage:
         raise PeEditError("parse", rva, f"RVA {rva:#x} maps to no section")
 
 
-def serialize(pe: PeImage) -> bytes:
-    return pe.data
-
-
 def _read_cstring(data: bytes, offset: int) -> str:
     end = data.find(b"\x00", offset)
     if end < 0:
@@ -299,9 +295,12 @@ def _check_layout(pe: PeImage) -> None:
 
 
 def _next_virtual_address(pe: PeImage) -> int:
+    """The first aligned RVA past every section's span as ``rva_to_offset``
+    reads it, so that no RVA in the new section resolves to an old one."""
     if not pe.sections:
         return pe.section_align
-    last = max(s.virtual_address + max(s.virtual_size, 1) for s in pe.sections)
+    last = max(s.virtual_address + max(s.virtual_size, s.raw_size, 1)
+               for s in pe.sections)
     return _align_up(last, pe.section_align)
 
 
@@ -417,6 +416,9 @@ def _build_import_blob(descriptors: list[ImportDescriptor], base_rva: int,
                 value = ordinal_flag | entry.ordinal
             else:
                 value = base_rva + hint_name_offsets[i][j]
+                if value & ordinal_flag:
+                    raise PeEditError("capacity", base_rva,
+                                      f"name RVA {value:#x} reads as an ordinal")
             _pack(fmt, blob, ilt_off + thunk_size * j, value)
             _pack(fmt, blob, iat_off + thunk_size * j, value)
     blob[cursor - len(name_blob) - len(hint_blob):cursor - len(name_blob)] = hint_blob

@@ -1,3 +1,6 @@
+import json
+import struct
+
 import numpy as np
 import pytest
 
@@ -56,6 +59,60 @@ def test_truncated_header_rejected(tmp_path):
     path.write_bytes(path.read_bytes()[:7])
     with pytest.raises(ckpt.CheckpointError):
         ckpt.load_container(path)
+
+
+@pytest.mark.parametrize("header", [
+    {}, [], "x", None,
+    {"meta": [], "arrays": []},
+    {"meta": {}},
+    {"meta": {}, "arrays": {}},
+    {"meta": {}, "arrays": [["a", [2]]]},
+    {"meta": {}, "arrays": [{"name": "a"}]},
+    {"meta": {}, "arrays": [{"shape": [2]}]},
+    {"meta": {}, "arrays": [{"name": "a", "shape": 2}]},
+    {"meta": {}, "arrays": [{"name": "a", "shape": [-1]}]},
+    {"meta": {}, "arrays": [{"name": "a", "shape": [2.0]}]},
+    {"meta": {}, "arrays": [{"name": "a", "shape": [True]}]},
+], ids=repr)
+def test_malformed_header_rejected(tmp_path, header):
+    path = tmp_path / "c.gevd"
+    raw = json.dumps(header).encode("utf-8")
+    path.write_bytes(ckpt.MAGIC + struct.pack("<I", len(raw)) + raw)
+    with pytest.raises(ckpt.CheckpointError):
+        ckpt.load_container(path)
+
+
+@pytest.mark.parametrize("raw", [b"{\"meta\": {", b"\xff\xfe"], ids=repr)
+def test_unreadable_header_rejected(tmp_path, raw):
+    path = tmp_path / "c.gevd"
+    path.write_bytes(ckpt.MAGIC + struct.pack("<I", len(raw)) + raw)
+    with pytest.raises(ckpt.CheckpointError):
+        ckpt.load_container(path)
+
+
+def test_header_longer_than_the_file_rejected(tmp_path):
+    path = tmp_path / "c.gevd"
+    path.write_bytes(ckpt.MAGIC + struct.pack("<I", 0xFFFFFFFF) + b"{}")
+    with pytest.raises(ckpt.CheckpointError):
+        ckpt.load_container(path)
+
+
+def test_huge_declared_array_rejected(tmp_path):
+    path = tmp_path / "c.gevd"
+    raw = json.dumps({"meta": {}, "arrays": [
+        {"name": "a", "shape": [2**40, 2**40]}]}).encode("utf-8")
+    path.write_bytes(ckpt.MAGIC + struct.pack("<I", len(raw)) + raw)
+    with pytest.raises(ckpt.CheckpointError):
+        ckpt.load_container(path)
+
+
+def test_empty_and_scalar_arrays_roundtrip(tmp_path):
+    path = tmp_path / "c.gevd"
+    arrays = {"e": np.zeros((0, 3)), "s": np.array(2.5), "z": np.zeros(0)}
+    ckpt.save_container(path, {}, arrays)
+    _, back = ckpt.load_container(path)
+    assert back["e"].shape == (0, 3) and back["z"].shape == (0,)
+    assert back["s"].shape == () and back["s"] == 2.5
 
 
 def _gan_with(generator, critic) -> GanModel:

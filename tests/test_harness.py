@@ -1,12 +1,14 @@
 import dataclasses
 import importlib.util
 import json
+import struct
 import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from ganevade import checkpoint as ckpt
 from ganevade import cli, detectors, gan, harness, padopt, petk
 from ganevade.harness import (ConfigError, CorpusConfig, ExperimentConfig,
                               FeatureConfig, GanStageConfig, PipelineState,
@@ -161,6 +163,17 @@ class TestConfig:
         with pytest.raises(ConfigError):
             ExperimentConfig.from_dict(
                 {"detectors": [{"name": "x", "families": []}]})
+
+    @pytest.mark.parametrize("attack", ["gan_byte", "malgan_byte"])
+    def test_byte_attack_without_byte_only_detector_rejected(self, attack):
+        with pytest.raises(ConfigError):
+            ExperimentConfig(attacks=[attack], detectors=[harness.DetectorSpec(
+                "x", "logreg", ("byte", "api_hashed"))])
+
+    def test_indicator_attacks_need_no_byte_only_detector(self):
+        ExperimentConfig(attacks=["gan_api", "gan_all", "benign_injection"],
+                         detectors=[harness.DetectorSpec("x", "logreg",
+                                                         ("api_topk",))])
 
     def test_unknown_hyperparam_rejected(self):
         with pytest.raises(ConfigError):
@@ -377,10 +390,10 @@ class TestResume:
                 done["extract"] += 1
             return real_extract(data, fcfg)
 
-        def train_detector(kind, spec, *args, **kwargs):
+        def train_detector(kind, x_benign, *args, **kwargs):
             assert not fail, "detector trained again"
-            done["detectors"].append(spec.families)
-            return real_detector(kind, spec, *args, **kwargs)
+            done["detectors"].append((kind, x_benign.shape[1]))
+            return real_detector(kind, x_benign, *args, **kwargs)
 
         def train(benign, malicious, preset, *args, **kwargs):
             assert not fail, "GAN trained again"
@@ -430,7 +443,7 @@ class TestResume:
         path.write_bytes(damage(intact))
         done = self.record_training(monkeypatch, tmp_path / "w")
         assert cli.main(argv) == 0
-        assert done["detectors"] == [("byte",)] and done["gans"] == []
+        assert done["detectors"] == [("logreg", 256)] and done["gans"] == []
         assert path.read_bytes() == intact
 
     def test_truncated_checkpoint_is_recomputed(self, tmp_path, monkeypatch,
@@ -444,6 +457,39 @@ class TestResume:
         self.damaged_detector_is_recomputed(
             tmp_path, monkeypatch, tiny_config_file,
             lambda data: data + b"\x00" * 22)
+
+    def test_old_logreg_layout_is_retrained(self, tmp_path, monkeypatch,
+                                            tiny_config_file):
+        def old_layout(data):
+            # the layout logregs were stored in before they were networks,
+            # under the key of the same inputs
+            path = tmp_path / "intact.gevd"
+            path.write_bytes(data)
+            meta, _ = ckpt.load_container(path)
+            layer = detectors.load_detector(path).net.layers[0]
+            ckpt.save_container(path, {
+                "kind": "detector", "detector_kind": "logreg",
+                "families": ["byte"], "threshold": 0.5,
+                "training_meta": {"seed": 7, "steps": 400}, "key": meta["key"]},
+                {"w": layer.weights[0], "b": layer.biases})
+            return path.read_bytes()
+        self.damaged_detector_is_recomputed(
+            tmp_path, monkeypatch, tiny_config_file, old_layout)
+
+    def test_feature_matrix_with_malformed_header_is_recomputed(
+            self, tmp_path, tiny_config_file):
+        workdir = tmp_path / "w"
+        argv = ["pipeline", "--config", str(tiny_config_file),
+                "--workdir", str(workdir)]
+        assert cli.main(argv) == 0
+        cold = json.loads((workdir / "report.json").read_text())
+        path = workdir / "features" / "byte.gevf"
+        intact = path.read_bytes()
+        path.write_bytes(ckpt.MAGIC + struct.pack("<I", 2) + b"{}")
+        assert cli.main(argv) == 0
+        warm = json.loads((workdir / "report.json").read_text())
+        assert report_without_runtime(warm) == report_without_runtime(cold)
+        assert path.read_bytes() == intact
 
     def test_cli_attack_after_train_gan_trains_nothing(self, tmp_path,
                                                        monkeypatch,
@@ -641,6 +687,8 @@ class TestCli:
                           "hyperparams": hp}]}
           for hp in ({"steps": "many"}, {"hidden": 0}, {"steps": -3},
                      {"lr": -1})),
+        {"attacks": ["gan_byte"],
+         "detectors": [{"name": "d", "families": ["byte", "api_hashed"]}]},
     ])
     def test_setting_error_exit_2_writes_nothing(self, tmp_path, bad):
         p = tmp_path / "bad.json"

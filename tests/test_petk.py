@@ -10,8 +10,7 @@ from hypothesis import strategies as st
 from ganevade import harness, padopt, petk
 from ganevade.features import byte_histogram, extract_imports, extract_strings
 from ganevade.petk import (PeEditError, SectionSpec, SynthSpec, add_section,
-                           append_overlay, extend_imports, parse, serialize,
-                           synth_pe)
+                           append_overlay, extend_imports, parse, synth_pe)
 
 
 def basic_spec():
@@ -26,7 +25,7 @@ class TestParse:
     def test_synth_roundtrip_byte_identical(self):
         data = synth_pe(basic_spec())
         pe = parse(data, strict=True)
-        assert serialize(pe) == data
+        assert pe.data == data
 
     def test_same_seed_same_bytes(self):
         assert synth_pe(basic_spec(), seed=5) == synth_pe(basic_spec(), seed=5)
@@ -217,6 +216,34 @@ class TestExtendImports:
         assert "shell32.dll!shellexecutea" in \
             extract_imports(parse(out.data, strict=True))
 
+    def test_new_section_lies_past_every_raw_span(self):
+        # a section alignment below the last section's raw size: the new
+        # section's RVA must not fall inside that section's raw span, where
+        # an RVA lookup would find the old section first
+        data = bytearray(synth_pe(basic_spec()))
+        pe = parse(bytes(data))
+        struct.pack_into("<I", data, pe.opt_offset + 32, 0x100)
+        pe = parse(bytes(data), strict=False)
+        last = pe.sections[-1]
+        assert last.virtual_size < last.raw_size
+        out, _ = extend_imports(pe, ["x.dll!y"])
+        assert out.sections[-1].virtual_address >= \
+            last.virtual_address + last.raw_size
+        assert extract_imports(parse(out.data, strict=True)) == \
+            extract_imports(pe) | {"x.dll!y"}
+
+    def test_pe32_name_rva_with_the_ordinal_bit_rejected(self):
+        # the import section's VirtualSize reaches past 2 GiB, so the new
+        # section's hint/name RVAs would set the PE32 ordinal flag
+        data = bytearray(synth_pe(basic_spec()))
+        pe = parse(bytes(data))
+        struct.pack_into("<I", data,
+                         pe.section_table_offset + 40 * (len(pe.sections) - 1)
+                         + 8, 0x80000098)
+        pe = parse(bytes(data), strict=False)
+        with pytest.raises(PeEditError):
+            extend_imports(pe, ["x.dll!y"])
+
 
 @contextlib.contextmanager
 def address_space_limit(extra: int):
@@ -272,7 +299,7 @@ def test_random_specs_survive_all_editors(seed):
                      pe64=bool(rng.integers(0, 2)))
     data = synth_pe(spec, seed=seed)
     pe = parse(data, strict=True)
-    assert serialize(pe) == data
+    assert pe.data == data
 
     out1 = add_section(pe, ".new", bytes(rng.integers(0, 256, size=32,
                                                       dtype=np.uint8)))
@@ -288,12 +315,9 @@ def test_random_specs_survive_all_editors(seed):
     parse(out3.data, strict=True)
 
 
-@settings(max_examples=150, deadline=None)
-@given(st.integers(0, 2**31 - 1))
-def test_mutated_pe_parses_or_raises_parse_error(seed):
-    """1-5 random bytes in the first KiB, one file in ten also truncated:
-    lenient parsing either succeeds or raises PeEditError, and feature
-    extraction of the file never raises."""
+def mutant(seed: int) -> bytes:
+    """A synthetic PE with 1-5 random bytes in its first KiB, one file in
+    ten also truncated."""
     rng = np.random.default_rng(seed)
     spec = basic_spec()
     spec.pe64 = bool(rng.integers(0, 2))
@@ -302,9 +326,55 @@ def test_mutated_pe_parses_or_raises_parse_error(seed):
         data[int(rng.integers(0, 1024))] = int(rng.integers(0, 256))
     if rng.random() < 0.1:
         data = data[:int(rng.integers(64, len(data)))]
+    return bytes(data)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 2**31 - 1))
+def test_mutated_pe_parses_or_raises_parse_error(seed):
+    """Lenient parsing of a mutant either succeeds or raises PeEditError,
+    and feature extraction of the file never raises."""
+    data = mutant(seed)
     try:
-        parse(bytes(data), strict=False)
+        parse(data, strict=False)
     except PeEditError:
         pass
-    feats = harness.extract_file(bytes(data), harness.FeatureConfig())
+    feats = harness.extract_file(data, harness.FeatureConfig())
     assert feats.histogram.sum() == pytest.approx(1.0)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 2**31 - 1))
+def test_mutated_pe_editors_raise_or_reparse(seed):
+    """On a mutant that lenient-parses, each editor either raises
+    PeEditError or returns bytes that strict-re-parse, and allocates
+    nothing large on the way. A new section adds at most its content and
+    two file alignments and keeps the imports; a rebuilt import directory
+    holds a superset of them; an overlay keeps the file as its prefix."""
+    data = mutant(seed)
+    try:
+        pe = parse(data, strict=False)
+    except PeEditError:
+        return
+    content = b"\x90" * (seed % 300)
+    counts = np.bincount(np.frombuffer(data, np.uint8), minlength=256)
+    target = np.random.default_rng(seed).dirichlet(np.full(256, 2.0))
+    plan = padopt.plan_for(padopt.PaddingRequest(counts, target, gap=0.05))
+    edits = [lambda: add_section(pe, ".new", content),
+             lambda: extend_imports(pe, ["fresh.dll!added"])[0],
+             lambda: append_overlay(pe, plan)]
+    imports = extract_imports(pe)
+    for i, edit in enumerate(edits):
+        try:
+            with address_space_limit(256 << 20):
+                out = edit()
+        except PeEditError:
+            continue
+        after = extract_imports(parse(out.data, strict=True))
+        if i == 0:
+            assert len(out.data) <= len(data) + len(content) + 2 * pe.file_align
+            assert after == imports
+        elif i == 1:
+            assert after >= imports | {"fresh.dll!added"}
+        else:
+            assert out.data.startswith(data)
