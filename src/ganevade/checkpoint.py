@@ -11,7 +11,9 @@ The file ends with the last array. A header of any other shape, a body
 of any other length and a short file raise ``CheckpointError``.
 Round-trips are bit-exact. ``meta["key"]``, when a writer sets it, is the
 content key of the inputs the arrays were computed from; a reader that
-passes ``key`` gets a ``CheckpointError`` for any other.
+passes ``key`` gets a ``CheckpointError`` for any other. A loader reads
+each field through ``field``, so a container that lacks one, or holds one
+of another type, raises ``CheckpointError`` too.
 """
 
 from __future__ import annotations
@@ -25,6 +27,7 @@ import numpy as np
 from .nncore import DenseLayer, Mlp
 
 MAGIC = b"GEVD1"
+NUMBER = (int, float)
 
 
 class CheckpointError(ValueError):
@@ -80,6 +83,16 @@ def load_container(path, key: str | None = None):
     return header["meta"], arrays
 
 
+def field(mapping, name: str, kind, item=None):
+    """``mapping[name]`` when it is a ``kind`` (a list of ``item``s, when
+    ``item`` is given); ``CheckpointError`` when it is missing or not."""
+    value = mapping.get(name) if isinstance(mapping, dict) else None
+    if not isinstance(value, kind) or (
+            item is not None and not all(isinstance(v, item) for v in value)):
+        raise CheckpointError(f"checkpoint field {name!r} missing or mistyped")
+    return value
+
+
 def mlp_meta(net: Mlp) -> dict:
     return {
         "layers": [{"in": l.in_dim, "out": l.out_dim,
@@ -100,9 +113,10 @@ def mlp_arrays(net: Mlp, prefix: str) -> dict[str, np.ndarray]:
 
 def mlp_from(meta: dict, arrays: dict[str, np.ndarray], prefix: str) -> Mlp:
     layers = []
-    for i, spec in enumerate(meta["layers"]):
-        layers.append(DenseLayer(arrays[f"{prefix}.{i}.w"],
-                                 arrays[f"{prefix}.{i}.b"],
-                                 spec["activation"], slope=spec["slope"]))
-    return Mlp(layers, input_dropout_rate=meta["input_dropout"],
-               hidden_dropout_rate=meta["hidden_dropout"])
+    for i, spec in enumerate(field(meta, "layers", list, dict)):
+        layers.append(DenseLayer(field(arrays, f"{prefix}.{i}.w", np.ndarray),
+                                 field(arrays, f"{prefix}.{i}.b", np.ndarray),
+                                 field(spec, "activation", str),
+                                 slope=field(spec, "slope", NUMBER)))
+    return Mlp(layers, input_dropout_rate=field(meta, "input_dropout", NUMBER),
+               hidden_dropout_rate=field(meta, "hidden_dropout", NUMBER))

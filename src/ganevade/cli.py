@@ -58,9 +58,10 @@ def cmd_gen_corpus(args) -> int:
 def cmd_extract(args) -> int:
     state = _state(args)
     harness.run_stages(state, "extract")
-    print(f"extracted {len(state.table.names)} files; "
-          f"vocab sizes api={state.table.vocab_api.size} "
-          f"strings={state.table.vocab_strings.size}")
+    table = state.table
+    print(f"extracted {len(table.names)} files: " + ", ".join(
+        f"{fam} (vocab {table.vocabs[fam].size})" if fam in table.vocabs
+        else fam for fam in table.matrices))
     return EXIT_OK
 
 

@@ -24,16 +24,6 @@ class EmptyInputError(ValueError):
 
 
 @dataclass
-class ByteHistogram:
-    freq: np.ndarray            # 256 bins, sums to 1
-    total_bytes: int
-
-    @property
-    def counts(self) -> np.ndarray:
-        return np.rint(self.freq * self.total_bytes).astype(np.int64)
-
-
-@dataclass
 class Vocabulary:
     kind: str                   # "api" | "string"
     entries: list[str]
@@ -49,11 +39,12 @@ class Vocabulary:
         return len(self.entries)
 
 
-def byte_histogram(data: bytes) -> ByteHistogram:
+def byte_histogram(data: bytes) -> np.ndarray:
+    """Frequency of each of the 256 byte values; sums to 1."""
     if len(data) == 0:
         raise EmptyInputError("cannot build a byte histogram of an empty file")
     counts = np.bincount(np.frombuffer(data, dtype=np.uint8), minlength=256)
-    return ByteHistogram(freq=counts / len(data), total_bytes=len(data))
+    return counts / len(data)
 
 
 def extract_imports(pe) -> set[str]:
@@ -128,7 +119,8 @@ def hash_features(tokens, dim: int = DEFAULT_HASH_DIM) -> np.ndarray:
 # --- persistence -----------------------------------------------------------
 # Both are checkpoint containers whose ``key`` is the content key of the
 # inputs they were computed from; a loader given ``key`` raises
-# ``CheckpointError`` (a ValueError) for any other.
+# ``CheckpointError`` (a ValueError) for any other, and for a container
+# that lacks a field it reads.
 
 def save_vocab(vocab: Vocabulary, path, key: str = "") -> None:
     ckpt.save_container(path, {"kind": vocab.kind, "entries": vocab.entries,
@@ -137,8 +129,9 @@ def save_vocab(vocab: Vocabulary, path, key: str = "") -> None:
 
 def load_vocab(path, key: str | None = None) -> Vocabulary:
     meta, _ = ckpt.load_container(path, key)
-    return Vocabulary(kind=meta["kind"], entries=meta["entries"],
-                      provenance=meta["provenance"])
+    return Vocabulary(kind=ckpt.field(meta, "kind", str),
+                      entries=ckpt.field(meta, "entries", list, str),
+                      provenance=ckpt.field(meta, "provenance", str))
 
 
 def save_matrix(matrix: np.ndarray, columns, path, key: str = "") -> None:
@@ -150,4 +143,5 @@ def save_matrix(matrix: np.ndarray, columns, path, key: str = "") -> None:
 
 def load_matrix(path, key: str | None = None):
     meta, arrays = ckpt.load_container(path, key)
-    return arrays["matrix"], meta["columns"]
+    return (ckpt.field(arrays, "matrix", np.ndarray),
+            ckpt.field(meta, "columns", list, str))

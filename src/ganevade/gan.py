@@ -410,10 +410,13 @@ def load_gan(path, key: str | None = None) -> GanModel:
     meta, arrays = ckpt.load_container(path, key)
     if meta.get("kind") != "gan":
         raise ckpt.CheckpointError("not a GAN checkpoint")
-    p = meta["preset"]
-    preset = GanPreset(p["feature_kind"], p["input_dim"], p["noise_dim"],
-                       tuple(p["generator_hidden"]), tuple(p["critic_hidden"]),
-                       p["output_activation"])
-    return GanModel(generator=ckpt.mlp_from(meta["generator"], arrays, "gen"),
-                    critic=ckpt.mlp_from(meta["critic"], arrays, "critic"),
-                    preset=preset, training_meta=meta.get("training_meta", {}))
+    p = ckpt.field(meta, "preset", dict)
+    preset = GanPreset(ckpt.field(p, "feature_kind", str),
+                       ckpt.field(p, "input_dim", int),
+                       ckpt.field(p, "noise_dim", int),
+                       tuple(ckpt.field(p, "generator_hidden", list, int)),
+                       tuple(ckpt.field(p, "critic_hidden", list, int)),
+                       ckpt.field(p, "output_activation", str))
+    return GanModel(ckpt.mlp_from(meta.get("generator"), arrays, "gen"),
+                    ckpt.mlp_from(meta.get("critic"), arrays, "critic"),
+                    preset, training_meta=meta.get("training_meta", {}))

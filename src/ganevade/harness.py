@@ -12,6 +12,11 @@ and the function that runs it. ``gan_all`` runs the ``gan_api``,
 ``gan_strings`` and ``gan_byte`` entries in sequence, each step on the
 files the step before rewrote.
 
+Each feature family is one entry of ``FAMILIES``, the builder of one
+file's vector from its lazily extracted ``FileFeatures``. Extract loads or
+computes only the families the run reads; ``gan_all`` and evaluation
+build the rewritten files' rows through the same table.
+
 The stages up to train-gan resume. Each of their artifacts carries a
 content key: a SHA-256 over the config slice that determines it and the
 key of what it was computed from (``_key``). The corpus manifest holds the
@@ -27,6 +32,7 @@ or unreadable. Attack and evaluation always run.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import hashlib
 import json
 import os
@@ -45,7 +51,6 @@ from .gan import TrainingConfig as GanStageConfig
 SCHEMA_VERSION = 1
 CACHE_ENV_VAR = "GANEVADE_CACHE_DIR"
 
-FAMILIES = ("byte", "api_topk", "api_hashed", "strings_topk", "strings_hashed")
 # GAN kind -> the feature family its generator rewrites
 GAN_FAMILIES = {"byte_histogram": "byte", "api": "api_topk",
                 "strings": "strings_topk"}
@@ -360,23 +365,48 @@ def ingest_dirs(benign_dir, malicious_dir, out_dir, key: str | None = None) -> d
 
 # --- feature extraction -----------------------------------------------------
 
-@dataclass
 class FileFeatures:
-    histogram: np.ndarray
-    import_tokens: set
-    string_tokens: "features.Counter"
+    """One file's features, each extracted when first read: a byte-only run
+    never parses a file or scans it for strings. A non-PE has no imports."""
+
+    def __init__(self, data: bytes, fcfg: FeatureConfig):
+        self.data = data
+        self.fcfg = fcfg
+
+    @functools.cached_property
+    def histogram(self) -> np.ndarray:
+        return features.byte_histogram(self.data)
+
+    @functools.cached_property
+    def import_tokens(self) -> set:
+        try:
+            return features.extract_imports(petk.parse(self.data, strict=False))
+        except petk.PeEditError:
+            return set()
+
+    @functools.cached_property
+    def string_tokens(self) -> "features.Counter":
+        return features.extract_strings(self.data, self.fcfg.min_string_len)
 
 
-def extract_file(data: bytes, fcfg: FeatureConfig) -> FileFeatures:
-    hist = features.byte_histogram(data).freq
-    try:
-        pe = petk.parse(data, strict=False)
-        imports = features.extract_imports(pe)
-    except petk.PeEditError:
-        imports = set()
-    strings = features.extract_strings(data, fcfg.min_string_len)
-    return FileFeatures(histogram=hist, import_tokens=imports,
-                        string_tokens=strings)
+# family -> the builder of one file's vector from its FileFeatures and the
+# FeatureTable, whose ``vocabs`` holds each Top-K family's vocabulary
+FAMILIES = {
+    "byte": lambda f, table: f.histogram,
+    "api_topk": lambda f, table: features.vectorize(
+        f.import_tokens, table.vocabs["api_topk"]),
+    "api_hashed": lambda f, table: features.hash_features(
+        f.import_tokens, table.fcfg.hash_dim),
+    "strings_topk": lambda f, table: features.vectorize(
+        f.string_tokens, table.vocabs["strings_topk"]),
+    "strings_hashed": lambda f, table: features.hash_features(
+        f.string_tokens, table.fcfg.hash_dim),
+}
+# Top-K family -> its vocabulary's file, kind and FeatureConfig size field,
+# and the FileFeatures field of the tokens it ranks
+TOPK = {"api_topk": ("vocab_api.gevf", "api", "k_api", "import_tokens"),
+        "strings_topk": ("vocab_strings.gevf", "string", "k_strings",
+                         "string_tokens")}
 
 
 def split_indices(labels: list[str], fractions, seed: int) -> dict[str, list[int]]:
@@ -398,37 +428,15 @@ def split_indices(labels: list[str], fractions, seed: int) -> dict[str, list[int
 
 
 class FeatureTable:
-    """Per-family matrices over the manifest's file order, plus the
-    vocabularies: built from extracted ``files`` or from stored ``matrices``
-    (exactly one of the two is given)."""
+    """The matrices, over the manifest's file order, of the families the run
+    reads, and the vocabularies of its Top-K families."""
 
-    def __init__(self, names: list[str], labels: list[str], fcfg: FeatureConfig,
-                 vocab_api: features.Vocabulary,
-                 vocab_strings: features.Vocabulary, *,
-                 files: list[FileFeatures] | None = None,
-                 matrices: dict | None = None):
+    def __init__(self, names: list[str], labels: list[str], fcfg: FeatureConfig):
         self.names = names
         self.labels = labels
         self.fcfg = fcfg
-        self.vocab_api = vocab_api
-        self.vocab_strings = vocab_strings
-        if matrices is None:
-            matrices = {fam: np.array([self._family_vector(fam, f) for f in files])
-                        for fam in FAMILIES}
-        self.matrices = matrices
-
-    def _family_vector(self, family: str, feats: FileFeatures) -> np.ndarray:
-        if family == "byte":
-            return feats.histogram
-        if family == "api_topk":
-            return features.vectorize(feats.import_tokens, self.vocab_api)
-        if family == "api_hashed":
-            return features.hash_features(feats.import_tokens, self.fcfg.hash_dim)
-        if family == "strings_topk":
-            return features.vectorize(set(feats.string_tokens), self.vocab_strings)
-        if family == "strings_hashed":
-            return features.hash_features(feats.string_tokens, self.fcfg.hash_dim)
-        raise ConfigError(f"unknown feature family {family!r}")
+        self.vocabs = {}
+        self.matrices = {}
 
     def by_class(self, spec_families, rows) -> tuple[np.ndarray, np.ndarray]:
         """The benign and the malicious files among ``rows``, assembled."""
@@ -438,8 +446,18 @@ class FeatureTable:
         return assemble("benign"), assemble("malicious")
 
     def vector_for(self, feats: FileFeatures, spec_families) -> np.ndarray:
-        return np.concatenate([self._family_vector(fam, feats)
+        return np.concatenate([FAMILIES[fam](feats, self)
                                for fam in spec_families])
+
+    def rows_of(self, blobs) -> Callable:
+        """``rows(family)``, the rows of the files ``blobs`` holds, in order;
+        each file is extracted once, each family's rows are built once."""
+        files = [FileFeatures(data, self.fcfg) for data in blobs]
+
+        @functools.cache
+        def rows(family):
+            return np.array([self.vector_for(f, (family,)) for f in files])
+        return rows
 
 
 # --- GAN wiring -------------------------------------------------------------
@@ -574,15 +592,15 @@ def attack_gan_indicator(model, names, indicators, blobs,
 
 def attack_gan_api(state, names, blobs, rows) -> AttackOutput:
     return attack_gan_indicator(state.gan_models["api"], names,
-                                rows("api_topk"), blobs, state.table.vocab_api,
-                                "api", state.cfg.max_new_imports,
-                                state.cfg.seed + 11)
+                                rows("api_topk"), blobs,
+                                state.table.vocabs["api_topk"], "api",
+                                state.cfg.max_new_imports, state.cfg.seed + 11)
 
 
 def attack_gan_strings(state, names, blobs, rows) -> AttackOutput:
     return attack_gan_indicator(state.gan_models["strings"], names,
                                 rows("strings_topk"), blobs,
-                                state.table.vocab_strings, "strings",
+                                state.table.vocabs["strings_topk"], "strings",
                                 state.cfg.max_new_strings, state.cfg.seed + 12)
 
 
@@ -595,18 +613,8 @@ def attack_gan_all(state, names, blobs, rows) -> AttackOutput:
         out = ATTACKS[step].run(state, names, blobs, rows)
         warnings += out.warnings
         blobs = {**blobs, **out.rewritten}
-        rows = _reextracted(state, names, blobs)
+        rows = state.table.rows_of([blobs[name] for name in names])
     return AttackOutput(rewritten=out.rewritten, warnings=warnings)
-
-
-def _reextracted(state, names, blobs):
-    """``rows`` of the files ``names`` as ``blobs`` holds them, extracted
-    when they are asked for."""
-    def rows(family):
-        feats = [extract_file(blobs[name], state.cfg.feature_cfg)
-                 for name in names]
-        return np.array([state.table.vector_for(f, (family,)) for f in feats])
-    return rows
 
 
 def attack_benign_injection(state, names, blobs, rows) -> AttackOutput:
@@ -755,20 +763,10 @@ def _corpus_digest(manifest: dict, blobs: dict) -> str:
     return h.hexdigest()
 
 
-def _load_table(feat_dir: Path, names, labels, fcfg: FeatureConfig,
-                key: str) -> FeatureTable | None:
-    vocab_api = _load(features.load_vocab, feat_dir / "vocab_api.gevf", key)
-    vocab_strings = _load(features.load_vocab, feat_dir / "vocab_strings.gevf", key)
-    if vocab_api is None or vocab_strings is None:
-        return None
-    matrices = {}
-    for fam in FAMILIES:
-        loaded = _load(features.load_matrix, feat_dir / f"{fam}.gevf", key)
-        if loaded is None or loaded[1] != names:
-            return None
-        matrices[fam] = loaded[0]
-    return FeatureTable(names, labels, fcfg, vocab_api, vocab_strings,
-                        matrices=matrices)
+def _gans_needed(cfg: ExperimentConfig) -> list[str]:
+    """The GAN kinds the configured attacks need trained, sorted."""
+    return sorted({kind for attack in cfg.attacks
+                   for kind in ATTACKS[attack].gans})
 
 
 @_stage("extract")
@@ -778,31 +776,39 @@ def stage_extract(state: PipelineState):
     names = [rec["name"] for rec in state.manifest["files"]]
     labels = [rec["label"] for rec in state.manifest["files"]]
     state.splits = split_indices(labels, cfg.split, cfg.seed)
-    state.extract_key = _key(
+    key = state.extract_key = _key(
         "extract", SCHEMA_VERSION, __version__,
         _corpus_digest(state.manifest, state.blobs),
         dataclasses.asdict(fcfg), cfg.split, cfg.seed)
     feat_dir = state.workdir / "features"
-    state.table = _load_table(feat_dir, names, labels, fcfg, state.extract_key)
-    if state.table is not None:
-        return
-    files = [extract_file(state.blobs[name], fcfg) for name in names]
-    benign_train = [files[i] for i in state.splits["train"]
-                    if labels[i] == "benign"]
-    vocab_api = features.select_topk(
-        [f.import_tokens for f in benign_train], fcfg.k_api, kind="api")
-    vocab_strings = features.select_topk(
-        [set(f.string_tokens) for f in benign_train], fcfg.k_strings,
-        kind="string")
-    state.table = FeatureTable(names, labels, fcfg, vocab_api, vocab_strings,
-                               files=files)
     feat_dir.mkdir(parents=True, exist_ok=True)
-    features.save_vocab(vocab_api, feat_dir / "vocab_api.gevf", state.extract_key)
-    features.save_vocab(vocab_strings, feat_dir / "vocab_strings.gevf",
-                        state.extract_key)
-    for fam, mat in state.table.matrices.items():
-        features.save_matrix(mat, names, feat_dir / f"{fam}.gevf",
-                             state.extract_key)
+    table = state.table = FeatureTable(names, labels, fcfg)
+    # the run reads the detectors' families and those the needed GANs
+    # rewrite (MalGAN's byte rows come with the byte detector it requires).
+    # Each is loaded when stored under the key, else computed and saved;
+    # only then are the files extracted, each once.
+    read = {fam for spec in cfg.detectors for fam in spec.families}
+    read |= {GAN_FAMILIES[kind] for kind in _gans_needed(cfg)}
+    files = functools.cache(
+        lambda: [FileFeatures(state.blobs[name], fcfg) for name in names])
+    for fam in [fam for fam in FAMILIES if fam in read]:
+        if fam in TOPK:
+            file_name, kind, k, tokens = TOPK[fam]
+            vocab = _load(features.load_vocab, feat_dir / file_name, key)
+            if vocab is None:
+                vocab = features.select_topk(
+                    [getattr(files()[i], tokens)
+                     for i in _rows(state, "train", "benign")],
+                    getattr(fcfg, k), kind=kind)
+                features.save_vocab(vocab, feat_dir / file_name, key)
+            table.vocabs[fam] = vocab
+        loaded = _load(features.load_matrix, feat_dir / f"{fam}.gevf", key)
+        if loaded is not None and loaded[1] == names:
+            matrix = loaded[0]
+        else:
+            matrix = np.array([table.vector_for(f, (fam,)) for f in files()])
+            features.save_matrix(matrix, names, feat_dir / f"{fam}.gevf", key)
+        table.matrices[fam] = matrix
 
 
 @_stage("train-detector")
@@ -827,9 +833,7 @@ def stage_detectors(state: PipelineState):
 @_stage("train-gan")
 def stage_gans(state: PipelineState):
     model_dir = state.workdir / "models"
-    needed = {kind for attack in state.cfg.attacks
-              for kind in ATTACKS[attack].gans}
-    for kind in sorted(needed):
+    for kind in _gans_needed(state.cfg):
         path = model_dir / f"gan_{kind}.gevd"
         key = _key("gan", state.extract_key, kind,
                    dataclasses.asdict(state.cfg.gans.get(kind, GanStageConfig())),
@@ -889,22 +893,18 @@ def stage_evaluate(state: PipelineState) -> dict:
                     np.hstack([rows_of(fam) for fam in spec.families]))
                 for spec in cfg.detectors}
 
-    # the original files' rows come from the table; a rewritten file is
-    # re-extracted and vectorized once per family
+    # the original files' rows come from the table; the rewritten files
+    # are extracted again from their bytes
     original_rates = rates(lambda fam: table.matrices[fam][test_mal])
     test_ben = _rows(state, "test", "benign")
     fpr = rates(lambda fam: table.matrices[fam][test_ben])
 
-    used = sorted({fam for spec in cfg.detectors for fam in spec.families})
     attack_rates = {}
     query_counts = {}
     attack_stats = {}
     for attack, out in state.attack_outputs.items():
-        feats_adv = [extract_file(out.rewritten[name], cfg.feature_cfg)
-                     for name in names]
-        adv = {fam: np.array([table.vector_for(f, (fam,)) for f in feats_adv])
-               for fam in used}
-        attack_rates[attack] = rates(adv.__getitem__)
+        attack_rates[attack] = rates(
+            table.rows_of([out.rewritten[name] for name in names]))
         query_counts[attack] = out.query_count
         stats = dict(out.stats)
         stats["mean_size_mb"] = float(np.mean(
@@ -957,12 +957,11 @@ def _gap_sweep(state: PipelineState, test_mal) -> list[dict]:
                 # sizes and histograms follow from the plan; no need to
                 # materialize the (possibly huge) exact-mode files
                 blob = state.blobs[state.table.names[i]]
-                req = _padding_request(blob, targets[i], gap_value)
-                plan = _certified_plan(req)
-                total = req.counts.sum() + plan.total_appended
+                plan = _certified_plan(
+                    _padding_request(blob, targets[i], gap_value))
                 sizes.append(len(blob) + plan.total_appended)
                 appended.append(plan.total_appended)
-                hists.append((req.counts + plan.p) / total)
+                hists.append(plan.achieved)
             by_gap[gap_value] = {
                 "mean_size_mb": float(np.mean(sizes)) / 1e6,
                 "mean_appended_bytes": float(np.mean(appended)),
@@ -1030,9 +1029,10 @@ def render_report(report: dict, fmt: str) -> str:
             for det, rate in sorted(rates.items()):
                 lines.append(f"{det},{attack},{rate!r}")
         lines.append("")
-        lines.append("gap,mean_size_mb,detection_rate")
+        lines.append("gap,mean_size_mb,mean_appended_bytes,detection_rate")
         for row in report.get("gap_sweep", []):
             lines.append(f"{row['gap']},{row['mean_size_mb']!r},"
+                         f"{row['mean_appended_bytes']!r},"
                          f"{row['detection_rate']!r}")
         return "\n".join(lines) + "\n"
     if fmt == "markdown":

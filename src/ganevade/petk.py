@@ -75,9 +75,7 @@ class PeImage:
     data: bytes
     is_pe64: bool
     e_lfanew: int
-    machine: int
     size_of_optional: int
-    image_base: int
     section_align: int
     file_align: int
     size_of_image: int
@@ -157,7 +155,7 @@ def parse(data: bytes, strict: bool = True) -> PeImage:
     if data[e_lfanew:e_lfanew + 4] != b"PE\x00\x00":
         raise PeEditError("parse", e_lfanew, "bad PE signature")
 
-    machine, nsec, _ts, _symptr, _nsym, opt_size, _chars = _unpack(
+    _machine, nsec, _ts, _symptr, _nsym, opt_size, _chars = _unpack(
         "<HHIIIHH", data, e_lfanew + 4)
     opt = e_lfanew + 24
     if opt + opt_size > len(data):
@@ -165,11 +163,9 @@ def parse(data: bytes, strict: bool = True) -> PeImage:
     (magic,) = _unpack("<H", data, opt)
     if magic == 0x10B:
         is_pe64 = False
-        (image_base,) = _unpack("<I", data, opt + 28)
         ndirs_off = opt + 92
     elif magic == 0x20B:
         is_pe64 = True
-        (image_base,) = _unpack("<Q", data, opt + 24)
         ndirs_off = opt + 108
     else:
         raise PeEditError("parse", opt, f"unknown optional-header magic {magic:#x}")
@@ -212,8 +208,7 @@ def parse(data: bytes, strict: bool = True) -> PeImage:
     overlay_offset = min(overlay_offset, len(data))
 
     pe = PeImage(data=bytes(data), is_pe64=is_pe64, e_lfanew=e_lfanew,
-                 machine=machine, size_of_optional=opt_size,
-                 image_base=image_base, section_align=sect_align,
+                 size_of_optional=opt_size, section_align=sect_align,
                  file_align=file_align, size_of_image=size_of_image,
                  size_of_headers=size_of_headers, data_dirs=dirs,
                  sections=sections, import_descriptors=[],

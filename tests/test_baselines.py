@@ -29,9 +29,9 @@ class TestBenignInjection:
         donor = synth_pe(SynthSpec(sections=[SectionSpec(".d", size=500)]),
                          seed=3)
         out = benign_injection(pe, [donor], np.random.default_rng(0))
-        h_out = byte_histogram(out.data).freq
-        h_pe = byte_histogram(pe.data).freq
-        h_donor = byte_histogram(donor).freq
+        h_out = byte_histogram(out.data)
+        h_pe = byte_histogram(pe.data)
+        h_donor = byte_histogram(donor)
         w = len(pe.data) / (len(pe.data) + len(donor))
         np.testing.assert_allclose(h_out, w * h_pe + (1 - w) * h_donor,
                                    atol=1e-12)

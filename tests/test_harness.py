@@ -1,15 +1,13 @@
 import dataclasses
-import importlib.util
 import json
 import struct
-import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from ganevade import checkpoint as ckpt
-from ganevade import cli, detectors, gan, harness, padopt, petk
+from ganevade import cli, detectors, features, gan, harness, padopt, petk
 from ganevade.harness import (ConfigError, CorpusConfig, ExperimentConfig,
                               FeatureConfig, GanStageConfig, PipelineState,
                               StageError, gen_corpus, ingest_dirs, load_corpus,
@@ -211,7 +209,7 @@ class TestCorpus:
         gen_corpus(cfg, 1, tmp_path / "c")
         _, blobs = load_corpus(tmp_path / "c")
         from ganevade.features import byte_histogram
-        high = {name: byte_histogram(b).freq[0x80:].sum()
+        high = {name: byte_histogram(b)[0x80:].sum()
                 for name, b in blobs.items()}
         ben = np.mean([v for k, v in high.items() if k.startswith("benign")])
         mal = np.mean([v for k, v in high.items() if k.startswith("malicious")])
@@ -333,6 +331,11 @@ class TestPipeline:
             json.dumps(report, sort_keys=True))
         csv_text = render_report(report, "csv")
         assert csv_text.startswith("detector,attack,detection_rate")
+        gap_lines = csv_text.split("\n\n")[1].splitlines()
+        assert gap_lines[0] == ("gap,mean_size_mb,mean_appended_bytes,"
+                                "detection_rate")
+        assert [line.split(",")[0] for line in gap_lines[1:]] == [
+            str(row["gap"]) for row in report["gap_sweep"]]
         md = render_report(report, "markdown")
         assert md.startswith("| Detector |")
         with pytest.raises(ConfigError):
@@ -377,18 +380,19 @@ class TestResume:
 
     @staticmethod
     def record_training(monkeypatch, workdir, fail=False):
-        """Record (or refuse) every extraction of a file of the corpus in
-        ``workdir`` and every detector and GAN fit."""
+        """Record (or refuse) every extraction (``FileFeatures``) of a file
+        of the corpus in ``workdir`` and every detector and GAN fit."""
         done = {"extract": 0, "detectors": [], "gans": []}
         corpus = set(load_corpus(workdir / "corpus")[1].values())
-        real_extract, real_train = harness.extract_file, gan.train
+        real_train = gan.train
         real_detector = detectors.train_detector
 
-        def extract_file(data, fcfg):
-            if data in corpus:
-                assert not fail, "a corpus file extracted again"
-                done["extract"] += 1
-            return real_extract(data, fcfg)
+        class FileFeatures(harness.FileFeatures):
+            def __init__(self, data, fcfg):
+                if data in corpus:
+                    assert not fail, "a corpus file extracted again"
+                    done["extract"] += 1
+                super().__init__(data, fcfg)
 
         def train_detector(kind, x_benign, *args, **kwargs):
             assert not fail, "detector trained again"
@@ -400,7 +404,7 @@ class TestResume:
             done["gans"].append(preset.feature_kind)
             return real_train(benign, malicious, preset, *args, **kwargs)
 
-        monkeypatch.setattr(harness, "extract_file", extract_file)
+        monkeypatch.setattr(harness, "FileFeatures", FileFeatures)
         monkeypatch.setattr(detectors, "train_detector", train_detector)
         monkeypatch.setattr(gan, "train", train)
         return done
@@ -476,20 +480,98 @@ class TestResume:
         self.damaged_detector_is_recomputed(
             tmp_path, monkeypatch, tiny_config_file, old_layout)
 
-    def test_feature_matrix_with_malformed_header_is_recomputed(
-            self, tmp_path, tiny_config_file):
-        workdir = tmp_path / "w"
-        argv = ["pipeline", "--config", str(tiny_config_file),
+    def damaged_artifact_is_recomputed(self, monkeypatch, workdir,
+                                       config_file, artifact, damage):
+        """Damage ``artifact`` of a finished run in ``workdir``: the next run
+        exits 0, writes it back as it was and reproduces the report. Returns
+        what that run extracted and trained (``record_training``)."""
+        argv = ["pipeline", "--config", str(config_file),
                 "--workdir", str(workdir)]
         assert cli.main(argv) == 0
         cold = json.loads((workdir / "report.json").read_text())
-        path = workdir / "features" / "byte.gevf"
+        path = workdir / artifact
         intact = path.read_bytes()
-        path.write_bytes(ckpt.MAGIC + struct.pack("<I", 2) + b"{}")
+        damage(path)
+        done = self.record_training(monkeypatch, workdir)
         assert cli.main(argv) == 0
         warm = json.loads((workdir / "report.json").read_text())
         assert report_without_runtime(warm) == report_without_runtime(cold)
         assert path.read_bytes() == intact
+        return done
+
+    def test_feature_matrix_with_malformed_header_is_recomputed(
+            self, tmp_path, monkeypatch, tiny_config_file):
+        self.damaged_artifact_is_recomputed(
+            monkeypatch, tmp_path / "w", tiny_config_file, "features/byte.gevf",
+            lambda path: path.write_bytes(
+                ckpt.MAGIC + struct.pack("<I", 2) + b"{}"))
+
+    def test_feature_matrix_without_arrays_is_recomputed(
+            self, tmp_path, monkeypatch, tiny_config_file):
+        # the key matches, but the container holds no matrix
+        def no_arrays(path):
+            meta, _ = ckpt.load_container(path)
+            ckpt.save_container(path, {"key": meta["key"]}, {})
+        done = self.damaged_artifact_is_recomputed(
+            monkeypatch, tmp_path / "w", tiny_config_file, "features/byte.gevf",
+            no_arrays)
+        assert done["detectors"] == [] and done["gans"] == []
+
+    def test_gan_checkpoint_without_preset_is_retrained(self, tmp_path,
+                                                        monkeypatch):
+        cfg = tiny_config(attacks=("gan_api",)).to_dict()
+        cfg["gans"] = {"api": {"max_steps": 3}}
+        config_file = tmp_path / "cfg.json"
+        config_file.write_text(json.dumps(cfg))
+
+        def no_preset(path):
+            meta, arrays = ckpt.load_container(path)
+            del meta["preset"]
+            ckpt.save_container(path, meta, arrays)
+        done = self.damaged_artifact_is_recomputed(
+            monkeypatch, tmp_path / "w", config_file, "models/gan_api.gevd",
+            no_preset)
+        assert done["gans"] == ["api"] and done["detectors"] == []
+
+    @staticmethod
+    def byte_only_config():
+        return dataclasses.replace(
+            tiny_config(attacks=("gan_byte",)),
+            detectors=[harness.DetectorSpec("byte_logreg", "logreg", ("byte",))])
+
+    def test_byte_only_extract_parses_nothing(self, tmp_path, monkeypatch):
+        state = PipelineState(cfg=self.byte_only_config(),
+                              workdir=tmp_path / "w")
+        harness.run_stages(state, "corpus")
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a byte-only extract read more than bytes")
+        monkeypatch.setattr(features, "extract_strings", refuse)
+        monkeypatch.setattr(petk, "parse", refuse)
+        harness.run_stages(state, "extract")
+        assert [p.name for p in (tmp_path / "w" / "features").iterdir()] \
+            == ["byte.gevf"]
+
+    def test_added_family_is_computed_alone(self, tmp_path, monkeypatch):
+        first = self.byte_only_config()
+        run_pipeline(first, tmp_path / "w")
+        second = dataclasses.replace(first, detectors=[
+            *first.detectors,
+            harness.DetectorSpec("api_hashed_logreg", "logreg", ("api_hashed",))])
+        cold = run_pipeline(second, tmp_path / "cold")
+        done = self.record_training(monkeypatch, tmp_path / "w")
+        saved = []
+        save_matrix = features.save_matrix
+
+        def recording_save_matrix(matrix, columns, path, key=""):
+            saved.append(Path(path).name)
+            save_matrix(matrix, columns, path, key)
+        monkeypatch.setattr(features, "save_matrix", recording_save_matrix)
+        warm = run_pipeline(second, tmp_path / "w")
+        assert saved == ["api_hashed.gevf"]
+        assert done["extract"] == 2 * second.corpus.n_per_class
+        assert done["detectors"] == [("logreg", 64)] and done["gans"] == []
+        assert report_without_runtime(warm) == report_without_runtime(cold)
 
     def test_cli_attack_after_train_gan_trains_nothing(self, tmp_path,
                                                        monkeypatch,
@@ -640,7 +722,8 @@ class TestCapacityCap:
         state = PipelineState(cfg=cfg, workdir=tmp_path)
         harness.stage_corpus(state)
         harness.stage_extract(state)
-        preset = pipeline_preset("api", state.table.vocab_api.size,
+        vocab = state.table.vocabs["api_topk"]
+        preset = pipeline_preset("api", vocab.size,
                                  GanStageConfig())
         model = gan.build_gan(preset, seed=0)
         table = state.table
@@ -648,7 +731,7 @@ class TestCapacityCap:
         names = [table.names[i] for i in mal]
         out = harness.attack_gan_indicator(model, names,
                                            table.matrices["api_topk"][mal],
-                                           state.blobs, table.vocab_api, "api",
+                                           state.blobs, vocab, "api",
                                            0, seed=0)
         assert out.warnings
         from ganevade.features import extract_imports
@@ -708,7 +791,8 @@ class TestCli:
         assert not (tmp_path / "w").exists()
 
     @pytest.mark.parametrize("argv,summary", [
-        (["extract"], "extracted 20 files; vocab sizes"),
+        (["extract"], "extracted 20 files: byte, api_topk (vocab 40), "
+                      "api_hashed, strings_topk (vocab 40), strings_hashed"),
         (["train-detector", "--name", "byte_logreg"],
          "trained detector byte_logreg\n"),
         (["train-gan", "--kind", "byte_histogram"],
@@ -807,15 +891,14 @@ def test_full_run_config_is_the_old_scripts_default():
     assert harness.load_config(path).config_hash() == old_default.config_hash()
 
 
-def test_gap_sweep_script_smoke(tmp_path, monkeypatch, capsys):
-    path = Path(__file__).resolve().parent.parent / "scripts" / "run_gap_sweep.py"
-    spec = importlib.util.spec_from_file_location("run_gap_sweep", path)
-    script = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(script)
-    monkeypatch.setattr(sys, "argv", [
-        "run_gap_sweep.py", "--workdir", str(tmp_path / "w"),
-        "--n-per-class", "10", "--steps", "5", "--gaps", "0.01", "0"])
-    assert script.main() == 0
-    lines = capsys.readouterr().out.splitlines()
-    assert lines[0] == "gap,mean_size_mb,mean_appended_bytes,detection_rate"
-    assert [line.split(",")[0] for line in lines[1:]] == ["exact", "0.01", "0.0"]
+def test_gap_sweep_config_is_the_old_scripts_default():
+    # scripts/gap_sweep.json replaced a script whose default run built this
+    path = Path(__file__).resolve().parent.parent / "scripts" / "gap_sweep.json"
+    old_default = ExperimentConfig(
+        corpus=CorpusConfig(n_per_class=300),
+        gans={"byte_histogram": GanStageConfig(max_steps=3000)},
+        detectors=[harness.DetectorSpec("byte_logreg", "logreg", ("byte",))],
+        attacks=["gan_byte"],
+        gap_sweep=harness.DEFAULT_GAP_SWEEP,
+        seed=0)
+    assert harness.load_config(path).config_hash() == old_default.config_hash()

@@ -104,7 +104,7 @@ class TestAppendOverlay:
         req = padopt.PaddingRequest(counts, target, gap=0.01)
         plan = padopt.plan_for(req)
         out = append_overlay(parse(data), plan)
-        achieved = byte_histogram(out.data).freq
+        achieved = byte_histogram(out.data)
         total = len(out.data)
         assert np.abs(achieved - target).max() <= 0.01 + 256 / total
         # original content untouched, still strict-parseable
@@ -339,8 +339,10 @@ def test_mutated_pe_parses_or_raises_parse_error(seed):
         parse(data, strict=False)
     except PeEditError:
         pass
-    feats = harness.extract_file(data, harness.FeatureConfig())
+    feats = harness.FileFeatures(data, harness.FeatureConfig())
     assert feats.histogram.sum() == pytest.approx(1.0)
+    assert isinstance(feats.import_tokens, set)
+    assert all(len(s) >= 5 for s in feats.string_tokens)
 
 
 @settings(max_examples=150, deadline=None)
