@@ -1,0 +1,100 @@
+#!/usr/bin/env python3
+"""Time lenient PE parsing and the signed hashing trick on a synthetic corpus.
+
+Builds ``--files`` synthetic PEs in memory with ``petk.synth_pe``, drawing
+each file's imports and strings from the default corpus pools, and adds each
+file's ``extend_imports`` rewrite, as an attack writes it. Over that corpus
+it times a lenient ``petk.parse`` of every file and ``hash_features`` of
+every file's import tokens and string tokens (``hash_dim`` 1280), and
+prints the median and interquartile range of microseconds per call over
+``--repeats`` repeats, followed by one SHA-256 over every file's import
+tokens and hashed vectors. The hash is the same on every repeat, and the
+exit status is 1 when the repeats disagree. A change to the parser or the
+hasher that keeps the hash has not moved the features.
+
+Every repeat runs in one process, as the pipeline does: from the second
+repeat on, ``hash_features`` finds each token's bucket in its memo.
+
+Usage (from the checkout root)::
+
+    PYTHONPATH=src python3 scripts/bench_features.py --files 200 --repeats 5
+"""
+
+import argparse
+import hashlib
+import statistics
+import sys
+import time
+
+import numpy as np
+
+from ganevade import features, harness, petk
+
+
+def corpus(n_files: int, seed: int) -> list[bytes]:
+    """``n_files`` synthetic PEs and the import rewrite of each."""
+    cfg = harness.CorpusConfig()
+    every_api = sorted(tok for pool in cfg.api_pools.values()
+                       for tok in pool["tokens"])
+    rng = np.random.default_rng(seed)
+    blobs = []
+    for i in range(n_files):
+        label = ("benign", "malicious")[i % 2]
+        spec = petk.SynthSpec(
+            sections=[petk.SectionSpec(".text", size=int(rng.integers(512, 2048)))],
+            imports=harness._sample_tokens(cfg.api_pools, label, rng),
+            strings=harness._sample_tokens(cfg.string_pools, label, rng))
+        data = petk.synth_pe(spec, seed=int(rng.integers(0, 2**31)))
+        added = [str(t) for t in rng.choice(every_api, size=4, replace=False)]
+        rewrite, _ = petk.extend_imports(petk.parse(data), added)
+        blobs += [data, rewrite.data]
+    return blobs
+
+
+def main() -> int:
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("--files", type=int, default=200)
+    ap.add_argument("--repeats", type=int, default=5)
+    ap.add_argument("--seed", type=int, default=0)
+    args = ap.parse_args()
+    if args.files < 1 or args.repeats < 3:
+        ap.error("need --files >= 1 and --repeats >= 3")
+
+    blobs = corpus(args.files, args.seed)
+    strings = [features.extract_strings(data) for data in blobs]
+    us = {"parse": [], "hash_features": []}
+    digests = set()
+    for _ in range(args.repeats):
+        start = time.perf_counter()
+        images = [petk.parse(data, strict=False) for data in blobs]
+        us["parse"].append((time.perf_counter() - start) / len(blobs) * 1e6)
+        imports = [features.extract_imports(pe) for pe in images]
+
+        start = time.perf_counter()
+        vectors = [features.hash_features(tokens, features.DEFAULT_HASH_DIM)
+                   for family in (imports, strings) for tokens in family]
+        us["hash_features"].append(
+            (time.perf_counter() - start) / len(vectors) * 1e6)
+
+        h = hashlib.sha256()
+        for tokens in imports:
+            h.update("\n".join(sorted(tokens)).encode("utf-8") + b"\x00")
+        for vec in vectors:
+            h.update(vec.tobytes())
+        digests.add(h.hexdigest())
+
+    print(f"{len(blobs)} files ({args.files} synthetic PEs and their import "
+          f"rewrites) x {args.repeats} repeats, seed {args.seed}")
+    for name, runs in us.items():
+        q1, med, q3 = statistics.quantiles(runs, n=4, method="inclusive")
+        print(f"{name} us_per_call runs " + " ".join(f"{v:.1f}" for v in runs))
+        print(f"{name} us_per_call median {med:.1f} iqr {q3 - q1:.1f} "
+              f"(q1 {q1:.1f}, q3 {q3:.1f})")
+    for digest in sorted(digests):
+        print(f"features_sha256 {digest}")
+    # the same corpus on every repeat: two hashes mean the features moved
+    return 0 if len(digests) == 1 else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main())

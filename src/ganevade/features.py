@@ -6,6 +6,7 @@ signed hashing-trick vectorizer used by the hashed detector variants.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import re
 from collections import Counter
@@ -17,6 +18,9 @@ from . import checkpoint as ckpt
 
 DEFAULT_MIN_STRING_LEN = 5
 DEFAULT_HASH_DIM = 1280
+# the (token, dim) pairs whose bucket and sign ``hash_features`` remembers; the
+# bound keeps a corpus of unique tokens from growing the memo without limit
+HASH_MEMO_SIZE = 1 << 14
 
 
 class EmptyInputError(ValueError):
@@ -103,16 +107,23 @@ def fnv1a64(data: bytes) -> int:
     return h
 
 
+@functools.lru_cache(maxsize=HASH_MEMO_SIZE)
+def _bucket(token: str, dim: int) -> tuple[int, float]:
+    """A token's index in ``dim`` buckets and its sign (the hash's top bit)."""
+    h = fnv1a64(token.encode("utf-8"))
+    return h % dim, 1.0 if (h >> 63) == 0 else -1.0
+
+
 def hash_features(tokens, dim: int = DEFAULT_HASH_DIM) -> np.ndarray:
-    """Signed hashing trick: FNV-1a-64 index, sign from the hash's top bit."""
+    """Signed hashing trick: FNV-1a-64 index, sign from the hash's top bit.
+    A token is hashed once per ``dim`` while the memo (``_bucket``) holds it."""
     if dim <= 0:
         raise ValueError("hash dimension must be positive")
     out = np.zeros(dim, dtype=np.float64)
     items = tokens.items() if isinstance(tokens, Counter) else ((t, 1) for t in tokens)
     for tok, count in items:
-        h = fnv1a64(tok.encode("utf-8"))
-        sign = 1.0 if (h >> 63) == 0 else -1.0
-        out[h % dim] += sign * count
+        idx, sign = _bucket(tok, dim)
+        out[idx] += sign * count
     return out
 
 

@@ -346,18 +346,23 @@ def load_corpus(corpus_dir) -> tuple[dict, dict[str, bytes]]:
 
 def ingest_dirs(benign_dir, malicious_dir, out_dir, key: str | None = None) -> dict:
     """Build a manifest over user-supplied PE directories (files copied);
-    ``key`` goes into the manifest."""
+    ``key`` goes into the manifest. An empty file has no byte histogram: it
+    is not copied, and ``skipped`` names it with the reason."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    records = []
+    records, skipped = [], []
     for label, src in (("benign", benign_dir), ("malicious", malicious_dir)):
         for i, path in enumerate(sorted(Path(src).iterdir())):
             if not path.is_file():
                 continue
+            data = path.read_bytes()
+            if not data:
+                skipped.append({"source": str(path), "reason": "empty file"})
+                continue
             name = f"{label}_{i:05d}.exe"
-            (out_dir / name).write_bytes(path.read_bytes())
+            (out_dir / name).write_bytes(data)
             records.append({"name": name, "label": label, "source": str(path)})
-    manifest = {"seed": None, "files": records, "key": key}
+    manifest = {"seed": None, "files": records, "skipped": skipped, "key": key}
     (out_dir / "manifest.json").write_text(
         json.dumps(manifest, sort_keys=True, indent=1))
     return manifest

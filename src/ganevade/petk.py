@@ -9,6 +9,7 @@ untouched. Serializing an unmodified image is byte-identical to the input.
 
 from __future__ import annotations
 
+import functools
 import struct
 from dataclasses import dataclass, field
 
@@ -98,14 +99,39 @@ class PeImage:
     def section_table_offset(self) -> int:
         return self.opt_offset + self.size_of_optional
 
-    def rva_to_offset(self, rva: int) -> int:
+    @functools.cached_property
+    def spans(self) -> tuple[tuple[int, int, int], ...]:
+        """Each section's ``(start, end, raw_offset)`` in RVAs, in table
+        order; a section spans the larger of its virtual and raw sizes."""
+        return tuple((s.virtual_address,
+                      s.virtual_address + max(s.virtual_size, s.raw_size),
+                      s.raw_offset) for s in self.sections)
+
+    def rva_run(self, rva: int) -> tuple[int, int, int]:
+        """``(lo, hi, delta)``: the widest range of RVAs around ``rva`` that
+        all map to their file offsets by adding ``delta``.
+
+        An RVA below ``SizeOfHeaders`` is its own offset. Any other maps
+        through the first section in table order whose span holds it; a
+        lenient parse lets spans overlap, so an earlier span cuts the range
+        where it begins or ends."""
         if rva < self.size_of_headers:
-            return rva
-        for s in self.sections:
-            span = max(s.virtual_size, s.raw_size)
-            if s.virtual_address <= rva < s.virtual_address + span:
-                return s.raw_offset + (rva - s.virtual_address)
+            return 0, self.size_of_headers, 0
+        for i, (start, end, raw) in enumerate(self.spans):
+            if start <= rva < end:
+                lo = max(start, self.size_of_headers)
+                for s, e, _ in self.spans[:i]:
+                    if s >= e:
+                        continue
+                    if s > rva:
+                        end = min(end, s)
+                    elif e > lo:
+                        lo = e
+                return lo, end, raw - start
         raise PeEditError("parse", rva, f"RVA {rva:#x} maps to no section")
+
+    def rva_to_offset(self, rva: int) -> int:
+        return rva + self.rva_run(rva)[2]
 
 
 def _read_cstring(data: bytes, offset: int) -> str:
@@ -223,30 +249,39 @@ def _parse_imports(pe: PeImage, strict: bool) -> list[ImportDescriptor]:
     rva = pe.data_dirs[DIR_IMPORT][0]
     data = pe.data
     thunk_size = 8 if pe.is_pe64 else 4
+    thunk_fmt = "<Q" if pe.is_pe64 else "<I"
     ordinal_flag = 1 << (thunk_size * 8 - 1)
+    run = (0, 0, 0)
+
+    def offset(r: int) -> int:
+        # descriptors, thunks and names mostly lie in one run of RVAs
+        nonlocal run
+        if not run[0] <= r < run[1]:
+            run = pe.rva_run(r)
+        return r + run[2]
+
     descriptors = []
     idx = 0
     while True:
-        off = pe.rva_to_offset(rva + IMPORT_DESCRIPTOR_SIZE * idx)
+        off = offset(rva + IMPORT_DESCRIPTOR_SIZE * idx)
         if off + IMPORT_DESCRIPTOR_SIZE > len(data):
             raise PeEditError("parse", off, "import descriptor out of range")
         ilt, _ts, _fc, name_rva, iat = _unpack("<IIIII", data, off)
         if ilt == 0 and name_rva == 0 and iat == 0:
             break
-        library = _read_cstring(data, pe.rva_to_offset(name_rva))
+        library = _read_cstring(data, offset(name_rva))
         desc = ImportDescriptor(library=library)
         thunk_rva = ilt or iat
         j = 0
         while True:
-            toff = pe.rva_to_offset(thunk_rva + thunk_size * j)
-            fmt = "<Q" if pe.is_pe64 else "<I"
-            (value,) = _unpack(fmt, data, toff)
+            toff = offset(thunk_rva + thunk_size * j)
+            (value,) = _unpack(thunk_fmt, data, toff)
             if value == 0:
                 break
             if value & ordinal_flag:
                 desc.entries.append(ImportEntry(ordinal=value & 0xFFFF))
             else:
-                hoff = pe.rva_to_offset(value)
+                hoff = offset(value)
                 (hint,) = _unpack("<H", data, hoff)
                 desc.entries.append(
                     ImportEntry(name=_read_cstring(data, hoff + 2), hint=hint))

@@ -253,3 +253,38 @@ def test_hash_features_order_independent(tokens):
     fwd = hash_features(Counter(tokens), 32)
     rev = hash_features(Counter(reversed(tokens)), 32)
     np.testing.assert_array_equal(fwd, rev)
+
+
+def hash_by_fnv(tokens, dim):
+    """The hashing trick spelled out: one ``fnv1a64`` call per token."""
+    out = np.zeros(dim, dtype=np.float64)
+    items = tokens.items() if isinstance(tokens, Counter) else ((t, 1) for t in tokens)
+    for tok, count in items:
+        h = fnv1a64(tok.encode("utf-8"))
+        out[h % dim] += (1.0 if (h >> 63) == 0 else -1.0) * count
+    return out
+
+
+HASH_DIMS = (1, 3, 64, 1280)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.one_of(
+           st.sets(st.text(max_size=16), max_size=24),
+           st.dictionaries(st.text(max_size=16), st.integers(-3, 1000),
+                           max_size=24).map(Counter)),
+       st.lists(st.sampled_from(HASH_DIMS), min_size=2, max_size=8))
+def test_hash_features_matches_fnv_per_token(tokens, dims):
+    """Arbitrary Unicode tokens hashed at interleaved dims in one process:
+    every vector is the per-token FNV reference, bit for bit, so no dim is
+    ever served another dim's bucket from the memo."""
+    for dim in dims + list(HASH_DIMS):
+        got = hash_features(tokens, dim)
+        assert got.tobytes() == hash_by_fnv(tokens, dim).tobytes()
+
+
+def test_hash_memo_is_bounded():
+    assert features._bucket.cache_info().maxsize == features.HASH_MEMO_SIZE
+    unique = {f"unique-token-{i}" for i in range(features.HASH_MEMO_SIZE + 100)}
+    assert hash_features(unique, 64).tobytes() == hash_by_fnv(unique, 64).tobytes()
+    assert features._bucket.cache_info().currsize <= features.HASH_MEMO_SIZE

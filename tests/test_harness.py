@@ -227,6 +227,29 @@ class TestCorpus:
         labels = sorted(r["label"] for r in manifest["files"])
         assert labels == ["benign", "malicious"]
 
+    def test_dirs_corpus_with_an_empty_file_runs(self, tmp_path):
+        gen_corpus(CorpusConfig(n_per_class=20, content_size=(400, 800)), 3,
+                   tmp_path / "gen")
+        dirs = {label: tmp_path / label for label in ("benign", "malicious")}
+        for path in dirs.values():
+            path.mkdir()
+        for path in (tmp_path / "gen").glob("*.exe"):
+            path.rename(dirs[path.name.split("_")[0]] / path.name)
+        empty = dirs["malicious"] / "zz_empty.exe"
+        empty.write_bytes(b"")
+        cfg = tiny_config().to_dict()
+        cfg["corpus"] = {"kind": "dirs", "benign_dir": str(dirs["benign"]),
+                         "malicious_dir": str(dirs["malicious"])}
+        cfg["gans"] = {"byte_histogram": {"max_steps": 3}}
+        (tmp_path / "cfg.json").write_text(json.dumps(cfg))
+        assert cli.main(["pipeline", "--config", str(tmp_path / "cfg.json"),
+                         "--workdir", str(tmp_path / "w")]) == 0
+        manifest = json.loads(
+            (tmp_path / "w" / "corpus" / "manifest.json").read_text())
+        assert manifest["skipped"] == [{"source": str(empty),
+                                        "reason": "empty file"}]
+        assert len(manifest["files"]) == 40
+
 
 class TestSplits:
     def test_stratified_fractions(self):

@@ -1,6 +1,7 @@
 import contextlib
 import resource
 import struct
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -380,3 +381,172 @@ def test_mutated_pe_editors_raise_or_reparse(seed):
             assert after >= imports | {"fresh.dll!added"}
         else:
             assert out.data.startswith(data)
+
+
+# --- the import walk against a linear first-match oracle --------------------
+
+def linear_rva_to_offset(pe, rva: int) -> int:
+    """Each RVA resolved on its own by a scan of the section table: the
+    headers map to themselves, then the first section whose span (the
+    larger of its virtual and raw sizes) holds the RVA wins."""
+    if rva < pe.size_of_headers:
+        return rva
+    for s in pe.sections:
+        if s.virtual_address <= rva < s.virtual_address + max(s.virtual_size,
+                                                               s.raw_size):
+            return s.raw_offset + (rva - s.virtual_address)
+    raise PeEditError("parse", rva, f"RVA {rva:#x} maps to no section")
+
+
+def linear_import_walk(pe, strict):
+    """The import directory walk with every RVA resolved by
+    ``linear_rva_to_offset``."""
+    if len(pe.data_dirs) <= petk.DIR_IMPORT or pe.data_dirs[petk.DIR_IMPORT][0] == 0:
+        return []
+    rva = pe.data_dirs[petk.DIR_IMPORT][0]
+    data = pe.data
+    thunk_size = 8 if pe.is_pe64 else 4
+    ordinal_flag = 1 << (thunk_size * 8 - 1)
+    descriptors = []
+    idx = 0
+    while True:
+        off = linear_rva_to_offset(pe, rva + 20 * idx)
+        if off + 20 > len(data):
+            raise PeEditError("parse", off, "import descriptor out of range")
+        ilt, _ts, _fc, name_rva, iat = petk._unpack("<IIIII", data, off)
+        if ilt == 0 and name_rva == 0 and iat == 0:
+            break
+        desc = petk.ImportDescriptor(library=petk._read_cstring(
+            data, linear_rva_to_offset(pe, name_rva)))
+        thunk_rva = ilt or iat
+        j = 0
+        while True:
+            toff = linear_rva_to_offset(pe, thunk_rva + thunk_size * j)
+            (value,) = petk._unpack("<Q" if pe.is_pe64 else "<I", data, toff)
+            if value == 0:
+                break
+            if value & ordinal_flag:
+                desc.entries.append(petk.ImportEntry(ordinal=value & 0xFFFF))
+            else:
+                hoff = linear_rva_to_offset(pe, value)
+                (hint,) = petk._unpack("<H", data, hoff)
+                desc.entries.append(petk.ImportEntry(
+                    name=petk._read_cstring(data, hoff + 2), hint=hint))
+            j += 1
+            if j > 4096:
+                raise PeEditError("parse", toff, "unterminated import thunk table")
+        descriptors.append(desc)
+        idx += 1
+        if idx > 4096:
+            raise PeEditError("parse", off, "unterminated import descriptor table")
+    return descriptors
+
+
+def parse_outcome(data: bytes, strict: bool):
+    """The import descriptors of a parse, or the kind and offset of its
+    PeEditError."""
+    try:
+        return parse(data, strict=strict).import_descriptors
+    except PeEditError as exc:
+        return exc.kind, exc.offset
+
+
+def assert_walk_matches_oracle(data: bytes) -> None:
+    for strict in (True, False):
+        got = parse_outcome(data, strict)
+        with mock.patch.object(petk, "_parse_imports", linear_import_walk):
+            assert got == parse_outcome(data, strict)
+
+
+def overlapping_spans_pe() -> bytes:
+    """The first section's span is moved over the hint/name tail of the
+    import section and maps it to a case-swapped copy appended to the file:
+    first match in table order reads the swapped names."""
+    data = synth_pe(basic_spec())
+    pe = parse(data)
+    idata = pe.sections[-1]
+    # the first thunk of the first ILT points at the start of the hint/names
+    ilt = struct.unpack_from("<I", data, pe.rva_to_offset(idata.virtual_address))[0]
+    (first_name,) = struct.unpack_from("<I", data, pe.rva_to_offset(ilt))
+    cut = first_name - idata.virtual_address
+    tail = data[idata.raw_offset + cut:idata.raw_offset + idata.virtual_size]
+    raw_at = len(data)
+    assert raw_at % pe.file_align == 0
+    buf = bytearray(data + tail.swapcase() + bytes(-len(tail) % pe.file_align))
+    struct.pack_into("<IIII", buf, pe.section_table_offset + 8,
+                     len(tail), first_name, len(buf) - raw_at, raw_at)
+    return bytes(buf)
+
+
+def import_directory_in_headers_pe() -> bytes:
+    """The import descriptors copied into the header slack past the section
+    table, and the import directory pointed there: an RVA below
+    SizeOfHeaders is its own offset."""
+    data = synth_pe(basic_spec())
+    pe = parse(data)
+    rva, size = pe.data_dirs[petk.DIR_IMPORT]
+    at = pe.section_table_offset + petk.SECTION_HEADER_SIZE * len(pe.sections)
+    assert at + size <= pe.size_of_headers
+    buf = bytearray(data)
+    off = pe.rva_to_offset(rva)
+    buf[at:at + size] = data[off:off + size]
+    ndirs_off = pe.opt_offset + 92
+    struct.pack_into("<I", buf, ndirs_off + 4 + 8 * petk.DIR_IMPORT, at)
+    return bytes(buf)
+
+
+class TestImportWalkOracle:
+    def test_overlapping_spans_first_section_wins(self):
+        data = overlapping_spans_pe()
+        with pytest.raises(PeEditError):
+            parse(data, strict=True)
+        names = [(d.library, [e.name for e in d.entries])
+                 for d in parse(data, strict=False).import_descriptors]
+        assert names == [
+            (d.library.swapcase(), [e.name and e.name.swapcase() for e in d.entries])
+            for d in parse(synth_pe(basic_spec())).import_descriptors]
+        assert_walk_matches_oracle(data)
+
+    def test_import_directory_below_size_of_headers(self):
+        data = import_directory_in_headers_pe()
+        pe = parse(data, strict=True)
+        assert pe.data_dirs[petk.DIR_IMPORT][0] < pe.size_of_headers
+        assert pe.import_descriptors == \
+            parse(synth_pe(basic_spec())).import_descriptors
+        assert_walk_matches_oracle(data)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(0, 2**31 - 1))
+    def test_mutants_walk_like_the_oracle(self, seed):
+        assert_walk_matches_oracle(mutant(seed))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 24),
+       st.lists(st.tuples(st.integers(0, 64), st.integers(0, 24),
+                          st.integers(0, 24), st.integers(0, 256)),
+                max_size=6))
+def test_rva_run_agrees_with_the_linear_scan(size_of_headers, sections):
+    """Over small, often overlapping section tables: every RVA resolves as
+    the linear scan does, and every RVA of the run ``rva_run`` reports
+    resolves by the run's delta."""
+    pe = petk.PeImage(
+        data=b"", is_pe64=False, e_lfanew=0, size_of_optional=0,
+        section_align=1, file_align=1, size_of_image=0,
+        size_of_headers=size_of_headers, data_dirs=[],
+        sections=[petk.Section(f".s{i}", vsize, va, rsize, raw, 0)
+                  for i, (va, vsize, rsize, raw) in enumerate(sections)],
+        import_descriptors=[], overlay_offset=0)
+    for rva in range(100):
+        try:
+            expected = linear_rva_to_offset(pe, rva)
+        except PeEditError as exc:
+            with pytest.raises(PeEditError) as got:
+                pe.rva_run(rva)
+            assert (got.value.kind, got.value.offset) == (exc.kind, exc.offset)
+            continue
+        assert pe.rva_to_offset(rva) == expected
+        lo, hi, delta = pe.rva_run(rva)
+        assert lo <= rva < hi
+        for r in range(lo, min(hi, 100)):
+            assert linear_rva_to_offset(pe, r) == r + delta
