@@ -9,8 +9,6 @@ critic, read through a sigmoid, is the substitute detector.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from . import gan, nncore, petk
@@ -29,18 +27,16 @@ def benign_injection(pe: petk.PeImage, benign_pool: list[bytes],
     return petk.parse(pe.data + bytes(chosen), strict=True)
 
 
-@dataclass
-class MalganConfig:
-    batch_size: int = 32
-    substitute_lr: float = 1e-3
-    generator_lr: float = 1e-3
-    substitute_steps_per_round: int = 4
-    generator_steps_per_round: int = 4
-    max_queries: int = 50_000
-    target_detection: float = 0.05
-    probe_size: int = 32
-    probe_every: int = 5
-    seed: int = 0
+# a round labels BATCH_SIZE fakes and BATCH_SIZE benign rows, then takes
+# STEPS_PER_ROUND Adam steps at LR on the substitute and on the generator;
+# every PROBE_EVERY rounds, PROBE_SIZE fakes are labelled, and training stops
+# once fewer than TARGET_DETECTION of them are malicious
+BATCH_SIZE = 32
+LR = 1e-3
+STEPS_PER_ROUND = 4
+TARGET_DETECTION = 0.05
+PROBE_SIZE = 32
+PROBE_EVERY = 5
 
 
 class _QueryCounter:
@@ -78,58 +74,52 @@ def _malgan_generator_grads(model: GanModel, m_batch: np.ndarray,
 
 
 def train_malgan(malicious_features: np.ndarray, benign_features: np.ndarray,
-                 black_box, preset: GanPreset,
-                 cfg: MalganConfig | None = None) -> GanModel:
+                 black_box, preset: GanPreset, max_queries: int,
+                 seed: int) -> GanModel:
     """Alternate substitute fitting (against black-box labels) with
     generator updates that lower the substitute's malicious probability.
 
     ``black_box`` must be a label-only callable; scores are never used.
-    ``training_meta["queries"]`` counts the labels it was asked for.
+    ``training_meta["queries"]`` counts the labels it was asked for; the
+    round that passes ``max_queries`` is the last.
     """
-    cfg = cfg or MalganConfig()
     xm = np.atleast_2d(np.asarray(malicious_features, dtype=np.float64))
     xb = np.atleast_2d(np.asarray(benign_features, dtype=np.float64))
-    rng = np.random.default_rng(cfg.seed)
-    model = gan.build_gan(preset, cfg.seed)
+    rng = np.random.default_rng(seed)
+    model = gan.build_gan(preset, seed)
     counter = _QueryCounter(black_box)
     sub_state = AdamState.for_net(model.critic)
     gen_state = AdamState.for_net(model.generator)
 
     round_no = 0
-    while counter.count < cfg.max_queries:
+    while counter.count < max_queries:
         round_no += 1
-        m_idx = rng.integers(0, len(xm), size=cfg.batch_size)
-        b_idx = rng.integers(0, len(xb), size=cfg.batch_size)
-        m_batch = xm[m_idx]
-        b_batch = xb[b_idx]
-        z = sample_noise(preset.noise_dim, cfg.batch_size, rng)
+        m_batch = xm[rng.integers(0, len(xm), size=BATCH_SIZE)]
+        b_batch = xb[rng.integers(0, len(xb), size=BATCH_SIZE)]
+        z = sample_noise(preset.noise_dim, BATCH_SIZE, rng)
         fakes = generate(model, m_batch, z)
 
         x_train = np.vstack([fakes, b_batch])
         y_train = counter(x_train)
 
         try:
-            for _ in range(cfg.substitute_steps_per_round):
+            for _ in range(STEPS_PER_ROUND):
                 adam_step(model.critic.parameters(),
                           _substitute_grads(model.critic, x_train, y_train),
-                          sub_state, lr=cfg.substitute_lr, beta1=0.9,
-                          beta2=0.999)
-            for _ in range(cfg.generator_steps_per_round):
+                          sub_state, lr=LR, beta1=0.9, beta2=0.999)
+            for _ in range(STEPS_PER_ROUND):
                 adam_step(model.generator.parameters(),
                           _malgan_generator_grads(model, m_batch, z),
-                          gen_state, lr=cfg.generator_lr, beta1=0.9,
-                          beta2=0.999)
+                          gen_state, lr=LR, beta1=0.9, beta2=0.999)
         except nncore.NumericError:
             raise TrainingDivergedError(round_no, None, None) from None
 
-        if round_no % cfg.probe_every == 0:
-            probe_idx = rng.integers(0, len(xm), size=cfg.probe_size)
-            probe_z = sample_noise(preset.noise_dim, cfg.probe_size, rng)
-            probe = generate(model, xm[probe_idx], probe_z)
-            rate = float(np.mean(counter(probe)))
-            if rate < cfg.target_detection:
+        if round_no % PROBE_EVERY == 0:
+            probe = generate(model, xm[rng.integers(0, len(xm), size=PROBE_SIZE)],
+                             sample_noise(preset.noise_dim, PROBE_SIZE, rng))
+            if float(np.mean(counter(probe))) < TARGET_DETECTION:
                 break
 
-    model.training_meta = {"rounds": round_no, "seed": cfg.seed,
+    model.training_meta = {"rounds": round_no, "seed": seed,
                            "queries": counter.count}
     return model

@@ -2,12 +2,12 @@
 
 Exit codes: 0 success, 2 configuration error, 3 pipeline stage failure.
 A stage subcommand runs every upstream stage, then its own. The corpus,
-the feature matrices and vocabularies, and each detector and GAN
-checkpoint resume from the working directory: each stores the key of the
-inputs it was computed from, and is loaded when that key matches and
-recomputed otherwise (see ``harness``). A change to an attack field only
-re-runs the attacks and the evaluation. Delete the working directory to
-force a cold run.
+the feature matrices and vocabularies, and each detector and GAN resume
+from the working directory by one rule, ``harness._resume``: an artifact
+stored under the key of its inputs loads, any other is recomputed, and
+``train-detector`` and ``train-gan`` say which. A change to an attack
+field only re-runs the attacks and the evaluation. Delete the working
+directory to force a cold run.
 """
 
 from __future__ import annotations

@@ -133,7 +133,7 @@ def hash_features(tokens, dim: int = DEFAULT_HASH_DIM) -> np.ndarray:
 # ``CheckpointError`` (a ValueError) for any other, and for a container
 # that lacks a field it reads.
 
-def save_vocab(vocab: Vocabulary, path, key: str = "") -> None:
+def save_vocab(path, vocab: Vocabulary, key: str = "") -> None:
     ckpt.save_container(path, {"kind": vocab.kind, "entries": vocab.entries,
                                "provenance": vocab.provenance, "key": key}, {})
 
@@ -145,9 +145,10 @@ def load_vocab(path, key: str | None = None) -> Vocabulary:
                       provenance=ckpt.field(meta, "provenance", str))
 
 
-def save_matrix(matrix: np.ndarray, columns, path, key: str = "") -> None:
-    """Feature matrix with its ``columns`` names; bit-exact round trip."""
-    matrix = np.atleast_2d(np.asarray(matrix, dtype=np.float64))
+def save_matrix(path, value: tuple, key: str = "") -> None:
+    """``value``, a feature matrix and its ``columns`` names, as
+    ``load_matrix`` returns it; bit-exact round trip."""
+    matrix, columns = value
     ckpt.save_container(path, {"columns": list(columns), "key": key},
                         {"matrix": matrix})
 

@@ -17,16 +17,15 @@ file's vector from its lazily extracted ``FileFeatures``. Extract loads or
 computes only the families the run reads; ``gan_all`` and evaluation
 build the rewritten files' rows through the same table.
 
-The stages up to train-gan resume. Each of their artifacts carries a
-content key: a SHA-256 over the config slice that determines it and the
-key of what it was computed from (``_key``). The corpus manifest holds the
-key of ``corpus`` + ``seed`` (for a ``dirs`` corpus also each source
-file's name, size and SHA-256); the feature matrices and vocabularies the
-key of the tool and schema versions, the corpus bytes, ``feature_cfg``,
-``split`` and ``seed``; each detector and GAN checkpoint the feature key
-plus its own spec and ``seed``. A stage loads an artifact whose stored key
-matches and recomputes (and rewrites) any other: missing, stale, truncated
-or unreadable. Attack and evaluation always run.
+The corpus, vocabularies, feature matrices, detectors and GANs resume
+through ``_resume``, each under a content key: a SHA-256 over the config
+slice that determines it and the key of what it was computed from
+(``_key``). The corpus is keyed by ``corpus`` + ``seed`` (a ``dirs`` corpus
+also by each source file's name, size and SHA-256); the features by the
+tool and schema versions, the corpus bytes, ``feature_cfg``, ``split`` and
+``seed``; each model by the feature key, its own spec and ``seed``. What is
+stored under the key loads; anything else is computed and written over it.
+Attack and evaluation always run.
 """
 
 from __future__ import annotations
@@ -45,6 +44,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from . import baselines, detectors, features, gan, padopt, petk
+from . import checkpoint as ckpt
 from . import __version__
 from .gan import TrainingConfig as GanStageConfig
 
@@ -232,6 +232,11 @@ class ExperimentConfig:
                 raise ConfigError(f"gap {gap!r} outside [0, 1)")
         if self.sweep_subsample < 1:
             raise ConfigError("sweep_subsample must be at least 1")
+        if self.corpus.kind not in ("synthetic", "dirs"):
+            raise ConfigError(f"unknown corpus kind {self.corpus.kind!r}")
+        if self.corpus.kind == "dirs" and None in (self.corpus.benign_dir,
+                                                   self.corpus.malicious_dir):
+            raise ConfigError("a dirs corpus needs benign_dir and malicious_dir")
         if self.corpus.n_per_class < 1:
             raise ConfigError("corpus.n_per_class must be at least 1")
         size = self.corpus.content_size
@@ -309,14 +314,12 @@ def _sample_content(alpha: np.ndarray, size: int, rng: np.random.Generator) -> b
     return rng.permutation(values).tobytes()
 
 
-def gen_corpus(cfg: CorpusConfig, seed: int, out_dir, key: str | None = None) -> dict:
-    """Write a labeled synthetic PE corpus; same seed, same bytes. ``key``
-    goes into the manifest."""
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+def gen_corpus(cfg: CorpusConfig, seed: int) -> tuple[dict, dict[str, bytes]]:
+    """A labeled synthetic PE corpus, (manifest, blobs); same seed, same
+    bytes."""
     rng = np.random.default_rng(seed)
     lo, hi = cfg.content_size
-    records = []
+    records, blobs = [], {}
     for label, alpha in (("benign", np.asarray(cfg.byte_alpha_benign)),
                          ("malicious", np.asarray(cfg.byte_alpha_malicious))):
         for i in range(cfg.n_per_class):
@@ -326,31 +329,17 @@ def gen_corpus(cfg: CorpusConfig, seed: int, out_dir, key: str | None = None) ->
             spec = petk.SynthSpec(
                 sections=[petk.SectionSpec(".text", content=content)],
                 imports=imports, strings=strings)
-            data = petk.synth_pe(spec, seed=int(rng.integers(0, 2**31)))
             name = f"{label}_{i:05d}.exe"
-            (out_dir / name).write_bytes(data)
+            blobs[name] = petk.synth_pe(spec, seed=int(rng.integers(0, 2**31)))
             records.append({"name": name, "label": label})
-    manifest = {"seed": seed, "files": records, "key": key}
-    (out_dir / "manifest.json").write_text(
-        json.dumps(manifest, sort_keys=True, indent=1))
-    return manifest
+    return {"seed": seed, "files": records}, blobs
 
 
-def load_corpus(corpus_dir) -> tuple[dict, dict[str, bytes]]:
-    corpus_dir = Path(corpus_dir)
-    manifest = json.loads((corpus_dir / "manifest.json").read_text())
-    blobs = {rec["name"]: (corpus_dir / rec["name"]).read_bytes()
-             for rec in manifest["files"]}
-    return manifest, blobs
-
-
-def ingest_dirs(benign_dir, malicious_dir, out_dir, key: str | None = None) -> dict:
-    """Build a manifest over user-supplied PE directories (files copied);
-    ``key`` goes into the manifest. An empty file has no byte histogram: it
-    is not copied, and ``skipped`` names it with the reason."""
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    records, skipped = [], []
+def ingest_dirs(benign_dir, malicious_dir) -> tuple[dict, dict[str, bytes]]:
+    """A corpus, (manifest, blobs), of user-supplied PE directories. An
+    empty file has no byte histogram: it is left out, and ``skipped`` names
+    it with the reason."""
+    records, skipped, blobs = [], [], {}
     for label, src in (("benign", benign_dir), ("malicious", malicious_dir)):
         for i, path in enumerate(sorted(Path(src).iterdir())):
             if not path.is_file():
@@ -360,12 +349,36 @@ def ingest_dirs(benign_dir, malicious_dir, out_dir, key: str | None = None) -> d
                 skipped.append({"source": str(path), "reason": "empty file"})
                 continue
             name = f"{label}_{i:05d}.exe"
-            (out_dir / name).write_bytes(data)
+            blobs[name] = data
             records.append({"name": name, "label": label, "source": str(path)})
-    manifest = {"seed": None, "files": records, "skipped": skipped, "key": key}
-    (out_dir / "manifest.json").write_text(
-        json.dumps(manifest, sort_keys=True, indent=1))
-    return manifest
+    return {"seed": None, "files": records, "skipped": skipped}, blobs
+
+
+def save_corpus(corpus_dir: Path, corpus: tuple, key: str | None = None) -> None:
+    """Write ``corpus`` (manifest, blobs), ``key`` in its manifest, in place
+    of whatever ``corpus_dir`` held."""
+    manifest, blobs = corpus
+    shutil.rmtree(corpus_dir, ignore_errors=True)
+    corpus_dir.mkdir(parents=True)
+    for name, data in blobs.items():
+        (corpus_dir / name).write_bytes(data)
+    (corpus_dir / "manifest.json").write_text(
+        json.dumps({**manifest, "key": key}, sort_keys=True, indent=1))
+
+
+def load_corpus(corpus_dir: Path, key: str | None = None) -> tuple[dict, dict[str, bytes]]:
+    """The (manifest, blobs) ``save_corpus`` wrote; ``ValueError`` for a
+    malformed manifest or, when ``key`` is given, one stored under another."""
+    manifest = json.loads((corpus_dir / "manifest.json").read_text())
+    records = ckpt.field(manifest, "files", list, dict)
+    if manifest.pop("key", None) != key and key is not None:
+        raise ValueError("corpus built from other inputs")
+    blobs = {}
+    for rec in records:
+        ckpt.field(rec, "label", str)
+        name = ckpt.field(rec, "name", str)
+        blobs[name] = (corpus_dir / name).read_bytes()
+    return manifest, blobs
 
 
 # --- feature extraction -----------------------------------------------------
@@ -638,10 +651,9 @@ def attack_malgan_byte(state, names, blobs, rows) -> AttackOutput:
     benign, malicious = state.table.by_class(("byte",), state.splits["train"])
     stage = cfg.gans.get("byte_histogram", GanStageConfig())
     preset = pipeline_preset("byte_histogram", benign.shape[1], stage)
-    mcfg = baselines.MalganConfig(seed=cfg.seed,
-                                  max_queries=cfg.malgan_max_queries)
     black_box = _primary_byte_detector(state).label_fn()
-    model = baselines.train_malgan(malicious, benign, black_box, preset, mcfg)
+    model = baselines.train_malgan(malicious, benign, black_box, preset,
+                                   cfg.malgan_max_queries, cfg.seed)
     rng = np.random.default_rng(cfg.seed + 2)
     rewritten = {}
     for name, histogram in zip(names, rows("byte")):
@@ -680,8 +692,8 @@ class PipelineState:
     table: FeatureTable | None = None
     detector_models: dict = field(default_factory=dict)
     gan_models: dict = field(default_factory=dict)
-    # ("detector", name) and ("gan", kind) of each model this run trained
-    # rather than loaded from the workdir
+    # ("corpus"|"vocab"|"features"|"detector"|"gan", name) of each artifact
+    # that ``_resume`` computed rather than loaded from the workdir
     computed: set = field(default_factory=set)
     attack_outputs: dict = field(default_factory=dict)
 
@@ -706,15 +718,22 @@ def _key(*parts) -> str:
     return hashlib.sha256(blob).hexdigest()
 
 
-def _load(loader, path: Path, key: str):
-    """``loader(path, key)``, or None when the artifact is missing, was
-    built from other inputs, or cannot be read back."""
-    if not path.is_file():
-        return None
-    try:
-        return loader(path, key)
-    except (OSError, ValueError):
-        return None
+def _resume(state: PipelineState, what: tuple, path: Path, key: str,
+            load: Callable, compute: Callable, save: Callable):
+    """``load(path, key)``, the artifact a run stored under ``key``. On a
+    miss (missing, built from other inputs, truncated, unreadable or
+    lacking a field) ``compute()``, saved with ``save(path, value, key)``
+    and recorded in ``state.computed`` as ``what``."""
+    if path.exists():
+        try:
+            return load(path, key)
+        except (OSError, ValueError):
+            pass
+    path.parent.mkdir(parents=True, exist_ok=True)
+    value = compute()
+    save(path, value, key)
+    state.computed.add(what)
+    return value
 
 
 def _rows(state: PipelineState, part: str, label: str) -> list[int]:
@@ -724,26 +743,15 @@ def _rows(state: PipelineState, part: str, label: str) -> list[int]:
 
 @_stage("corpus")
 def stage_corpus(state: PipelineState):
-    corpus_dir = state.workdir / "corpus"
     cfg = state.cfg.corpus
-    if cfg.kind not in ("synthetic", "dirs"):
-        raise ConfigError(f"unknown corpus kind {cfg.kind!r}")
-    if cfg.kind == "dirs" and (cfg.benign_dir is None or cfg.malicious_dir is None):
-        raise ConfigError("dirs corpus needs benign_dir and malicious_dir")
     # a dirs corpus is also keyed by its files, so an edited one is copied again
     sources = [] if cfg.kind == "synthetic" else [_source_listing(cfg)]
     key = _key("corpus", dataclasses.asdict(cfg), state.cfg.seed, *sources)
-    try:
-        stored = json.loads((corpus_dir / "manifest.json").read_text()).get("key")
-    except (OSError, ValueError):
-        stored = None
-    if stored != key:
-        shutil.rmtree(corpus_dir, ignore_errors=True)
-        if cfg.kind == "synthetic":
-            gen_corpus(cfg, state.cfg.seed, corpus_dir, key)
-        else:
-            ingest_dirs(cfg.benign_dir, cfg.malicious_dir, corpus_dir, key)
-    state.manifest, state.blobs = load_corpus(corpus_dir)
+    state.manifest, state.blobs = _resume(
+        state, ("corpus", cfg.kind), state.workdir / "corpus", key, load_corpus,
+        lambda: (gen_corpus(cfg, state.cfg.seed) if cfg.kind == "synthetic"
+                 else ingest_dirs(cfg.benign_dir, cfg.malicious_dir)),
+        save_corpus)
 
 
 def _source_listing(cfg: CorpusConfig) -> list:
@@ -781,39 +789,44 @@ def stage_extract(state: PipelineState):
     names = [rec["name"] for rec in state.manifest["files"]]
     labels = [rec["label"] for rec in state.manifest["files"]]
     state.splits = split_indices(labels, cfg.split, cfg.seed)
+    for part in ("train", "test"):
+        if {labels[i] for i in state.splits[part]} != {"benign", "malicious"}:
+            raise ConfigError(f"split {cfg.split} leaves a class of this "
+                              f"{len(names)}-file corpus no {part} file")
     key = state.extract_key = _key(
         "extract", SCHEMA_VERSION, __version__,
         _corpus_digest(state.manifest, state.blobs),
         dataclasses.asdict(fcfg), cfg.split, cfg.seed)
     feat_dir = state.workdir / "features"
-    feat_dir.mkdir(parents=True, exist_ok=True)
     table = state.table = FeatureTable(names, labels, fcfg)
     # the run reads the detectors' families and those the needed GANs
     # rewrite (MalGAN's byte rows come with the byte detector it requires).
-    # Each is loaded when stored under the key, else computed and saved;
-    # only then are the files extracted, each once.
+    # Each resumes; the files are extracted, each once, only on a miss.
     read = {fam for spec in cfg.detectors for fam in spec.families}
     read |= {GAN_FAMILIES[kind] for kind in _gans_needed(cfg)}
     files = functools.cache(
         lambda: [FileFeatures(state.blobs[name], fcfg) for name in names])
+
+    def load_matrix(path, key):
+        matrix, columns = features.load_matrix(path, key)
+        if columns != names:
+            raise ValueError(f"{path.name} holds the rows of other files")
+        return matrix, columns
+
     for fam in [fam for fam in FAMILIES if fam in read]:
         if fam in TOPK:
             file_name, kind, k, tokens = TOPK[fam]
-            vocab = _load(features.load_vocab, feat_dir / file_name, key)
-            if vocab is None:
-                vocab = features.select_topk(
+            table.vocabs[fam] = _resume(
+                state, ("vocab", fam), feat_dir / file_name, key,
+                features.load_vocab, lambda: features.select_topk(
                     [getattr(files()[i], tokens)
                      for i in _rows(state, "train", "benign")],
-                    getattr(fcfg, k), kind=kind)
-                features.save_vocab(vocab, feat_dir / file_name, key)
-            table.vocabs[fam] = vocab
-        loaded = _load(features.load_matrix, feat_dir / f"{fam}.gevf", key)
-        if loaded is not None and loaded[1] == names:
-            matrix = loaded[0]
-        else:
-            matrix = np.array([table.vector_for(f, (fam,)) for f in files()])
-            features.save_matrix(matrix, names, feat_dir / f"{fam}.gevf", key)
-        table.matrices[fam] = matrix
+                    getattr(fcfg, k), kind=kind), features.save_vocab)
+        table.matrices[fam], _ = _resume(
+            state, ("features", fam), feat_dir / f"{fam}.gevf", key,
+            load_matrix, lambda: (np.array(
+                [table.vector_for(f, (fam,)) for f in files()]), names),
+            features.save_matrix)
 
 
 @_stage("train-detector")
@@ -823,16 +836,13 @@ def stage_detectors(state: PipelineState):
         path = model_dir / f"detector_{spec.name}.gevd"
         key = _key("detector", state.extract_key, dataclasses.asdict(spec),
                    state.cfg.seed)
-        model = _load(detectors.load_detector, path, key)
-        if model is None:
-            xb, xm = state.table.by_class(spec.families, state.splits["train"])
-            model = detectors.train_detector(
-                spec.kind, xb, xm, hyperparams=spec.hyperparams,
-                seed=state.cfg.seed)
-            model_dir.mkdir(parents=True, exist_ok=True)
-            detectors.save_detector(path, model, key)
-            state.computed.add(("detector", spec.name))
-        state.detector_models[spec.name] = model
+        state.detector_models[spec.name] = _resume(
+            state, ("detector", spec.name), path, key, detectors.load_detector,
+            lambda: detectors.train_detector(
+                spec.kind, *state.table.by_class(spec.families,
+                                                 state.splits["train"]),
+                hyperparams=spec.hyperparams, seed=state.cfg.seed),
+            detectors.save_detector)
 
 
 @_stage("train-gan")
@@ -843,15 +853,12 @@ def stage_gans(state: PipelineState):
         key = _key("gan", state.extract_key, kind,
                    dataclasses.asdict(state.cfg.gans.get(kind, GanStageConfig())),
                    state.cfg.seed)
-        model = _load(gan.load_gan, path, key)
-        if model is None:
-            model_dir.mkdir(parents=True, exist_ok=True)
-            model = train_gan_for(kind, state.table, state.splits["train"],
-                                  state.cfg,
-                                  metrics_path=model_dir / f"gan_{kind}_metrics.csv")
-            gan.save_gan(path, model, key)
-            state.computed.add(("gan", kind))
-        state.gan_models[kind] = model
+        state.gan_models[kind] = _resume(
+            state, ("gan", kind), path, key, gan.load_gan,
+            lambda: train_gan_for(
+                kind, state.table, state.splits["train"], state.cfg,
+                metrics_path=model_dir / f"gan_{kind}_metrics.csv"),
+            gan.save_gan)
 
 
 @_stage("attack")
@@ -1003,7 +1010,6 @@ def run_pipeline(cfg: ExperimentConfig, workdir) -> dict:
     evaluation -> persisted report."""
     t0 = time.time()
     workdir = Path(workdir)
-    workdir.mkdir(parents=True, exist_ok=True)
     evaluation = run_stages(PipelineState(cfg=cfg, workdir=workdir))
     report = {
         "config_hash": cfg.config_hash(),

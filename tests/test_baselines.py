@@ -3,7 +3,7 @@ import pytest
 
 import tape
 from ganevade import baselines, petk
-from ganevade.baselines import MalganConfig, benign_injection, train_malgan
+from ganevade.baselines import benign_injection, train_malgan
 from ganevade.detectors import BENIGN, MALICIOUS
 from ganevade.features import byte_histogram
 from ganevade.gan import GanPreset, build_gan, generate
@@ -66,30 +66,30 @@ class TestMalgan:
         rng = np.random.default_rng(0)
         xm = rng.dirichlet([1] * 10, 40)
         xb = rng.dirichlet([5] + [1] * 9, 40)
-        cfg = MalganConfig(max_queries=500, seed=0)
-        model = train_malgan(xm, xb, threshold_black_box(), tiny_preset(), cfg)
+        model = train_malgan(xm, xb, threshold_black_box(), tiny_preset(),
+                             max_queries=500, seed=0)
         assert model.training_meta["queries"] > 0
-        assert model.training_meta["queries"] >= cfg.max_queries or \
+        assert model.training_meta["queries"] >= 500 or \
             model.training_meta["rounds"] > 0
 
     def test_query_budget_respected_within_round(self):
         rng = np.random.default_rng(1)
         xm = rng.dirichlet([1] * 10, 20)
         xb = rng.dirichlet([5] + [1] * 9, 20)
-        cfg = MalganConfig(max_queries=300, batch_size=16, seed=1)
-        model = train_malgan(xm, xb, threshold_black_box(), tiny_preset(), cfg)
+        model = train_malgan(xm, xb, threshold_black_box(), tiny_preset(),
+                             max_queries=300, seed=1)
         # at most one round of overshoot past the budget
-        per_round = 2 * cfg.batch_size + cfg.probe_size
-        assert model.training_meta["queries"] <= cfg.max_queries + per_round
+        per_round = 2 * baselines.BATCH_SIZE + baselines.PROBE_SIZE
+        assert model.training_meta["queries"] <= 300 + per_round
 
     def test_evades_simple_threshold_detector(self):
         # black box: first-bin mass must look benign; generator can add it
         rng = np.random.default_rng(2)
         xm = rng.dirichlet([0.2] + [1] * 9, 60)
         xb = rng.dirichlet([8] + [1] * 9, 60)
-        cfg = MalganConfig(max_queries=20000, seed=0, target_detection=0.1)
         bb = threshold_black_box()
-        model = train_malgan(xm, xb, bb, tiny_preset(), cfg)
+        model = train_malgan(xm, xb, bb, tiny_preset(), max_queries=20000,
+                             seed=0)
         z = np.random.default_rng(3).random((60, 4))
         adv = generate(model, xm, z)
         adv_rate = np.mean(bb(adv) == MALICIOUS)
@@ -108,8 +108,8 @@ class TestMalgan:
         rng = np.random.default_rng(5)
         xm = rng.dirichlet([1] * 10, 10)
         xb = rng.dirichlet([1] * 10, 10)
-        cfg = MalganConfig(max_queries=200, seed=9)
-        model = train_malgan(xm, xb, threshold_black_box(), tiny_preset(), cfg)
+        model = train_malgan(xm, xb, threshold_black_box(), tiny_preset(),
+                             max_queries=200, seed=9)
         assert model.training_meta["seed"] == 9
         assert model.training_meta["queries"] > 0
 

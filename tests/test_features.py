@@ -167,7 +167,7 @@ class TestPersistence:
     def test_vocab_roundtrip(self, tmp_path):
         vocab = select_topk([{"kernel32.dll!exitprocess", "a!b"}], 2)
         path = tmp_path / "v.txt"
-        save_vocab(vocab, path)
+        save_vocab(path, vocab)
         back = load_vocab(path)
         assert back.entries == vocab.entries
         assert back.kind == vocab.kind
@@ -177,7 +177,7 @@ class TestPersistence:
         rng = np.random.default_rng(1)
         mat = rng.normal(size=(4, 7))
         path = tmp_path / "m.gevf"
-        save_matrix(mat, [f"c{i}" for i in range(7)], path)
+        save_matrix(path, (mat, [f"c{i}" for i in range(7)]))
         back, cols = load_matrix(path)
         assert back.tobytes() == mat.tobytes()
         assert cols == [f"c{i}" for i in range(7)]
@@ -192,26 +192,26 @@ class TestPersistence:
         # a whitespace-only run is a valid string token at min_len 5
         tokens = ["     ", "abcde", " lead", "trail ", "lib!a\nb", ""]
         path = tmp_path / "v.txt"
-        save_vocab(Vocabulary("string", tokens), path)
+        save_vocab(path, Vocabulary("string", tokens))
         assert load_vocab(path).entries == tokens
 
     def test_vocab_key_checked(self, tmp_path):
         path = tmp_path / "v.txt"
-        save_vocab(Vocabulary("api", ["a!b"]), path, key="k1")
+        save_vocab(path, Vocabulary("api", ["a!b"]), key="k1")
         assert load_vocab(path, "k1").entries == ["a!b"]
         with pytest.raises(ValueError):
             load_vocab(path, "k2")
 
     def test_truncated_vocab_rejected(self, tmp_path):
         path = tmp_path / "v.txt"
-        save_vocab(Vocabulary("api", ["a!b", "c!d"]), path)
+        save_vocab(path, Vocabulary("api", ["a!b", "c!d"]))
         path.write_bytes(path.read_bytes()[:-8])
         with pytest.raises(ValueError):
             load_vocab(path)
 
     def test_matrix_key_checked(self, tmp_path):
         path = tmp_path / "m.gevf"
-        save_matrix(np.eye(3), ["a", "b", "c"], path, key="k1")
+        save_matrix(path, (np.eye(3), ["a", "b", "c"]), key="k1")
         back, _ = load_matrix(path, "k1")
         assert back.tobytes() == np.eye(3).tobytes()
         with pytest.raises(ValueError):
@@ -220,7 +220,7 @@ class TestPersistence:
     @pytest.mark.parametrize("cut", [3, 7, 20, 8])
     def test_truncated_matrix_rejected(self, tmp_path, cut):
         path = tmp_path / "m.gevf"
-        save_matrix(np.eye(3), ["a", "b", "c"], path)
+        save_matrix(path, (np.eye(3), ["a", "b", "c"]))
         data = path.read_bytes()
         path.write_bytes(data[:cut] if cut < 20 else data[:-cut])
         with pytest.raises(ValueError):
@@ -233,7 +233,7 @@ class TestPersistence:
 def test_vocab_roundtrip_any_latin1_tokens(tokens):
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "v.txt"
-        save_vocab(Vocabulary("api", tokens), path)
+        save_vocab(path, Vocabulary("api", tokens))
         assert load_vocab(path).entries == tokens
 
 

@@ -13,7 +13,7 @@ from ganevade.harness import (ConfigError, CorpusConfig, ExperimentConfig,
                               StageError, gen_corpus, ingest_dirs, load_corpus,
                               pipeline_preset, render_report,
                               report_without_runtime, run_pipeline,
-                              split_indices)
+                              save_corpus, split_indices)
 
 
 def tiny_config(seed=7, attacks=("gan_byte", "benign_injection", "malgan_byte")):
@@ -188,26 +188,46 @@ class TestConfig:
 class TestCorpus:
     def test_gen_corpus_counts_and_labels(self, tmp_path):
         cfg = CorpusConfig(n_per_class=3, content_size=(200, 400))
-        manifest = gen_corpus(cfg, 0, tmp_path / "c")
+        manifest, blobs = gen_corpus(cfg, 0)
         labels = [r["label"] for r in manifest["files"]]
         assert labels.count("benign") == 3
         assert labels.count("malicious") == 3
-        _, blobs = load_corpus(tmp_path / "c")
+        assert list(blobs) == [r["name"] for r in manifest["files"]]
         for data in blobs.values():
             petk.parse(data, strict=True)
 
-    def test_same_seed_identical_bytes(self, tmp_path):
+    def test_same_seed_identical_bytes(self):
         cfg = CorpusConfig(n_per_class=2, content_size=(200, 300))
-        gen_corpus(cfg, 5, tmp_path / "a")
-        gen_corpus(cfg, 5, tmp_path / "b")
-        _, ba = load_corpus(tmp_path / "a")
-        _, bb = load_corpus(tmp_path / "b")
-        assert ba == bb
+        assert gen_corpus(cfg, 5) == gen_corpus(cfg, 5)
 
-    def test_class_profiles_separate_histograms(self, tmp_path):
+    def test_saved_corpus_loads_back_under_its_key(self, tmp_path):
+        corpus = gen_corpus(CorpusConfig(n_per_class=2,
+                                         content_size=(200, 300)), 5)
+        save_corpus(tmp_path / "c", corpus, "k1")
+        assert load_corpus(tmp_path / "c", "k1") == corpus
+        assert load_corpus(tmp_path / "c") == corpus
+        with pytest.raises(ValueError):
+            load_corpus(tmp_path / "c", "k2")
+
+    @pytest.mark.parametrize("manifest", [
+        [], {"files": {}}, {"files": [{"label": "benign"}]},
+        {"files": [{"name": "a.exe"}]}, {"files": [{"name": 3, "label": "b"}]}])
+    def test_malformed_manifest_rejected(self, tmp_path, manifest):
+        (tmp_path / "manifest.json").write_text(json.dumps(manifest))
+        (tmp_path / "a.exe").write_bytes(b"MZ")
+        with pytest.raises(ValueError):
+            load_corpus(tmp_path)
+
+    def test_save_corpus_replaces_the_directory(self, tmp_path):
+        (tmp_path / "c").mkdir()
+        (tmp_path / "c" / "stale.exe").write_bytes(b"MZ")
+        save_corpus(tmp_path / "c", ({"seed": 0, "files": []}, {}), "k")
+        assert sorted(p.name for p in (tmp_path / "c").iterdir()) \
+            == ["manifest.json"]
+
+    def test_class_profiles_separate_histograms(self):
         cfg = CorpusConfig(n_per_class=5, content_size=(2000, 3000))
-        gen_corpus(cfg, 1, tmp_path / "c")
-        _, blobs = load_corpus(tmp_path / "c")
+        _, blobs = gen_corpus(cfg, 1)
         from ganevade.features import byte_histogram
         high = {name: byte_histogram(b)[0x80:].sum()
                 for name, b in blobs.items()}
@@ -223,18 +243,20 @@ class TestCorpus:
             sections=[petk.SectionSpec(".t", size=100)]))
         (bdir / "one.exe").write_bytes(data)
         (mdir / "two.exe").write_bytes(data)
-        manifest = ingest_dirs(bdir, mdir, tmp_path / "out")
+        manifest, blobs = ingest_dirs(bdir, mdir)
         labels = sorted(r["label"] for r in manifest["files"])
         assert labels == ["benign", "malicious"]
+        assert list(blobs.values()) == [data, data]
+        assert not (tmp_path / "out").exists()
 
     def test_dirs_corpus_with_an_empty_file_runs(self, tmp_path):
-        gen_corpus(CorpusConfig(n_per_class=20, content_size=(400, 800)), 3,
-                   tmp_path / "gen")
+        _, blobs = gen_corpus(
+            CorpusConfig(n_per_class=20, content_size=(400, 800)), 3)
         dirs = {label: tmp_path / label for label in ("benign", "malicious")}
         for path in dirs.values():
             path.mkdir()
-        for path in (tmp_path / "gen").glob("*.exe"):
-            path.rename(dirs[path.name.split("_")[0]] / path.name)
+        for name, data in blobs.items():
+            (dirs[name.split("_")[0]] / name).write_bytes(data)
         empty = dirs["malicious"] / "zz_empty.exe"
         empty.write_bytes(b"")
         cfg = tiny_config().to_dict()
@@ -387,12 +409,30 @@ class TestPipeline:
             harness.stage_extract(state)   # corpus never loaded
         assert exc.value.stage == "extract"
 
-    def test_dirs_kind_requires_paths(self, tmp_path):
+    def test_dirs_kind_requires_paths(self):
+        for corpus in ({"kind": "dirs"}, {"kind": "dirs", "benign_dir": "b"},
+                       {"kind": "dirs", "malicious_dir": "m"}):
+            with pytest.raises(ConfigError, match="benign_dir and malicious_dir"):
+                ExperimentConfig.from_dict({"corpus": corpus})
+
+    @pytest.mark.parametrize("n_per_class", [2, 6, 7])
+    def test_split_without_test_files_is_a_config_error(self, tmp_path,
+                                                        n_per_class):
         cfg = tiny_config()
-        cfg.corpus.kind = "dirs"
-        state = PipelineState(cfg=cfg, workdir=tmp_path)
-        with pytest.raises(ConfigError):
-            harness.stage_corpus(state)
+        cfg.corpus.n_per_class = n_per_class
+        state = PipelineState(cfg=cfg, workdir=tmp_path / "w")
+        harness.run_stages(state, "corpus")
+        with pytest.raises(ConfigError, match="a class of this .* no test file"):
+            harness.stage_extract(state)
+        assert not (tmp_path / "w" / "features").exists()
+
+    def test_split_without_test_files_exit_2(self, tmp_path):
+        cfg = tiny_config().to_dict()
+        cfg["corpus"]["n_per_class"] = 2
+        p = tmp_path / "cfg.json"
+        p.write_text(json.dumps(cfg))
+        assert cli.main(["pipeline", "--config", str(p),
+                         "--workdir", str(tmp_path / "w")]) == 2
 
 
 class TestResume:
@@ -514,8 +554,8 @@ class TestResume:
         cold = json.loads((workdir / "report.json").read_text())
         path = workdir / artifact
         intact = path.read_bytes()
-        damage(path)
         done = self.record_training(monkeypatch, workdir)
+        damage(path)
         assert cli.main(argv) == 0
         warm = json.loads((workdir / "report.json").read_text())
         assert report_without_runtime(warm) == report_without_runtime(cold)
@@ -556,6 +596,37 @@ class TestResume:
             no_preset)
         assert done["gans"] == ["api"] and done["detectors"] == []
 
+    def test_deleted_corpus_file_is_regenerated(self, tmp_path, monkeypatch,
+                                                 tiny_config_file):
+        done = self.damaged_artifact_is_recomputed(
+            monkeypatch, tmp_path / "w", tiny_config_file,
+            "corpus/benign_00002.exe", lambda path: path.unlink())
+        assert done["extract"] == 0
+        assert done["detectors"] == [] and done["gans"] == []
+
+    def test_truncated_vocabulary_is_recomputed(self, tmp_path, monkeypatch,
+                                                tiny_config_file):
+        done = self.damaged_artifact_is_recomputed(
+            monkeypatch, tmp_path / "w", tiny_config_file,
+            "features/vocab_api.gevf",
+            lambda path: path.write_bytes(path.read_bytes()[:-5]))
+        assert done["detectors"] == [] and done["gans"] == []
+
+    def test_state_records_each_computed_artifact(self, tmp_path,
+                                                  tiny_config_file):
+        cfg = harness.load_config(tiny_config_file)
+        cold = PipelineState(cfg=cfg, workdir=tmp_path / "w")
+        harness.run_stages(cold, "train-gan")
+        assert cold.computed == {
+            ("corpus", "synthetic"), ("vocab", "api_topk"),
+            ("vocab", "strings_topk"),
+            *(("features", fam) for fam in harness.FAMILIES),
+            *(("detector", spec.name) for spec in cfg.detectors),
+            ("gan", "byte_histogram")}
+        warm = PipelineState(cfg=cfg, workdir=tmp_path / "w")
+        harness.run_stages(warm, "train-gan")
+        assert warm.computed == set()
+
     @staticmethod
     def byte_only_config():
         return dataclasses.replace(
@@ -586,9 +657,9 @@ class TestResume:
         saved = []
         save_matrix = features.save_matrix
 
-        def recording_save_matrix(matrix, columns, path, key=""):
+        def recording_save_matrix(path, value, key=""):
             saved.append(Path(path).name)
-            save_matrix(matrix, columns, path, key)
+            save_matrix(path, value, key)
         monkeypatch.setattr(features, "save_matrix", recording_save_matrix)
         warm = run_pipeline(second, tmp_path / "w")
         assert saved == ["api_hashed.gevf"]
@@ -795,6 +866,8 @@ class TestCli:
                      {"lr": -1})),
         {"attacks": ["gan_byte"],
          "detectors": [{"name": "d", "families": ["byte", "api_hashed"]}]},
+        {"corpus": {"kind": "dirs"}},
+        {"corpus": {"kind": "zip"}},
     ])
     def test_setting_error_exit_2_writes_nothing(self, tmp_path, bad):
         p = tmp_path / "bad.json"
