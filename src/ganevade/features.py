@@ -76,13 +76,15 @@ def extract_strings(data: bytes, min_len: int = DEFAULT_MIN_STRING_LEN) -> Count
 
 
 def select_topk(benign_token_sets, k: int, kind: str = "api") -> Vocabulary:
-    """Top-K tokens by benign document frequency, ties broken lexicographically."""
-    docs = [set(s) for s in benign_token_sets]
+    """Top-K tokens by benign document frequency, ties broken lexicographically.
+    The documents are read once, in order, so a generator will do."""
+    df: Counter = Counter()
+    docs = 0
+    for doc in benign_token_sets:
+        df.update(set(doc))
+        docs += 1
     if not docs:
         raise ValueError("empty benign corpus")
-    df: Counter = Counter()
-    for doc in docs:
-        df.update(doc)
     ranked = sorted(df, key=lambda t: (-df[t], t))
     digest = hashlib.sha256(
         "\n".join(sorted(df)).encode("utf-8")).hexdigest()[:16]

@@ -15,7 +15,13 @@ files the step before rewrote.
 Each feature family is one entry of ``FAMILIES``, the builder of one
 file's vector from its lazily extracted ``FileFeatures``. Extract loads or
 computes only the families the run reads; ``gan_all`` and evaluation
-build the rewritten files' rows through the same table.
+build the rewritten files' rows through the same table. All three go
+through ``FeatureTable.extract``, which visits each file once and drops its
+``FileFeatures`` before the next file's is made, so a run holds the
+matrices, not every file's token sets. A Top-K vocabulary that is missing
+is ranked from the train-benign files, visited first; only their Top-K
+tokens are held until it exists, as references to one copy of each
+distinct token.
 
 The corpus, vocabularies, feature matrices, detectors and GANs resume
 through ``_resume``, each under a content key: a SHA-256 over the config
@@ -25,7 +31,9 @@ also by each source file's name, size and SHA-256); the features by the
 tool and schema versions, the corpus bytes, ``feature_cfg``, ``split`` and
 ``seed``; each model by the feature key, its own spec and ``seed``. What is
 stored under the key loads; anything else is computed and written over it.
-Attack and evaluation always run.
+Extract resumes its vocabularies and matrices in one ``_resume`` call, so
+one pass over the files computes all that missed. Attack and evaluation
+always run.
 """
 
 from __future__ import annotations
@@ -39,6 +47,7 @@ import shutil
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
+from types import SimpleNamespace
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -239,6 +248,14 @@ class ExperimentConfig:
             raise ConfigError("a dirs corpus needs benign_dir and malicious_dir")
         if self.corpus.n_per_class < 1:
             raise ConfigError("corpus.n_per_class must be at least 1")
+        if self.corpus.kind == "synthetic":
+            # a dirs corpus is checked by extract, once its files are known
+            n = self.corpus.n_per_class
+            n_train, n_val = _split_sizes(n, self.split)
+            for part, count in (("train", n_train), ("test", n - n_train - n_val)):
+                if count < 1:
+                    raise ConfigError(f"split {self.split} leaves each class of "
+                                      f"{n} synthetic files no {part} file")
         size = self.corpus.content_size
         if not (isinstance(size, (tuple, list)) and len(size) == 2
                 and all(_is_int(v) for v in size)
@@ -385,7 +402,8 @@ def load_corpus(corpus_dir: Path, key: str | None = None) -> tuple[dict, dict[st
 
 class FileFeatures:
     """One file's features, each extracted when first read: a byte-only run
-    never parses a file or scans it for strings. A non-PE has no imports."""
+    never parses a file or scans it for strings. A non-PE has no imports; a
+    PE whose import walk was cut short has those read before."""
 
     def __init__(self, data: bytes, fcfg: FeatureConfig):
         self.data = data
@@ -427,6 +445,12 @@ TOPK = {"api_topk": ("vocab_api.gevf", "api", "k_api", "import_tokens"),
                          "string_tokens")}
 
 
+def _split_sizes(n: int, fractions) -> tuple[int, int]:
+    """The train and validation counts of a class of ``n`` files; the test
+    part holds the rest, if any."""
+    return int(round(fractions[0] * n)), int(round(fractions[1] * n))
+
+
 def split_indices(labels: list[str], fractions, seed: int) -> dict[str, list[int]]:
     """Stratified, seeded train/val/test split over manifest order."""
     rng = np.random.default_rng(seed)
@@ -434,9 +458,7 @@ def split_indices(labels: list[str], fractions, seed: int) -> dict[str, list[int
     for cls in ("benign", "malicious"):
         idx = [i for i, lab in enumerate(labels) if lab == cls]
         idx = list(rng.permutation(idx))
-        n = len(idx)
-        n_train = int(round(fractions[0] * n))
-        n_val = int(round(fractions[1] * n))
+        n_train, n_val = _split_sizes(len(idx), fractions)
         out["train"].extend(int(i) for i in idx[:n_train])
         out["val"].extend(int(i) for i in idx[n_train:n_train + n_val])
         out["test"].extend(int(i) for i in idx[n_train + n_val:])
@@ -467,15 +489,31 @@ class FeatureTable:
         return np.concatenate([FAMILIES[fam](feats, self)
                                for fam in spec_families])
 
-    def rows_of(self, blobs) -> Callable:
-        """``rows(family)``, the rows of the files ``blobs`` holds, in order;
-        each file is extracted once, each family's rows are built once."""
-        files = [FileFeatures(data, self.fcfg) for data in blobs]
+    def fill(self, matrices: dict, n: int, i: int, feats, families) -> None:
+        """Row ``i`` of the matrix of each of ``families`` in ``matrices``,
+        from ``feats``; a matrix gets its ``n`` rows when its first is
+        written."""
+        for fam in families:
+            row = self.vector_for(feats, (fam,))
+            if fam not in matrices:
+                matrices[fam] = np.empty((n, row.size))
+            matrices[fam][i] = row
 
-        @functools.cache
-        def rows(family):
-            return np.array([self.vector_for(f, (family,)) for f in files])
-        return rows
+    def extract(self, blobs: list, families, rows=None, matrices=None,
+                visit=None) -> dict:
+        """The matrices of ``families`` over ``blobs`` (row ``i`` is
+        ``blobs[i]``), with ``rows`` filled, in that order (all of them by
+        default), in ``matrices`` or in new ones. Each file is extracted once,
+        into one ``FileFeatures`` that ``visit`` also sees and that is
+        dropped before the next file's is made."""
+        matrices = {} if matrices is None else matrices
+        for i in range(len(blobs)) if rows is None else rows:
+            feats = FileFeatures(blobs[i], self.fcfg)
+            self.fill(matrices, len(blobs), i, feats, families)
+            if visit is not None:
+                visit(feats)
+            del feats   # not alive while the next file's is made
+        return matrices
 
 
 # --- GAN wiring -------------------------------------------------------------
@@ -627,11 +665,15 @@ def attack_gan_all(state, names, blobs, rows) -> AttackOutput:
     the blobs the step before rewrote, its rows extracted from them. Only
     the steps' warnings are kept."""
     warnings = []
-    for step in ("gan_api", "gan_strings", "gan_byte"):
+    steps = ("gan_api", "gan_strings", "gan_byte")
+    for step in steps:
+        if step != steps[0]:
+            rows = state.table.extract(
+                [blobs[name] for name in names],
+                [GAN_FAMILIES[kind] for kind in ATTACKS[step].gans]).__getitem__
         out = ATTACKS[step].run(state, names, blobs, rows)
         warnings += out.warnings
         blobs = {**blobs, **out.rewritten}
-        rows = state.table.rows_of([blobs[name] for name in names])
     return AttackOutput(rewritten=out.rewritten, warnings=warnings)
 
 
@@ -718,22 +760,36 @@ def _key(*parts) -> str:
     return hashlib.sha256(blob).hexdigest()
 
 
-def _resume(state: PipelineState, what: tuple, path: Path, key: str,
-            load: Callable, compute: Callable, save: Callable):
-    """``load(path, key)``, the artifact a run stored under ``key``. On a
-    miss (missing, built from other inputs, truncated, unreadable or
-    lacking a field) ``compute()``, saved with ``save(path, value, key)``
-    and recorded in ``state.computed`` as ``what``."""
-    if path.exists():
-        try:
-            return load(path, key)
-        except (OSError, ValueError):
-            pass
-    path.parent.mkdir(parents=True, exist_ok=True)
-    value = compute()
-    save(path, value, key)
-    state.computed.add(what)
-    return value
+class Artifact(NamedTuple):
+    what: tuple         # ("corpus"|"vocab"|"features"|"detector"|"gan", name)
+    path: Path
+    load: Callable      # (path, key) -> value
+    save: Callable      # (path, value, key) -> None
+
+
+def _resume(state: PipelineState, key: str, artifacts: list,
+            compute: Callable) -> dict:
+    """The value of each of ``artifacts``, by its ``what``: ``load(path,
+    key)``, what a run stored under ``key``. Those that miss (missing, built
+    from other inputs, truncated, unreadable or lacking a field) are
+    computed together: ``compute(loaded)``, given the values that loaded,
+    returns each missing value by ``what``. Each is saved with
+    ``save(path, value, key)`` and recorded in ``state.computed``."""
+    loaded, missing = {}, []
+    for art in artifacts:
+        if art.path.exists():
+            try:
+                loaded[art.what] = art.load(art.path, key)
+                continue
+            except (OSError, ValueError):
+                pass
+        missing.append(art)
+        art.path.parent.mkdir(parents=True, exist_ok=True)
+    values = {**loaded, **(compute(loaded) if missing else {})}
+    for art in missing:
+        art.save(art.path, values[art.what], key)
+        state.computed.add(art.what)
+    return {art.what: values[art.what] for art in artifacts}
 
 
 def _rows(state: PipelineState, part: str, label: str) -> list[int]:
@@ -747,11 +803,13 @@ def stage_corpus(state: PipelineState):
     # a dirs corpus is also keyed by its files, so an edited one is copied again
     sources = [] if cfg.kind == "synthetic" else [_source_listing(cfg)]
     key = _key("corpus", dataclasses.asdict(cfg), state.cfg.seed, *sources)
+    what = ("corpus", cfg.kind)
     state.manifest, state.blobs = _resume(
-        state, ("corpus", cfg.kind), state.workdir / "corpus", key, load_corpus,
-        lambda: (gen_corpus(cfg, state.cfg.seed) if cfg.kind == "synthetic"
-                 else ingest_dirs(cfg.benign_dir, cfg.malicious_dir)),
-        save_corpus)
+        state, key, [Artifact(what, state.workdir / "corpus", load_corpus,
+                              save_corpus)],
+        lambda _: {what: gen_corpus(cfg, state.cfg.seed)
+                   if cfg.kind == "synthetic"
+                   else ingest_dirs(cfg.benign_dir, cfg.malicious_dir)})[what]
 
 
 def _source_listing(cfg: CorpusConfig) -> list:
@@ -804,8 +862,7 @@ def stage_extract(state: PipelineState):
     # Each resumes; the files are extracted, each once, only on a miss.
     read = {fam for spec in cfg.detectors for fam in spec.families}
     read |= {GAN_FAMILIES[kind] for kind in _gans_needed(cfg)}
-    files = functools.cache(
-        lambda: [FileFeatures(state.blobs[name], fcfg) for name in names])
+    families = [fam for fam in FAMILIES if fam in read]
 
     def load_matrix(path, key):
         matrix, columns = features.load_matrix(path, key)
@@ -813,52 +870,97 @@ def stage_extract(state: PipelineState):
             raise ValueError(f"{path.name} holds the rows of other files")
         return matrix, columns
 
-    for fam in [fam for fam in FAMILIES if fam in read]:
+    artifacts = []
+    for fam in families:
         if fam in TOPK:
-            file_name, kind, k, tokens = TOPK[fam]
-            table.vocabs[fam] = _resume(
-                state, ("vocab", fam), feat_dir / file_name, key,
-                features.load_vocab, lambda: features.select_topk(
-                    [getattr(files()[i], tokens)
-                     for i in _rows(state, "train", "benign")],
-                    getattr(fcfg, k), kind=kind), features.save_vocab)
-        table.matrices[fam], _ = _resume(
-            state, ("features", fam), feat_dir / f"{fam}.gevf", key,
-            load_matrix, lambda: (np.array(
-                [table.vector_for(f, (fam,)) for f in files()]), names),
-            features.save_matrix)
+            artifacts.append(Artifact(("vocab", fam), feat_dir / TOPK[fam][0],
+                                      features.load_vocab, features.save_vocab))
+        artifacts.append(Artifact(("features", fam), feat_dir / f"{fam}.gevf",
+                                  load_matrix, features.save_matrix))
+    values = _resume(state, key, artifacts,
+                     lambda loaded: _extract_missing(state, families, loaded))
+    for (what, fam), value in values.items():
+        if what == "vocab":
+            table.vocabs[fam] = value
+        else:
+            table.matrices[fam] = value[0]
+
+
+def _extract_missing(state: PipelineState, families, loaded: dict) -> dict:
+    """The vocabularies and matrices of ``families`` that ``loaded`` lacks,
+    by ``what``, from one visit to each corpus file. A missing vocabulary
+    ranks the train-benign files' tokens, so those files come first and
+    only their Top-K tokens are held, each distinct token once, until it
+    exists."""
+    table = state.table
+    blobs = [state.blobs[name] for name in table.names]
+    for (what, fam), value in loaded.items():
+        if what == "vocab":
+            table.vocabs[fam] = value
+    ranked = [fam for fam in families if ("vocab", fam) not in loaded
+              and fam in TOPK]
+    missing = [fam for fam in families if ("features", fam) not in loaded]
+    out, matrices = {}, {}
+    rest = range(len(blobs))
+    if ranked:
+        first = _rows(state, "train", "benign")
+        held = {fam: [] for fam in ranked}
+        shared = {}
+
+        def hold(feats):
+            for fam in ranked:
+                tokens = getattr(feats, TOPK[fam][3])
+                held[fam].append(tuple(map(shared.setdefault, tokens, tokens)))
+        table.extract(blobs, [fam for fam in missing if fam not in ranked],
+                      first, matrices, hold)
+        for fam in ranked:
+            _, kind, k, field_name = TOPK[fam]
+            table.vocabs[fam] = out[("vocab", fam)] = features.select_topk(
+                held[fam], getattr(table.fcfg, k), kind=kind)
+            if fam in missing:
+                for i, tokens in zip(first, held[fam]):
+                    table.fill(matrices, len(blobs), i,
+                               SimpleNamespace(**{field_name: tokens}), (fam,))
+            del held[fam]
+        rest = sorted(set(rest) - set(first))
+    if missing:
+        table.extract(blobs, missing, rest, matrices)
+    for fam in missing:
+        out[("features", fam)] = matrices[fam], table.names
+    return out
 
 
 @_stage("train-detector")
 def stage_detectors(state: PipelineState):
     model_dir = state.workdir / "models"
     for spec in state.cfg.detectors:
-        path = model_dir / f"detector_{spec.name}.gevd"
+        what = ("detector", spec.name)
         key = _key("detector", state.extract_key, dataclasses.asdict(spec),
                    state.cfg.seed)
         state.detector_models[spec.name] = _resume(
-            state, ("detector", spec.name), path, key, detectors.load_detector,
-            lambda: detectors.train_detector(
+            state, key, [Artifact(what, model_dir / f"detector_{spec.name}.gevd",
+                                  detectors.load_detector,
+                                  detectors.save_detector)],
+            lambda _: {what: detectors.train_detector(
                 spec.kind, *state.table.by_class(spec.families,
                                                  state.splits["train"]),
-                hyperparams=spec.hyperparams, seed=state.cfg.seed),
-            detectors.save_detector)
+                hyperparams=spec.hyperparams, seed=state.cfg.seed)})[what]
 
 
 @_stage("train-gan")
 def stage_gans(state: PipelineState):
     model_dir = state.workdir / "models"
     for kind in _gans_needed(state.cfg):
-        path = model_dir / f"gan_{kind}.gevd"
+        what = ("gan", kind)
         key = _key("gan", state.extract_key, kind,
                    dataclasses.asdict(state.cfg.gans.get(kind, GanStageConfig())),
                    state.cfg.seed)
         state.gan_models[kind] = _resume(
-            state, ("gan", kind), path, key, gan.load_gan,
-            lambda: train_gan_for(
+            state, key, [Artifact(what, model_dir / f"gan_{kind}.gevd",
+                                  gan.load_gan, gan.save_gan)],
+            lambda _: {what: train_gan_for(
                 kind, state.table, state.splits["train"], state.cfg,
-                metrics_path=model_dir / f"gan_{kind}_metrics.csv"),
-            gan.save_gan)
+                metrics_path=model_dir / f"gan_{kind}_metrics.csv")})[what]
 
 
 @_stage("attack")
@@ -898,25 +1000,29 @@ def stage_evaluate(state: PipelineState) -> dict:
     test_mal = _rows(state, "test", "malicious")
     names = [table.names[i] for i in test_mal]
 
-    def rates(rows_of) -> dict:
-        """Each detector's rate on the rows ``rows_of(family)`` gives."""
+    families = [fam for fam in FAMILIES
+                if any(fam in spec.families for spec in cfg.detectors)]
+
+    def rates(rows: dict) -> dict:
+        """Each detector's rate on ``rows``, family -> matrix."""
         return {spec.name: detectors.detection_rate(
                     state.detector_models[spec.name],
-                    np.hstack([rows_of(fam) for fam in spec.families]))
+                    np.hstack([rows[fam] for fam in spec.families]))
                 for spec in cfg.detectors}
 
     # the original files' rows come from the table; the rewritten files
     # are extracted again from their bytes
-    original_rates = rates(lambda fam: table.matrices[fam][test_mal])
+    original_rates = rates({fam: table.matrices[fam][test_mal]
+                            for fam in families})
     test_ben = _rows(state, "test", "benign")
-    fpr = rates(lambda fam: table.matrices[fam][test_ben])
+    fpr = rates({fam: table.matrices[fam][test_ben] for fam in families})
 
     attack_rates = {}
     query_counts = {}
     attack_stats = {}
     for attack, out in state.attack_outputs.items():
-        attack_rates[attack] = rates(
-            table.rows_of([out.rewritten[name] for name in names]))
+        attack_rates[attack] = rates(table.extract(
+            [out.rewritten[name] for name in names], families))
         query_counts[attack] = out.query_count
         stats = dict(out.stats)
         stats["mean_size_mb"] = float(np.mean(

@@ -86,6 +86,9 @@ class PeImage:
     import_descriptors: list[ImportDescriptor]
     overlay_offset: int
     anomalies: list[str] = field(default_factory=list)
+    # False when a lenient parse cut the import walk short: the image may
+    # then import more than ``import_descriptors`` holds
+    imports_complete: bool = True
 
     @property
     def overlay(self) -> bytes:
@@ -239,13 +242,24 @@ def parse(data: bytes, strict: bool = True) -> PeImage:
                  size_of_headers=size_of_headers, data_dirs=dirs,
                  sections=sections, import_descriptors=[],
                  overlay_offset=overlay_offset, anomalies=anomalies)
-    pe.import_descriptors = _parse_imports(pe, strict)
+    try:
+        _parse_imports(pe, pe.import_descriptors)
+    except PeEditError as exc:
+        if strict:
+            raise
+        # keep the descriptors and entries read before the walk failed
+        anomalies.append(f"{exc.kind}@{exc.offset:#x}: import walk cut "
+                         f"short: {exc.message}")
+        pe.imports_complete = False
     return pe
 
 
-def _parse_imports(pe: PeImage, strict: bool) -> list[ImportDescriptor]:
+def _parse_imports(pe: PeImage, descriptors: list) -> None:
+    """Walk the import directory into ``descriptors``: a descriptor joins
+    once its library name is read and an entry once it is read, so a walk
+    that raises ``PeEditError`` leaves what it read."""
     if len(pe.data_dirs) <= DIR_IMPORT or pe.data_dirs[DIR_IMPORT][0] == 0:
-        return []
+        return
     rva = pe.data_dirs[DIR_IMPORT][0]
     data = pe.data
     thunk_size = 8 if pe.is_pe64 else 4
@@ -260,7 +274,6 @@ def _parse_imports(pe: PeImage, strict: bool) -> list[ImportDescriptor]:
             run = pe.rva_run(r)
         return r + run[2]
 
-    descriptors = []
     idx = 0
     while True:
         off = offset(rva + IMPORT_DESCRIPTOR_SIZE * idx)
@@ -271,6 +284,7 @@ def _parse_imports(pe: PeImage, strict: bool) -> list[ImportDescriptor]:
             break
         library = _read_cstring(data, offset(name_rva))
         desc = ImportDescriptor(library=library)
+        descriptors.append(desc)
         thunk_rva = ilt or iat
         j = 0
         while True:
@@ -288,11 +302,9 @@ def _parse_imports(pe: PeImage, strict: bool) -> list[ImportDescriptor]:
             j += 1
             if j > 4096:
                 raise PeEditError("parse", toff, "unterminated import thunk table")
-        descriptors.append(desc)
         idx += 1
         if idx > 4096:
             raise PeEditError("parse", off, "unterminated import descriptor table")
-    return descriptors
 
 
 # --- editors ---------------------------------------------------------------
@@ -308,10 +320,15 @@ def _zero_checksum(buf: bytearray, pe: PeImage) -> None:
 
 
 def _check_layout(pe: PeImage) -> None:
-    """Reject the header values a new section cannot be laid out from: a
-    zero alignment, a file alignment over the format's 64 KiB, or raw data
+    """Reject an image a new section cannot be added to: one whose import
+    walk was cut short (a rebuilt directory would drop the imports it could
+    not read, and new bytes could change what the walk reads), a zero
+    alignment, a file alignment over the format's 64 KiB, or raw data
     declared to end more than one file alignment past the end of the file
     (the section's padding and the gap before it would be zero-filled)."""
+    if not pe.imports_complete:
+        raise PeEditError("invariant", pe.data_dirs[DIR_IMPORT][0],
+                          "import directory only partly read")
     if pe.section_align == 0 or not 0 < pe.file_align <= 0x10000:
         raise PeEditError("alignment", pe.opt_offset + 32,
                           f"section alignment {pe.section_align:#x} or file "

@@ -114,6 +114,13 @@ class TestTopK:
         docs = [{"x", "y"}, {"y"}]
         assert select_topk(docs, 2).provenance == select_topk(docs, 2).provenance
 
+    def test_generator_gives_the_vocabulary_of_a_list(self):
+        docs = [{"a", "b"}, ("c", "a"), Counter({"b": 3, "d": 1}), {"d"}]
+        assert select_topk((doc for doc in docs), 3, kind="string") == \
+            select_topk(docs, 3, kind="string")
+        with pytest.raises(ValueError):
+            select_topk(iter([]), 5)
+
 
 class TestVectorize:
     def test_indicator_and_oov(self):

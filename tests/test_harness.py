@@ -1,6 +1,8 @@
+import collections
 import dataclasses
 import json
 import struct
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -433,6 +435,61 @@ class TestPipeline:
         p.write_text(json.dumps(cfg))
         assert cli.main(["pipeline", "--config", str(p),
                          "--workdir", str(tmp_path / "w")]) == 2
+        assert not (tmp_path / "w").exists()
+
+
+class TestStreaming:
+    """Extract, ``gan_all`` and evaluate build each file's rows from one
+    ``FileFeatures`` and drop it before the next file's is made."""
+
+    @staticmethod
+    def count_extractions(monkeypatch):
+        """``made``, how often each bytes object was extracted, and
+        ``most_alive``, the most ``FileFeatures`` alive at once."""
+        seen = {"made": collections.Counter(), "alive": 0, "most_alive": 0}
+
+        def dropped():
+            seen["alive"] -= 1
+
+        class FileFeatures(harness.FileFeatures):
+            def __init__(self, data, fcfg):
+                super().__init__(data, fcfg)
+                weakref.finalize(self, dropped)
+                seen["made"][data] += 1
+                seen["alive"] += 1
+                seen["most_alive"] = max(seen["most_alive"], seen["alive"])
+
+        monkeypatch.setattr(harness, "FileFeatures", FileFeatures)
+        return seen
+
+    def test_cold_extract_holds_one_file_at_a_time(self, tmp_path,
+                                                   monkeypatch):
+        # every family, both vocabularies computed: the vocabulary pass too
+        # holds token references, not FileFeatures
+        state = PipelineState(cfg=tiny_config(), workdir=tmp_path / "w")
+        harness.run_stages(state, "corpus")
+        assert {fam for spec in state.cfg.detectors
+                for fam in spec.families} == set(harness.FAMILIES)
+        seen = self.count_extractions(monkeypatch)
+        harness.stage_extract(state)
+        assert seen["most_alive"] == 1
+        assert seen["made"] == collections.Counter(state.blobs.values())
+        assert {("vocab", fam) for fam in harness.TOPK} <= state.computed
+
+    def test_gan_all_and_evaluate_hold_one_file_at_a_time(self, tmp_path,
+                                                          monkeypatch):
+        state = PipelineState(cfg=tiny_config(attacks=("gan_all",)),
+                              workdir=tmp_path / "w")
+        harness.run_stages(state, "train-gan")
+        n = len(harness._rows(state, "test", "malicious"))
+        seen = self.count_extractions(monkeypatch)
+        harness.stage_attacks(state)
+        # the rows of gan_strings and of gan_byte, each from the files the
+        # step before rewrote
+        assert sum(seen["made"].values()) == 2 * n
+        harness.stage_evaluate(state)
+        assert sum(seen["made"].values()) == 3 * n
+        assert seen["most_alive"] == 1
 
 
 class TestResume:
@@ -868,6 +925,7 @@ class TestCli:
          "detectors": [{"name": "d", "families": ["byte", "api_hashed"]}]},
         {"corpus": {"kind": "dirs"}},
         {"corpus": {"kind": "zip"}},
+        {"corpus": {"n_per_class": 2}},
     ])
     def test_setting_error_exit_2_writes_nothing(self, tmp_path, bad):
         p = tmp_path / "bad.json"
@@ -954,8 +1012,10 @@ class TestCli:
 
     def test_gen_corpus_exit_0(self, tmp_path, capsys):
         p = tmp_path / "cfg.json"
+        # a split that leaves each of the 2 files per class a part
         p.write_text(json.dumps({"corpus": {"n_per_class": 2,
-                                            "content_size": [200, 300]}}))
+                                            "content_size": [200, 300]},
+                                 "split": [0.5, 0.0, 0.5]}))
         rc = cli.main(["gen-corpus", "--config", str(p),
                        "--workdir", str(tmp_path / "w")])
         assert rc == 0

@@ -72,7 +72,29 @@ class TestParse:
         thk = next(s for s in pe0.sections if s.name == ".thk")
         struct.pack_into("<I", data, desc, thk.virtual_address)
         with pytest.raises(PeEditError, match="unterminated import thunk"):
-            parse(bytes(data), strict=False)
+            parse(bytes(data), strict=True)
+        # a lenient walk stops at the cap and keeps what it read
+        pe = parse(bytes(data), strict=False)
+        assert not pe.imports_complete
+        assert any("unterminated import thunk" in a for a in pe.anomalies)
+        assert len(pe.import_descriptors[0].entries) == 4097
+        with pytest.raises(PeEditError, match="only partly read"):
+            extend_imports(pe, ["fresh.dll!added"])
+
+    def test_lenient_walk_keeps_the_descriptors_before_a_bad_rva(self):
+        data = bytearray(synth_pe(basic_spec()))
+        pe0 = parse(bytes(data))
+        desc = pe0.rva_to_offset(pe0.data_dirs[petk.DIR_IMPORT][0])
+        # the second descriptor's library name lies at an RVA of no section
+        struct.pack_into("<I", data, desc + petk.IMPORT_DESCRIPTOR_SIZE + 12,
+                         0x7FFF0000)
+        with pytest.raises(PeEditError, match="maps to no section"):
+            parse(bytes(data), strict=True)
+        pe = parse(bytes(data), strict=False)
+        assert pe.import_descriptors == pe0.import_descriptors[:1]
+        assert not pe.imports_complete
+        assert extract_imports(pe) == {"kernel32.dll!createfilea",
+                                       "kernel32.dll!exitprocess"}
 
     def test_pe64_parses(self):
         spec = basic_spec()
@@ -346,6 +368,26 @@ def test_mutated_pe_parses_or_raises_parse_error(seed):
     assert all(len(s) >= 5 for s in feats.string_tokens)
 
 
+def test_lenient_import_walk_keeps_what_it_read():
+    """Over the mutants whose headers lenient-parse, a walk cut short is
+    recorded and keeps the imports it read, so fewer mutants end with no
+    import tokens than if such a walk lost them all."""
+    empty = empty_all_or_nothing = 0
+    for seed in range(2000):
+        try:
+            pe = parse(mutant(seed), strict=False)
+        except PeEditError:
+            continue
+        tokens = extract_imports(pe)
+        empty += not tokens
+        empty_all_or_nothing += not tokens or not pe.imports_complete
+        if not pe.imports_complete:
+            assert any("import walk cut short" in a for a in pe.anomalies)
+            with pytest.raises(PeEditError):
+                parse(pe.data, strict=True)
+    assert empty < empty_all_or_nothing
+
+
 @settings(max_examples=150, deadline=None)
 @given(st.integers(0, 2**31 - 1))
 def test_mutated_pe_editors_raise_or_reparse(seed):
@@ -398,16 +440,15 @@ def linear_rva_to_offset(pe, rva: int) -> int:
     raise PeEditError("parse", rva, f"RVA {rva:#x} maps to no section")
 
 
-def linear_import_walk(pe, strict):
-    """The import directory walk with every RVA resolved by
-    ``linear_rva_to_offset``."""
+def linear_import_walk(pe, descriptors):
+    """The import directory walk into ``descriptors`` with every RVA
+    resolved by ``linear_rva_to_offset``."""
     if len(pe.data_dirs) <= petk.DIR_IMPORT or pe.data_dirs[petk.DIR_IMPORT][0] == 0:
-        return []
+        return
     rva = pe.data_dirs[petk.DIR_IMPORT][0]
     data = pe.data
     thunk_size = 8 if pe.is_pe64 else 4
     ordinal_flag = 1 << (thunk_size * 8 - 1)
-    descriptors = []
     idx = 0
     while True:
         off = linear_rva_to_offset(pe, rva + 20 * idx)
@@ -418,6 +459,7 @@ def linear_import_walk(pe, strict):
             break
         desc = petk.ImportDescriptor(library=petk._read_cstring(
             data, linear_rva_to_offset(pe, name_rva)))
+        descriptors.append(desc)
         thunk_rva = ilt or iat
         j = 0
         while True:
@@ -435,11 +477,9 @@ def linear_import_walk(pe, strict):
             j += 1
             if j > 4096:
                 raise PeEditError("parse", toff, "unterminated import thunk table")
-        descriptors.append(desc)
         idx += 1
         if idx > 4096:
             raise PeEditError("parse", off, "unterminated import descriptor table")
-    return descriptors
 
 
 def parse_outcome(data: bytes, strict: bool):
