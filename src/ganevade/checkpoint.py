@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import json
 import math
-from itertools import accumulate
+import os
 
 import numpy as np
 
@@ -58,28 +58,34 @@ def _well_formed(header) -> bool:
 
 
 def load_container(path, key: str | None = None):
+    """The (meta, arrays) ``save_container`` wrote. The body length is
+    checked against the file's size before any array is allocated, and
+    each array is read straight into its own buffer, so the file is never
+    held whole besides the arrays."""
     with open(path, "rb") as fh:
-        data = fh.read()
-    if data[:5] != MAGIC:
-        raise CheckpointError(f"bad magic {data[:5]!r}")
-    end = 9 + int.from_bytes(data[5:9], "little")
-    if len(data) < end:
-        raise CheckpointError("truncated header")
-    try:
-        header = json.loads(data[9:end].decode("utf-8"))
-    except ValueError as exc:
-        raise CheckpointError(f"unreadable header: {exc}") from None
-    if not _well_formed(header):
-        raise CheckpointError("malformed header")
-    if key is not None and header["meta"].get("key") != key:
-        raise CheckpointError("checkpoint built from other inputs")
-    ends = list(accumulate((8 * math.prod(e["shape"]) for e in header["arrays"]),
-                           initial=end))
-    if ends[-1] != len(data):
-        raise CheckpointError("body length differs from the header's arrays")
-    arrays = {e["name"]: np.frombuffer(data, "<f8", (hi - lo) // 8, lo)
-              .reshape(e["shape"]).copy()
-              for e, lo, hi in zip(header["arrays"], ends, ends[1:])}
+        size = os.fstat(fh.fileno()).st_size
+        head = fh.read(9)
+        if head[:5] != MAGIC:
+            raise CheckpointError(f"bad magic {head[:5]!r}")
+        end = 9 + int.from_bytes(head[5:9], "little")
+        if size < end:
+            raise CheckpointError("truncated header")
+        try:
+            header = json.loads(fh.read(end - 9).decode("utf-8"))
+        except ValueError as exc:
+            raise CheckpointError(f"unreadable header: {exc}") from None
+        if not _well_formed(header):
+            raise CheckpointError("malformed header")
+        if key is not None and header["meta"].get("key") != key:
+            raise CheckpointError("checkpoint built from other inputs")
+        nbytes = [8 * math.prod(e["shape"]) for e in header["arrays"]]
+        if end + sum(nbytes) != size:
+            raise CheckpointError("body length differs from the header's arrays")
+        arrays = {}
+        for e, n in zip(header["arrays"], nbytes):
+            array = arrays[e["name"]] = np.empty(e["shape"], "<f8")
+            if fh.readinto(array) != n:
+                raise CheckpointError("body length differs from the header's arrays")
     return header["meta"], arrays
 
 

@@ -100,7 +100,7 @@ def cmd_attack(args) -> int:
         state.cfg = dataclasses.replace(state.cfg, attacks=[args.attack])
     harness.run_stages(state, "attack")
     for name, out in state.attack_outputs.items():
-        print(f"attack {name}: {len(out.rewritten)} files rewritten, "
+        print(f"attack {name}: {len(out.names)} files rewritten, "
               f"queries={out.query_count}, warnings={len(out.warnings)}")
     return EXIT_OK
 

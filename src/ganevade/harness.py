@@ -3,9 +3,12 @@
 The stages run in the order of ``STAGES``, in one process, handing their
 results on in memory. A CLI subcommand runs the table up to its own stage,
 and a full pipeline run is reproducible from the config plus the global
-seed. Evaluation always re-extracts features from the bytes of the
-rewritten files (held in memory, the same bytes the attack stage writes),
-never from the adversarial feature vectors.
+seed. The corpus is not held in memory: ``PipelineState.blobs`` is a
+``CorpusFiles`` mapping that reads a file from disk when a stage visits
+it and checks it against the SHA-256 its manifest records. Each attack
+writes each rewritten file under ``attacks/<attack>/`` as it makes it,
+and evaluation re-extracts features from those files, read back from
+disk, never from the adversarial feature vectors.
 
 Each attack is one entry of ``ATTACKS``: the GAN kinds it needs trained
 and the function that runs it. ``gan_all`` runs the ``gan_api``,
@@ -26,9 +29,10 @@ distinct token.
 The corpus, vocabularies, feature matrices, detectors and GANs resume
 through ``_resume``, each under a content key: a SHA-256 over the config
 slice that determines it and the key of what it was computed from
-(``_key``). The corpus is keyed by ``corpus`` + ``seed`` (a ``dirs`` corpus
-also by each source file's name, size and SHA-256); the features by the
-tool and schema versions, the corpus bytes, ``feature_cfg``, ``split`` and
+(``_key``). The corpus is keyed by ``corpus`` + ``seed`` (a ``dirs`` corpus,
+read in place, also by its manifest: each source file's path, size and
+SHA-256); the features by the tool and schema versions, the digest of the
+corpus bytes that the manifest records, ``feature_cfg``, ``split`` and
 ``seed``; each model by the feature key, its own spec and ``seed``. What is
 stored under the key loads; anything else is computed and written over it.
 Extract resumes its vocabularies and matrices in one ``_resume`` call, so
@@ -45,6 +49,7 @@ import json
 import os
 import shutil
 import time
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, field
 from pathlib import Path
 from types import SimpleNamespace
@@ -331,12 +336,81 @@ def _sample_content(alpha: np.ndarray, size: int, rng: np.random.Generator) -> b
     return rng.permutation(values).tobytes()
 
 
+class CorpusError(RuntimeError):
+    """A corpus file whose bytes differ from those its manifest records."""
+
+
+class CorpusFiles(Mapping):
+    """Read-only name -> bytes over a corpus's files on disk, in manifest
+    order. A file is read each time it is accessed and never held; its
+    bytes must have the SHA-256 its manifest record gives, or
+    ``CorpusError`` names it. A record with a ``source`` (a ``dirs``
+    corpus) is read there, any other from ``corpus_dir``."""
+
+    def __init__(self, corpus_dir: Path | None, records: list[dict]):
+        self.corpus_dir = corpus_dir
+        self.records = {rec["name"]: rec for rec in records}
+
+    def path(self, name: str) -> Path:
+        rec = self.records[name]
+        return Path(rec["source"]) if "source" in rec else self.corpus_dir / name
+
+    def __getitem__(self, name: str) -> bytes:
+        path = self.path(name)
+        data = path.read_bytes()
+        if hashlib.sha256(data).hexdigest() != self.records[name]["sha256"]:
+            raise CorpusError(f"corpus file {path} differs from the bytes "
+                              f"its manifest records")
+        return data
+
+    def __contains__(self, name) -> bool:
+        return name in self.records
+
+    def __iter__(self):
+        return iter(self.records)
+
+    def __len__(self) -> int:
+        return len(self.records)
+
+    def files(self, names: list[str]) -> "Files":
+        return Files(names, self.__getitem__)
+
+
+class Files(Sequence):
+    """The bytes of each of ``names``, ``read(name)`` when indexed: a
+    caller that walks it holds one file at a time."""
+
+    def __init__(self, names: list[str], read: Callable[[str], bytes]):
+        self.names = names
+        self.read = read
+
+    def __len__(self) -> int:
+        return len(self.names)
+
+    def __getitem__(self, i: int) -> bytes:
+        return self.read(self.names[i])
+
+    def __iter__(self):
+        return map(self.read, self.names)
+
+
+def _add_file(records: list, digest, name: str, label: str, data: bytes,
+              **extra) -> None:
+    """Record ``data`` as corpus file ``name``: its size and SHA-256 in
+    ``records``, and its name, label, size and bytes in ``digest``, the
+    SHA-256 over the whole corpus in manifest order that keys extract."""
+    digest.update(json.dumps([name, label, len(data)]).encode("utf-8"))
+    digest.update(data)
+    records.append({"name": name, "label": label, **extra, "size": len(data),
+                    "sha256": hashlib.sha256(data).hexdigest()})
+
+
 def gen_corpus(cfg: CorpusConfig, seed: int) -> tuple[dict, dict[str, bytes]]:
     """A labeled synthetic PE corpus, (manifest, blobs); same seed, same
     bytes."""
     rng = np.random.default_rng(seed)
     lo, hi = cfg.content_size
-    records, blobs = [], {}
+    records, blobs, digest = [], {}, hashlib.sha256()
     for label, alpha in (("benign", np.asarray(cfg.byte_alpha_benign)),
                          ("malicious", np.asarray(cfg.byte_alpha_malicious))):
         for i in range(cfg.n_per_class):
@@ -348,15 +422,16 @@ def gen_corpus(cfg: CorpusConfig, seed: int) -> tuple[dict, dict[str, bytes]]:
                 imports=imports, strings=strings)
             name = f"{label}_{i:05d}.exe"
             blobs[name] = petk.synth_pe(spec, seed=int(rng.integers(0, 2**31)))
-            records.append({"name": name, "label": label})
-    return {"seed": seed, "files": records}, blobs
+            _add_file(records, digest, name, label, blobs[name])
+    return {"seed": seed, "files": records, "digest": digest.hexdigest()}, blobs
 
 
-def ingest_dirs(benign_dir, malicious_dir) -> tuple[dict, dict[str, bytes]]:
-    """A corpus, (manifest, blobs), of user-supplied PE directories. An
-    empty file has no byte histogram: it is left out, and ``skipped`` names
-    it with the reason."""
-    records, skipped, blobs = [], [], {}
+def ingest_dirs(benign_dir, malicious_dir) -> tuple[dict, CorpusFiles]:
+    """A corpus, (manifest, blobs), of user-supplied PE directories, read in
+    place: each source is read once here, for its record, and is not
+    copied. An empty file has no byte histogram: it is left out, and
+    ``skipped`` names it with the reason."""
+    records, skipped, digest = [], [], hashlib.sha256()
     for label, src in (("benign", benign_dir), ("malicious", malicious_dir)):
         for i, path in enumerate(sorted(Path(src).iterdir())):
             if not path.is_file():
@@ -365,36 +440,48 @@ def ingest_dirs(benign_dir, malicious_dir) -> tuple[dict, dict[str, bytes]]:
             if not data:
                 skipped.append({"source": str(path), "reason": "empty file"})
                 continue
-            name = f"{label}_{i:05d}.exe"
-            blobs[name] = data
-            records.append({"name": name, "label": label, "source": str(path)})
-    return {"seed": None, "files": records, "skipped": skipped}, blobs
+            _add_file(records, digest, f"{label}_{i:05d}.exe", label, data,
+                      source=str(path))
+    manifest = {"seed": None, "files": records, "skipped": skipped,
+                "digest": digest.hexdigest()}
+    return manifest, CorpusFiles(None, records)
 
 
 def save_corpus(corpus_dir: Path, corpus: tuple, key: str | None = None) -> None:
     """Write ``corpus`` (manifest, blobs), ``key`` in its manifest, in place
-    of whatever ``corpus_dir`` held."""
+    of whatever ``corpus_dir`` held. A file read in place (its record names
+    a ``source``) is not copied."""
     manifest, blobs = corpus
     shutil.rmtree(corpus_dir, ignore_errors=True)
     corpus_dir.mkdir(parents=True)
-    for name, data in blobs.items():
-        (corpus_dir / name).write_bytes(data)
+    for rec in manifest["files"]:
+        if "source" not in rec:
+            (corpus_dir / rec["name"]).write_bytes(blobs[rec["name"]])
     (corpus_dir / "manifest.json").write_text(
         json.dumps({**manifest, "key": key}, sort_keys=True, indent=1))
 
 
-def load_corpus(corpus_dir: Path, key: str | None = None) -> tuple[dict, dict[str, bytes]]:
-    """The (manifest, blobs) ``save_corpus`` wrote; ``ValueError`` for a
-    malformed manifest or, when ``key`` is given, one stored under another."""
+def load_corpus(corpus_dir: Path, key: str | None = None) -> tuple[dict, CorpusFiles]:
+    """The (manifest, blobs) ``save_corpus`` wrote, the blobs read from disk
+    when accessed. Only the files' sizes are checked here: ``ValueError``
+    (or ``OSError``) for a malformed manifest, a file gone or resized or,
+    when ``key`` is given, a corpus stored under another."""
     manifest = json.loads((corpus_dir / "manifest.json").read_text())
     records = ckpt.field(manifest, "files", list, dict)
+    ckpt.field(manifest, "digest", str)
     if manifest.pop("key", None) != key and key is not None:
         raise ValueError("corpus built from other inputs")
-    blobs = {}
     for rec in records:
-        ckpt.field(rec, "label", str)
-        name = ckpt.field(rec, "name", str)
-        blobs[name] = (corpus_dir / name).read_bytes()
+        for name, kind in (("name", str), ("label", str), ("size", int),
+                           ("sha256", str)):
+            ckpt.field(rec, name, kind)
+        if "source" in rec:
+            ckpt.field(rec, "source", str)
+    blobs = CorpusFiles(corpus_dir, records)
+    for name, rec in blobs.records.items():
+        path = blobs.path(name)
+        if path.stat().st_size != rec["size"]:
+            raise ValueError(f"corpus file {path} was resized")
     return manifest, blobs
 
 
@@ -499,13 +586,14 @@ class FeatureTable:
                 matrices[fam] = np.empty((n, row.size))
             matrices[fam][i] = row
 
-    def extract(self, blobs: list, families, rows=None, matrices=None,
+    def extract(self, blobs: Sequence, families, rows=None, matrices=None,
                 visit=None) -> dict:
         """The matrices of ``families`` over ``blobs`` (row ``i`` is
-        ``blobs[i]``), with ``rows`` filled, in that order (all of them by
-        default), in ``matrices`` or in new ones. Each file is extracted once,
-        into one ``FileFeatures`` that ``visit`` also sees and that is
-        dropped before the next file's is made."""
+        ``blobs[i]``, read when it is built, as ``Files`` reads it), with
+        ``rows`` filled, in that order (all of them by default), in
+        ``matrices`` or in new ones. Each file is extracted once, into one
+        ``FileFeatures`` that ``visit`` also sees and that is dropped before
+        the next file's is made."""
         matrices = {} if matrices is None else matrices
         for i in range(len(blobs)) if rows is None else rows:
             feats = FileFeatures(blobs[i], self.fcfg)
@@ -556,10 +644,23 @@ def train_gan_for(kind: str, table: FeatureTable, train_idx, cfg: ExperimentConf
 
 @dataclass
 class AttackOutput:
-    rewritten: dict                 # file name -> bytes
+    """What an attack made: each rewritten file is written to ``directory``
+    as soon as it is made (``write``), and only its name is kept."""
+    directory: Path
+    names: list = field(default_factory=list)   # in the order written
     query_count: int = 0
     stats: dict = field(default_factory=dict)
     warnings: list = field(default_factory=list)
+
+    def write(self, name: str, data: bytes) -> None:
+        # the directory comes with the first file: an attack that fails
+        # before it makes one leaves none
+        self.directory.mkdir(parents=True, exist_ok=True)
+        (self.directory / name).write_bytes(data)
+        self.names.append(name)
+
+    def files(self) -> Files:
+        return Files(self.names, lambda name: (self.directory / name).read_bytes())
 
 
 def _padding_request(data: bytes, target: np.ndarray,
@@ -599,96 +700,87 @@ def _byte_target(model, histogram: np.ndarray, rng) -> np.ndarray:
     return _safe_target(gan.generate(model, histogram[None, :], z)[0])
 
 
-# An attack runs on the state, the names of the files it rewrites, the
-# blobs it starts from and ``rows``: ``rows(family)`` holds those files'
-# feature rows of ``family``, row for row.
+# An attack runs on the state, the names of the files it rewrites, their
+# bytes ``blobs`` (``blobs[i]`` is file ``names[i]``, read when indexed),
+# ``rows``, where ``rows(family)`` holds those files' feature rows of
+# ``family``, row for row, and the ``AttackOutput`` it writes each
+# rewritten file to.
 
-def attack_gan_byte(state, names, blobs, rows) -> AttackOutput:
+def attack_gan_byte(state, names, blobs, rows, out: AttackOutput) -> None:
     model = state.gan_models["byte_histogram"]
     rng = np.random.default_rng(state.cfg.seed + 10)
-    rewritten = {}
     appended = []
-    for name, histogram in zip(names, rows("byte")):
+    for name, data, histogram in zip(names, blobs, rows("byte")):
         target = _byte_target(model, histogram, rng)
-        data = _pad_to_target(blobs[name], target, state.cfg.gap)
-        rewritten[name] = data
-        appended.append(len(data) - len(blobs[name]))
-    return AttackOutput(rewritten=rewritten,
-                        stats={"mean_appended_bytes": float(np.mean(appended))})
+        rewritten = _pad_to_target(data, target, state.cfg.gap)
+        out.write(name, rewritten)
+        appended.append(len(rewritten) - len(data))
+    out.stats["mean_appended_bytes"] = float(np.mean(appended))
 
 
 def attack_gan_indicator(model, names, indicators, blobs,
                          vocab: features.Vocabulary, kind: str, cap: int,
-                         seed) -> AttackOutput:
+                         seed, out: AttackOutput) -> None:
     rng = np.random.default_rng(seed)
-    rewritten = {}
-    warnings = []
     added_counts = []
-    for name, m in zip(names, indicators):
+    for name, m, data in zip(names, indicators, blobs):
         z = gan.sample_noise(model.preset.noise_dim, 1, rng)
         m_adv = gan.generate(model, m[None, :], z)[0]
         new = [vocab.entries[i] for i in range(vocab.size)
                if m_adv[i] > 0.5 and m[i] < 0.5]
         if len(new) > cap:
-            warnings.append(f"{name}: {len(new)} new tokens over cap {cap}")
+            out.warnings.append(f"{name}: {len(new)} new tokens over cap {cap}")
             new = new[:cap]
         added_counts.append(len(new))
-        pe = petk.parse(blobs[name], strict=False)
+        pe = petk.parse(data, strict=False)
         if kind == "api":
             edited, _ = petk.extend_imports(pe, new)
         else:
             payload = b"\x00" + b"\x00".join(
                 s.encode("latin-1") for s in new) + b"\x00"
             edited = petk.add_section(pe, ".sdat2", payload)
-        rewritten[name] = edited.data
-    return AttackOutput(rewritten=rewritten,
-                        stats={"mean_new_tokens": float(np.mean(added_counts))},
-                        warnings=warnings)
+        out.write(name, edited.data)
+    out.stats["mean_new_tokens"] = float(np.mean(added_counts))
 
 
-def attack_gan_api(state, names, blobs, rows) -> AttackOutput:
-    return attack_gan_indicator(state.gan_models["api"], names,
-                                rows("api_topk"), blobs,
-                                state.table.vocabs["api_topk"], "api",
-                                state.cfg.max_new_imports, state.cfg.seed + 11)
+def attack_gan_api(state, names, blobs, rows, out) -> None:
+    attack_gan_indicator(state.gan_models["api"], names, rows("api_topk"),
+                         blobs, state.table.vocabs["api_topk"], "api",
+                         state.cfg.max_new_imports, state.cfg.seed + 11, out)
 
 
-def attack_gan_strings(state, names, blobs, rows) -> AttackOutput:
-    return attack_gan_indicator(state.gan_models["strings"], names,
-                                rows("strings_topk"), blobs,
-                                state.table.vocabs["strings_topk"], "strings",
-                                state.cfg.max_new_strings, state.cfg.seed + 12)
+def attack_gan_strings(state, names, blobs, rows, out) -> None:
+    attack_gan_indicator(state.gan_models["strings"], names,
+                         rows("strings_topk"), blobs,
+                         state.table.vocabs["strings_topk"], "strings",
+                         state.cfg.max_new_strings, state.cfg.seed + 12, out)
 
 
-def attack_gan_all(state, names, blobs, rows) -> AttackOutput:
-    """The API, string and byte attacks in sequence: each step starts from
-    the blobs the step before rewrote, its rows extracted from them. Only
-    the steps' warnings are kept."""
-    warnings = []
-    steps = ("gan_api", "gan_strings", "gan_byte")
-    for step in steps:
-        if step != steps[0]:
-            rows = state.table.extract(
-                [blobs[name] for name in names],
-                [GAN_FAMILIES[kind] for kind in ATTACKS[step].gans]).__getitem__
-        out = ATTACKS[step].run(state, names, blobs, rows)
-        warnings += out.warnings
-        blobs = {**blobs, **out.rewritten}
-    return AttackOutput(rewritten=out.rewritten, warnings=warnings)
+def attack_gan_all(state, names, blobs, rows, out) -> None:
+    """The API, string and byte attacks in sequence, each step writing to
+    ``out``'s directory: a step reads the files the step before wrote
+    there, its rows extracted from them. Only the steps' warnings are
+    kept."""
+    for step in ("gan_api", "gan_strings", "gan_byte"):
+        step_out = AttackOutput(out.directory)
+        ATTACKS[step].run(state, names, blobs, rows, step_out)
+        out.warnings += step_out.warnings
+        blobs = step_out.files()
+        rows = lambda family, blobs=blobs: state.table.extract(
+            blobs, [family])[family]
+    out.names = step_out.names
 
 
-def attack_benign_injection(state, names, blobs, rows) -> AttackOutput:
+def attack_benign_injection(state, names, blobs, rows, out) -> None:
     rng = np.random.default_rng(state.cfg.seed + 13)
-    pool = [state.blobs[name] for name in sorted(
-        state.table.names[i] for i in _rows(state, "train", "benign"))]
-    rewritten = {}
-    for name in names:
-        pe = petk.parse(blobs[name], strict=False)
-        rewritten[name] = baselines.benign_injection(pe, pool, rng).data
-    return AttackOutput(rewritten=rewritten)
+    pool = state.blobs.files(sorted(
+        state.table.names[i] for i in _rows(state, "train", "benign")))
+    for name, data in zip(names, blobs):
+        pe = petk.parse(data, strict=False)
+        out.write(name, baselines.benign_injection(pe, pool, rng).data)
 
 
-def attack_malgan_byte(state, names, blobs, rows) -> AttackOutput:
+def attack_malgan_byte(state, names, blobs, rows, out) -> None:
     cfg = state.cfg
     benign, malicious = state.table.by_class(("byte",), state.splits["train"])
     stage = cfg.gans.get("byte_histogram", GanStageConfig())
@@ -697,18 +789,16 @@ def attack_malgan_byte(state, names, blobs, rows) -> AttackOutput:
     model = baselines.train_malgan(malicious, benign, black_box, preset,
                                    cfg.malgan_max_queries, cfg.seed)
     rng = np.random.default_rng(cfg.seed + 2)
-    rewritten = {}
-    for name, histogram in zip(names, rows("byte")):
+    for name, data, histogram in zip(names, blobs, rows("byte")):
         target = _byte_target(model, histogram, rng)
-        rewritten[name] = _pad_to_target(blobs[name], target, cfg.gap)
-    return AttackOutput(rewritten=rewritten,
-                        query_count=model.training_meta["queries"],
-                        stats={"rounds": model.training_meta.get("rounds", 0)})
+        out.write(name, _pad_to_target(data, target, cfg.gap))
+    out.query_count = model.training_meta["queries"]
+    out.stats["rounds"] = model.training_meta.get("rounds", 0)
 
 
 class Attack(NamedTuple):
     gans: tuple             # the GAN kinds it needs trained
-    run: Callable           # (state, names, blobs, rows) -> AttackOutput
+    run: Callable           # (state, names, blobs, rows, out) -> None
 
 
 ATTACKS = {
@@ -728,7 +818,7 @@ class PipelineState:
     cfg: ExperimentConfig
     workdir: Path
     manifest: dict | None = None
-    blobs: dict | None = None
+    blobs: CorpusFiles | None = None
     splits: dict | None = None
     extract_key: str | None = None
     table: FeatureTable | None = None
@@ -800,38 +890,24 @@ def _rows(state: PipelineState, part: str, label: str) -> list[int]:
 @_stage("corpus")
 def stage_corpus(state: PipelineState):
     cfg = state.cfg.corpus
-    # a dirs corpus is also keyed by its files, so an edited one is copied again
-    sources = [] if cfg.kind == "synthetic" else [_source_listing(cfg)]
-    key = _key("corpus", dataclasses.asdict(cfg), state.cfg.seed, *sources)
+    corpus_dir = state.workdir / "corpus"
     what = ("corpus", cfg.kind)
-    state.manifest, state.blobs = _resume(
-        state, key, [Artifact(what, state.workdir / "corpus", load_corpus,
-                              save_corpus)],
-        lambda _: {what: gen_corpus(cfg, state.cfg.seed)
-                   if cfg.kind == "synthetic"
-                   else ingest_dirs(cfg.benign_dir, cfg.malicious_dir)})[what]
-
-
-def _source_listing(cfg: CorpusConfig) -> list:
-    """Name, size and SHA-256 of each file a dirs corpus ingests."""
-    listing = []
-    for src in (cfg.benign_dir, cfg.malicious_dir):
-        for path in sorted(Path(src).iterdir()):
-            if path.is_file():
-                data = path.read_bytes()
-                listing.append([path.name, len(data),
-                                hashlib.sha256(data).hexdigest()])
-    return listing
-
-
-def _corpus_digest(manifest: dict, blobs: dict) -> str:
-    """SHA-256 over the manifest's file order, labels and blob bytes."""
-    h = hashlib.sha256()
-    for rec in manifest["files"]:
-        data = blobs[rec["name"]]
-        h.update(json.dumps([rec["name"], rec["label"], len(data)]).encode("utf-8"))
-        h.update(data)
-    return h.hexdigest()
+    if cfg.kind == "synthetic":
+        key = _key("corpus", dataclasses.asdict(cfg), state.cfg.seed)
+        made = None
+    else:
+        # a dirs corpus is also keyed by its files, each read once here, so
+        # an edited one is ingested again
+        made = ingest_dirs(cfg.benign_dir, cfg.malicious_dir)
+        key = _key("corpus", dataclasses.asdict(cfg), state.cfg.seed, made[0])
+    corpus = _resume(
+        state, key, [Artifact(what, corpus_dir, load_corpus, save_corpus)],
+        lambda _: {what: gen_corpus(cfg, state.cfg.seed) if made is None
+                   else made})[what]
+    # a corpus just made is read back from disk like a stored one, so no
+    # stage holds its bytes
+    state.manifest, state.blobs = (load_corpus(corpus_dir, key)
+                                   if what in state.computed else corpus)
 
 
 def _gans_needed(cfg: ExperimentConfig) -> list[str]:
@@ -853,7 +929,7 @@ def stage_extract(state: PipelineState):
                               f"{len(names)}-file corpus no {part} file")
     key = state.extract_key = _key(
         "extract", SCHEMA_VERSION, __version__,
-        _corpus_digest(state.manifest, state.blobs),
+        state.manifest["digest"],
         dataclasses.asdict(fcfg), cfg.split, cfg.seed)
     feat_dir = state.workdir / "features"
     table = state.table = FeatureTable(names, labels, fcfg)
@@ -893,7 +969,7 @@ def _extract_missing(state: PipelineState, families, loaded: dict) -> dict:
     only their Top-K tokens are held, each distinct token once, until it
     exists."""
     table = state.table
-    blobs = [state.blobs[name] for name in table.names]
+    blobs = state.blobs.files(table.names)
     for (what, fam), value in loaded.items():
         if what == "vocab":
             table.vocabs[fam] = value
@@ -972,19 +1048,16 @@ def stage_attacks(state: PipelineState):
         return state.table.matrices[family][test_mal]
 
     for attack in state.cfg.attacks:
-        out = ATTACKS[attack].run(state, names, state.blobs, rows)
-        state.attack_outputs[attack] = out
         # replace, not add to, what an earlier run (maybe of another
         # corpus, whose file names repeat) left there
-        attack_dir = state.workdir / "attacks" / attack
-        shutil.rmtree(attack_dir, ignore_errors=True)
-        attack_dir.mkdir(parents=True)
-        for name, data in sorted(out.rewritten.items()):
-            (attack_dir / name).write_bytes(data)
-        (attack_dir / "manifest.json").write_text(json.dumps({
+        out = AttackOutput(state.workdir / "attacks" / attack)
+        shutil.rmtree(out.directory, ignore_errors=True)
+        ATTACKS[attack].run(state, names, state.blobs.files(names), rows, out)
+        state.attack_outputs[attack] = out
+        (out.directory / "manifest.json").write_text(json.dumps({
             "attack": attack, "query_count": out.query_count,
             "stats": out.stats, "warnings": out.warnings,
-            "files": sorted(out.rewritten)}, sort_keys=True, indent=1))
+            "files": sorted(out.names)}, sort_keys=True, indent=1))
 
 
 def _primary_byte_detector(state: PipelineState) -> detectors.DetectorModel:
@@ -1021,12 +1094,12 @@ def stage_evaluate(state: PipelineState) -> dict:
     query_counts = {}
     attack_stats = {}
     for attack, out in state.attack_outputs.items():
-        attack_rates[attack] = rates(table.extract(
-            [out.rewritten[name] for name in names], families))
+        # read back from the files the attack wrote
+        attack_rates[attack] = rates(table.extract(out.files(), families))
         query_counts[attack] = out.query_count
         stats = dict(out.stats)
         stats["mean_size_mb"] = float(np.mean(
-            [len(out.rewritten[name]) for name in names])) / 1e6
+            [(out.directory / name).stat().st_size for name in out.names])) / 1e6
         stats["capacity_warnings"] = len(out.warnings)
         attack_stats[attack] = stats
 
@@ -1042,7 +1115,7 @@ def stage_evaluate(state: PipelineState) -> dict:
         "attack_stats": attack_stats,
         "gap_sweep": gap_rows,
         "original_mean_size_mb": float(np.mean(
-            [len(state.blobs[name]) for name in names])) / 1e6,
+            [state.blobs.records[name]["size"] for name in names])) / 1e6,
     }
 
 
@@ -1063,29 +1136,24 @@ def _gap_sweep(state: PipelineState, test_mal) -> list[dict]:
     byte_rows = state.table.matrices["byte"]
     targets = {i: _byte_target(model, byte_rows[i], zrng) for i in subset}
 
-    # the "exact" row is gap 0, as is a 0 in the sweep: plan each gap once
-    by_gap: dict[float, dict] = {}
+    # the "exact" row is gap 0, as is a 0 in the sweep: plan each gap once,
+    # each file read once. Sizes and histograms follow from the plans; no
+    # need to materialize the (possibly huge) exact-mode files
+    planned = {gap: [] for gap in (0.0, *cfg.gap_sweep)}
+    for i in subset:
+        blob = state.blobs[state.table.names[i]]
+        for gap, plans in planned.items():
+            plan = _certified_plan(_padding_request(blob, targets[i], gap))
+            plans.append((len(blob) + plan.total_appended,
+                          plan.total_appended, plan.achieved))
     rows = []
-    for label, gap_value in (("exact", 0.0), *((g, g) for g in cfg.gap_sweep)):
-        if gap_value not in by_gap:
-            sizes = []
-            appended = []
-            hists = []
-            for i in subset:
-                # sizes and histograms follow from the plan; no need to
-                # materialize the (possibly huge) exact-mode files
-                blob = state.blobs[state.table.names[i]]
-                plan = _certified_plan(
-                    _padding_request(blob, targets[i], gap_value))
-                sizes.append(len(blob) + plan.total_appended)
-                appended.append(plan.total_appended)
-                hists.append(plan.achieved)
-            by_gap[gap_value] = {
-                "mean_size_mb": float(np.mean(sizes)) / 1e6,
-                "mean_appended_bytes": float(np.mean(appended)),
-                "detection_rate": detectors.detection_rate(
-                    byte_detector, np.array(hists))}
-        rows.append({"gap": label, **by_gap[gap_value]})
+    for label, gap in (("exact", 0.0), *((g, g) for g in cfg.gap_sweep)):
+        sizes, appended, hists = zip(*planned[gap])
+        rows.append({"gap": label,
+                     "mean_size_mb": float(np.mean(sizes)) / 1e6,
+                     "mean_appended_bytes": float(np.mean(appended)),
+                     "detection_rate": detectors.detection_rate(
+                         byte_detector, np.array(hists))})
     return rows
 
 

@@ -310,13 +310,23 @@ def _parse_imports(pe: PeImage, descriptors: list) -> None:
 # --- editors ---------------------------------------------------------------
 
 def append_overlay(pe: PeImage, plan) -> PeImage:
-    """Append the plan's bytes after end-of-file, grouped by value ascending."""
+    """Append the plan's bytes after end-of-file, grouped by value ascending.
+    An image whose import walk was cut short is refused: the walk may have
+    stopped at the end of the file, where it would read the new bytes as
+    imports."""
+    _check_imports_complete(pe)
     chunks = [bytes([v]) * int(c) for v, c in enumerate(plan.p) if c > 0]
     return parse(pe.data + b"".join(chunks), strict=True)
 
 
 def _zero_checksum(buf: bytearray, pe: PeImage) -> None:
     _pack("<I", buf, pe.opt_offset + 64, 0)
+
+
+def _check_imports_complete(pe: PeImage) -> None:
+    if not pe.imports_complete:
+        raise PeEditError("invariant", pe.data_dirs[DIR_IMPORT][0],
+                          "import directory only partly read")
 
 
 def _check_layout(pe: PeImage) -> None:
@@ -326,9 +336,7 @@ def _check_layout(pe: PeImage) -> None:
     alignment, a file alignment over the format's 64 KiB, or raw data
     declared to end more than one file alignment past the end of the file
     (the section's padding and the gap before it would be zero-filled)."""
-    if not pe.imports_complete:
-        raise PeEditError("invariant", pe.data_dirs[DIR_IMPORT][0],
-                          "import directory only partly read")
+    _check_imports_complete(pe)
     if pe.section_align == 0 or not 0 < pe.file_align <= 0x10000:
         raise PeEditError("alignment", pe.opt_offset + 32,
                           f"section alignment {pe.section_align:#x} or file "

@@ -492,6 +492,138 @@ class TestStreaming:
         assert seen["most_alive"] == 1
 
 
+class TestCorpusOnDisk:
+    """The corpus is read from disk file by file when a stage visits it,
+    and each attack writes its rewritten files as it makes them."""
+
+    @staticmethod
+    def count_reads(monkeypatch):
+        """How often each file (resolved path) is opened for reading through
+        ``open`` or ``Path.open`` (``read_bytes``, ``read_text``)."""
+        reads = collections.Counter()
+        real_open, real_path_open = open, Path.open
+
+        def opened(file, mode="r", *args, **kwargs):
+            if isinstance(file, (str, Path)) and "r" in mode:
+                reads[Path(file).resolve()] += 1
+
+        def counting_open(file, mode="r", *args, **kwargs):
+            opened(file, mode)
+            return real_open(file, mode, *args, **kwargs)
+
+        def counting_path_open(self, mode="r", *args, **kwargs):
+            opened(self, mode)
+            return real_path_open(self, mode, *args, **kwargs)
+
+        monkeypatch.setattr("builtins.open", counting_open)
+        monkeypatch.setattr(Path, "open", counting_path_open)
+        return reads
+
+    @staticmethod
+    def exe_reads(reads, directory: Path) -> collections.Counter:
+        """The reads of ``.exe`` files in ``directory``, by name."""
+        return collections.Counter({
+            path.name: n for path, n in reads.items()
+            if path.parent == directory.resolve() and path.suffix == ".exe"})
+
+    def test_warm_corpus_stage_reads_no_corpus_file(self, tmp_path,
+                                                    monkeypatch):
+        harness.run_stages(PipelineState(cfg=tiny_config(),
+                                         workdir=tmp_path / "w"), "corpus")
+        reads = self.count_reads(monkeypatch)
+        state = PipelineState(cfg=tiny_config(), workdir=tmp_path / "w")
+        harness.stage_corpus(state)
+        assert not state.computed and len(state.blobs) == 20
+        assert not self.exe_reads(reads, tmp_path / "w" / "corpus")
+
+    def test_cold_corpus_is_read_back_from_disk(self, tmp_path):
+        state = PipelineState(cfg=tiny_config(), workdir=tmp_path / "w")
+        harness.stage_corpus(state)
+        assert isinstance(state.blobs, harness.CorpusFiles)
+        assert state.blobs == gen_corpus(state.cfg.corpus, state.cfg.seed)[1]
+
+    def test_resumed_byte_run_reads_only_test_malicious_files(
+            self, tmp_path, monkeypatch):
+        cfg = tiny_config(attacks=("gan_byte",))
+        run_pipeline(cfg, tmp_path / "w")
+        reads = self.count_reads(monkeypatch)
+        state = PipelineState(cfg=cfg, workdir=tmp_path / "w")
+        harness.run_stages(state)
+        assert not state.computed
+        test_mal = {state.table.names[i]
+                    for i in harness._rows(state, "test", "malicious")}
+        # the attack and the gap sweep each read a file once
+        read = self.exe_reads(reads, tmp_path / "w" / "corpus")
+        assert set(read) == test_mal and max(read.values()) <= 2
+
+    def test_dirs_corpus_reads_each_source_once(self, tmp_path, monkeypatch):
+        _, blobs = gen_corpus(
+            CorpusConfig(n_per_class=10, content_size=(400, 800)), 3)
+        dirs = {label: tmp_path / label for label in ("benign", "malicious")}
+        for path in dirs.values():
+            path.mkdir()
+        for name, data in blobs.items():
+            (dirs[name.split("_")[0]] / name).write_bytes(data)
+        cfg = tiny_config()
+        cfg.corpus = CorpusConfig(kind="dirs", benign_dir=str(dirs["benign"]),
+                                  malicious_dir=str(dirs["malicious"]))
+        corpus_dir = tmp_path / "w" / "corpus"
+        for run in ("cold", "warm"):
+            reads = self.count_reads(monkeypatch)
+            state = PipelineState(cfg=cfg, workdir=tmp_path / "w")
+            harness.stage_corpus(state)
+            assert (("corpus", "dirs") in state.computed) == (run == "cold")
+            for label, path in dirs.items():
+                assert self.exe_reads(reads, path) == collections.Counter(
+                    {name: 1 for name in blobs if name.startswith(label)})
+            monkeypatch.undo()
+            # no stored copy: the corpus directory holds the manifest alone
+            assert [p.name for p in corpus_dir.iterdir()] == ["manifest.json"]
+            assert state.blobs == blobs
+
+    def test_corpus_file_edited_in_place_is_named(self, tmp_path, capsys,
+                                                  tiny_config_file):
+        argv = ["pipeline", "--config", str(tiny_config_file),
+                "--workdir", str(tmp_path / "w")]
+        assert cli.main(argv) == 0
+        manifest = json.loads(
+            (tmp_path / "w" / "corpus" / "manifest.json").read_text())
+        edited = []
+        for path in sorted((tmp_path / "w" / "corpus").glob("malicious_*")):
+            data = bytearray(path.read_bytes())
+            data[200:208] = bytes(255 - b for b in data[200:208])
+            path.write_bytes(data)
+            edited.append(path.name)
+        capsys.readouterr()
+        assert cli.main(argv) == 3
+        err = capsys.readouterr().err
+        assert "CorpusError" in err
+        assert any(name in err for name in edited)
+        # the stat check at load passed: the corpus was not made again
+        assert json.loads((tmp_path / "w" / "corpus" / "manifest.json")
+                          .read_text()) == manifest
+
+    def test_attack_outputs_carry_no_bytes(self, tmp_path):
+        state = PipelineState(cfg=tiny_config(attacks=(
+            "gan_byte", "gan_all", "benign_injection", "malgan_byte")),
+            workdir=tmp_path / "w")
+        harness.run_stages(state, "attack")
+
+        def values(v):
+            if isinstance(v, dict):
+                v = list(v.values())
+            if isinstance(v, (list, tuple)):
+                return [x for item in v for x in values(item)]
+            return [v]
+
+        for attack, out in state.attack_outputs.items():
+            assert not any(isinstance(v, (bytes, bytearray, memoryview))
+                           for v in values(dataclasses.asdict(out)))
+            assert out.directory == tmp_path / "w" / "attacks" / attack
+            assert sorted(out.names) == sorted(
+                p.name for p in out.directory.glob("*.exe"))
+
+
 class TestResume:
     """Stages up to train-gan load what a run in the same workdir stored,
     when the inputs that determine it are unchanged."""
@@ -743,7 +875,7 @@ class TestResume:
         assert cli.main(argv) == 0
         assert "loaded byte_histogram model" in capsys.readouterr().out
 
-    def test_edited_dirs_corpus_file_copied_again(self, tmp_path):
+    def test_edited_dirs_corpus_file_ingested_again(self, tmp_path):
         dirs = {}
         for label, seed in (("benign", 1), ("malicious", 2)):
             dirs[label] = tmp_path / label
@@ -760,9 +892,11 @@ class TestResume:
         (dirs["benign"] / "a.exe").write_bytes(edited)
         state = PipelineState(cfg=cfg, workdir=tmp_path / "w")
         harness.run_stages(state, "corpus")
+        assert ("corpus", "dirs") in state.computed
         assert state.blobs["benign_00000.exe"] == edited
-        assert (tmp_path / "w" / "corpus" / "benign_00000.exe").read_bytes() \
-            == edited
+        # read in place: the corpus directory holds the manifest alone
+        assert [p.name for p in (tmp_path / "w" / "corpus").iterdir()] \
+            == ["manifest.json"]
 
     def test_hit_rewrites_nothing(self, tmp_path):
         cfg = tiny_config(attacks=self.ATTACKS)
@@ -880,16 +1014,17 @@ class TestCapacityCap:
         table = state.table
         mal = [i for i, label in enumerate(table.labels) if label == "malicious"]
         names = [table.names[i] for i in mal]
-        out = harness.attack_gan_indicator(model, names,
-                                           table.matrices["api_topk"][mal],
-                                           state.blobs, vocab, "api",
-                                           0, seed=0)
+        out = harness.AttackOutput(tmp_path / "out")
+        harness.attack_gan_indicator(model, names,
+                                     table.matrices["api_topk"][mal],
+                                     harness.Files(names, state.blobs.__getitem__),
+                                     vocab, "api", 0, 0, out)
         assert out.warnings
+        assert out.names == names
         from ganevade.features import extract_imports
-        for name in names:
+        for name, data in zip(names, out.files()):
             before = extract_imports(petk.parse(state.blobs[name]))
-            after = extract_imports(petk.parse(out.rewritten[name]))
-            assert after == before
+            assert extract_imports(petk.parse(data)) == before
 
 
 @pytest.fixture

@@ -388,6 +388,34 @@ def test_lenient_import_walk_keeps_what_it_read():
     assert empty < empty_all_or_nothing
 
 
+def test_overlay_on_a_cut_short_import_walk_keeps_the_imports():
+    """Over the mutants whose import walk was cut short, padding either
+    raises or leaves the strict re-parse with the original import set; it
+    never reads the padding as imports. Seeds 126, 264, 1015 and 1861 are
+    such mutants whose padded file once gained import tokens."""
+    cut_short = []
+    for seed in range(2000):
+        data = mutant(seed)
+        try:
+            pe = parse(data, strict=False)
+        except PeEditError:
+            continue
+        if pe.imports_complete:
+            continue
+        cut_short.append(seed)
+        counts = np.bincount(np.frombuffer(data, np.uint8), minlength=256)
+        target = np.random.default_rng(seed).dirichlet(np.full(256, 2.0))
+        plan = padopt.plan_for(padopt.PaddingRequest(counts, target, gap=0.05))
+        try:
+            out = append_overlay(pe, plan)
+        except PeEditError as exc:
+            assert exc.kind == "invariant"
+            continue
+        assert extract_imports(parse(out.data, strict=True)) \
+            == extract_imports(pe)
+    assert {126, 264, 1015, 1861} <= set(cut_short)
+
+
 @settings(max_examples=150, deadline=None)
 @given(st.integers(0, 2**31 - 1))
 def test_mutated_pe_editors_raise_or_reparse(seed):
