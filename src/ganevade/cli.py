@@ -2,12 +2,13 @@
 
 Exit codes: 0 success, 2 configuration error, 3 pipeline stage failure.
 A stage subcommand runs every upstream stage, then its own. The corpus,
-the feature matrices and vocabularies, and each detector and GAN resume
-from the working directory by one rule, ``harness._resume``: an artifact
-stored under the key of its inputs loads, any other is recomputed, and
-``train-detector`` and ``train-gan`` say which. A change to an attack
-field only re-runs the attacks and the evaluation. Delete the working
-directory to force a cold run.
+the feature matrices and vocabularies, each detector and GAN, each
+attack's outputs and each attack's detection rates resume from the working
+directory by one rule, ``harness._resume``: an artifact stored under the
+key of its inputs loads, any other is recomputed, and ``train-detector``,
+``train-gan`` and ``attack`` say which. A change to an attack field
+re-runs only the attacks that read it, and the evaluation of those.
+Delete the working directory to force a cold run.
 """
 
 from __future__ import annotations
@@ -42,9 +43,11 @@ def _state(args) -> PipelineState:
     return PipelineState(cfg=_load_cfg(args), workdir=Path(args.workdir))
 
 
-def _verb(state: PipelineState, kind: str, name: str) -> str:
-    """Whether this run trained the ``kind`` model ``name`` or loaded it."""
-    return "trained" if (kind, name) in state.computed else "loaded"
+def _verb(state: PipelineState, kind: str, name: str,
+          done: str = "trained") -> str:
+    """Whether this run made (``done``) the ``kind`` artifact ``name`` or
+    loaded it."""
+    return done if (kind, name) in state.computed else "loaded"
 
 
 def cmd_gen_corpus(args) -> int:
@@ -100,7 +103,8 @@ def cmd_attack(args) -> int:
         state.cfg = dataclasses.replace(state.cfg, attacks=[args.attack])
     harness.run_stages(state, "attack")
     for name, out in state.attack_outputs.items():
-        print(f"attack {name}: {len(out.names)} files rewritten, "
+        print(f"attack {name}: {len(out.names)} files "
+              f"{_verb(state, 'attack', name, 'rewritten')}, "
               f"queries={out.query_count}, warnings={len(out.warnings)}")
     return EXIT_OK
 

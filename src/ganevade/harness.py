@@ -10,10 +10,10 @@ writes each rewritten file under ``attacks/<attack>/`` as it makes it,
 and evaluation re-extracts features from those files, read back from
 disk, never from the adversarial feature vectors.
 
-Each attack is one entry of ``ATTACKS``: the GAN kinds it needs trained
-and the function that runs it. ``gan_all`` runs the ``gan_api``,
-``gan_strings`` and ``gan_byte`` entries in sequence, each step on the
-files the step before rewrote.
+Each attack is one entry of ``ATTACKS``: the GAN kinds it needs trained,
+the config fields it reads and the function that runs it. ``gan_all`` runs
+the ``gan_api``, ``gan_strings`` and ``gan_byte`` entries in sequence, each
+step on the files the step before rewrote.
 
 Each feature family is one entry of ``FAMILIES``, the builder of one
 file's vector from its lazily extracted ``FileFeatures``. Extract loads or
@@ -26,18 +26,20 @@ is ranked from the train-benign files, visited first; only their Top-K
 tokens are held until it exists, as references to one copy of each
 distinct token.
 
-The corpus, vocabularies, feature matrices, detectors and GANs resume
-through ``_resume``, each under a content key: a SHA-256 over the config
-slice that determines it and the key of what it was computed from
-(``_key``). The corpus is keyed by ``corpus`` + ``seed`` (a ``dirs`` corpus,
-read in place, also by its manifest: each source file's path, size and
-SHA-256); the features by the tool and schema versions, the digest of the
-corpus bytes that the manifest records, ``feature_cfg``, ``split`` and
-``seed``; each model by the feature key, its own spec and ``seed``. What is
-stored under the key loads; anything else is computed and written over it.
-Extract resumes its vocabularies and matrices in one ``_resume`` call, so
-one pass over the files computes all that missed. Attack and evaluation
-always run.
+The corpus, vocabularies, feature matrices, detectors, GANs, attack
+outputs and each attack's detection rates resume through ``_resume``, each
+under a content key: a SHA-256 over the config slice that determines it
+and the key of what it was computed from (``_key``). The corpus is keyed
+by ``corpus`` + ``seed`` (a ``dirs`` corpus, read in place, also by its
+manifest: each source file's path, size and SHA-256); the features by the
+tool and schema versions, the digest of the corpus bytes that the manifest
+records, ``feature_cfg``, ``split`` and ``seed``; each model by the feature
+key, its own spec and ``seed``; each attack by the feature key, the key of
+each GAN it needs, its ``ATTACKS`` fields and ``seed``; its rates by its
+key and every detector's. What is stored under the key loads; anything
+else is computed and written over it. Extract resumes its vocabularies and
+matrices in one ``_resume`` call, so one pass over the files computes all
+that missed. Evaluate's gap sweep always runs.
 """
 
 from __future__ import annotations
@@ -45,6 +47,7 @@ from __future__ import annotations
 import dataclasses
 import functools
 import hashlib
+import itertools
 import json
 import os
 import shutil
@@ -325,7 +328,7 @@ def _sample_tokens(pools: dict, label: str, rng: np.random.Generator) -> list[st
     for pool in pools.values():
         p = pool["p_benign"] if label == "benign" else pool["p_malicious"]
         mask = rng.random(len(pool["tokens"])) < p
-        picked.extend(tok for tok, hit in zip(pool["tokens"], mask) if hit)
+        picked.extend(itertools.compress(pool["tokens"], mask.tolist()))
     return picked
 
 
@@ -405,12 +408,18 @@ def _add_file(records: list, digest, name: str, label: str, data: bytes,
                     "sha256": hashlib.sha256(data).hexdigest()})
 
 
-def gen_corpus(cfg: CorpusConfig, seed: int) -> tuple[dict, dict[str, bytes]]:
-    """A labeled synthetic PE corpus, (manifest, blobs); same seed, same
-    bytes."""
+# gen_corpus writes the files it makes in batches of this many: creating
+# each file right after making it, interleaved with generation, ran about
+# 15% slower on ext4 (a 1000-file corpus, 2 vCPUs), and a batch holds at
+# most this many files' bytes
+CORPUS_WRITE_BATCH = 64
+
+
+def _synth_files(cfg: CorpusConfig, seed: int):
+    """(name, label, bytes) of each synthetic corpus file, in manifest
+    order, each made when it is reached."""
     rng = np.random.default_rng(seed)
     lo, hi = cfg.content_size
-    records, blobs, digest = [], {}, hashlib.sha256()
     for label, alpha in (("benign", np.asarray(cfg.byte_alpha_benign)),
                          ("malicious", np.asarray(cfg.byte_alpha_malicious))):
         for i in range(cfg.n_per_class):
@@ -420,10 +429,26 @@ def gen_corpus(cfg: CorpusConfig, seed: int) -> tuple[dict, dict[str, bytes]]:
             spec = petk.SynthSpec(
                 sections=[petk.SectionSpec(".text", content=content)],
                 imports=imports, strings=strings)
-            name = f"{label}_{i:05d}.exe"
-            blobs[name] = petk.synth_pe(spec, seed=int(rng.integers(0, 2**31)))
-            _add_file(records, digest, name, label, blobs[name])
-    return {"seed": seed, "files": records, "digest": digest.hexdigest()}, blobs
+            yield (f"{label}_{i:05d}.exe", label,
+                   petk.synth_pe(spec, seed=int(rng.integers(0, 2**31))))
+
+
+def gen_corpus(cfg: CorpusConfig, seed: int,
+               corpus_dir: Path) -> tuple[dict, CorpusFiles]:
+    """A labeled synthetic PE corpus written to ``corpus_dir``, in place of
+    whatever it held, as it is made, ``CORPUS_WRITE_BATCH`` files at a
+    time: (manifest, blobs), the blobs read from disk when accessed. Same
+    seed, same bytes."""
+    shutil.rmtree(corpus_dir, ignore_errors=True)
+    corpus_dir.mkdir(parents=True)
+    records, digest = [], hashlib.sha256()
+    files = _synth_files(cfg, seed)
+    while batch := list(itertools.islice(files, CORPUS_WRITE_BATCH)):
+        for name, label, data in batch:
+            (corpus_dir / name).write_bytes(data)
+            _add_file(records, digest, name, label, data)
+    manifest = {"seed": seed, "files": records, "digest": digest.hexdigest()}
+    return manifest, CorpusFiles(corpus_dir, records)
 
 
 def ingest_dirs(benign_dir, malicious_dir) -> tuple[dict, CorpusFiles]:
@@ -448,15 +473,16 @@ def ingest_dirs(benign_dir, malicious_dir) -> tuple[dict, CorpusFiles]:
 
 
 def save_corpus(corpus_dir: Path, corpus: tuple, key: str | None = None) -> None:
-    """Write ``corpus`` (manifest, blobs), ``key`` in its manifest, in place
-    of whatever ``corpus_dir`` held. A file read in place (its record names
-    a ``source``) is not copied."""
-    manifest, blobs = corpus
-    shutil.rmtree(corpus_dir, ignore_errors=True)
-    corpus_dir.mkdir(parents=True)
-    for rec in manifest["files"]:
-        if "source" not in rec:
-            (corpus_dir / rec["name"]).write_bytes(blobs[rec["name"]])
+    """Write the manifest of ``corpus`` (manifest, blobs), ``key`` in it, to
+    ``corpus_dir``, whose files ``gen_corpus`` has written already (a file
+    read in place, whose record names a ``source``, is not copied). Any
+    file there that the manifest does not list is removed."""
+    manifest, _ = corpus
+    corpus_dir.mkdir(parents=True, exist_ok=True)
+    listed = {rec["name"] for rec in manifest["files"] if "source" not in rec}
+    for path in corpus_dir.iterdir():
+        if path.name not in listed:
+            path.unlink()
     (corpus_dir / "manifest.json").write_text(
         json.dumps({**manifest, "key": key}, sort_keys=True, indent=1))
 
@@ -633,6 +659,7 @@ def train_gan_for(kind: str, table: FeatureTable, train_idx, cfg: ExperimentConf
     model = gan.train(benign, malicious, preset, stage, cfg.seed,
                       metrics_sink=sink)
     if metrics_path is not None:
+        metrics_path.parent.mkdir(parents=True, exist_ok=True)
         with open(metrics_path, "w") as fh:
             fh.write("step,loss_critic,loss_generator,gradient_penalty,"
                      "step_ms\n")
@@ -645,22 +672,59 @@ def train_gan_for(kind: str, table: FeatureTable, train_idx, cfg: ExperimentConf
 @dataclass
 class AttackOutput:
     """What an attack made: each rewritten file is written to ``directory``
-    as soon as it is made (``write``), and only its name is kept."""
+    as soon as it is made (``write``), and only its record is kept: its
+    name, size and SHA-256, and the padding certificate of a padded file."""
     directory: Path
-    names: list = field(default_factory=list)   # in the order written
+    records: dict = field(default_factory=dict)  # name -> record, as written
     query_count: int = 0
     stats: dict = field(default_factory=dict)
     warnings: list = field(default_factory=list)
 
-    def write(self, name: str, data: bytes) -> None:
+    @property
+    def names(self) -> list:
+        return list(self.records)
+
+    def write(self, name: str, data: bytes, **extra) -> None:
         # the directory comes with the first file: an attack that fails
         # before it makes one leaves none
         self.directory.mkdir(parents=True, exist_ok=True)
         (self.directory / name).write_bytes(data)
-        self.names.append(name)
+        self.records[name] = {"name": name, "size": len(data),
+                              "sha256": hashlib.sha256(data).hexdigest(),
+                              **extra}
 
     def files(self) -> Files:
         return Files(self.names, lambda name: (self.directory / name).read_bytes())
+
+
+def save_attack(path: Path, out: AttackOutput, key: str) -> None:
+    """The manifest of ``out``, ``key`` in it, written after its files."""
+    path.write_text(json.dumps({
+        "key": key, "query_count": out.query_count, "stats": out.stats,
+        "warnings": out.warnings, "files": list(out.records.values())},
+        sort_keys=True, indent=1))
+
+
+def load_attack(path: Path, key: str) -> AttackOutput:
+    """The ``AttackOutput`` whose manifest ``save_attack`` wrote at ``path``
+    under ``key``. Each file it lists is read and checked: ``ValueError``
+    (or ``OSError``) for a manifest stored under another key or malformed,
+    or a file that is gone or whose size or SHA-256 differs."""
+    manifest = json.loads(path.read_text())
+    if ckpt.field(manifest, "key", str) != key:
+        raise ValueError("attack run on other inputs")
+    out = AttackOutput(path.parent,
+                       query_count=ckpt.field(manifest, "query_count", int),
+                       stats=ckpt.field(manifest, "stats", dict),
+                       warnings=ckpt.field(manifest, "warnings", list, str))
+    for rec in ckpt.field(manifest, "files", list, dict):
+        data = (out.directory / ckpt.field(rec, "name", str)).read_bytes()
+        if (len(data) != ckpt.field(rec, "size", int) or ckpt.field(
+                rec, "sha256", str) != hashlib.sha256(data).hexdigest()):
+            raise ValueError(f"attack output {rec['name']} differs from its "
+                             f"manifest")
+        out.records[rec["name"]] = rec
+    return out
 
 
 def _padding_request(data: bytes, target: np.ndarray,
@@ -679,10 +743,12 @@ def _certified_plan(req: padopt.PaddingRequest) -> padopt.PaddingPlan:
     return plan
 
 
-def _pad_to_target(data: bytes, target: np.ndarray, gap: float) -> bytes:
+def _pad_to_target(data: bytes, target: np.ndarray,
+                   gap: float) -> tuple[bytes, dict]:
+    """``data`` padded towards ``target``, and the plan's certificate."""
     plan = _certified_plan(_padding_request(data, target, gap))
     pe = petk.parse(data, strict=False)
-    return petk.append_overlay(pe, plan).data
+    return petk.append_overlay(pe, plan).data, plan.certificate
 
 
 def _safe_target(target: np.ndarray) -> np.ndarray:
@@ -712,8 +778,8 @@ def attack_gan_byte(state, names, blobs, rows, out: AttackOutput) -> None:
     appended = []
     for name, data, histogram in zip(names, blobs, rows("byte")):
         target = _byte_target(model, histogram, rng)
-        rewritten = _pad_to_target(data, target, state.cfg.gap)
-        out.write(name, rewritten)
+        rewritten, certificate = _pad_to_target(data, target, state.cfg.gap)
+        out.write(name, rewritten, certificate=certificate)
         appended.append(len(rewritten) - len(data))
     out.stats["mean_appended_bytes"] = float(np.mean(appended))
 
@@ -768,7 +834,7 @@ def attack_gan_all(state, names, blobs, rows, out) -> None:
         blobs = step_out.files()
         rows = lambda family, blobs=blobs: state.table.extract(
             blobs, [family])[family]
-    out.names = step_out.names
+    out.records = step_out.records
 
 
 def attack_benign_injection(state, names, blobs, rows, out) -> None:
@@ -791,23 +857,28 @@ def attack_malgan_byte(state, names, blobs, rows, out) -> None:
     rng = np.random.default_rng(cfg.seed + 2)
     for name, data, histogram in zip(names, blobs, rows("byte")):
         target = _byte_target(model, histogram, rng)
-        out.write(name, _pad_to_target(data, target, cfg.gap))
+        rewritten, certificate = _pad_to_target(data, target, cfg.gap)
+        out.write(name, rewritten, certificate=certificate)
     out.query_count = model.training_meta["queries"]
     out.stats["rounds"] = model.training_meta.get("rounds", 0)
 
 
 class Attack(NamedTuple):
     gans: tuple             # the GAN kinds it needs trained
+    fields: tuple           # the config fields it reads, besides seed
     run: Callable           # (state, names, blobs, rows, out) -> None
 
 
 ATTACKS = {
-    "gan_byte": Attack(("byte_histogram",), attack_gan_byte),
-    "gan_api": Attack(("api",), attack_gan_api),
-    "gan_strings": Attack(("strings",), attack_gan_strings),
-    "gan_all": Attack(GAN_KINDS, attack_gan_all),
-    "benign_injection": Attack((), attack_benign_injection),
-    "malgan_byte": Attack((), attack_malgan_byte),
+    "gan_byte": Attack(("byte_histogram",), ("gap",), attack_gan_byte),
+    "gan_api": Attack(("api",), ("max_new_imports",), attack_gan_api),
+    "gan_strings": Attack(("strings",), ("max_new_strings",),
+                          attack_gan_strings),
+    "gan_all": Attack(GAN_KINDS, ("max_new_imports", "max_new_strings", "gap"),
+                      attack_gan_all),
+    "benign_injection": Attack((), (), attack_benign_injection),
+    "malgan_byte": Attack((), ("detectors", "gans", "malgan_max_queries",
+                               "gap"), attack_malgan_byte),
 }
 
 
@@ -824,10 +895,11 @@ class PipelineState:
     table: FeatureTable | None = None
     detector_models: dict = field(default_factory=dict)
     gan_models: dict = field(default_factory=dict)
-    # ("corpus"|"vocab"|"features"|"detector"|"gan", name) of each artifact
-    # that ``_resume`` computed rather than loaded from the workdir
-    computed: set = field(default_factory=set)
     attack_outputs: dict = field(default_factory=dict)
+    # the ``what`` of each artifact that ``_resume`` computed rather than
+    # loaded from the workdir, and the key of each it resumed, by ``what``
+    computed: set = field(default_factory=set)
+    keys: dict = field(default_factory=dict)
 
 
 def _stage(name):
@@ -851,7 +923,9 @@ def _key(*parts) -> str:
 
 
 class Artifact(NamedTuple):
-    what: tuple         # ("corpus"|"vocab"|"features"|"detector"|"gan", name)
+    # (kind, name), the kind one of "corpus", "vocab", "features",
+    # "detector", "gan", "attack" and "rates"
+    what: tuple
     path: Path
     load: Callable      # (path, key) -> value
     save: Callable      # (path, value, key) -> None
@@ -864,9 +938,11 @@ def _resume(state: PipelineState, key: str, artifacts: list,
     from other inputs, truncated, unreadable or lacking a field) are
     computed together: ``compute(loaded)``, given the values that loaded,
     returns each missing value by ``what``. Each is saved with
-    ``save(path, value, key)`` and recorded in ``state.computed``."""
+    ``save(path, value, key)`` once all are computed, and recorded in
+    ``state.computed``. Every key is recorded in ``state.keys``."""
     loaded, missing = {}, []
     for art in artifacts:
+        state.keys[art.what] = key
         if art.path.exists():
             try:
                 loaded[art.what] = art.load(art.path, key)
@@ -874,9 +950,9 @@ def _resume(state: PipelineState, key: str, artifacts: list,
             except (OSError, ValueError):
                 pass
         missing.append(art)
-        art.path.parent.mkdir(parents=True, exist_ok=True)
     values = {**loaded, **(compute(loaded) if missing else {})}
     for art in missing:
+        art.path.parent.mkdir(parents=True, exist_ok=True)
         art.save(art.path, values[art.what], key)
         state.computed.add(art.what)
     return {art.what: values[art.what] for art in artifacts}
@@ -900,14 +976,12 @@ def stage_corpus(state: PipelineState):
         # an edited one is ingested again
         made = ingest_dirs(cfg.benign_dir, cfg.malicious_dir)
         key = _key("corpus", dataclasses.asdict(cfg), state.cfg.seed, made[0])
-    corpus = _resume(
-        state, key, [Artifact(what, corpus_dir, load_corpus, save_corpus)],
-        lambda _: {what: gen_corpus(cfg, state.cfg.seed) if made is None
-                   else made})[what]
     # a corpus just made is read back from disk like a stored one, so no
     # stage holds its bytes
-    state.manifest, state.blobs = (load_corpus(corpus_dir, key)
-                                   if what in state.computed else corpus)
+    state.manifest, state.blobs = _resume(
+        state, key, [Artifact(what, corpus_dir, load_corpus, save_corpus)],
+        lambda _: {what: gen_corpus(cfg, state.cfg.seed, corpus_dir)
+                   if made is None else made})[what]
 
 
 def _gans_needed(cfg: ExperimentConfig) -> list[str]:
@@ -1041,23 +1115,48 @@ def stage_gans(state: PipelineState):
 
 @_stage("attack")
 def stage_attacks(state: PipelineState):
+    cfg = state.cfg
     test_mal = _rows(state, "test", "malicious")
     names = [state.table.names[i] for i in test_mal]
+    config = cfg.to_dict()
 
     def rows(family):
         return state.table.matrices[family][test_mal]
 
-    for attack in state.cfg.attacks:
-        # replace, not add to, what an earlier run (maybe of another
-        # corpus, whose file names repeat) left there
-        out = AttackOutput(state.workdir / "attacks" / attack)
-        shutil.rmtree(out.directory, ignore_errors=True)
-        ATTACKS[attack].run(state, names, state.blobs.files(names), rows, out)
-        state.attack_outputs[attack] = out
-        (out.directory / "manifest.json").write_text(json.dumps({
-            "attack": attack, "query_count": out.query_count,
-            "stats": out.stats, "warnings": out.warnings,
-            "files": sorted(out.names)}, sort_keys=True, indent=1))
+    for attack in cfg.attacks:
+        what, spec = ("attack", attack), ATTACKS[attack]
+        directory = state.workdir / "attacks" / attack
+        key = _key("attack", attack, state.extract_key,
+                   [state.keys[("gan", kind)] for kind in spec.gans],
+                   {name: config[name] for name in spec.fields}, cfg.seed)
+
+        def run(_):
+            # replace, not add to, what an earlier run (maybe of another
+            # corpus, whose file names repeat) left there
+            shutil.rmtree(directory, ignore_errors=True)
+            out = AttackOutput(directory)
+            spec.run(state, names, state.blobs.files(names), rows, out)
+            return {what: out}
+        state.attack_outputs[attack] = _resume(
+            state, key, [Artifact(what, directory / "manifest.json",
+                                  load_attack, save_attack)], run)[what]
+
+
+def save_rates(path: Path, rates: dict, key: str) -> None:
+    path.write_text(json.dumps({"key": key, "rates": rates}, sort_keys=True,
+                               indent=1))
+
+
+def load_rates(path: Path, key: str) -> dict:
+    """The detection rates ``save_rates`` stored under ``key``, by
+    detector; ``ValueError`` for any other key or a malformed file."""
+    stored = json.loads(path.read_text())
+    if ckpt.field(stored, "key", str) != key:
+        raise ValueError("rates of other inputs")
+    rates = ckpt.field(stored, "rates", dict)
+    for name in rates:
+        ckpt.field(rates, name, float)
+    return rates
 
 
 def _primary_byte_detector(state: PipelineState) -> detectors.DetectorModel:
@@ -1093,13 +1192,21 @@ def stage_evaluate(state: PipelineState) -> dict:
     attack_rates = {}
     query_counts = {}
     attack_stats = {}
+    detector_keys = [state.keys[("detector", spec.name)]
+                     for spec in cfg.detectors]
     for attack, out in state.attack_outputs.items():
-        # read back from the files the attack wrote
-        attack_rates[attack] = rates(table.extract(out.files(), families))
+        what = ("rates", attack)
+        attack_rates[attack] = _resume(
+            state, _key("rates", state.keys[("attack", attack)], detector_keys),
+            [Artifact(what, out.directory / "rates.json", load_rates,
+                      save_rates)],
+            # read back from the files the attack wrote
+            lambda _: {what: rates(table.extract(out.files(), families))}
+        )[what]
         query_counts[attack] = out.query_count
         stats = dict(out.stats)
         stats["mean_size_mb"] = float(np.mean(
-            [(out.directory / name).stat().st_size for name in out.names])) / 1e6
+            [rec["size"] for rec in out.records.values()])) / 1e6
         stats["capacity_warnings"] = len(out.warnings)
         attack_stats[attack] = stats
 

@@ -190,7 +190,7 @@ class TestConfig:
 class TestCorpus:
     def test_gen_corpus_counts_and_labels(self, tmp_path):
         cfg = CorpusConfig(n_per_class=3, content_size=(200, 400))
-        manifest, blobs = gen_corpus(cfg, 0)
+        manifest, blobs = gen_corpus(cfg, 0, tmp_path / "c")
         labels = [r["label"] for r in manifest["files"]]
         assert labels.count("benign") == 3
         assert labels.count("malicious") == 3
@@ -198,13 +198,15 @@ class TestCorpus:
         for data in blobs.values():
             petk.parse(data, strict=True)
 
-    def test_same_seed_identical_bytes(self):
+    def test_same_seed_identical_bytes(self, tmp_path):
         cfg = CorpusConfig(n_per_class=2, content_size=(200, 300))
-        assert gen_corpus(cfg, 5) == gen_corpus(cfg, 5)
+        assert gen_corpus(cfg, 5, tmp_path / "a") \
+            == gen_corpus(cfg, 5, tmp_path / "b")
 
     def test_saved_corpus_loads_back_under_its_key(self, tmp_path):
         corpus = gen_corpus(CorpusConfig(n_per_class=2,
-                                         content_size=(200, 300)), 5)
+                                         content_size=(200, 300)), 5,
+                            tmp_path / "c")
         save_corpus(tmp_path / "c", corpus, "k1")
         assert load_corpus(tmp_path / "c", "k1") == corpus
         assert load_corpus(tmp_path / "c") == corpus
@@ -227,9 +229,26 @@ class TestCorpus:
         assert sorted(p.name for p in (tmp_path / "c").iterdir()) \
             == ["manifest.json"]
 
-    def test_class_profiles_separate_histograms(self):
+    def test_gen_corpus_writes_files_as_they_are_made(self, tmp_path,
+                                                      monkeypatch):
+        # when a file is made, the files of every batch before its own are
+        # on disk
+        on_disk = []
+        synth_pe = petk.synth_pe
+
+        def recording_synth_pe(spec, seed=0):
+            on_disk.append(len(list((tmp_path / "c").glob("*.exe"))))
+            return synth_pe(spec, seed=seed)
+        monkeypatch.setattr(petk, "synth_pe", recording_synth_pe)
+        batch = harness.CORPUS_WRITE_BATCH
+        n = batch + 10
+        gen_corpus(CorpusConfig(n_per_class=n, content_size=(200, 300)), 0,
+                   tmp_path / "c")
+        assert on_disk == [i - i % batch for i in range(2 * n)]
+
+    def test_class_profiles_separate_histograms(self, tmp_path):
         cfg = CorpusConfig(n_per_class=5, content_size=(2000, 3000))
-        _, blobs = gen_corpus(cfg, 1)
+        _, blobs = gen_corpus(cfg, 1, tmp_path)
         from ganevade.features import byte_histogram
         high = {name: byte_histogram(b)[0x80:].sum()
                 for name, b in blobs.items()}
@@ -253,7 +272,8 @@ class TestCorpus:
 
     def test_dirs_corpus_with_an_empty_file_runs(self, tmp_path):
         _, blobs = gen_corpus(
-            CorpusConfig(n_per_class=20, content_size=(400, 800)), 3)
+            CorpusConfig(n_per_class=20, content_size=(400, 800)), 3,
+            tmp_path / "gen")
         dirs = {label: tmp_path / label for label in ("benign", "malicious")}
         for path in dirs.values():
             path.mkdir()
@@ -358,6 +378,22 @@ class TestPipeline:
         assert files
         for f in files:
             petk.parse(f.read_bytes(), strict=True)
+
+    def test_padded_files_carry_their_certificates(self, tiny_run):
+        cfg, workdir, _ = tiny_run
+        for attack in cfg.attacks:
+            manifest = json.loads(
+                (workdir / "attacks" / attack / "manifest.json").read_text())
+            for rec in manifest["files"]:
+                if attack == "benign_injection":
+                    assert "certificate" not in rec
+                    continue
+                cert = rec["certificate"]
+                # the certified total is the padded file's byte count
+                assert cert["total"] == rec["size"]
+                assert cert["gap"] == cfg.gap
+                assert cert["max_lower_violation"] == 0.0
+                assert cert["max_upper_violation"] == 0.0
 
     def test_rewritten_files_only_malicious(self, tiny_run):
         _, workdir, _ = tiny_run
@@ -540,7 +576,8 @@ class TestCorpusOnDisk:
         state = PipelineState(cfg=tiny_config(), workdir=tmp_path / "w")
         harness.stage_corpus(state)
         assert isinstance(state.blobs, harness.CorpusFiles)
-        assert state.blobs == gen_corpus(state.cfg.corpus, state.cfg.seed)[1]
+        assert state.blobs == gen_corpus(state.cfg.corpus, state.cfg.seed,
+                                         tmp_path / "again")[1]
 
     def test_resumed_byte_run_reads_only_test_malicious_files(
             self, tmp_path, monkeypatch):
@@ -558,7 +595,8 @@ class TestCorpusOnDisk:
 
     def test_dirs_corpus_reads_each_source_once(self, tmp_path, monkeypatch):
         _, blobs = gen_corpus(
-            CorpusConfig(n_per_class=10, content_size=(400, 800)), 3)
+            CorpusConfig(n_per_class=10, content_size=(400, 800)), 3,
+            tmp_path / "gen")
         dirs = {label: tmp_path / label for label in ("benign", "malicious")}
         for path in dirs.values():
             path.mkdir()
@@ -865,6 +903,16 @@ class TestResume:
         self.record_training(monkeypatch, tmp_path / "w", fail=True)
         assert cli.main(["attack", *common]) == 0
 
+    def test_cli_attack_says_rewritten_then_loaded(self, tmp_path, capsys,
+                                                   tiny_config_file):
+        argv = ["attack", "--attack", "gan_byte",
+                "--config", str(tiny_config_file),
+                "--workdir", str(tmp_path / "w")]
+        assert cli.main(argv) == 0
+        assert "attack gan_byte: 1 files rewritten" in capsys.readouterr().out
+        assert cli.main(argv) == 0
+        assert "attack gan_byte: 1 files loaded" in capsys.readouterr().out
+
     def test_cli_says_loaded_when_nothing_was_trained(self, tmp_path, capsys,
                                                       tiny_config_file):
         argv = ["train-gan", "--kind", "byte_histogram",
@@ -931,7 +979,168 @@ class TestResume:
         run_pipeline(cfg, tmp_path / "w")
         attack_dir = tmp_path / "w" / "attacks" / "gan_byte"
         listed = json.loads((attack_dir / "manifest.json").read_text())["files"]
-        assert sorted(p.name for p in attack_dir.glob("*.exe")) == listed
+        assert sorted(p.name for p in attack_dir.glob("*.exe")) \
+            == sorted(rec["name"] for rec in listed)
+
+
+ALL_ATTACKS = tuple(harness.ATTACKS)
+
+
+@pytest.fixture(scope="module")
+def trained_for_every_attack(tmp_path_factory):
+    """A state run up to train-gan for every attack of ``ATTACKS``."""
+    state = PipelineState(cfg=tiny_config(attacks=ALL_ATTACKS),
+                          workdir=tmp_path_factory.mktemp("every_attack"))
+    harness.run_stages(state, "train-gan")
+    return state
+
+
+class ReadRecorder:
+    """``cfg`` whose every attribute read adds the attribute's name to
+    ``read``."""
+
+    def __init__(self, cfg, read: set):
+        self.__dict__.update(cfg=cfg, read=read)
+
+    def __getattr__(self, name):
+        self.read.add(name)
+        return getattr(self.cfg, name)
+
+
+def undeclared_reads(state, attack: str, directory: Path) -> set:
+    """The config fields ``attack`` reads, run on ``state``, that its key
+    slice (its ``fields`` and ``seed``) leaves out."""
+    read = set()
+    recorded = dataclasses.replace(state, cfg=ReadRecorder(state.cfg, read))
+    test_mal = harness._rows(state, "test", "malicious")
+    names = [state.table.names[i] for i in test_mal]
+    harness.ATTACKS[attack].run(
+        recorded, names, state.blobs.files(names),
+        lambda family: state.table.matrices[family][test_mal],
+        harness.AttackOutput(directory))
+    return read - set(harness.ATTACKS[attack].fields) - {"seed"}
+
+
+class TestAttackResume:
+    """Each attack's outputs resume under the key of the config fields it
+    reads, and each attack's detection rates under that key and the
+    detectors' keys."""
+
+    @pytest.mark.parametrize("attack", ALL_ATTACKS)
+    def test_key_slice_holds_every_field_read(self, trained_for_every_attack,
+                                              tmp_path, attack):
+        assert undeclared_reads(trained_for_every_attack, attack,
+                                tmp_path) == set()
+
+    @pytest.mark.parametrize("attack,name", [
+        (attack, name) for attack in ALL_ATTACKS
+        for name in harness.ATTACKS[attack].fields])
+    def test_a_field_left_out_of_a_slice_is_found(
+            self, trained_for_every_attack, tmp_path, monkeypatch, attack,
+            name):
+        # so no declared field is one the attack does not read either
+        spec = harness.ATTACKS[attack]
+        monkeypatch.setitem(harness.ATTACKS, attack, spec._replace(
+            fields=tuple(f for f in spec.fields if f != name)))
+        assert undeclared_reads(trained_for_every_attack, attack,
+                                tmp_path) == {name}
+
+    @staticmethod
+    def attack_files(workdir: Path) -> dict:
+        return {path: (path.stat().st_ino, path.stat().st_mtime_ns)
+                for path in (workdir / "attacks").rglob("*") if path.is_file()}
+
+    def test_changed_field_reruns_only_the_attacks_that_read_it(self,
+                                                                tmp_path):
+        cfg = tiny_config(attacks=ALL_ATTACKS)
+        run_pipeline(cfg, tmp_path / "w")
+        before = self.attack_files(tmp_path / "w")
+        changed = dataclasses.replace(cfg, max_new_imports=1)
+        state = PipelineState(cfg=changed, workdir=tmp_path / "w")
+        evaluation = harness.run_stages(state)
+        rerun = {"gan_api", "gan_all"}
+        assert state.computed == {(kind, attack) for attack in rerun
+                                  for kind in ("attack", "rates")}
+        after = self.attack_files(tmp_path / "w")
+        kept = {path for path in before if path.parent.name not in rerun}
+        assert {path: after[path] for path in kept} == \
+            {path: before[path] for path in kept}
+        cold = run_pipeline(changed, tmp_path / "cold")
+        assert evaluation == {k: cold[k] for k in evaluation}
+
+    def test_changed_detector_rescores_every_attack(self, tmp_path):
+        cfg = tiny_config(attacks=ALL_ATTACKS)
+        run_pipeline(cfg, tmp_path / "w")
+        detectors = [dataclasses.replace(spec, hyperparams={"steps": 20})
+                     if spec.name == "api_topk_logreg" else spec
+                     for spec in cfg.detectors]
+        changed = dataclasses.replace(cfg, detectors=detectors)
+        state = PipelineState(cfg=changed, workdir=tmp_path / "w")
+        evaluation = harness.run_stages(state)
+        # MalGAN reads the detector list; the other attacks load
+        assert state.computed == {
+            ("detector", "api_topk_logreg"), ("attack", "malgan_byte"),
+            *(("rates", attack) for attack in ALL_ATTACKS)}
+        cold = run_pipeline(changed, tmp_path / "cold")
+        assert evaluation == {k: cold[k] for k in evaluation}
+
+    def test_output_edited_in_place_is_recomputed(self, tmp_path):
+        cfg = tiny_config(attacks=("gan_api", "gan_strings"))
+        cold = run_pipeline(cfg, tmp_path / "w")
+        path = next((tmp_path / "w" / "attacks" / "gan_strings").glob("*.exe"))
+        intact = path.read_bytes()
+        data = bytearray(intact)
+        data[200:208] = bytes(255 - b for b in data[200:208])
+        path.write_bytes(data)
+        state = PipelineState(cfg=cfg, workdir=tmp_path / "w")
+        evaluation = harness.run_stages(state)
+        assert state.computed == {("attack", "gan_strings"),
+                                  ("rates", "gan_strings")}
+        assert path.read_bytes() == intact
+        assert evaluation == {k: cold[k] for k in evaluation}
+
+    @pytest.mark.parametrize("damage", [
+        lambda path: path.unlink(),
+        lambda path: path.write_text("{}"),
+        lambda path: path.write_text(path.read_text().replace(
+            '"key": "', '"key": "0'))])
+    def test_damaged_manifest_is_recomputed(self, tmp_path, damage):
+        cfg = tiny_config(attacks=("gan_byte",))
+        cold = run_pipeline(cfg, tmp_path / "w")
+        for name in ("manifest.json", "rates.json"):
+            damage(tmp_path / "w" / "attacks" / "gan_byte" / name)
+            state = PipelineState(cfg=cfg, workdir=tmp_path / "w")
+            evaluation = harness.run_stages(state)
+            assert state.computed >= {("rates", "gan_byte")}
+            assert (("attack", "gan_byte") in state.computed) \
+                == (name == "manifest.json")
+            assert evaluation == {k: cold[k] for k in evaluation}
+
+    def test_attack_failed_halfway_leaves_no_manifest(self, tmp_path,
+                                                       monkeypatch):
+        # 4 test files per class: the second rewrite fails
+        cfg = dataclasses.replace(tiny_config(attacks=("gan_api",)),
+                                  split=(0.5, 0.1, 0.4))
+        run_pipeline(cfg, tmp_path / "w")
+        extend_imports = petk.extend_imports
+        calls = []
+
+        def second_fails(*args, **kwargs):
+            calls.append(1)
+            if len(calls) == 2:
+                raise petk.PeEditError("refused")
+            return extend_imports(*args, **kwargs)
+        monkeypatch.setattr(petk, "extend_imports", second_fails)
+        changed = dataclasses.replace(cfg, max_new_imports=1)
+        with pytest.raises(StageError):
+            run_pipeline(changed, tmp_path / "w")
+        attack_dir = tmp_path / "w" / "attacks" / "gan_api"
+        # the first file written, and no manifest
+        assert [p.suffix for p in attack_dir.iterdir()] == [".exe"]
+        monkeypatch.undo()
+        state = PipelineState(cfg=cfg, workdir=tmp_path / "w")
+        harness.run_stages(state, "attack")
+        assert ("attack", "gan_api") in state.computed
 
 
 @pytest.fixture(scope="module")
@@ -959,6 +1168,16 @@ class TestGanAll:
             raw = data[sdat2[0].raw_offset:sdat2[0].raw_end]
             tokens = {t.decode("latin-1") for t in raw.split(b"\x00") if t}
             assert tokens <= set(extract_strings(data, 5))
+
+    def test_certificates_are_the_byte_steps(self, gan_all_run):
+        workdir, _ = gan_all_run
+        for attack in ("gan_all", "gan_byte"):
+            manifest = json.loads(
+                (workdir / "attacks" / attack / "manifest.json").read_text())
+            for rec in manifest["files"]:
+                assert rec["certificate"]["total"] == rec["size"]
+                assert (workdir / "attacks" / attack / rec["name"]).stat() \
+                    .st_size == rec["size"]
 
     def test_stats_keys(self, gan_all_run):
         _, report = gan_all_run
