@@ -3,10 +3,12 @@
 
 Trains the byte preset (batch 64, the default ``TrainingConfig``) on fixed
 random histograms for ``--steps`` steps, ``--repeats`` times, and prints the
-median and interquartile range of milliseconds per step, followed by the
-SHA-256 of the trained generator and critic parameter arrays. Every repeat
-trains from the same seed, so the hash is the same on every repeat, and
-under any ``OPENBLAS_NUM_THREADS``; the exit status is 1 when the repeats
+median and interquartile range of milliseconds per step, then
+``train_peak_mb``: the ``tracemalloc`` peak of one more, untimed training
+run with the same config (the timed repeats are not traced). Last comes the
+SHA-256 of the trained generator and critic parameter arrays. Every run
+trains from the same seed, so the hash is the same on every run, and
+under any ``OPENBLAS_NUM_THREADS``; the exit status is 1 when the runs
 disagree. A change that keeps the hash while lowering the step time has not
 moved the arithmetic. One that reorders float operations, as the
 closed-form critic step did, moves it and has to show that the pipeline's
@@ -23,6 +25,7 @@ import hashlib
 import statistics
 import sys
 import time
+import tracemalloc
 
 import numpy as np
 
@@ -60,15 +63,24 @@ def main() -> int:
         ms_per_step.append((time.perf_counter() - start) / args.steps * 1e3)
         hashes.add(weights_sha256(model))
 
+    tracemalloc.start()
+    try:
+        model = gan.train(benign, malicious, preset, cfg, args.seed)
+        train_peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    hashes.add(weights_sha256(model))
+
     q1, med, q3 = statistics.quantiles(ms_per_step, n=4, method="inclusive")
     print(f"byte preset, batch {cfg.batch_size}, {args.steps} steps "
           f"x {args.repeats} repeats, seed {args.seed}")
     print("ms_per_step runs " + " ".join(f"{v:.2f}" for v in ms_per_step))
     print(f"ms_per_step median {med:.2f} iqr {q3 - q1:.2f} "
           f"(q1 {q1:.2f}, q3 {q3:.2f})")
+    print(f"train_peak_mb {train_peak / 2**20:.2f}")
     for digest in sorted(hashes):
         print(f"weights_sha256 {digest}")
-    # every repeat trains from the same seed: two hashes mean nondeterminism
+    # every run trains from the same seed: two hashes mean nondeterminism
     return 0 if len(hashes) == 1 else 1
 
 

@@ -51,26 +51,27 @@ class _QueryCounter:
         return (np.asarray(labels) == MALICIOUS).astype(np.float64)
 
 
-def _substitute_grads(critic: nncore.Mlp, x: np.ndarray,
-                      y: np.ndarray) -> list:
-    """Gradients of the substitute's BCE against the black-box labels ``y``;
-    the substitute is the critic read through a sigmoid."""
-    out, cache = forward(critic, x)
-    p = sigmoid(out)
+def _substitute_grads(critic: nncore.Mlp, x: np.ndarray, y: np.ndarray,
+                      out) -> None:
+    """Gradients of the substitute's BCE against the black-box labels ``y``,
+    written into ``out``; the substitute is the critic read through a
+    sigmoid."""
+    score, cache = forward(critic, x)
+    p = sigmoid(score)
     _, g_p = bce(p, y)
-    return grad(critic, cache, sigmoid_backward(p, g_p))[0]
+    grad(critic, cache, sigmoid_backward(p, g_p), out=out)
 
 
 def _malgan_generator_grads(model: GanModel, m_batch: np.ndarray,
-                            z: np.ndarray) -> list:
-    """Gradients of the generator's loss: the substitute's mean malicious
-    probability on its fakes."""
+                            z: np.ndarray, out) -> None:
+    """Gradients of the generator's loss, written into ``out``: the
+    substitute's mean malicious probability on its fakes."""
     fake, path = gan._generator_path(model, m_batch, z, None)
-    out, cache = forward(model.critic, fake)
-    seed = np.full(out.shape, 1.0 / len(fake))
-    _, g_fake = grad(model.critic, cache, sigmoid_backward(sigmoid(out), seed),
-                     params=False, inputs=True)
-    return gan._generator_grads(model, path, g_fake)
+    score, cache = forward(model.critic, fake)
+    seed = np.full(score.shape, 1.0 / len(fake))
+    g_fake = grad(model.critic, cache, sigmoid_backward(sigmoid(score), seed),
+                  inputs=True)
+    gan._generator_grads(model, path, g_fake, out)
 
 
 def train_malgan(malicious_features: np.ndarray, benign_features: np.ndarray,
@@ -104,13 +105,14 @@ def train_malgan(malicious_features: np.ndarray, benign_features: np.ndarray,
 
         try:
             for _ in range(STEPS_PER_ROUND):
-                adam_step(model.critic.parameters(),
-                          _substitute_grads(model.critic, x_train, y_train),
-                          sub_state, lr=LR, beta1=0.9, beta2=0.999)
+                _substitute_grads(model.critic, x_train, y_train,
+                                  sub_state.grads)
+                adam_step(model.critic.parameters(), sub_state, lr=LR,
+                          beta1=0.9, beta2=0.999)
             for _ in range(STEPS_PER_ROUND):
-                adam_step(model.generator.parameters(),
-                          _malgan_generator_grads(model, m_batch, z),
-                          gen_state, lr=LR, beta1=0.9, beta2=0.999)
+                _malgan_generator_grads(model, m_batch, z, gen_state.grads)
+                adam_step(model.generator.parameters(), gen_state, lr=LR,
+                          beta1=0.9, beta2=0.999)
         except nncore.NumericError:
             raise TrainingDivergedError(round_no, None, None) from None
 

@@ -77,9 +77,8 @@ def train_detector(kind: str, x_benign: np.ndarray, x_malicious: np.ndarray,
         state = AdamState.for_net(net)
         for _ in range(int(hp["steps"])):
             p, cache = forward(net, xs)
-            grads, _ = grad(net, cache, bce(p, y)[1])
-            adam_step(net.parameters(), grads, state, lr=1e-3, beta1=0.9,
-                      beta2=0.999)
+            grad(net, cache, bce(p, y)[1], out=state.grads)
+            adam_step(net.parameters(), state, lr=1e-3, beta1=0.9, beta2=0.999)
     else:
         raise ValueError(f"unknown detector kind {kind!r}")
 

@@ -23,15 +23,20 @@ dP/d(grad_x f) * m_1``, ``W_i += a_i^T c_bar_i`` and ``c_bar_{i+1} =
 (c_bar_i W_i^T) * s_i * m_{i+1}``. Biases get no penalty term.
 ``critic_loss`` runs the forward once over the stacked rows
 ``[real; fake; x_hat]`` and the ``a`` chain in the same stacked backward as
-the Wasserstein part's. It raises ``NumericError`` when the critic's
-output or a gradient is not finite; ``train`` turns that into
-``TrainingDivergedError``.
+the Wasserstein part's.
+
+Both steps write their parameter gradients straight into the views of the
+network's ``AdamState`` buffer. ``critic_loss`` raises ``NumericError`` when
+the critic's output is not finite, ``adam_step`` when a gradient is not;
+``train`` turns either into ``TrainingDivergedError``.
 """
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field
+from numbers import Integral, Real
 
 import numpy as np
 
@@ -104,10 +109,19 @@ class TrainingConfig:
     critic_hidden: list | None = None
 
     def __post_init__(self):
-        if self.lambda_gp <= 0 or self.learning_rate <= 0:
+        rates = (self.lambda_gp, self.learning_rate)
+        if not all(isinstance(r, Real) and not isinstance(r, bool)
+                   for r in rates):
+            raise TypeError("lambda_gp and learning_rate must be numbers")
+        if not all(math.isfinite(r) and r > 0 for r in rates):
             raise ValueError("lambda_gp and learning_rate must be positive")
         hidden = [*(self.generator_hidden or ()), *(self.critic_hidden or ())]
-        if min(self.max_steps, self.batch_size, self.n_generator, *hidden) < 1:
+        counts = (self.max_steps, self.batch_size, self.n_generator, *hidden)
+        if not all(isinstance(c, Integral) and not isinstance(c, bool)
+                   for c in counts):
+            raise TypeError("max_steps, batch_size, n_generator and hidden "
+                            "sizes must be integers")
+        if min(counts) < 1:
             raise ValueError("max_steps, batch_size, n_generator and hidden "
                              "sizes must be >= 1")
 
@@ -167,16 +181,17 @@ def generate(model: GanModel, m: np.ndarray, z) -> np.ndarray:
 
 
 def critic_loss(critic: Mlp, real: np.ndarray, fake: np.ndarray,
-                lambda_gp: float, eps, masks=None):
+                lambda_gp: float, eps, masks=None, *, out):
     """WGAN-GP critic loss and its parameter gradients, in closed form.
 
     The loss is ``mean f(fake) - mean f(real) + lambda_gp * penalty`` with
     ``penalty = mean (|grad_x f(x_hat)| - 1)^2`` at the per-row straight-line
     mix ``x_hat = eps*real + (1-eps)*fake``. ``masks`` are the critic's
     dropout masks (``None``: eval mode), shared by the real, fake and mixed
-    rows. Returns ``(loss, wdist, penalty, grads)``, with ``grads`` ordered
-    like ``critic.parameters()``. Raises ``NumericError`` on a non-finite
-    critic output or gradient.
+    rows. Writes the loss's parameter gradients into ``out``, one array per
+    parameter in ``critic.parameters()`` order (an ``AdamState``'s
+    ``grads``), and returns ``(loss, wdist, penalty)``. Raises
+    ``NumericError`` on a non-finite critic output.
     """
     layers = critic.layers
     if layers[-1].activation != "linear" or \
@@ -193,6 +208,9 @@ def critic_loss(critic: Mlp, real: np.ndarray, fake: np.ndarray,
     n = real.shape[0]
     if n == 0:
         raise ValueError("empty batch")
+    if len(out) != 2 * len(layers):
+        raise nncore.ShapeMismatchError(
+            f"{len(out)} gradient arrays for {2 * len(layers)} parameters")
     eps = np.asarray(eps, dtype=np.float64).reshape(n, 1)
     masks = [None] * len(layers) if masks is None else masks
     weights = [layer.weights for layer in layers]
@@ -246,20 +264,17 @@ def critic_loss(critic: Mlp, real: np.ndarray, fake: np.ndarray,
     np.multiply(gx, coef[:, None], out=u[0][2])
     if masks[0] is not None:
         u[0][2] *= masks[0]
-    grads = []
     for i, w in enumerate(weights):
-        grads.append(g[i].reshape(3 * n, -1).T @ u[i].reshape(3 * n, -1))
-        grads.append(g[i][:2].reshape(2 * n, -1).sum(axis=0))
+        np.matmul(g[i].reshape(3 * n, -1).T, u[i].reshape(3 * n, -1),
+                  out=out[2 * i])
+        np.sum(g[i][:2].reshape(2 * n, -1), axis=0, out=out[2 * i + 1])
         if i + 1 < len(layers):
             c_bar = np.matmul(u[i][2], w.T, out=u[i + 1][2])
             c_bar *= s[i][2]
             if masks[i + 1] is not None:
                 c_bar *= masks[i + 1]
-    for d in grads:
-        if not np.isfinite(d).all():
-            raise NumericError("non-finite critic gradient")
     loss = wdist + lambda_gp * penalty
-    return float(loss), float(wdist), float(penalty), grads
+    return float(loss), float(wdist), float(penalty)
 
 
 def generator_loss(critic: Mlp, fake: np.ndarray, masks=None):
@@ -270,7 +285,7 @@ def generator_loss(critic: Mlp, fake: np.ndarray, masks=None):
         raise ValueError("empty batch")
     score, cache = forward(critic, fake, masks)
     seed = np.broadcast_to(-1.0 * (1.0 / n), score.shape)
-    _, g_fake = grad(critic, cache, seed, params=False, inputs=True)
+    g_fake = grad(critic, cache, seed, inputs=True)
     return float(score.sum() * (1.0 / n)), g_fake
 
 
@@ -286,12 +301,13 @@ def _generator_path(model: GanModel, m_batch: np.ndarray, z: np.ndarray,
     return smooth_union(m_batch, out), (cache, 1.0 - (m_batch >= out))
 
 
-def _generator_grads(model: GanModel, path, g_fake: np.ndarray) -> list:
-    """Gradients of the generator's parameters from those of its fakes."""
+def _generator_grads(model: GanModel, path, g_fake: np.ndarray, out) -> None:
+    """Gradients of the generator's parameters from those of its fakes,
+    written into ``out`` (the generator's ``AdamState.grads``)."""
     cache, route = path
     if route is not None:
         g_fake = g_fake * route
-    return grad(model.generator, cache, g_fake)[0]
+    grad(model.generator, cache, g_fake, out=out)
 
 
 def train(benign: np.ndarray, malicious: np.ndarray, preset: GanPreset,
@@ -342,17 +358,18 @@ def train(benign: np.ndarray, malicious: np.ndarray, preset: GanPreset,
             # the same forward, valid because only the critic is updated
             # in between
             fake, path = _generator_path(model, m_batch, z, gen_masks)
-            ld_val, _, gp, d_grads = critic_loss(
-                model.critic, real, fake, cfg.lambda_gp, eps, critic_masks)
-            adam_step(model.critic.parameters(), d_grads, d_state,
+            ld_val, _, gp = critic_loss(model.critic, real, fake,
+                                        cfg.lambda_gp, eps, critic_masks,
+                                        out=d_state.grads)
+            adam_step(model.critic.parameters(), d_state,
                       lr=cfg.learning_rate, beta1=BETA1, beta2=BETA2)
 
             if step % cfg.n_generator == 0:
                 # ascend the mean critic score so fakes drift toward "real"
                 last_lg, g_fake = generator_loss(model.critic, fake,
                                                  critic_masks)
-                adam_step(model.generator.parameters(),
-                          _generator_grads(model, path, g_fake), g_state,
+                _generator_grads(model, path, g_fake, g_state.grads)
+                adam_step(model.generator.parameters(), g_state,
                           lr=cfg.learning_rate, beta1=BETA1, beta2=BETA2)
         except NumericError:
             raise TrainingDivergedError(step, None, last_lg) from None

@@ -13,12 +13,16 @@ reads; ``grad`` walks the chain back once from ``g = dL/d(output)``:
                        g <- (g W_i) * m_i
 
 It computes the weight gradients and the input gradient only when the
-caller asks for them. The backward is first order; the critic's gradient
-penalty, the one place that differentiates an input gradient again, is
-closed form in ``gan.critic_loss``.
+caller asks for them, and writes the weight gradients into the arrays it
+is handed: the views of an ``AdamState``'s gradient buffer, so a training
+step makes no gradient list. The backward is first
+order; the critic's gradient penalty, the one place that differentiates an
+input gradient again, is closed form in ``gan.critic_loss``.
 
-Finiteness is checked at the edges: the output of ``forward`` and every
-gradient ``grad`` returns raise ``NumericError`` on NaN or Inf.
+Finiteness is checked at the edges: the output of ``forward`` and the
+input gradient ``grad`` returns raise ``NumericError`` on NaN or Inf, and
+``adam_step`` checks the whole gradient buffer once, before it changes
+anything.
 """
 
 from __future__ import annotations
@@ -158,18 +162,22 @@ def forward(net: Mlp, x, masks=None):
     return _finite(h, "network output"), cache
 
 
-def grad(net: Mlp, cache, g_out, params: bool = True, inputs: bool = False):
+def grad(net: Mlp, cache, g_out, out=None, inputs: bool = False):
     """Backward pass of ``forward`` from ``g_out = dL/d(output)``.
 
-    Returns ``(param_grads, input_grad)``: dL/d``net.parameters()``, in
-    that order, when ``params``, and dL/dx when ``inputs``; what is not
-    asked for is ``None`` and is not computed. Raises ``NumericError`` if
-    a returned gradient holds NaN or Inf.
+    Writes dL/d``net.parameters()`` into ``out``, one array per parameter
+    in that order (an ``AdamState``'s ``grads``), when it is given, and
+    returns dL/dx when ``inputs``, else ``None``; what is not asked for is
+    not computed. An ``out`` array of the wrong shape is refused where it
+    is written. Raises ``NumericError`` if the input gradient holds NaN or
+    Inf; ``adam_step`` checks the parameter gradients.
     """
     if len(cache) != len(net.layers):
         raise ShapeMismatchError("cache is not from a forward of this network")
+    if out is not None and len(out) != 2 * len(net.layers):
+        raise ShapeMismatchError(
+            f"{len(out)} gradient arrays for {2 * len(net.layers)} parameters")
     g = np.asarray(g_out, dtype=np.float64)
-    param_grads = []
     for i in range(len(net.layers) - 1, -1, -1):
         layer = net.layers[i]
         u, mask, record = cache[i]
@@ -181,16 +189,21 @@ def grad(net: Mlp, cache, g_out, params: bool = True, inputs: bool = False):
         elif act == "softmax":
             gy = g * record
             g = gy - record * gy.sum(axis=-1, keepdims=True)
-        if params:
-            param_grads.append(_finite(g.sum(axis=0), "gradient"))
-            param_grads.append(_finite((u.T @ g).T, "gradient"))
+        if out is not None:
+            # formed as u^T g and written transposed: at widths that are not
+            # a multiple of the BLAS kernel's tile, g^T u rounds differently
+            dw = (u.T @ g).T
+            if dw.shape != out[2 * i].shape:
+                raise ShapeMismatchError(
+                    f"gradient shape {dw.shape} != {out[2 * i].shape}")
+            out[2 * i][...] = dw
+            np.sum(g, axis=0, out=out[2 * i + 1])
         if i == 0 and not inputs:
             break
         g = g @ layer.weights
         if mask is not None:
             g = g * mask
-    return (param_grads[::-1] if params else None,
-            _finite(g, "gradient") if inputs else None)
+    return _finite(g, "gradient") if inputs else None
 
 
 def bce(p: np.ndarray, y):
@@ -225,72 +238,91 @@ def build_mlp(dims, hidden_activation: str, output_activation: str,
 
 # --- optimizer -------------------------------------------------------------
 
+# adam_step updates the flat arrays this many elements at a time (128 KiB
+# of float64 per array), so its working space is one block, not a network
+ADAM_BLOCK = 16384
+
+
 @dataclass
 class AdamState:
-    """Adam moments of one network.
+    """Adam moments of one network, and the buffer its gradients go into.
 
     ``for_net`` moves the network's parameters into ``flat``, one array
     end to end, and rebinds each layer's weights and biases to views into
-    it, so a step updates the whole network with a few whole-array ufuncs.
-    ``m`` and ``v`` are laid out like ``flat``; ``grad`` and ``step`` are
-    scratch buffers.
+    it, so a step updates the whole network with a few whole-block ufuncs.
+    ``grad`` is laid out like ``flat``; ``grads`` holds one view into it
+    per parameter, in ``parameters()`` order, for the gradient producers
+    to write into. ``v`` is laid out like ``flat``, and so is ``m``, which
+    the first step with ``beta1 != 0`` makes: at ``beta1 = 0`` the first
+    moment is the gradient itself, and a state is stepped at one ``beta1``.
+    ``scratch`` is one block of working space.
     """
     flat: np.ndarray
-    m: np.ndarray
-    v: np.ndarray
     grad: np.ndarray
-    step: np.ndarray
+    grads: list
+    v: np.ndarray
+    scratch: np.ndarray
+    m: np.ndarray | None = None
     t: int = 0
 
     @classmethod
     def for_net(cls, net: Mlp) -> "AdamState":
         flat = np.concatenate([p.ravel() for p in net.parameters()])
+        grad = np.zeros_like(flat)
+        grads = []
         offset = 0
         for layer in net.layers:
             for attr in ("weights", "biases"):
                 p = getattr(layer, attr)
                 setattr(layer, attr,
                         flat[offset:offset + p.size].reshape(p.shape))
+                grads.append(grad[offset:offset + p.size].reshape(p.shape))
                 offset += p.size
-        return cls(flat, np.zeros_like(flat), np.zeros_like(flat),
-                   np.empty_like(flat), np.empty_like(flat))
+        return cls(flat, grad, grads, np.zeros_like(flat),
+                   np.empty(min(flat.size, ADAM_BLOCK)))
 
 
-def adam_step(params, grads, state: AdamState, lr: float = 1e-4,
+def adam_step(params, state: AdamState, lr: float = 1e-4,
               beta1: float = 0.0, beta2: float = 0.9, eps: float = 1e-8):
-    """Standard Adam with bias correction; updates ``params`` and the
-    moments in ``state`` in place.
+    """Standard Adam with bias correction, from the gradients written into
+    ``state.grads``; updates ``params`` and the moments in place.
 
     ``params`` must be the parameters of the network ``state`` was made
-    for, in ``parameters()`` order. The arithmetic is, operation for
-    operation, ``m = beta1*m + (1-beta1)*g``, ``v = beta2*v + (1-beta2)*g*g``
-    and ``p -= lr*m_hat / (sqrt(v_hat) + eps)``; it is element-wise, so the
-    bits do not depend on the parameters sharing one buffer.
+    for. Raises ``NumericError``, before anything changes, if a gradient
+    holds NaN or Inf. The arithmetic is, operation for operation,
+    ``m = beta1*m + (1-beta1)*g``, ``v = beta2*v + (1-beta2)*g*g`` and
+    ``p -= lr*m_hat / (sqrt(v_hat) + eps)``; at ``beta1 = 0`` the ``m``
+    passes are exact identities and are skipped. It is element-wise, so
+    the bits depend neither on the parameters sharing one buffer nor on
+    the blocks. The step overwrites ``state.grad``.
     """
-    g, step = state.grad, state.step
-    offset = 0
-    for p, gr in zip(params, grads, strict=True):
-        gd = np.asarray(gr)
-        if gd.shape != p.shape:
-            raise ShapeMismatchError(f"grad shape {gd.shape} != param {p.shape}")
-        if p.base is not state.flat:
-            raise ValueError("parameter is not laid out in this AdamState")
-        g[offset:offset + gd.size] = gd.ravel()
-        offset += gd.size
-    if offset != g.size:
-        raise ShapeMismatchError(f"{offset} gradient values for {g.size} parameters")
+    if len(params) != len(state.grads) or \
+            any(p.base is not state.flat for p in params):
+        raise ValueError("parameters are not laid out in this AdamState")
+    if not np.isfinite(state.grad).all():
+        raise NumericError("non-finite values in gradient")
+    if beta1 != 0.0 and state.m is None:
+        state.m = np.zeros_like(state.flat)
     state.t += 1
-    np.multiply(1.0 - beta2, g, out=step)
-    step *= g
-    state.v *= beta2
-    state.v += step
-    g *= 1.0 - beta1
-    state.m *= beta1
-    state.m += g
-    np.divide(state.v, 1.0 - beta2 ** state.t, out=step)
-    np.sqrt(step, out=step)
-    step += eps
-    np.divide(state.m, 1.0 - beta1 ** state.t, out=g)
-    g *= lr
-    g /= step
-    state.flat -= g
+    v_scale = 1.0 - beta2 ** state.t
+    m_scale = 1.0 - beta1 ** state.t
+    for lo in range(0, state.flat.size, ADAM_BLOCK):
+        g = state.grad[lo:lo + ADAM_BLOCK]
+        v = state.v[lo:lo + ADAM_BLOCK]
+        s = state.scratch[:g.size]
+        np.multiply(1.0 - beta2, g, out=s)
+        s *= g
+        v *= beta2
+        v += s
+        if state.m is not None:
+            m = state.m[lo:lo + ADAM_BLOCK]
+            g *= 1.0 - beta1
+            m *= beta1
+            m += g
+            np.divide(m, m_scale, out=g)
+        np.divide(v, v_scale, out=s)
+        np.sqrt(s, out=s)
+        s += eps
+        g *= lr
+        g /= s
+        state.flat[lo:lo + ADAM_BLOCK] -= g

@@ -122,7 +122,8 @@ class TestMalganBackward:
         rng = np.random.default_rng(6)
         x = rng.dirichlet(np.ones(10), size=12)
         y = np.repeat([0.0, 1.0], 6)
-        grads = baselines._substitute_grads(model.critic, x, y)
+        grads = [np.empty_like(p) for p in model.critic.parameters()]
+        baselines._substitute_grads(model.critic, x, y, grads)
         out, params = tape.forward(model.critic, tape.Tensor(x))
         want = tape.grad(tape.bce(tape.sigmoid(out), y), params)
         for got, w in zip(grads, want, strict=True):
@@ -135,7 +136,8 @@ class TestMalganBackward:
         rng = np.random.default_rng(7)
         m = (rng.random((12, 10)) > 0.5).astype(np.float64)
         z = rng.random((12, 4))
-        grads = baselines._malgan_generator_grads(model, m, z)
+        grads = [np.empty_like(p) for p in model.generator.parameters()]
+        baselines._malgan_generator_grads(model, m, z, grads)
         x = tape.Tensor(np.concatenate([m, z], axis=1))
         o, params = tape.forward(model.generator, x)
         fake = tape.maximum(tape.Tensor(m), o) if preset.is_binary else o

@@ -13,6 +13,12 @@ import tape
 from tape import Tensor, add, mul, power, sub, tmean, tsum
 
 
+def critic_grads(critic, *args, **kwargs):
+    """``critic_loss``'s result and the gradients it writes, as one tuple."""
+    grads = [np.empty_like(p) for p in critic.parameters()]
+    return (*critic_loss(critic, *args, **kwargs, out=grads), grads)
+
+
 class TestPresets:
     def test_byte_dims(self):
         p = byte_preset()
@@ -162,7 +168,7 @@ class TestLosses:
         for p in critic.parameters():
             p[...] = 0.0
         rng = np.random.default_rng(8)
-        loss, wdist, penalty, grads = critic_loss(
+        loss, wdist, penalty, grads = critic_grads(
             critic, rng.random((5, 6)), rng.random((5, 6)), lambda_gp=10.0,
             eps=rng.random((5, 1)))
         assert loss == pytest.approx(10.0)
@@ -176,30 +182,39 @@ class TestLosses:
         critic = build_mlp([4, 3, 1], "leaky_relu", "linear",
                            np.random.default_rng(0))
         with pytest.raises(nncore.ShapeMismatchError):
-            critic_loss(critic, np.zeros((2, 4)), np.zeros((3, 4)), 10.0,
-                        eps=np.zeros((2, 1)))
+            critic_grads(critic, np.zeros((2, 4)), np.zeros((3, 4)), 10.0,
+                         eps=np.zeros((2, 1)))
         with pytest.raises(nncore.ShapeMismatchError):
-            critic_loss(critic, np.zeros((2, 5)), np.zeros((2, 5)), 10.0,
-                        eps=np.zeros((2, 1)))
+            critic_grads(critic, np.zeros((2, 5)), np.zeros((2, 5)), 10.0,
+                         eps=np.zeros((2, 1)))
         with pytest.raises(ValueError):
-            critic_loss(critic, np.zeros((0, 4)), np.zeros((0, 4)), 10.0,
-                        eps=np.zeros((0, 1)))
+            critic_grads(critic, np.zeros((0, 4)), np.zeros((0, 4)), 10.0,
+                         eps=np.zeros((0, 1)))
+        # a gradient is refused where it is written: one array per
+        # parameter, each of its parameter's shape
+        grads = [np.empty_like(p) for p in critic.parameters()]
+        with pytest.raises(nncore.ShapeMismatchError):
+            critic_loss(critic, np.zeros((2, 4)), np.ones((2, 4)), 10.0,
+                        eps=np.full((2, 1), 0.5), out=grads[:-1])
+        with pytest.raises(ValueError):
+            critic_loss(critic, np.zeros((2, 4)), np.ones((2, 4)), 10.0,
+                        eps=np.full((2, 1), 0.5), out=grads[::-1])
 
     @pytest.mark.parametrize("hidden,output", [
         ("relu", "linear"), ("leaky_relu", "sigmoid")])
     def test_other_critic_architecture_rejected(self, hidden, output):
         critic = build_mlp([4, 3, 1], hidden, output, np.random.default_rng(0))
         with pytest.raises(ValueError):
-            critic_loss(critic, np.zeros((2, 4)), np.ones((2, 4)), 10.0,
-                        eps=np.full((2, 1), 0.5))
+            critic_grads(critic, np.zeros((2, 4)), np.ones((2, 4)), 10.0,
+                         eps=np.full((2, 1), 0.5))
 
     def test_non_finite_output_raises(self):
         critic = build_mlp([4, 3, 1], "leaky_relu", "linear",
                            np.random.default_rng(0))
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(nncore.NumericError):
-                critic_loss(critic, np.full((2, 4), 1e308),
-                            np.ones((2, 4)), 10.0, eps=np.full((2, 1), 0.5))
+                critic_grads(critic, np.full((2, 4), 1e308),
+                             np.ones((2, 4)), 10.0, eps=np.full((2, 1), 0.5))
 
     def test_critic_gradient_matches_fd(self):
         rng = np.random.default_rng(9)
@@ -209,7 +224,7 @@ class TestLosses:
         eps = rng.random((6, 1))
         masks = dropout_masks(rng, 6, (5, 7), (0.1, 0.5))
         params = critic.parameters()
-        _, _, _, grads = critic_loss(critic, real, fake, 10.0, eps, masks)
+        _, _, _, grads = critic_grads(critic, real, fake, 10.0, eps, masks)
         h = 1e-5
         for p, g in zip(params, grads):
             p0 = p.copy()
@@ -218,8 +233,8 @@ class TestLosses:
                 for sign in (1, -1):
                     p[...] = p0
                     p[i] += sign * h
-                    fd[i] += sign * critic_loss(critic, real, fake, 10.0, eps,
-                                                masks)[0] / (2 * h)
+                    fd[i] += sign * critic_grads(critic, real, fake, 10.0,
+                                                 eps, masks)[0] / (2 * h)
             p[...] = p0
             rel = np.abs(g - fd).max() / (np.abs(fd).max() + 1e-12)
             assert rel <= 1e-4
@@ -243,8 +258,8 @@ class TestLosses:
         masks = dropout_masks(rng, batch, widths,
                               [0.1] + [0.5] * (len(widths) - 1)) \
             if with_masks else None
-        loss, wdist, penalty, grads = critic_loss(critic, real, fake,
-                                                  lambda_gp, eps, masks)
+        loss, wdist, penalty, grads = critic_grads(critic, real, fake,
+                                                   lambda_gp, eps, masks)
         o_loss, o_wdist, o_penalty, o_grads = graph_critic_loss(
             critic, real, fake, lambda_gp, eps, masks)
         for got, want in ((loss, o_loss), (wdist, o_wdist),
@@ -295,7 +310,8 @@ class TestGeneratorStep:
 
         fake, path = gan._generator_path(model, m, z, gen_masks)
         score, g_fake = generator_loss(model.critic, fake, critic_masks)
-        grads = gan._generator_grads(model, path, g_fake)
+        grads = [np.empty_like(p) for p in model.generator.parameters()]
+        gan._generator_grads(model, path, g_fake, grads)
         want_score, want = tape_generator_grads(model, m, z, gen_masks,
                                                 critic_masks)
         assert score == want_score
@@ -326,6 +342,19 @@ class TestTraining:
             TrainingConfig(batch_size=0)
         with pytest.raises(ValueError):
             TrainingConfig(critic_hidden=[16, 0])
+        with pytest.raises(ValueError):
+            TrainingConfig(learning_rate=float("nan"))
+
+    @pytest.mark.parametrize("bad", [
+        {"max_steps": 20.5}, {"batch_size": 8.0}, {"n_generator": 2.5},
+        {"max_steps": True}, {"generator_hidden": [32, 32.0]},
+        {"critic_hidden": ["16"]}, {"lambda_gp": "10"},
+        {"learning_rate": True}])
+    def test_config_types(self, bad):
+        with pytest.raises(TypeError):
+            TrainingConfig(**bad)
+        # integral and real values of other numeric types are accepted
+        TrainingConfig(max_steps=np.int64(3), lambda_gp=10, learning_rate=1e-3)
 
     def test_generator_updates_every_fifth_step(self):
         benign, malicious = separable_corpora()

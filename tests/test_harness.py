@@ -1280,6 +1280,10 @@ class TestCli:
         {"corpus": {"kind": "dirs"}},
         {"corpus": {"kind": "zip"}},
         {"corpus": {"n_per_class": 2}},
+        {"gans": {"byte_histogram": {"max_steps": 20.5}}},
+        {"gans": {"byte_histogram": {"batch_size": 8.0}}},
+        {"gans": {"byte_histogram": {"n_generator": 2.5}}},
+        {"gans": {"byte_histogram": {"max_steps": True}}},
     ])
     def test_setting_error_exit_2_writes_nothing(self, tmp_path, bad):
         p = tmp_path / "bad.json"

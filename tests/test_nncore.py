@@ -1,6 +1,8 @@
 """``nncore``'s forward, backward and Adam, and the tape oracle
 (``tests/tape.py``) that the backward is checked against."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,9 +10,10 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 import tape
-from ganevade import nncore
-from ganevade.nncore import (AdamState, DenseLayer, Mlp, NumericError,
-                             ShapeMismatchError, adam_step, build_mlp)
+from ganevade import gan, nncore
+from ganevade.nncore import (ADAM_BLOCK, AdamState, DenseLayer, Mlp,
+                             NumericError, ShapeMismatchError, adam_step,
+                             build_mlp)
 from tape import (Tensor, add, affine, matmul, maximum, mul, power, softmax,
                   sub, tmean, transpose, tsum)
 
@@ -259,6 +262,11 @@ def identity(width, activation):
     return one_layer(np.eye(width), np.zeros(width), activation)
 
 
+def buffers(net):
+    """One fresh array per parameter, for ``nncore.grad`` to write into."""
+    return [np.empty_like(p) for p in net.parameters()]
+
+
 class TestForwardValues:
     def test_dense_layer_by_hand(self):
         net = one_layer([[1.0, 2.0], [0.0, -1.0]], [0.5, 0.0], "linear")
@@ -309,7 +317,8 @@ class TestBackward:
         masks = net.sample_dropout_masks(rng, batch) if with_masks else None
         g_out = rng.normal(size=(batch, out_dim))
         out, cache = nncore.forward(net, x, masks)
-        grads, g_x = nncore.grad(net, cache, g_out, inputs=True)
+        grads = buffers(net)
+        g_x = nncore.grad(net, cache, g_out, out=grads, inputs=True)
 
         xt = Tensor(x)
         t_out, params = tape.forward(net, xt, masks)
@@ -324,11 +333,10 @@ class TestBackward:
         net = build_mlp([3, 4, 2], "relu", "linear", rng)
         out, cache = nncore.forward(net, rng.normal(size=(5, 3)))
         g_out = rng.normal(size=out.shape)
-        grads, g_x = nncore.grad(net, cache, g_out, inputs=True)
-        only_params, none_x = nncore.grad(net, cache, g_out)
-        none_params, only_x = nncore.grad(net, cache, g_out, params=False,
-                                          inputs=True)
-        assert none_x is None and none_params is None
+        grads, only_params = buffers(net), buffers(net)
+        g_x = nncore.grad(net, cache, g_out, out=grads, inputs=True)
+        assert nncore.grad(net, cache, g_out, out=only_params) is None
+        only_x = nncore.grad(net, cache, g_out, inputs=True)
         for a, b in zip(grads, only_params):
             np.testing.assert_array_equal(a, b)
         np.testing.assert_array_equal(g_x, only_x)
@@ -349,7 +357,8 @@ class TestBackward:
         y = np.repeat([0.0, 1.0], 5)
         p, cache = nncore.forward(net, x)
         loss, g_p = nncore.bce(p, y)
-        grads, _ = nncore.grad(net, cache, g_p)
+        grads = buffers(net)
+        nncore.grad(net, cache, g_p, out=grads)
 
         t_out, params = tape.forward(net, Tensor(x))
         t_loss = tape.bce(t_out, y)
@@ -367,17 +376,21 @@ class TestFiniteEdges:
                 nncore.forward(net, np.full((2, 3), 1e10))
 
     def test_grad_raises_on_non_finite_gradient(self):
-        # a finite output whose gradient overflows on the way back
+        # a finite output whose gradient overflows on the way back: grad
+        # refuses the input gradient it returns, and adam_step the
+        # parameter gradients written into its buffer
         net = build_mlp([3, 4, 1], "leaky_relu", "linear",
                         np.random.default_rng(1))
+        state = AdamState.for_net(net)
         net.layers[1].weights[:] = 10.0
         out, cache = nncore.forward(net, np.ones((2, 3)))
         g_out = np.full(out.shape, 1e308)
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(NumericError):
-                nncore.grad(net, cache, g_out, params=False, inputs=True)
+                nncore.grad(net, cache, g_out, inputs=True)
+            nncore.grad(net, cache, g_out, out=state.grads)
             with pytest.raises(NumericError):
-                nncore.grad(net, cache, g_out)
+                adam_step(net.parameters(), state)
 
 
 class TestNetworkConstruction:
@@ -440,6 +453,21 @@ class TestDropout:
                                       nncore.forward(net, x, masks=None)[0])
 
 
+def reference_adam(params, grads, m, v, t, lr, beta1, beta2, eps):
+    """The Adam update, one parameter at a time, as the formula reads."""
+    for i, gd in enumerate(grads):
+        m[i] = beta1 * m[i] + (1.0 - beta1) * gd
+        v[i] = beta2 * v[i] + (1.0 - beta2) * gd * gd
+        m_hat = m[i] / (1.0 - beta1 ** t)
+        v_hat = v[i] / (1.0 - beta2 ** t)
+        params[i] = params[i] - lr * m_hat / (np.sqrt(v_hat) + eps)
+
+
+def write_grads(state, grads):
+    for view, gd in zip(state.grads, grads, strict=True):
+        view[...] = gd
+
+
 class TestAdam:
     def test_quadratic_convergence(self):
         # a 3-wide bias fitted to a target: the loss |b - target|^2 has
@@ -449,43 +477,98 @@ class TestAdam:
         state = AdamState.for_net(net)
         for _ in range(400):
             b = net.layers[0].biases
-            adam_step(net.parameters(), [np.zeros((3, 1)), 2.0 * (b - target)],
-                      state, lr=0.05)
+            write_grads(state, [np.zeros((3, 1)), 2.0 * (b - target)])
+            adam_step(net.parameters(), state, lr=0.05)
         assert float(((net.layers[0].biases - target) ** 2).sum()) <= 1e-3
 
     def test_shape_mismatch_rejected(self):
+        # a gradient is refused where it is written: into a view of another
+        # shape, or into a list that does not hold one view per parameter
         net = one_layer(np.zeros((3, 1)), np.zeros(3), "linear")
         state = AdamState.for_net(net)
+        other = AdamState.for_net(one_layer(np.zeros((4, 1)), np.zeros(4),
+                                            "linear"))
+        _, cache = nncore.forward(net, np.ones((2, 1)))
         with pytest.raises(ShapeMismatchError):
-            adam_step(net.parameters(), [np.zeros((3, 1)), np.zeros(4)], state)
+            nncore.grad(net, cache, np.ones((2, 3)), out=other.grads)
+        with pytest.raises(ShapeMismatchError):
+            nncore.grad(net, cache, np.ones((2, 3)), out=state.grads[:1])
 
     @pytest.mark.parametrize("beta1", [0.0, 0.9])
     def test_bit_equal_to_reference_formula(self, beta1):
+        # one output unit over count - 1 inputs: count parameters, so the
+        # blocks end inside, at and just past the end of the buffer
+        for count in (1, ADAM_BLOCK - 1, ADAM_BLOCK, ADAM_BLOCK + 1,
+                      3 * ADAM_BLOCK + 7):
+            self.check_against_reference(beta1, count)
+
+    @staticmethod
+    def check_against_reference(beta1, count):
         rng = np.random.default_rng(12)
-        net = Mlp([DenseLayer(rng.normal(size=(3, 4)), rng.normal(size=3)),
-                   DenseLayer(rng.normal(size=(1, 3)), rng.normal(size=1))])
+        net = Mlp([DenseLayer(rng.normal(size=(1, count - 1)),
+                              rng.normal(size=1))])
         shapes = [p.shape for p in net.parameters()]
         ref_p = [p.copy() for p in net.parameters()]
         ref_m = [np.zeros(s) for s in shapes]
         ref_v = [np.zeros(s) for s in shapes]
         state = AdamState.for_net(net)
         lr, beta2, eps = 1e-3, 0.9, 1e-8
-        for t in range(1, 8):
+        for t in range(1, 5):
             grads = [rng.normal(size=s) for s in shapes]
-            adam_step(net.parameters(), grads, state, lr=lr, beta1=beta1,
+            write_grads(state, grads)
+            adam_step(net.parameters(), state, lr=lr, beta1=beta1,
                       beta2=beta2, eps=eps)
-            for i, gd in enumerate(grads):
-                ref_m[i] = beta1 * ref_m[i] + (1.0 - beta1) * gd
-                ref_v[i] = beta2 * ref_v[i] + (1.0 - beta2) * gd * gd
-                m_hat = ref_m[i] / (1.0 - beta1 ** t)
-                v_hat = ref_v[i] / (1.0 - beta2 ** t)
-                ref_p[i] = ref_p[i] - lr * m_hat / (np.sqrt(v_hat) + eps)
+            reference_adam(ref_p, grads, ref_m, ref_v, t, lr, beta1, beta2,
+                           eps)
             for i, p in enumerate(net.parameters()):
                 assert p.tobytes() == ref_p[i].tobytes()
             # the moments are laid out like the parameters, end to end
             flat = [np.concatenate([r.ravel() for r in ref]) for ref in (ref_m, ref_v)]
-            assert state.m.tobytes() == flat[0].tobytes()
             assert state.v.tobytes() == flat[1].tobytes()
+            if beta1 == 0.0:
+                # the first moment would be the gradient: none is kept
+                assert state.m is None
+            else:
+                assert state.m.tobytes() == flat[0].tobytes()
+        assert state.t == 4
+
+    @pytest.mark.parametrize("beta1", [0.0, 0.9])
+    def test_non_finite_gradient_changes_nothing(self, beta1):
+        rng = np.random.default_rng(17)
+        net = build_mlp([5, 4, 1], "leaky_relu", "linear", rng)
+        state = AdamState.for_net(net)
+        write_grads(state, [rng.normal(size=p.shape) for p in net.parameters()])
+        adam_step(net.parameters(), state, beta1=beta1)
+        write_grads(state, [rng.normal(size=p.shape) for p in net.parameters()])
+        state.grads[2][0, 1] = np.nan
+        before = [None if a is None else a.copy()
+                  for a in (state.flat, state.v, state.m)]
+        with pytest.raises(NumericError):
+            adam_step(net.parameters(), state, beta1=beta1)
+        for a, b in zip((state.flat, state.v, state.m), before):
+            assert (a is None) == (b is None)
+            if a is not None:
+                assert a.tobytes() == b.tobytes()
+        assert state.t == 1
+
+    def test_working_space_is_bounded_by_blocks(self):
+        # one step on the byte generator's ~200k parameters allocates no
+        # parameter-sized float buffer: under two blocks of scratch (the
+        # finiteness mask is one byte per parameter) plus 64 KiB
+        model = gan.build_gan(gan.byte_preset())
+        state = AdamState.for_net(model.generator)
+        assert state.flat.size > 3 * ADAM_BLOCK
+        params = model.generator.parameters()
+        state.grad[:] = np.random.default_rng(18).normal(size=state.grad.size)
+        adam_step(params, state)
+        state.grad[:] = 1e-3
+        tracemalloc.start()
+        try:
+            adam_step(params, state)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * ADAM_BLOCK * 8 + 64 * 1024
 
     def test_parameters_become_views_into_one_buffer(self):
         rng = np.random.default_rng(13)
@@ -493,12 +576,14 @@ class TestAdam:
         before = [p.copy() for p in net.parameters()]
         state = AdamState.for_net(net)
         assert state.flat.size == sum(b.size for b in before)
-        for p, b in zip(net.parameters(), before):
+        for p, b, view in zip(net.parameters(), before, state.grads,
+                              strict=True):
             assert p.base is state.flat
             assert p.tobytes() == b.tobytes()
+            assert view.base is state.grad and view.shape == p.shape
         out, cache = nncore.forward(net, rng.normal(size=(3, 5)))
-        grads, _ = nncore.grad(net, cache, np.ones(out.shape))
-        adam_step(net.parameters(), grads, state)
+        nncore.grad(net, cache, np.ones(out.shape), out=state.grads)
+        adam_step(net.parameters(), state)
         # the step reached every parameter through its view
         for p, b in zip(net.parameters(), before):
             assert p.base is state.flat
@@ -507,18 +592,19 @@ class TestAdam:
     def test_parameter_rebound_outside_the_buffer_rejected(self):
         net = one_layer(np.zeros((2, 1)), np.zeros(2), "linear")
         state = AdamState.for_net(net)
-        grads = [np.ones((2, 1)), np.ones(2)]
+        write_grads(state, [np.ones((2, 1)), np.ones(2)])
         net.layers[0].weights = np.zeros((2, 1))
         with pytest.raises(ValueError):
-            adam_step(net.parameters(), grads, state)
+            adam_step(net.parameters(), state)
         with pytest.raises(ValueError):
-            adam_step(net.parameters()[1:], grads[::-1], state)
+            adam_step(net.parameters()[1:], state)
+        assert state.t == 0
 
     def test_bias_correction_first_step(self):
         # with beta1=0.9 the very first corrected step equals lr*sign(g)
         net = one_layer(np.zeros((1, 1)), np.zeros(1), "linear")
         state = AdamState.for_net(net)
-        adam_step(net.parameters(), [np.array([[4.0]]), np.array([4.0])], state,
-                  lr=0.1, beta1=0.9, beta2=0.999)
+        write_grads(state, [np.array([[4.0]]), np.array([4.0])])
+        adam_step(net.parameters(), state, lr=0.1, beta1=0.9, beta2=0.999)
         np.testing.assert_allclose(net.layers[0].weights, [[-0.1]], atol=1e-7)
         np.testing.assert_allclose(net.layers[0].biases, [-0.1], atol=1e-7)
