@@ -3,10 +3,10 @@
 Exit codes: 0 success, 2 configuration error, 3 pipeline stage failure.
 A stage subcommand runs every upstream stage, then its own. The corpus,
 the feature matrices and vocabularies, each detector and GAN, each
-attack's outputs and each attack's detection rates resume from the working
-directory by one rule, ``harness._resume``: an artifact stored under the
-key of its inputs loads, any other is recomputed, and ``train-detector``,
-``train-gan`` and ``attack`` say which. A change to an attack field
+attack's outputs, each attack's detection rates and the gap sweep resume
+from the working directory by one rule, ``harness._resume``: an artifact
+stored under the key of its inputs loads, any other is recomputed, and
+``train-detector``, ``train-gan`` and ``attack`` say which. A change to an attack field
 re-runs only the attacks that read it, and the evaluation of those.
 Delete the working directory to force a cold run.
 """

@@ -149,7 +149,8 @@ def load_vocab(path, key: str | None = None) -> Vocabulary:
 
 def save_matrix(path, value: tuple, key: str = "") -> None:
     """``value``, a feature matrix and its ``columns`` names, as
-    ``load_matrix`` returns it; bit-exact round trip."""
+    ``load_matrix`` returns it: the matrix in its narrowest exact dtype
+    (``checkpoint.narrowest``), the same float64 bits."""
     matrix, columns = value
     ckpt.save_container(path, {"columns": list(columns), "key": key},
                         {"matrix": matrix})

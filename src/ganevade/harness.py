@@ -27,19 +27,22 @@ tokens are held until it exists, as references to one copy of each
 distinct token.
 
 The corpus, vocabularies, feature matrices, detectors, GANs, attack
-outputs and each attack's detection rates resume through ``_resume``, each
-under a content key: a SHA-256 over the config slice that determines it
-and the key of what it was computed from (``_key``). The corpus is keyed
+outputs, each attack's detection rates and the gap sweep resume through
+``_resume``, each under a content key: a SHA-256 over the config slice
+that determines it and the key of what it was computed from (``_key``). The corpus is keyed
 by ``corpus`` + ``seed`` (a ``dirs`` corpus, read in place, also by its
 manifest: each source file's path, size and SHA-256); the features by the
 tool and schema versions, the digest of the corpus bytes that the manifest
 records, ``feature_cfg``, ``split`` and ``seed``; each model by the feature
 key, its own spec and ``seed``; each attack by the feature key, the key of
 each GAN it needs, its ``ATTACKS`` fields and ``seed``; its rates by its
-key and every detector's. What is stored under the key loads; anything
-else is computed and written over it. Extract resumes its vocabularies and
-matrices in one ``_resume`` call, so one pass over the files computes all
-that missed. Evaluate's gap sweep always runs.
+key and every detector's; ``gan_byte``'s gap sweep by the byte GAN's key,
+the primary byte detector's, the feature key, ``gap_sweep``,
+``sweep_subsample``, ``sweep_seed`` and ``seed``. What is stored under the
+key loads; anything else is computed and written over it. Extract resumes
+its vocabularies and matrices in one ``_resume`` call, so one pass over the
+files computes all that missed. Each matrix is held, as it is stored, in
+its narrowest exact dtype (``checkpoint.narrowest``).
 """
 
 from __future__ import annotations
@@ -489,9 +492,13 @@ def save_corpus(corpus_dir: Path, corpus: tuple, key: str | None = None) -> None
 
 def load_corpus(corpus_dir: Path, key: str | None = None) -> tuple[dict, CorpusFiles]:
     """The (manifest, blobs) ``save_corpus`` wrote, the blobs read from disk
-    when accessed. Only the files' sizes are checked here: ``ValueError``
-    (or ``OSError``) for a malformed manifest, a file gone or resized or,
-    when ``key`` is given, a corpus stored under another."""
+    when accessed. ``ValueError`` (or ``OSError``) for a malformed
+    manifest, a file gone or resized or, when ``key`` is given, a corpus
+    stored under another: the corpus is then made again. A stored file
+    whose size is kept but whose bytes changed raises ``CorpusError``,
+    which fails the stage and names it, so no stage reads other bytes
+    under the old key. A file read in place (``source``) is not read
+    again: the key of a ``dirs`` corpus holds each source's SHA-256."""
     manifest = json.loads((corpus_dir / "manifest.json").read_text())
     records = ckpt.field(manifest, "files", list, dict)
     ckpt.field(manifest, "digest", str)
@@ -508,6 +515,9 @@ def load_corpus(corpus_dir: Path, key: str | None = None) -> tuple[dict, CorpusF
         path = blobs.path(name)
         if path.stat().st_size != rec["size"]:
             raise ValueError(f"corpus file {path} was resized")
+    for name, rec in blobs.records.items():
+        if "source" not in rec:
+            blobs[name]     # CorpusError for other bytes
     return manifest, blobs
 
 
@@ -582,7 +592,8 @@ def split_indices(labels: list[str], fractions, seed: int) -> dict[str, list[int
 
 class FeatureTable:
     """The matrices, over the manifest's file order, of the families the run
-    reads, and the vocabularies of its Top-K families."""
+    reads, each in its narrowest exact dtype once extract has them, and
+    the vocabularies of its Top-K families."""
 
     def __init__(self, names: list[str], labels: list[str], fcfg: FeatureConfig):
         self.names = names
@@ -924,7 +935,7 @@ def _key(*parts) -> str:
 
 class Artifact(NamedTuple):
     # (kind, name), the kind one of "corpus", "vocab", "features",
-    # "detector", "gan", "attack" and "rates"
+    # "detector", "gan", "attack", "rates" and "gap_sweep"
     what: tuple
     path: Path
     load: Callable      # (path, key) -> value
@@ -1075,8 +1086,10 @@ def _extract_missing(state: PipelineState, families, loaded: dict) -> dict:
         rest = sorted(set(rest) - set(first))
     if missing:
         table.extract(blobs, missing, rest, matrices)
+    # each in the dtype it is stored and loaded in, so a cold run holds
+    # the arrays a warm one loads
     for fam in missing:
-        out[("features", fam)] = matrices[fam], table.names
+        out[("features", fam)] = ckpt.narrowest(matrices.pop(fam)), table.names
     return out
 
 
@@ -1142,27 +1155,56 @@ def stage_attacks(state: PipelineState):
                                   load_attack, save_attack)], run)[what]
 
 
-def save_rates(path: Path, rates: dict, key: str) -> None:
-    path.write_text(json.dumps({"key": key, "rates": rates}, sort_keys=True,
+def _store(path: Path, key: str, name: str, value) -> None:
+    """``value`` as field ``name`` of a JSON file at ``path``, ``key`` in it."""
+    path.write_text(json.dumps({"key": key, name: value}, sort_keys=True,
                                indent=1))
+
+
+def _stored(path: Path, key: str, name: str, kind, item=None):
+    """Field ``name`` of the JSON file ``_store`` wrote at ``path`` under
+    ``key``; ``ValueError`` for any other key or a malformed file."""
+    stored = json.loads(path.read_text())
+    if ckpt.field(stored, "key", str) != key:
+        raise ValueError(f"{path.name} of other inputs")
+    return ckpt.field(stored, name, kind, item)
+
+
+def save_rates(path: Path, rates: dict, key: str) -> None:
+    _store(path, key, "rates", rates)
 
 
 def load_rates(path: Path, key: str) -> dict:
     """The detection rates ``save_rates`` stored under ``key``, by
-    detector; ``ValueError`` for any other key or a malformed file."""
-    stored = json.loads(path.read_text())
-    if ckpt.field(stored, "key", str) != key:
-        raise ValueError("rates of other inputs")
-    rates = ckpt.field(stored, "rates", dict)
+    detector."""
+    rates = _stored(path, key, "rates", dict)
     for name in rates:
         ckpt.field(rates, name, float)
     return rates
 
 
-def _primary_byte_detector(state: PipelineState) -> detectors.DetectorModel:
+def save_sweep(path: Path, rows: list, key: str) -> None:
+    _store(path, key, "rows", rows)
+
+
+def load_sweep(path: Path, key: str) -> list:
+    """The gap sweep rows ``save_sweep`` stored under ``key``."""
+    rows = _stored(path, key, "rows", list, dict)
+    for row in rows:
+        ckpt.field(row, "gap", (str, *ckpt.NUMBER))
+        for name in ("mean_size_mb", "mean_appended_bytes", "detection_rate"):
+            ckpt.field(row, name, float)
+    return rows
+
+
+def _primary_byte_name(cfg: ExperimentConfig) -> str:
     """The first byte-only detector; the config ensures one where needed."""
-    return next(state.detector_models[spec.name] for spec in state.cfg.detectors
+    return next(spec.name for spec in cfg.detectors
                 if spec.families == ("byte",))
+
+
+def _primary_byte_detector(state: PipelineState) -> detectors.DetectorModel:
+    return state.detector_models[_primary_byte_name(state.cfg)]
 
 
 @_stage("evaluate")
@@ -1212,7 +1254,16 @@ def stage_evaluate(state: PipelineState) -> dict:
 
     gap_rows = []
     if "gan_byte" in state.attack_outputs:
-        gap_rows = _gap_sweep(state, test_mal)
+        what = ("gap_sweep", "gan_byte")
+        key = _key("gap_sweep", state.keys[("gan", "byte_histogram")],
+                   state.keys[("detector", _primary_byte_name(cfg))],
+                   state.extract_key, cfg.gap_sweep, cfg.sweep_subsample,
+                   cfg.sweep_seed, cfg.seed)
+        # beside the attack's directory, which a rerun of the attack empties
+        gap_rows = _resume(
+            state, key, [Artifact(what, state.workdir / "attacks" /
+                                  "gap_sweep.json", load_sweep, save_sweep)],
+            lambda _: {what: _gap_sweep(state, test_mal)})[what]
 
     return {
         "original_rates": original_rates,

@@ -1,8 +1,13 @@
 import json
 import struct
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import array_shapes, arrays
 
 from ganevade import checkpoint as ckpt
 from ganevade.gan import GanModel, GanPreset, load_gan, save_gan
@@ -18,7 +23,90 @@ def test_container_roundtrip_bit_exact(tmp_path):
     meta2, arrays2 = ckpt.load_container(path)
     assert meta2 == meta
     for name in arrays:
-        assert arrays2[name].tobytes() == arrays[name].tobytes()
+        assert arrays2[name].astype("<f8").tobytes() == arrays[name].tobytes()
+    assert arrays2["a"].dtype == np.uint8 and arrays2["b"].dtype == "<f8"
+
+
+# (dtype, lowest, highest) of each narrow dtype, narrowest first
+RANGES = [("|u1", 0, 255), ("|i1", -128, 127), ("<u2", 0, 65535),
+          ("<i2", -32768, 32767), ("<i4", -2**31, 2**31 - 1)]
+# NaN payloads: signalling, negative and quiet with payload bits set
+NANS = np.array([0x7FF0000000000001, 0xFFF8000000000123, 0x7FF8DEAD00000000],
+                dtype="<u8").view("<f8").tolist()
+EDGES = [0.0, -0.0, 1.0, -1.0, 255.0, 256.0, -128.0, -129.0, 32767.0,
+         32768.0, 65535.0, 65536.0, -32768.0, -32769.0, 2.0**31 - 1,
+         2.0**31, -2.0**31, -2.0**31 - 1, 0.5, 5e-324, 2.2250738585072014e-308,
+         np.inf, -np.inf, *NANS]
+
+
+def expected_dtype(a: np.ndarray) -> str:
+    """The dtype the container should store float64 ``a`` in: the narrowest
+    of ``RANGES`` that holds every value, when all are finite integers
+    without ``-0.0``."""
+    if not (np.isfinite(a).all() and (a == np.trunc(a)).all()
+            and not np.signbit(a[a == 0]).any()):
+        return "<f8"
+    lo, hi = a.min(initial=0), a.max(initial=0)
+    return next((d for d, low, high in RANGES if low <= lo and hi <= high),
+                "<f8")
+
+
+float64_arrays = st.one_of(
+    # any bits: NaN payloads, subnormals, signed zeros, infinities
+    arrays("<u8", array_shapes(min_dims=0, max_dims=2, max_side=5),
+           elements=st.integers(0, 2**64 - 1)).map(lambda a: a.view("<f8")),
+    arrays("<f8", array_shapes(min_dims=0, max_dims=2, max_side=5),
+           elements=st.sampled_from(EDGES)),
+    # integer-valued, around each narrow dtype's bounds
+    st.sampled_from([255, 127, 65535, 32767, 2**31 - 1]).flatmap(
+        lambda bound: arrays("<f8", array_shapes(max_dims=2, max_side=5),
+                             elements=st.integers(-bound - 2, bound + 2)
+                             .map(float))),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(float64_arrays)
+def test_container_roundtrip_is_bit_exact_as_float64(a):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "c.gevd"
+        ckpt.save_container(path, {}, {"a": a})
+        back = ckpt.load_container(path)[1]["a"]
+    assert back.shape == a.shape
+    assert back.astype("<f8").tobytes() == a.tobytes()
+    assert back.dtype.str == expected_dtype(a)
+
+
+@pytest.mark.parametrize("values, dtype", [
+    ([0, 1, 255], "|u1"), ([256], "<u2"), ([-1, 127], "|i1"),
+    ([-129], "<i2"), ([-1, 128], "<i2"), ([65535], "<u2"), ([-1, 32768], "<i4"),
+    ([2**31 - 1], "<i4"), ([-2**31], "<i4"), ([2**31], "<f8"),
+    ([-0.0, 1], "<f8"), ([0.5], "<f8"), ([np.nan], "<f8"), ([np.inf], "<f8"),
+], ids=repr)
+def test_narrowest_dtype(values, dtype):
+    a = np.array(values, dtype=np.float64)
+    assert ckpt.narrowest(a).dtype.str == dtype
+    assert ckpt.narrowest(a).astype("<f8").tobytes() == a.tobytes()
+
+
+def test_narrowest_checks_every_block():
+    # integer-valued but for one value past the first block
+    a = np.zeros(3 * ckpt.CHECK_BLOCK + 5)
+    a[-1] = 0.25
+    assert ckpt.narrowest(a).dtype == "<f8"
+    a[-1] = 3.0
+    assert ckpt.narrowest(a).dtype == np.uint8
+
+
+def test_gevd1_container_rejected(tmp_path):
+    # the layout before per-array dtypes: raw float64 arrays
+    path = tmp_path / "old.gevd"
+    raw = json.dumps({"meta": {}, "arrays": [{"name": "a", "shape": [2]}]},
+                     sort_keys=True).encode("utf-8")
+    path.write_bytes(b"GEVD1" + struct.pack("<I", len(raw)) + raw
+                     + np.ones(2).tobytes())
+    with pytest.raises(ckpt.CheckpointError, match="magic"):
+        ckpt.load_container(path)
 
 
 def test_magic_rejected(tmp_path):
@@ -100,8 +188,46 @@ def test_header_longer_than_the_file_rejected(tmp_path):
 def test_huge_declared_array_rejected(tmp_path):
     path = tmp_path / "c.gevd"
     raw = json.dumps({"meta": {}, "arrays": [
-        {"name": "a", "shape": [2**40, 2**40]}]}).encode("utf-8")
+        {"name": "a", "shape": [2**40, 2**40], "dtype": "<f8"}]}).encode("utf-8")
     path.write_bytes(ckpt.MAGIC + struct.pack("<I", len(raw)) + raw)
+    with pytest.raises(ckpt.CheckpointError):
+        ckpt.load_container(path)
+
+
+@pytest.mark.parametrize("entry", [
+    {"dtype": "|O"}, {"dtype": ">f8"}, {"dtype": "<c16"}, {"dtype": "<f4"},
+    {"dtype": "<i8"}, {"dtype": "float64"}, {"dtype": ["<f8"]},
+    {"dtype": 8}, {}], ids=repr)
+def test_dtype_outside_the_allowlist_rejected(tmp_path, monkeypatch, entry):
+    # a body as long as two values of that dtype would be, so only the
+    # dtype can refuse the file, and it must before any array exists
+    try:
+        itemsize = np.dtype(entry["dtype"]).itemsize
+    except (KeyError, TypeError):
+        itemsize = 8
+    path = tmp_path / "c.gevd"
+    raw = json.dumps({"meta": {}, "arrays": [
+        {"name": "a", "shape": [2], **entry}]}).encode("utf-8")
+    path.write_bytes(ckpt.MAGIC + struct.pack("<I", len(raw)) + raw
+                     + b"\x01" * (2 * itemsize))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("an array was allocated")
+    monkeypatch.setattr(ckpt.np, "empty", refuse)
+    with pytest.raises(ckpt.CheckpointError, match="malformed"):
+        ckpt.load_container(path)
+
+
+@pytest.mark.parametrize("dtype", ckpt.DTYPES)
+def test_body_sized_by_the_itemsize(tmp_path, dtype):
+    path = tmp_path / "c.gevd"
+    raw = json.dumps({"meta": {}, "arrays": [
+        {"name": "a", "shape": [2, 3], "dtype": dtype}]}).encode("utf-8")
+    body = b"\x02" * (6 * np.dtype(dtype).itemsize)
+    path.write_bytes(ckpt.MAGIC + struct.pack("<I", len(raw)) + raw + body)
+    back = ckpt.load_container(path)[1]["a"]
+    assert back.dtype.str == dtype and back.tobytes() == body
+    path.write_bytes(path.read_bytes()[:-1])
     with pytest.raises(ckpt.CheckpointError):
         ckpt.load_container(path)
 

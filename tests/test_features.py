@@ -220,7 +220,7 @@ class TestPersistence:
         path = tmp_path / "m.gevf"
         save_matrix(path, (np.eye(3), ["a", "b", "c"]), key="k1")
         back, _ = load_matrix(path, "k1")
-        assert back.tobytes() == np.eye(3).tobytes()
+        assert back.astype("<f8").tobytes() == np.eye(3).tobytes()
         with pytest.raises(ValueError):
             load_matrix(path, "k2")
 

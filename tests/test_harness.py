@@ -562,15 +562,17 @@ class TestCorpusOnDisk:
             path.name: n for path, n in reads.items()
             if path.parent == directory.resolve() and path.suffix == ".exe"})
 
-    def test_warm_corpus_stage_reads_no_corpus_file(self, tmp_path,
-                                                    monkeypatch):
+    def test_warm_corpus_stage_reads_each_stored_file_once(self, tmp_path,
+                                                           monkeypatch):
+        # to check its SHA-256, so an edit that keeps the size is seen
         harness.run_stages(PipelineState(cfg=tiny_config(),
                                          workdir=tmp_path / "w"), "corpus")
         reads = self.count_reads(monkeypatch)
         state = PipelineState(cfg=tiny_config(), workdir=tmp_path / "w")
         harness.stage_corpus(state)
         assert not state.computed and len(state.blobs) == 20
-        assert not self.exe_reads(reads, tmp_path / "w" / "corpus")
+        assert self.exe_reads(reads, tmp_path / "w" / "corpus") == \
+            collections.Counter(dict.fromkeys(state.blobs, 1))
 
     def test_cold_corpus_is_read_back_from_disk(self, tmp_path):
         state = PipelineState(cfg=tiny_config(), workdir=tmp_path / "w")
@@ -579,7 +581,7 @@ class TestCorpusOnDisk:
         assert state.blobs == gen_corpus(state.cfg.corpus, state.cfg.seed,
                                          tmp_path / "again")[1]
 
-    def test_resumed_byte_run_reads_only_test_malicious_files(
+    def test_resumed_byte_run_reads_each_corpus_file_once(
             self, tmp_path, monkeypatch):
         cfg = tiny_config(attacks=("gan_byte",))
         run_pipeline(cfg, tmp_path / "w")
@@ -587,11 +589,10 @@ class TestCorpusOnDisk:
         state = PipelineState(cfg=cfg, workdir=tmp_path / "w")
         harness.run_stages(state)
         assert not state.computed
-        test_mal = {state.table.names[i]
-                    for i in harness._rows(state, "test", "malicious")}
-        # the attack and the gap sweep each read a file once
-        read = self.exe_reads(reads, tmp_path / "w" / "corpus")
-        assert set(read) == test_mal and max(read.values()) <= 2
+        # the corpus load checks each file; the attack and the gap sweep
+        # resume and read none
+        assert self.exe_reads(reads, tmp_path / "w" / "corpus") == \
+            collections.Counter(dict.fromkeys(state.blobs, 1))
 
     def test_dirs_corpus_reads_each_source_once(self, tmp_path, monkeypatch):
         _, blobs = gen_corpus(
@@ -640,6 +641,27 @@ class TestCorpusOnDisk:
         # the stat check at load passed: the corpus was not made again
         assert json.loads((tmp_path / "w" / "corpus" / "manifest.json")
                           .read_text()) == manifest
+
+    def test_corpus_file_edited_in_place_fails_a_fully_resumed_run(
+            self, tmp_path, capsys):
+        # no stage of this run reads a corpus file once every artifact loads
+        cfg = tiny_config(attacks=("gan_api", "gan_strings",
+                                   "benign_injection"))
+        config_file = tmp_path / "cfg.json"
+        config_file.write_text(json.dumps(cfg.to_dict()))
+        argv = ["pipeline", "--config", str(config_file),
+                "--workdir", str(tmp_path / "w")]
+        assert cli.main(argv) == 0
+        assert cli.main(argv) == 0
+        path = tmp_path / "w" / "corpus" / "malicious_00003.exe"
+        data = bytearray(path.read_bytes())
+        data[200:208] = bytes(255 - b for b in data[200:208])
+        path.write_bytes(data)
+        capsys.readouterr()
+        assert cli.main(argv) == 3
+        err = capsys.readouterr().err
+        assert "stage 'corpus' failed: CorpusError" in err
+        assert str(path) in err
 
     def test_attack_outputs_carry_no_bytes(self, tmp_path):
         state = PipelineState(cfg=tiny_config(attacks=(
@@ -806,6 +828,42 @@ class TestResume:
             monkeypatch, tmp_path / "w", tiny_config_file, "features/byte.gevf",
             no_arrays)
         assert done["detectors"] == [] and done["gans"] == []
+
+    def test_gevd1_feature_matrix_is_recomputed(self, tmp_path, monkeypatch,
+                                                tiny_config_file):
+        # the container layout before per-array dtypes, same key and values
+        def gevd1(path):
+            meta, arrays = ckpt.load_container(path)
+            raw = json.dumps({"meta": meta, "arrays": [
+                {"name": "matrix", "shape": list(arrays["matrix"].shape)}]},
+                sort_keys=True).encode("utf-8")
+            path.write_bytes(b"GEVD1" + struct.pack("<I", len(raw)) + raw
+                             + arrays["matrix"].astype("<f8").tobytes())
+        done = self.damaged_artifact_is_recomputed(
+            monkeypatch, tmp_path / "w", tiny_config_file,
+            "features/api_topk.gevf", gevd1)
+        assert done["extract"] > 0
+        assert done["detectors"] == [] and done["gans"] == []
+
+    def test_cold_and_resumed_runs_hold_the_same_matrices(self, tmp_path):
+        cfg = tiny_config()
+        cold = PipelineState(cfg=cfg, workdir=tmp_path / "w")
+        harness.run_stages(cold, "extract")
+        warm = PipelineState(cfg=cfg, workdir=tmp_path / "w")
+        harness.run_stages(warm, "extract")
+        assert not warm.computed
+        assert set(cold.table.matrices) == set(harness.FAMILIES)
+        for fam, matrix in cold.table.matrices.items():
+            loaded = warm.table.matrices[fam]
+            assert loaded.dtype == matrix.dtype
+            np.testing.assert_array_equal(loaded, matrix)
+        # indicators in one byte, signed hashed counts in a signed integer
+        # type, the byte histogram's frequencies in float64
+        dtypes = {fam: m.dtype.str for fam, m in cold.table.matrices.items()}
+        assert dtypes["api_topk"] == dtypes["strings_topk"] == "|u1"
+        assert dtypes["api_hashed"] in ("|i1", "<i2")
+        assert dtypes["strings_hashed"] in ("|i1", "<i2")
+        assert dtypes["byte"] == "<f8"
 
     def test_gan_checkpoint_without_preset_is_retrained(self, tmp_path,
                                                         monkeypatch):
@@ -1044,6 +1102,48 @@ class TestAttackResume:
             fields=tuple(f for f in spec.fields if f != name)))
         assert undeclared_reads(trained_for_every_attack, attack,
                                 tmp_path) == {name}
+
+    def test_sweep_key_holds_every_field_read(self, trained_for_every_attack):
+        read = set()
+        state = trained_for_every_attack
+        recorded = dataclasses.replace(state, cfg=ReadRecorder(state.cfg, read))
+        harness._gap_sweep(recorded, harness._rows(state, "test", "malicious"))
+        # "detectors" picks the primary byte detector, whose key is in the
+        # sweep's
+        assert read <= {"gap_sweep", "sweep_subsample", "sweep_seed", "seed",
+                        "detectors"}
+
+    def test_fully_resumed_gan_byte_run_plans_no_padding(self, tmp_path,
+                                                         monkeypatch):
+        cfg = tiny_config(attacks=("gan_byte",))
+        cold = run_pipeline(cfg, tmp_path / "w")
+
+        def refuse(req):
+            raise AssertionError("padding planned on a resumed run")
+        monkeypatch.setattr(padopt, "plan_for", refuse)
+        state = PipelineState(cfg=cfg, workdir=tmp_path / "w")
+        harness.run_stages(state)
+        assert not state.computed
+        warm = run_pipeline(cfg, tmp_path / "w")
+        assert report_without_runtime(warm) == report_without_runtime(cold)
+        assert warm["gap_sweep"]
+
+    @pytest.mark.parametrize("field,value,computed", [
+        ("gap_sweep", (0.005,), {"gap_sweep"}),
+        ("sweep_subsample", 2, {"gap_sweep"}),
+        ("sweep_seed", 99, {"gap_sweep"}),
+        # the attack reads gap, the sweep does not
+        ("gap", 0.002, {"attack", "rates"})])
+    def test_sweep_recomputed_when_a_field_it_reads_changes(
+            self, tmp_path, field, value, computed):
+        cfg = tiny_config(attacks=("gan_byte",))
+        run_pipeline(cfg, tmp_path / "w")
+        changed = dataclasses.replace(cfg, **{field: value})
+        state = PipelineState(cfg=changed, workdir=tmp_path / "w")
+        evaluation = harness.run_stages(state)
+        assert state.computed == {(kind, "gan_byte") for kind in computed}
+        cold = run_pipeline(changed, tmp_path / "cold")
+        assert evaluation == {k: cold[k] for k in evaluation}
 
     @staticmethod
     def attack_files(workdir: Path) -> dict:
