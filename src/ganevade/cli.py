@@ -1,13 +1,14 @@
 """Command-line front end for the evasion toolkit.
 
-Exit codes: 0 success, 2 configuration error, 3 pipeline stage failure.
-A stage subcommand runs every upstream stage, then its own. The corpus,
-the feature matrices and vocabularies, each detector and GAN, each
-attack's outputs, each attack's detection rates and the gap sweep resume
-from the working directory by one rule, ``harness._resume``: an artifact
-stored under the key of its inputs loads, any other is recomputed, and
-``train-detector``, ``train-gan`` and ``attack`` say which. A change to an attack field
-re-runs only the attacks that read it, and the evaluation of those.
+Exit codes: 0 success, 2 configuration error (found when the config
+loads, before anything is written), 3 pipeline stage failure, such as a
+file read back whose bytes differ from those its manifest records.
+A stage subcommand runs every upstream stage, then its own. Every
+artifact resumes from the working directory by one rule,
+``harness._resume``: one stored under the key of its inputs loads, any
+other is recomputed, and ``train-detector``, ``train-gan`` and ``attack``
+say which. A change to an attack field re-runs only the attacks that read
+it, and the evaluation of those.
 Delete the working directory to force a cold run.
 """
 
@@ -28,12 +29,11 @@ EXIT_STAGE = 3
 
 
 def _load_cfg(args) -> ExperimentConfig:
-    if args.config:
-        cfg = harness.load_config(args.config)
-    else:
-        cfg = ExperimentConfig()
+    cfg = (harness.load_config(args.config) if args.config
+           else ExperimentConfig())
     if getattr(args, "seed", None) is not None:
-        cfg.seed = args.seed
+        # replace() runs the config checks again on the new seed
+        cfg = dataclasses.replace(cfg, seed=args.seed)
     return cfg
 
 
@@ -53,7 +53,7 @@ def _verb(state: PipelineState, kind: str, name: str,
 def cmd_gen_corpus(args) -> int:
     state = _state(args)
     harness.run_stages(state, "corpus")
-    print(f"corpus ready: {len(state.manifest['files'])} files under "
+    print(f"corpus ready: {len(state.blobs)} files under "
           f"{state.workdir / 'corpus'}")
     return EXIT_OK
 
@@ -103,7 +103,7 @@ def cmd_attack(args) -> int:
         state.cfg = dataclasses.replace(state.cfg, attacks=[args.attack])
     harness.run_stages(state, "attack")
     for name, out in state.attack_outputs.items():
-        print(f"attack {name}: {len(out.names)} files "
+        print(f"attack {name}: {len(out.files)} files "
               f"{_verb(state, 'attack', name, 'rewritten')}, "
               f"queries={out.query_count}, warnings={len(out.warnings)}")
     return EXIT_OK

@@ -3,12 +3,13 @@
 The stages run in the order of ``STAGES``, in one process, handing their
 results on in memory. A CLI subcommand runs the table up to its own stage,
 and a full pipeline run is reproducible from the config plus the global
-seed. The corpus is not held in memory: ``PipelineState.blobs`` is a
-``CorpusFiles`` mapping that reads a file from disk when a stage visits
-it and checks it against the SHA-256 its manifest records. Each attack
-writes each rewritten file under ``attacks/<attack>/`` as it makes it,
-and evaluation re-extracts features from those files, read back from
-disk, never from the adversarial feature vectors.
+seed. No file is held in memory: the corpus and each attack's outputs are
+a ``FileSet`` each, whose files are read from disk when a stage visits
+them and checked against their records. Each attack writes each rewritten
+file under ``attacks/<attack>/`` as it makes it, and evaluation
+re-extracts features from those files, never from the adversarial feature
+vectors. ``_store`` writes every JSON artifact, a set's manifest among
+them, and ``_stored`` reads it back.
 
 Each attack is one entry of ``ATTACKS``: the GAN kinds it needs trained,
 the config fields it reads and the function that runs it. ``gan_all`` runs
@@ -26,23 +27,15 @@ is ranked from the train-benign files, visited first; only their Top-K
 tokens are held until it exists, as references to one copy of each
 distinct token.
 
-The corpus, vocabularies, feature matrices, detectors, GANs, attack
-outputs, each attack's detection rates and the gap sweep resume through
-``_resume``, each under a content key: a SHA-256 over the config slice
-that determines it and the key of what it was computed from (``_key``). The corpus is keyed
-by ``corpus`` + ``seed`` (a ``dirs`` corpus, read in place, also by its
-manifest: each source file's path, size and SHA-256); the features by the
-tool and schema versions, the digest of the corpus bytes that the manifest
-records, ``feature_cfg``, ``split`` and ``seed``; each model by the feature
-key, its own spec and ``seed``; each attack by the feature key, the key of
-each GAN it needs, its ``ATTACKS`` fields and ``seed``; its rates by its
-key and every detector's; ``gan_byte``'s gap sweep by the byte GAN's key,
-the primary byte detector's, the feature key, ``gap_sweep``,
-``sweep_subsample``, ``sweep_seed`` and ``seed``. What is stored under the
-key loads; anything else is computed and written over it. Extract resumes
-its vocabularies and matrices in one ``_resume`` call, so one pass over the
-files computes all that missed. Each matrix is held, as it is stored, in
-its narrowest exact dtype (``checkpoint.narrowest``).
+Every artifact resumes through ``_resume`` under a content key
+(``_key``): a SHA-256 over the config slice that determines it and the
+keys of what it was computed from, as each stage builds it. What is
+stored under the key loads; anything else is computed and written over
+it, except a corpus file that kept its size but not its bytes: that fails
+the run (``CorpusError``). Extract resumes its vocabularies and matrices
+in one ``_resume`` call, so one pass over the files computes all that
+missed. Each matrix is held, as it is stored, in its narrowest exact
+dtype (``checkpoint.narrowest``).
 """
 
 from __future__ import annotations
@@ -207,8 +200,36 @@ class ExperimentConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if abs(sum(self.split) - 1.0) > 1e-9:
-            raise ConfigError("split fractions must sum to 1")
+        seqs = (list, tuple)
+        if not (isinstance(self.gans, dict) and isinstance(self.detectors, seqs)
+                and isinstance(self.attacks, seqs)):
+            raise ConfigError("gans must be an object, detectors and attacks "
+                              "lists")
+        if not (isinstance(self.split, seqs) and len(self.split) == 3
+                and all(_is_number(f) and f >= 0 for f in self.split)
+                and abs(sum(self.split) - 1.0) <= 1e-9):
+            raise ConfigError(f"split must be three fractions >= 0 that sum "
+                              f"to 1, got {self.split!r}")
+        corpus, fcfg = self.corpus, self.feature_cfg
+        sweep_seed = 0 if self.sweep_seed is None else self.sweep_seed
+        for name, value, least in (
+                ("seed", self.seed, 0), ("sweep_seed", sweep_seed, 0),
+                ("sweep_subsample", self.sweep_subsample, 1),
+                ("max_new_imports", self.max_new_imports, 0),
+                ("max_new_strings", self.max_new_strings, 0),
+                ("malgan_max_queries", self.malgan_max_queries, 0),
+                ("corpus.n_per_class", corpus.n_per_class, 1),
+                *((f"feature_cfg.{f.name}", getattr(fcfg, f.name), 1)
+                  for f in dataclasses.fields(fcfg))):
+            if not (_is_int(value) and value >= least):
+                raise ConfigError(f"{name} must be an integer >= {least}, "
+                                  f"got {value!r}")
+        for label in ("benign", "malicious"):
+            alpha = getattr(corpus, f"byte_alpha_{label}")
+            if not (isinstance(alpha, seqs) and len(alpha) == 256 and all(
+                    _is_number(a) and 0 < a < float("inf") for a in alpha)):
+                raise ConfigError(f"corpus.byte_alpha_{label} must be 256 "
+                                  f"finite numbers > 0")
         for attack in self.attacks:
             if attack not in ATTACKS:
                 raise ConfigError(f"unknown attack {attack!r}")
@@ -240,25 +261,17 @@ class ExperimentConfig:
                 ("byte",) not in [spec.families for spec in self.detectors]):
             raise ConfigError("gan_byte and malgan_byte need a detector that "
                               "reads the byte family alone")
-        fcfg = self.feature_cfg
-        if min(fcfg.k_api, fcfg.k_strings, fcfg.hash_dim, fcfg.min_string_len) < 1:
-            raise ConfigError("k_api, k_strings, hash_dim and min_string_len "
-                              "must be at least 1")
         for kind in self.gans:
             if kind not in GAN_KINDS:
                 raise ConfigError(f"unknown GAN kind {kind!r} in gans")
         for gap in (self.gap, *self.gap_sweep):
-            if not 0.0 <= gap < 1.0:
+            if not (_is_number(gap) and 0.0 <= gap < 1.0):
                 raise ConfigError(f"gap {gap!r} outside [0, 1)")
-        if self.sweep_subsample < 1:
-            raise ConfigError("sweep_subsample must be at least 1")
         if self.corpus.kind not in ("synthetic", "dirs"):
             raise ConfigError(f"unknown corpus kind {self.corpus.kind!r}")
         if self.corpus.kind == "dirs" and None in (self.corpus.benign_dir,
                                                    self.corpus.malicious_dir):
             raise ConfigError("a dirs corpus needs benign_dir and malicious_dir")
-        if self.corpus.n_per_class < 1:
-            raise ConfigError("corpus.n_per_class must be at least 1")
         if self.corpus.kind == "synthetic":
             # a dirs corpus is checked by extract, once its files are known
             n = self.corpus.n_per_class
@@ -273,8 +286,6 @@ class ExperimentConfig:
                 and 1 <= size[0] <= size[1]):
             raise ConfigError(f"corpus.content_size must be two integers "
                               f"1 <= lo <= hi, got {size!r}")
-        if self.max_new_imports < 0 or self.max_new_strings < 0:
-            raise ConfigError("max_new_imports and max_new_strings must be >= 0")
 
     def to_dict(self) -> dict:
         d = dataclasses.asdict(self)
@@ -283,6 +294,8 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentConfig":
+        if not isinstance(d, dict):
+            raise ConfigError("a config is a JSON object")
         d = dict(d)
         version = d.pop("schema_version", SCHEMA_VERSION)
         if version != SCHEMA_VERSION:
@@ -292,14 +305,13 @@ class ExperimentConfig:
                 d["corpus"] = CorpusConfig(**d["corpus"])
             if "feature_cfg" in d:
                 d["feature_cfg"] = FeatureConfig(**d["feature_cfg"])
-            if "gans" in d:
-                d["gans"] = {k: GanStageConfig(**v) if isinstance(v, dict) else v
-                             for k, v in d["gans"].items()}
-            if "detectors" in d:
-                d["detectors"] = [DetectorSpec(**s) if isinstance(s, dict) else s
-                                  for s in d["detectors"]]
+            # another container is left as it is, for __post_init__ to refuse
+            if isinstance(d.get("gans"), dict):
+                d["gans"] = {k: GanStageConfig(**v) for k, v in d["gans"].items()}
+            if isinstance(d.get("detectors"), list):
+                d["detectors"] = [DetectorSpec(**s) for s in d["detectors"]]
             for key in ("split", "gap_sweep"):
-                if key in d:
+                if isinstance(d.get(key), list):
                     d[key] = tuple(d[key])
             if "corpus" in d and isinstance(d["corpus"].content_size, list):
                 d["corpus"].content_size = tuple(d["corpus"].content_size)
@@ -343,34 +355,45 @@ def _sample_content(alpha: np.ndarray, size: int, rng: np.random.Generator) -> b
 
 
 class CorpusError(RuntimeError):
-    """A corpus file whose bytes differ from those its manifest records."""
+    """A stored file whose bytes differ from those its manifest records."""
 
 
-class CorpusFiles(Mapping):
-    """Read-only name -> bytes over a corpus's files on disk, in manifest
-    order. A file is read each time it is accessed and never held; its
-    bytes must have the SHA-256 its manifest record gives, or
-    ``CorpusError`` names it. A record with a ``source`` (a ``dirs``
-    corpus) is read there, any other from ``corpus_dir``."""
+class FileSet(Mapping):
+    """Read-only name -> bytes over files on disk, each recorded by name,
+    size and SHA-256 (and a corpus file's ``label`` and ``source``, a
+    padded file's ``certificate``) in the order it was added. A file is
+    read each time it is accessed and never held; bytes other than those
+    recorded raise ``CorpusError``, naming it. A record with a ``source``
+    (a ``dirs`` corpus) is read there, any other from ``directory``."""
 
-    def __init__(self, corpus_dir: Path | None, records: list[dict]):
-        self.corpus_dir = corpus_dir
+    def __init__(self, directory: Path | None, records=(), kind="corpus"):
+        self.directory = directory
         self.records = {rec["name"]: rec for rec in records}
+        self.kind = kind    # what the error of a changed file calls it
 
     def path(self, name: str) -> Path:
         rec = self.records[name]
-        return Path(rec["source"]) if "source" in rec else self.corpus_dir / name
+        return Path(rec["source"]) if "source" in rec else self.directory / name
+
+    def add(self, name: str, data: bytes, **extra) -> None:
+        """Record ``data``, read in place or written, as file ``name``."""
+        self.records[name] = {"name": name, **extra, "size": len(data),
+                              "sha256": hashlib.sha256(data).hexdigest()}
+
+    def write(self, name: str, data: bytes, **extra) -> None:
+        # the directory comes with the first file: an attack that fails
+        # before it makes one leaves none
+        self.directory.mkdir(parents=True, exist_ok=True)
+        (self.directory / name).write_bytes(data)
+        self.add(name, data, **extra)
 
     def __getitem__(self, name: str) -> bytes:
         path = self.path(name)
         data = path.read_bytes()
         if hashlib.sha256(data).hexdigest() != self.records[name]["sha256"]:
-            raise CorpusError(f"corpus file {path} differs from the bytes "
-                              f"its manifest records")
+            raise CorpusError(f"{self.kind} file {path} differs from the "
+                              f"bytes its manifest records")
         return data
-
-    def __contains__(self, name) -> bool:
-        return name in self.records
 
     def __iter__(self):
         return iter(self.records)
@@ -380,6 +403,19 @@ class CorpusFiles(Mapping):
 
     def files(self, names: list[str]) -> "Files":
         return Files(names, self.__getitem__)
+
+    def check(self) -> None:
+        """``ValueError`` when a file is gone or resized, then
+        ``CorpusError`` when one kept its size but not its bytes. A file
+        read in place (``source``) is not hashed: the key of a ``dirs``
+        corpus holds each source's SHA-256."""
+        for name, rec in self.records.items():
+            path = self.path(name)
+            if not path.is_file() or path.stat().st_size != rec["size"]:
+                raise ValueError(f"{self.kind} file {path} is gone or resized")
+        for name, rec in self.records.items():
+            if "source" not in rec:
+                self[name]
 
 
 class Files(Sequence):
@@ -396,19 +432,40 @@ class Files(Sequence):
     def __getitem__(self, i: int) -> bytes:
         return self.read(self.names[i])
 
-    def __iter__(self):
-        return map(self.read, self.names)
+
+def _store(path: Path, key: str | None, **fields) -> None:
+    """``fields`` and ``key`` as one JSON object at ``path``."""
+    path.write_text(json.dumps({"key": key, **fields}, sort_keys=True,
+                               indent=1))
 
 
-def _add_file(records: list, digest, name: str, label: str, data: bytes,
-              **extra) -> None:
-    """Record ``data`` as corpus file ``name``: its size and SHA-256 in
-    ``records``, and its name, label, size and bytes in ``digest``, the
-    SHA-256 over the whole corpus in manifest order that keys extract."""
-    digest.update(json.dumps([name, label, len(data)]).encode("utf-8"))
-    digest.update(data)
-    records.append({"name": name, "label": label, **extra, "size": len(data),
-                    "sha256": hashlib.sha256(data).hexdigest()})
+def _stored(path: Path, key: str | None) -> dict:
+    """The fields ``_store`` wrote at ``path``, ``key`` aside: ``ValueError``
+    for a file that is not a JSON object or, unless ``key`` is None, one
+    stored under another key."""
+    stored = json.loads(path.read_text())
+    if not isinstance(stored, dict) or (
+            stored.pop("key", None) != key and key is not None):
+        raise ValueError(f"{path.name} is malformed or of other inputs")
+    return stored
+
+
+def _stored_files(path: Path, key: str | None, kind: str,
+                  *required) -> tuple[dict, FileSet]:
+    """The manifest ``_store`` wrote at ``path`` under ``key``, but its
+    ``files``, and the ``FileSet`` of those, each record checked for its
+    fields (``required`` ones too) and each file by ``FileSet.check``."""
+    manifest = _stored(path, key)
+    records = ckpt.field(manifest, "files", list, dict)
+    for rec in records:
+        ckpt.field(rec, "size", int)
+        for name in ("name", "sha256", *required):
+            ckpt.field(rec, name, str)
+        if "source" in rec:
+            ckpt.field(rec, "source", str)
+    files = FileSet(path.parent, manifest.pop("files"), kind)
+    files.check()
+    return manifest, files
 
 
 # gen_corpus writes the files it makes in batches of this many: creating
@@ -436,30 +493,35 @@ def _synth_files(cfg: CorpusConfig, seed: int):
                    petk.synth_pe(spec, seed=int(rng.integers(0, 2**31))))
 
 
+def _digest(digest, name: str, label: str, data: bytes) -> None:
+    """Add corpus file ``name`` to ``digest``, the SHA-256 over the whole
+    corpus in manifest order that keys extract."""
+    digest.update(json.dumps([name, label, len(data)]).encode("utf-8"))
+    digest.update(data)
+
+
 def gen_corpus(cfg: CorpusConfig, seed: int,
-               corpus_dir: Path) -> tuple[dict, CorpusFiles]:
+               corpus_dir: Path) -> tuple[dict, FileSet]:
     """A labeled synthetic PE corpus written to ``corpus_dir``, in place of
     whatever it held, as it is made, ``CORPUS_WRITE_BATCH`` files at a
     time: (manifest, blobs), the blobs read from disk when accessed. Same
     seed, same bytes."""
     shutil.rmtree(corpus_dir, ignore_errors=True)
-    corpus_dir.mkdir(parents=True)
-    records, digest = [], hashlib.sha256()
+    blobs, digest = FileSet(corpus_dir), hashlib.sha256()
     files = _synth_files(cfg, seed)
     while batch := list(itertools.islice(files, CORPUS_WRITE_BATCH)):
         for name, label, data in batch:
-            (corpus_dir / name).write_bytes(data)
-            _add_file(records, digest, name, label, data)
-    manifest = {"seed": seed, "files": records, "digest": digest.hexdigest()}
-    return manifest, CorpusFiles(corpus_dir, records)
+            blobs.write(name, data, label=label)
+            _digest(digest, name, label, data)
+    return {"seed": seed, "digest": digest.hexdigest()}, blobs
 
 
-def ingest_dirs(benign_dir, malicious_dir) -> tuple[dict, CorpusFiles]:
+def ingest_dirs(benign_dir, malicious_dir) -> tuple[dict, FileSet]:
     """A corpus, (manifest, blobs), of user-supplied PE directories, read in
     place: each source is read once here, for its record, and is not
     copied. An empty file has no byte histogram: it is left out, and
     ``skipped`` names it with the reason."""
-    records, skipped, digest = [], [], hashlib.sha256()
+    blobs, skipped, digest = FileSet(None), [], hashlib.sha256()
     for label, src in (("benign", benign_dir), ("malicious", malicious_dir)):
         for i, path in enumerate(sorted(Path(src).iterdir())):
             if not path.is_file():
@@ -468,56 +530,40 @@ def ingest_dirs(benign_dir, malicious_dir) -> tuple[dict, CorpusFiles]:
             if not data:
                 skipped.append({"source": str(path), "reason": "empty file"})
                 continue
-            _add_file(records, digest, f"{label}_{i:05d}.exe", label, data,
-                      source=str(path))
-    manifest = {"seed": None, "files": records, "skipped": skipped,
-                "digest": digest.hexdigest()}
-    return manifest, CorpusFiles(None, records)
+            name = f"{label}_{i:05d}.exe"
+            blobs.add(name, data, label=label, source=str(path))
+            _digest(digest, name, label, data)
+    return {"seed": None, "skipped": skipped,
+            "digest": digest.hexdigest()}, blobs
+
+
+def _manifest(manifest: dict, files: FileSet) -> dict:
+    """``manifest`` with the records of ``files`` as its ``files``."""
+    return {**manifest, "files": list(files.records.values())}
 
 
 def save_corpus(corpus_dir: Path, corpus: tuple, key: str | None = None) -> None:
-    """Write the manifest of ``corpus`` (manifest, blobs), ``key`` in it, to
-    ``corpus_dir``, whose files ``gen_corpus`` has written already (a file
-    read in place, whose record names a ``source``, is not copied). Any
-    file there that the manifest does not list is removed."""
-    manifest, _ = corpus
+    """Write the manifest of ``corpus`` (manifest, blobs) under ``key`` to
+    ``corpus_dir``, which holds its files already but those read in place
+    (``source``), and remove any other file there."""
+    manifest, blobs = corpus
     corpus_dir.mkdir(parents=True, exist_ok=True)
-    listed = {rec["name"] for rec in manifest["files"] if "source" not in rec}
     for path in corpus_dir.iterdir():
-        if path.name not in listed:
+        rec = blobs.records.get(path.name)
+        if rec is None or "source" in rec:
             path.unlink()
-    (corpus_dir / "manifest.json").write_text(
-        json.dumps({**manifest, "key": key}, sort_keys=True, indent=1))
+    _store(corpus_dir / "manifest.json", key, **_manifest(manifest, blobs))
 
 
-def load_corpus(corpus_dir: Path, key: str | None = None) -> tuple[dict, CorpusFiles]:
-    """The (manifest, blobs) ``save_corpus`` wrote, the blobs read from disk
-    when accessed. ``ValueError`` (or ``OSError``) for a malformed
-    manifest, a file gone or resized or, when ``key`` is given, a corpus
-    stored under another: the corpus is then made again. A stored file
-    whose size is kept but whose bytes changed raises ``CorpusError``,
-    which fails the stage and names it, so no stage reads other bytes
-    under the old key. A file read in place (``source``) is not read
-    again: the key of a ``dirs`` corpus holds each source's SHA-256."""
-    manifest = json.loads((corpus_dir / "manifest.json").read_text())
-    records = ckpt.field(manifest, "files", list, dict)
+def load_corpus(corpus_dir: Path, key: str | None = None) -> tuple[dict, FileSet]:
+    """The (manifest, blobs) ``save_corpus`` wrote. ``ValueError`` (or
+    ``OSError``) for a malformed manifest, a file gone or resized or, when
+    ``key`` is given, a corpus stored under another: it is made again. A
+    file that kept its size but not its bytes raises ``CorpusError``,
+    which fails the stage and names it."""
+    manifest, blobs = _stored_files(corpus_dir / "manifest.json", key,
+                                    "corpus", "label")
     ckpt.field(manifest, "digest", str)
-    if manifest.pop("key", None) != key and key is not None:
-        raise ValueError("corpus built from other inputs")
-    for rec in records:
-        for name, kind in (("name", str), ("label", str), ("size", int),
-                           ("sha256", str)):
-            ckpt.field(rec, name, kind)
-        if "source" in rec:
-            ckpt.field(rec, "source", str)
-    blobs = CorpusFiles(corpus_dir, records)
-    for name, rec in blobs.records.items():
-        path = blobs.path(name)
-        if path.stat().st_size != rec["size"]:
-            raise ValueError(f"corpus file {path} was resized")
-    for name, rec in blobs.records.items():
-        if "source" not in rec:
-            blobs[name]     # CorpusError for other bytes
     return manifest, blobs
 
 
@@ -682,60 +728,33 @@ def train_gan_for(kind: str, table: FeatureTable, train_idx, cfg: ExperimentConf
 
 @dataclass
 class AttackOutput:
-    """What an attack made: each rewritten file is written to ``directory``
-    as soon as it is made (``write``), and only its record is kept: its
-    name, size and SHA-256, and the padding certificate of a padded file."""
-    directory: Path
-    records: dict = field(default_factory=dict)  # name -> record, as written
+    """What an attack made: ``files``, each rewritten file, written as
+    soon as it is made and kept only as its record."""
+    files: FileSet
     query_count: int = 0
     stats: dict = field(default_factory=dict)
     warnings: list = field(default_factory=list)
 
-    @property
-    def names(self) -> list:
-        return list(self.records)
-
-    def write(self, name: str, data: bytes, **extra) -> None:
-        # the directory comes with the first file: an attack that fails
-        # before it makes one leaves none
-        self.directory.mkdir(parents=True, exist_ok=True)
-        (self.directory / name).write_bytes(data)
-        self.records[name] = {"name": name, "size": len(data),
-                              "sha256": hashlib.sha256(data).hexdigest(),
-                              **extra}
-
-    def files(self) -> Files:
-        return Files(self.names, lambda name: (self.directory / name).read_bytes())
-
 
 def save_attack(path: Path, out: AttackOutput, key: str) -> None:
     """The manifest of ``out``, ``key`` in it, written after its files."""
-    path.write_text(json.dumps({
-        "key": key, "query_count": out.query_count, "stats": out.stats,
-        "warnings": out.warnings, "files": list(out.records.values())},
-        sort_keys=True, indent=1))
+    _store(path, key, **_manifest({"query_count": out.query_count,
+                                   "stats": out.stats,
+                                   "warnings": out.warnings}, out.files))
 
 
 def load_attack(path: Path, key: str) -> AttackOutput:
-    """The ``AttackOutput`` whose manifest ``save_attack`` wrote at ``path``
-    under ``key``. Each file it lists is read and checked: ``ValueError``
-    (or ``OSError``) for a manifest stored under another key or malformed,
-    or a file that is gone or whose size or SHA-256 differs."""
-    manifest = json.loads(path.read_text())
-    if ckpt.field(manifest, "key", str) != key:
-        raise ValueError("attack run on other inputs")
-    out = AttackOutput(path.parent,
-                       query_count=ckpt.field(manifest, "query_count", int),
-                       stats=ckpt.field(manifest, "stats", dict),
-                       warnings=ckpt.field(manifest, "warnings", list, str))
-    for rec in ckpt.field(manifest, "files", list, dict):
-        data = (out.directory / ckpt.field(rec, "name", str)).read_bytes()
-        if (len(data) != ckpt.field(rec, "size", int) or ckpt.field(
-                rec, "sha256", str) != hashlib.sha256(data).hexdigest()):
-            raise ValueError(f"attack output {rec['name']} differs from its "
-                             f"manifest")
-        out.records[rec["name"]] = rec
-    return out
+    """The ``AttackOutput`` ``save_attack`` wrote at ``path`` under ``key``.
+    ``ValueError`` (or ``OSError``) for another key, a malformed manifest
+    or a file gone, resized or edited: the attack then runs again."""
+    try:
+        manifest, files = _stored_files(path, key, "attack output")
+    except CorpusError as exc:
+        raise ValueError(str(exc)) from None
+    return AttackOutput(files,
+                        query_count=ckpt.field(manifest, "query_count", int),
+                        stats=ckpt.field(manifest, "stats", dict),
+                        warnings=ckpt.field(manifest, "warnings", list, str))
 
 
 def _padding_request(data: bytes, target: np.ndarray,
@@ -790,7 +809,7 @@ def attack_gan_byte(state, names, blobs, rows, out: AttackOutput) -> None:
     for name, data, histogram in zip(names, blobs, rows("byte")):
         target = _byte_target(model, histogram, rng)
         rewritten, certificate = _pad_to_target(data, target, state.cfg.gap)
-        out.write(name, rewritten, certificate=certificate)
+        out.files.write(name, rewritten, certificate=certificate)
         appended.append(len(rewritten) - len(data))
     out.stats["mean_appended_bytes"] = float(np.mean(appended))
 
@@ -816,7 +835,7 @@ def attack_gan_indicator(model, names, indicators, blobs,
             payload = b"\x00" + b"\x00".join(
                 s.encode("latin-1") for s in new) + b"\x00"
             edited = petk.add_section(pe, ".sdat2", payload)
-        out.write(name, edited.data)
+        out.files.write(name, edited.data)
     out.stats["mean_new_tokens"] = float(np.mean(added_counts))
 
 
@@ -839,13 +858,12 @@ def attack_gan_all(state, names, blobs, rows, out) -> None:
     there, its rows extracted from them. Only the steps' warnings are
     kept."""
     for step in ("gan_api", "gan_strings", "gan_byte"):
-        step_out = AttackOutput(out.directory)
+        step_out = AttackOutput(out.files)
         ATTACKS[step].run(state, names, blobs, rows, step_out)
         out.warnings += step_out.warnings
-        blobs = step_out.files()
+        blobs = out.files.files(names)
         rows = lambda family, blobs=blobs: state.table.extract(
             blobs, [family])[family]
-    out.records = step_out.records
 
 
 def attack_benign_injection(state, names, blobs, rows, out) -> None:
@@ -854,7 +872,7 @@ def attack_benign_injection(state, names, blobs, rows, out) -> None:
         state.table.names[i] for i in _rows(state, "train", "benign")))
     for name, data in zip(names, blobs):
         pe = petk.parse(data, strict=False)
-        out.write(name, baselines.benign_injection(pe, pool, rng).data)
+        out.files.write(name, baselines.benign_injection(pe, pool, rng).data)
 
 
 def attack_malgan_byte(state, names, blobs, rows, out) -> None:
@@ -869,7 +887,7 @@ def attack_malgan_byte(state, names, blobs, rows, out) -> None:
     for name, data, histogram in zip(names, blobs, rows("byte")):
         target = _byte_target(model, histogram, rng)
         rewritten, certificate = _pad_to_target(data, target, cfg.gap)
-        out.write(name, rewritten, certificate=certificate)
+        out.files.write(name, rewritten, certificate=certificate)
     out.query_count = model.training_meta["queries"]
     out.stats["rounds"] = model.training_meta.get("rounds", 0)
 
@@ -900,7 +918,7 @@ class PipelineState:
     cfg: ExperimentConfig
     workdir: Path
     manifest: dict | None = None
-    blobs: CorpusFiles | None = None
+    blobs: FileSet | None = None
     splits: dict | None = None
     extract_key: str | None = None
     table: FeatureTable | None = None
@@ -986,7 +1004,8 @@ def stage_corpus(state: PipelineState):
         # a dirs corpus is also keyed by its files, each read once here, so
         # an edited one is ingested again
         made = ingest_dirs(cfg.benign_dir, cfg.malicious_dir)
-        key = _key("corpus", dataclasses.asdict(cfg), state.cfg.seed, made[0])
+        key = _key("corpus", dataclasses.asdict(cfg), state.cfg.seed,
+                   _manifest(*made))
     # a corpus just made is read back from disk like a stored one, so no
     # stage holds its bytes
     state.manifest, state.blobs = _resume(
@@ -1005,8 +1024,8 @@ def _gans_needed(cfg: ExperimentConfig) -> list[str]:
 def stage_extract(state: PipelineState):
     cfg = state.cfg
     fcfg = cfg.feature_cfg
-    names = [rec["name"] for rec in state.manifest["files"]]
-    labels = [rec["label"] for rec in state.manifest["files"]]
+    names = list(state.blobs)
+    labels = [rec["label"] for rec in state.blobs.records.values()]
     state.splits = split_indices(labels, cfg.split, cfg.seed)
     for part in ("train", "test"):
         if {labels[i] for i in state.splits[part]} != {"benign", "malicious"}:
@@ -1147,7 +1166,7 @@ def stage_attacks(state: PipelineState):
             # replace, not add to, what an earlier run (maybe of another
             # corpus, whose file names repeat) left there
             shutil.rmtree(directory, ignore_errors=True)
-            out = AttackOutput(directory)
+            out = AttackOutput(FileSet(directory, kind="attack output"))
             spec.run(state, names, state.blobs.files(names), rows, out)
             return {what: out}
         state.attack_outputs[attack] = _resume(
@@ -1155,41 +1174,17 @@ def stage_attacks(state: PipelineState):
                                   load_attack, save_attack)], run)[what]
 
 
-def _store(path: Path, key: str, name: str, value) -> None:
-    """``value`` as field ``name`` of a JSON file at ``path``, ``key`` in it."""
-    path.write_text(json.dumps({"key": key, name: value}, sort_keys=True,
-                               indent=1))
-
-
-def _stored(path: Path, key: str, name: str, kind, item=None):
-    """Field ``name`` of the JSON file ``_store`` wrote at ``path`` under
-    ``key``; ``ValueError`` for any other key or a malformed file."""
-    stored = json.loads(path.read_text())
-    if ckpt.field(stored, "key", str) != key:
-        raise ValueError(f"{path.name} of other inputs")
-    return ckpt.field(stored, name, kind, item)
-
-
-def save_rates(path: Path, rates: dict, key: str) -> None:
-    _store(path, key, "rates", rates)
-
-
 def load_rates(path: Path, key: str) -> dict:
-    """The detection rates ``save_rates`` stored under ``key``, by
-    detector."""
-    rates = _stored(path, key, "rates", dict)
+    """The detection rates stored at ``path`` under ``key``, by detector."""
+    rates = ckpt.field(_stored(path, key), "rates", dict)
     for name in rates:
         ckpt.field(rates, name, float)
     return rates
 
 
-def save_sweep(path: Path, rows: list, key: str) -> None:
-    _store(path, key, "rows", rows)
-
-
 def load_sweep(path: Path, key: str) -> list:
-    """The gap sweep rows ``save_sweep`` stored under ``key``."""
-    rows = _stored(path, key, "rows", list, dict)
+    """The gap sweep rows stored at ``path`` under ``key``."""
+    rows = ckpt.field(_stored(path, key), "rows", list, dict)
     for row in rows:
         ckpt.field(row, "gap", (str, *ckpt.NUMBER))
         for name in ("mean_size_mb", "mean_appended_bytes", "detection_rate"):
@@ -1240,15 +1235,16 @@ def stage_evaluate(state: PipelineState) -> dict:
         what = ("rates", attack)
         attack_rates[attack] = _resume(
             state, _key("rates", state.keys[("attack", attack)], detector_keys),
-            [Artifact(what, out.directory / "rates.json", load_rates,
-                      save_rates)],
+            [Artifact(what, out.files.directory / "rates.json", load_rates,
+                      lambda path, rates, key: _store(path, key, rates=rates))],
             # read back from the files the attack wrote
-            lambda _: {what: rates(table.extract(out.files(), families))}
+            lambda _: {what: rates(table.extract(out.files.files(names),
+                                                 families))}
         )[what]
         query_counts[attack] = out.query_count
         stats = dict(out.stats)
         stats["mean_size_mb"] = float(np.mean(
-            [rec["size"] for rec in out.records.values()])) / 1e6
+            [rec["size"] for rec in out.files.records.values()])) / 1e6
         stats["capacity_warnings"] = len(out.warnings)
         attack_stats[attack] = stats
 
@@ -1261,8 +1257,9 @@ def stage_evaluate(state: PipelineState) -> dict:
                    cfg.sweep_seed, cfg.seed)
         # beside the attack's directory, which a rerun of the attack empties
         gap_rows = _resume(
-            state, key, [Artifact(what, state.workdir / "attacks" /
-                                  "gap_sweep.json", load_sweep, save_sweep)],
+            state, key, [Artifact(
+                what, state.workdir / "attacks" / "gap_sweep.json", load_sweep,
+                lambda path, rows, key: _store(path, key, rows=rows))],
             lambda _: {what: _gap_sweep(state, test_mal)})[what]
 
     return {

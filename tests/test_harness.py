@@ -1,6 +1,7 @@
 import collections
 import dataclasses
 import json
+import shutil
 import struct
 import weakref
 from pathlib import Path
@@ -190,11 +191,11 @@ class TestConfig:
 class TestCorpus:
     def test_gen_corpus_counts_and_labels(self, tmp_path):
         cfg = CorpusConfig(n_per_class=3, content_size=(200, 400))
-        manifest, blobs = gen_corpus(cfg, 0, tmp_path / "c")
-        labels = [r["label"] for r in manifest["files"]]
+        _, blobs = gen_corpus(cfg, 0, tmp_path / "c")
+        labels = [r["label"] for r in blobs.records.values()]
         assert labels.count("benign") == 3
         assert labels.count("malicious") == 3
-        assert list(blobs) == [r["name"] for r in manifest["files"]]
+        assert list(blobs) == sorted(p.name for p in (tmp_path / "c").iterdir())
         for data in blobs.values():
             petk.parse(data, strict=True)
 
@@ -225,7 +226,8 @@ class TestCorpus:
     def test_save_corpus_replaces_the_directory(self, tmp_path):
         (tmp_path / "c").mkdir()
         (tmp_path / "c" / "stale.exe").write_bytes(b"MZ")
-        save_corpus(tmp_path / "c", ({"seed": 0, "files": []}, {}), "k")
+        save_corpus(tmp_path / "c", ({"seed": 0},
+                                     harness.FileSet(tmp_path / "c")), "k")
         assert sorted(p.name for p in (tmp_path / "c").iterdir()) \
             == ["manifest.json"]
 
@@ -264,8 +266,8 @@ class TestCorpus:
             sections=[petk.SectionSpec(".t", size=100)]))
         (bdir / "one.exe").write_bytes(data)
         (mdir / "two.exe").write_bytes(data)
-        manifest, blobs = ingest_dirs(bdir, mdir)
-        labels = sorted(r["label"] for r in manifest["files"])
+        _, blobs = ingest_dirs(bdir, mdir)
+        labels = sorted(r["label"] for r in blobs.records.values())
         assert labels == ["benign", "malicious"]
         assert list(blobs.values()) == [data, data]
         assert not (tmp_path / "out").exists()
@@ -577,7 +579,7 @@ class TestCorpusOnDisk:
     def test_cold_corpus_is_read_back_from_disk(self, tmp_path):
         state = PipelineState(cfg=tiny_config(), workdir=tmp_path / "w")
         harness.stage_corpus(state)
-        assert isinstance(state.blobs, harness.CorpusFiles)
+        assert isinstance(state.blobs, harness.FileSet)
         assert state.blobs == gen_corpus(state.cfg.corpus, state.cfg.seed,
                                          tmp_path / "again")[1]
 
@@ -678,10 +680,86 @@ class TestCorpusOnDisk:
 
         for attack, out in state.attack_outputs.items():
             assert not any(isinstance(v, (bytes, bytearray, memoryview))
-                           for v in values(dataclasses.asdict(out)))
-            assert out.directory == tmp_path / "w" / "attacks" / attack
-            assert sorted(out.names) == sorted(
-                p.name for p in out.directory.glob("*.exe"))
+                           for v in values([dataclasses.asdict(out),
+                                            out.files.records]))
+            assert out.files.directory == tmp_path / "w" / "attacks" / attack
+            assert sorted(out.files) == sorted(
+                p.name for p in out.files.directory.glob("*.exe"))
+
+
+    @pytest.mark.parametrize("attack,stage", [
+        # gan_all's gan_strings step reads what its gan_api step wrote
+        ("gan_all", "attack"),
+        ("gan_api", "evaluate")])
+    def test_output_edited_before_it_is_read_back_is_named(
+            self, tmp_path, monkeypatch, attack, stage):
+        spec = harness.ATTACKS["gan_api"]
+        edited = []
+
+        def run_then_edit(state, names, blobs, rows, out):
+            spec.run(state, names, blobs, rows, out)
+            path = out.files.path(names[0])
+            data = bytearray(path.read_bytes())
+            data[200:208] = bytes(255 - b for b in data[200:208])
+            path.write_bytes(data)
+            edited.append(path)
+        monkeypatch.setitem(harness.ATTACKS, "gan_api",
+                            spec._replace(run=run_then_edit))
+        with pytest.raises(StageError) as exc:
+            run_pipeline(tiny_config(attacks=(attack,)), tmp_path / "w")
+        assert exc.value.stage == stage
+        assert f"CorpusError: attack output file {edited[0]} differs" \
+            in str(exc.value)
+
+
+@pytest.fixture(scope="module")
+def gan_byte_run(tmp_path_factory):
+    """A finished ``gan_byte`` run: (config, workdir, report)."""
+    workdir = tmp_path_factory.mktemp("gan_byte")
+    cfg = tiny_config(attacks=("gan_byte",))
+    return cfg, workdir, run_pipeline(cfg, workdir)
+
+
+class TestManifests:
+    """The corpus and each attack list their files in one record layout,
+    checked the same way when they load."""
+
+    @pytest.mark.parametrize("manifest,what,fields,record", [
+        ("corpus/manifest.json", ("corpus", "synthetic"),
+         ["digest", "files", "key", "seed"],
+         ["label", "name", "sha256", "size"]),
+        ("attacks/gan_byte/manifest.json", ("attack", "gan_byte"),
+         ["files", "key", "query_count", "stats", "warnings"],
+         ["certificate", "name", "sha256", "size"])])
+    @pytest.mark.parametrize("damage", ["size_mistyped", "sha256_missing",
+                                        "files_not_a_list"])
+    def test_malformed_manifest_is_recomputed(self, gan_byte_run, tmp_path,
+                                              manifest, what, fields, record,
+                                              damage):
+        cfg, finished, cold = gan_byte_run
+        workdir = tmp_path / "w"
+        shutil.copytree(finished, workdir)
+        path = workdir / manifest
+        intact = path.read_text()
+        stored = json.loads(intact)
+        # the layout perfbench/checks.py and the README rely on
+        assert sorted(stored) == fields
+        assert all(sorted(rec) == record for rec in stored["files"])
+        if damage == "size_mistyped":
+            stored["files"][0]["size"] = str(stored["files"][0]["size"])
+        elif damage == "sha256_missing":
+            del stored["files"][-1]["sha256"]
+        else:
+            stored["files"] = {rec["name"]: rec for rec in stored["files"]}
+        path.write_text(json.dumps(stored))
+        state = PipelineState(cfg=cfg, workdir=workdir)
+        evaluation = harness.run_stages(state)
+        # a corpus made again is the same, so nothing downstream of it is
+        computed = {what} | ({("rates", "gan_byte")} if what[0] == "attack"
+                             else set())
+        assert state.computed == computed
+        assert path.read_text() == intact
+        assert evaluation == {k: cold[k] for k in evaluation}
 
 
 class TestResume:
@@ -1023,7 +1101,7 @@ class TestResume:
             cfg, corpus=dataclasses.replace(cfg.corpus, n_per_class=4))
         state = PipelineState(cfg=bigger, workdir=tmp_path / "w")
         harness.run_stages(state, "corpus")
-        assert len(state.manifest["files"]) == 8
+        assert len(state.blobs) == 8
         fresh = PipelineState(cfg=bigger, workdir=tmp_path / "fresh")
         harness.run_stages(fresh, "corpus")
         assert state.manifest == fresh.manifest
@@ -1075,7 +1153,7 @@ def undeclared_reads(state, attack: str, directory: Path) -> set:
     harness.ATTACKS[attack].run(
         recorded, names, state.blobs.files(names),
         lambda family: state.table.matrices[family][test_mal],
-        harness.AttackOutput(directory))
+        harness.AttackOutput(harness.FileSet(directory)))
     return read - set(harness.ATTACKS[attack].fields) - {"seed"}
 
 
@@ -1333,15 +1411,15 @@ class TestCapacityCap:
         table = state.table
         mal = [i for i, label in enumerate(table.labels) if label == "malicious"]
         names = [table.names[i] for i in mal]
-        out = harness.AttackOutput(tmp_path / "out")
+        out = harness.AttackOutput(harness.FileSet(tmp_path / "out"))
         harness.attack_gan_indicator(model, names,
                                      table.matrices["api_topk"][mal],
-                                     harness.Files(names, state.blobs.__getitem__),
+                                     state.blobs.files(names),
                                      vocab, "api", 0, 0, out)
         assert out.warnings
-        assert out.names == names
+        assert list(out.files) == names
         from ganevade.features import extract_imports
-        for name, data in zip(names, out.files()):
+        for name, data in zip(names, out.files.files(names)):
             before = extract_imports(petk.parse(state.blobs[name]))
             assert extract_imports(petk.parse(data)) == before
 
@@ -1384,6 +1462,27 @@ class TestCli:
         {"gans": {"byte_histogram": {"batch_size": 8.0}}},
         {"gans": {"byte_histogram": {"n_generator": 2.5}}},
         {"gans": {"byte_histogram": {"max_steps": True}}},
+        {"detectors": {"x": 1}},
+        {"gans": [1]},
+        {"seed": 1.5},
+        {"seed": "x"},
+        {"corpus": {"n_per_class": 10.5}},
+        {"feature_cfg": {"k_api": 1.5}},
+        {"max_new_imports": 2.5},
+        {"malgan_max_queries": "x"},
+        {"sweep_seed": 1.5},
+        {"sweep_subsample": 2.5},
+        {"feature_cfg": {"min_string_len": 4.5}},
+        {"corpus": {"byte_alpha_benign": [-1.0] * 256}},
+        {"corpus": {"byte_alpha_benign": [1.0]}},
+        {"seed": -1},
+        {"sweep_seed": True},
+        {"split": [1.0]},
+        {"gans": {"api": 1}},
+        {"detectors": [1]},
+        {"attacks": {"gan_byte": 1}},
+        {"gap_sweep": 0.01},
+        [1],
     ])
     def test_setting_error_exit_2_writes_nothing(self, tmp_path, bad):
         p = tmp_path / "bad.json"
@@ -1479,6 +1578,12 @@ class TestCli:
         assert rc == 0
         assert (tmp_path / "w" / "corpus" / "manifest.json").exists()
         assert "4 files" in capsys.readouterr().out
+
+    def test_seed_override_is_checked(self, tmp_path, tiny_config_file):
+        rc = cli.main(["pipeline", "--seed", "-1", "--config",
+                       str(tiny_config_file), "--workdir", str(tmp_path / "w")])
+        assert rc == 2
+        assert not (tmp_path / "w").exists()
 
     def test_seed_override_changes_hash(self, tmp_path):
         cfg = tiny_config()
