@@ -33,17 +33,16 @@ from ganevade import features, harness, petk
 
 def corpus(n_files: int, seed: int) -> list[bytes]:
     """``n_files`` synthetic PEs and the import rewrite of each."""
-    cfg = harness.CorpusConfig()
-    every_api = sorted(tok for pool in cfg.api_pools.values()
-                       for tok in pool["tokens"])
+    every_api = sorted(tok for tokens, *_ in harness.API_POOLS
+                       for tok in tokens)
     rng = np.random.default_rng(seed)
     blobs = []
     for i in range(n_files):
         label = ("benign", "malicious")[i % 2]
         spec = petk.SynthSpec(
             sections=[petk.SectionSpec(".text", size=int(rng.integers(512, 2048)))],
-            imports=harness._sample_tokens(cfg.api_pools, label, rng),
-            strings=harness._sample_tokens(cfg.string_pools, label, rng))
+            imports=harness._sample_tokens(harness.API_POOLS, label, rng),
+            strings=harness._sample_tokens(harness.STRING_POOLS, label, rng))
         data = petk.synth_pe(spec, seed=int(rng.integers(0, 2**31)))
         added = [str(t) for t in rng.choice(every_api, size=4, replace=False)]
         rewrite, _ = petk.extend_imports(petk.parse(data), added)

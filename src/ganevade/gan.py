@@ -105,8 +105,6 @@ class TrainingConfig:
     lambda_gp: float = 10.0
     n_generator: int = 5
     learning_rate: float = 1e-4
-    generator_hidden: list | None = None    # None: size-appropriate default
-    critic_hidden: list | None = None
 
     def __post_init__(self):
         rates = (self.lambda_gp, self.learning_rate)
@@ -115,15 +113,14 @@ class TrainingConfig:
             raise TypeError("lambda_gp and learning_rate must be numbers")
         if not all(math.isfinite(r) and r > 0 for r in rates):
             raise ValueError("lambda_gp and learning_rate must be positive")
-        hidden = [*(self.generator_hidden or ()), *(self.critic_hidden or ())]
-        counts = (self.max_steps, self.batch_size, self.n_generator, *hidden)
+        counts = (self.max_steps, self.batch_size, self.n_generator)
         if not all(isinstance(c, Integral) and not isinstance(c, bool)
                    for c in counts):
-            raise TypeError("max_steps, batch_size, n_generator and hidden "
-                            "sizes must be integers")
+            raise TypeError("max_steps, batch_size and n_generator must be "
+                            "integers")
         if min(counts) < 1:
-            raise ValueError("max_steps, batch_size, n_generator and hidden "
-                             "sizes must be >= 1")
+            raise ValueError("max_steps, batch_size and n_generator must be "
+                             ">= 1")
 
 
 @dataclass

@@ -46,6 +46,7 @@ import hashlib
 import itertools
 import json
 import os
+import re
 import shutil
 import time
 from collections.abc import Mapping, Sequence
@@ -82,41 +83,33 @@ class StageError(RuntimeError):
 
 # --- configuration ----------------------------------------------------------
 
-def _default_byte_alpha(kind: str) -> list[float]:
-    alpha = np.full(256, 0.3)
-    if kind == "benign":
-        alpha[0x20:0x80] = 6.0      # printable-heavy, text-like content
-    else:
-        alpha[0x80:] = 6.0          # high-byte heavy content
-    return alpha.tolist()
+# the synthetic corpus's Dirichlet byte-content profile of each class:
+# printable-heavy, text-like benign content, high-byte heavy malicious content
+BYTE_ALPHA = {label: np.full(256, 0.3) for label in ("benign", "malicious")}
+BYTE_ALPHA["benign"][0x20:0x80] = 6.0
+BYTE_ALPHA["malicious"][0x80:] = 6.0
 
 
-def _default_api_pools() -> dict:
-    benign = [f"oslib{i % 12:02d}.dll!service{i:03d}" for i in range(120)]
-    malicious = [f"shady{i % 8:02d}.dll!payload{i:03d}" for i in range(60)]
-    shared = [f"common{i % 4:02d}.dll!util{i:03d}" for i in range(30)]
-    # long tail of rare benign imports: individually below any Top-K cut,
-    # collectively visible to the hashed representation
-    tail = [f"vendor{i % 40:02d}.dll!ext{i:03d}" for i in range(400)]
-    return {
-        "benign": {"tokens": benign, "p_benign": 0.35, "p_malicious": 0.05},
-        "malicious": {"tokens": malicious, "p_benign": 0.02, "p_malicious": 0.4},
-        "shared": {"tokens": shared, "p_benign": 0.5, "p_malicious": 0.5},
-        "benign_tail": {"tokens": tail, "p_benign": 0.25, "p_malicious": 0.0},
-    }
+def _token_pools(benign, malicious, shared, tail) -> tuple:
+    """(tokens, p_benign, p_malicious) of each pool: each of its tokens is in
+    a file of that class with that probability."""
+    return ((benign, 0.35, 0.05), (malicious, 0.02, 0.4), (shared, 0.5, 0.5),
+            # long tail of rare benign tokens: individually below any Top-K
+            # cut, collectively visible to the hashed representation
+            (tail, 0.25, 0.0))
 
 
-def _default_string_pools() -> dict:
-    benign = [f"product-release-note-{i:03d}" for i in range(150)]
-    malicious = [f"exfil-beacon-target-{i:03d}" for i in range(80)]
-    shared = [f"shared-runtime-msg-{i:03d}" for i in range(40)]
-    tail = [f"locale-resource-entry-{i:03d}" for i in range(400)]
-    return {
-        "benign": {"tokens": benign, "p_benign": 0.35, "p_malicious": 0.05},
-        "malicious": {"tokens": malicious, "p_benign": 0.02, "p_malicious": 0.4},
-        "shared": {"tokens": shared, "p_benign": 0.5, "p_malicious": 0.5},
-        "benign_tail": {"tokens": tail, "p_benign": 0.25, "p_malicious": 0.0},
-    }
+# the synthetic corpus's import and string pools
+API_POOLS = _token_pools(
+    [f"oslib{i % 12:02d}.dll!service{i:03d}" for i in range(120)],
+    [f"shady{i % 8:02d}.dll!payload{i:03d}" for i in range(60)],
+    [f"common{i % 4:02d}.dll!util{i:03d}" for i in range(30)],
+    [f"vendor{i % 40:02d}.dll!ext{i:03d}" for i in range(400)])
+STRING_POOLS = _token_pools(
+    [f"product-release-note-{i:03d}" for i in range(150)],
+    [f"exfil-beacon-target-{i:03d}" for i in range(80)],
+    [f"shared-runtime-msg-{i:03d}" for i in range(40)],
+    [f"locale-resource-entry-{i:03d}" for i in range(400)])
 
 
 @dataclass
@@ -124,10 +117,6 @@ class CorpusConfig:
     kind: str = "synthetic"                 # synthetic | dirs
     n_per_class: int = 100
     content_size: tuple = (1024, 4096)
-    byte_alpha_benign: list = field(default_factory=lambda: _default_byte_alpha("benign"))
-    byte_alpha_malicious: list = field(default_factory=lambda: _default_byte_alpha("malicious"))
-    api_pools: dict = field(default_factory=_default_api_pools)
-    string_pools: dict = field(default_factory=_default_string_pools)
     benign_dir: str | None = None
     malicious_dir: str | None = None
 
@@ -172,6 +161,9 @@ def _is_number(v) -> bool:
     return isinstance(v, (int, float)) and not isinstance(v, bool)
 
 
+# a detector's name becomes part of a file name under models/
+DETECTOR_NAME = re.compile(r"[A-Za-z0-9_-]+")
+
 DEFAULT_GAP_SWEEP = (0.01, 0.008, 0.005, 0.003, 0.001, 0.0008, 0.0005,
                      0.0003, 0.0001)
 
@@ -193,7 +185,6 @@ class ExperimentConfig:
     gap: float = 0.001
     gap_sweep: tuple = DEFAULT_GAP_SWEEP
     sweep_subsample: int = 200
-    sweep_seed: int | None = None           # defaults to seed + 1, recorded
     max_new_imports: int = 2048
     max_new_strings: int = 4096
     malgan_max_queries: int = 50_000
@@ -211,9 +202,8 @@ class ExperimentConfig:
             raise ConfigError(f"split must be three fractions >= 0 that sum "
                               f"to 1, got {self.split!r}")
         corpus, fcfg = self.corpus, self.feature_cfg
-        sweep_seed = 0 if self.sweep_seed is None else self.sweep_seed
         for name, value, least in (
-                ("seed", self.seed, 0), ("sweep_seed", sweep_seed, 0),
+                ("seed", self.seed, 0),
                 ("sweep_subsample", self.sweep_subsample, 1),
                 ("max_new_imports", self.max_new_imports, 0),
                 ("max_new_strings", self.max_new_strings, 0),
@@ -224,16 +214,14 @@ class ExperimentConfig:
             if not (_is_int(value) and value >= least):
                 raise ConfigError(f"{name} must be an integer >= {least}, "
                                   f"got {value!r}")
-        for label in ("benign", "malicious"):
-            alpha = getattr(corpus, f"byte_alpha_{label}")
-            if not (isinstance(alpha, seqs) and len(alpha) == 256 and all(
-                    _is_number(a) and 0 < a < float("inf") for a in alpha)):
-                raise ConfigError(f"corpus.byte_alpha_{label} must be 256 "
-                                  f"finite numbers > 0")
         for attack in self.attacks:
             if attack not in ATTACKS:
                 raise ConfigError(f"unknown attack {attack!r}")
         names = [spec.name for spec in self.detectors]
+        for name in names:
+            if not (isinstance(name, str) and DETECTOR_NAME.fullmatch(name)):
+                raise ConfigError(f"detector name {name!r} is not "
+                                  f"{DETECTOR_NAME.pattern}")
         if len(set(names)) != len(names):
             raise ConfigError(f"detector names repeat: {names}")
         for spec in self.detectors:
@@ -338,12 +326,12 @@ def default_workdir() -> Path:
 
 # --- synthetic corpus -------------------------------------------------------
 
-def _sample_tokens(pools: dict, label: str, rng: np.random.Generator) -> list[str]:
+def _sample_tokens(pools: tuple, label: str, rng: np.random.Generator) -> list[str]:
     picked = []
-    for pool in pools.values():
-        p = pool["p_benign"] if label == "benign" else pool["p_malicious"]
-        mask = rng.random(len(pool["tokens"])) < p
-        picked.extend(itertools.compress(pool["tokens"], mask.tolist()))
+    for tokens, p_benign, p_malicious in pools:
+        p = p_benign if label == "benign" else p_malicious
+        mask = rng.random(len(tokens)) < p
+        picked.extend(itertools.compress(tokens, mask.tolist()))
     return picked
 
 
@@ -480,12 +468,12 @@ def _synth_files(cfg: CorpusConfig, seed: int):
     order, each made when it is reached."""
     rng = np.random.default_rng(seed)
     lo, hi = cfg.content_size
-    for label, alpha in (("benign", np.asarray(cfg.byte_alpha_benign)),
-                         ("malicious", np.asarray(cfg.byte_alpha_malicious))):
+    for label in ("benign", "malicious"):
         for i in range(cfg.n_per_class):
-            content = _sample_content(alpha, int(rng.integers(lo, hi + 1)), rng)
-            imports = _sample_tokens(cfg.api_pools, label, rng)
-            strings = _sample_tokens(cfg.string_pools, label, rng)
+            content = _sample_content(BYTE_ALPHA[label],
+                                      int(rng.integers(lo, hi + 1)), rng)
+            imports = _sample_tokens(API_POOLS, label, rng)
+            strings = _sample_tokens(STRING_POOLS, label, rng)
             spec = petk.SynthSpec(
                 sections=[petk.SectionSpec(".text", content=content)],
                 imports=imports, strings=strings)
@@ -689,25 +677,22 @@ class FeatureTable:
 
 # --- GAN wiring -------------------------------------------------------------
 
-def pipeline_preset(kind: str, dim: int, stage_cfg: GanStageConfig) -> gan.GanPreset:
+def pipeline_preset(kind: str, dim: int) -> gan.GanPreset:
     """Canonical preset when dims match it, else a size-appropriate variant."""
     canonical = gan.preset_for(kind)
-    if dim == canonical.input_dim and stage_cfg.generator_hidden is None \
-            and stage_cfg.critic_hidden is None:
+    if dim == canonical.input_dim:
         return canonical
-    gen_hidden = tuple(stage_cfg.generator_hidden or
-                       (max(dim, 64), max(dim, 64)))
-    critic_hidden = tuple(stage_cfg.critic_hidden or
-                          (max(dim // 2, 32), max(dim // 4, 16)))
-    return gan.GanPreset(kind, dim, canonical.noise_dim, gen_hidden,
-                         critic_hidden, canonical.output_activation)
+    return gan.GanPreset(kind, dim, canonical.noise_dim,
+                         (max(dim, 64), max(dim, 64)),
+                         (max(dim // 2, 32), max(dim // 4, 16)),
+                         canonical.output_activation)
 
 
 def train_gan_for(kind: str, table: FeatureTable, train_idx, cfg: ExperimentConfig,
                   metrics_path=None) -> gan.GanModel:
     benign, malicious = table.by_class((GAN_FAMILIES[kind],), train_idx)
     stage = cfg.gans.get(kind, GanStageConfig())
-    preset = pipeline_preset(kind, benign.shape[1], stage)
+    preset = pipeline_preset(kind, benign.shape[1])
     sink = None
     rows_out = []
     if metrics_path is not None:
@@ -878,8 +863,7 @@ def attack_benign_injection(state, names, blobs, rows, out) -> None:
 def attack_malgan_byte(state, names, blobs, rows, out) -> None:
     cfg = state.cfg
     benign, malicious = state.table.by_class(("byte",), state.splits["train"])
-    stage = cfg.gans.get("byte_histogram", GanStageConfig())
-    preset = pipeline_preset("byte_histogram", benign.shape[1], stage)
+    preset = pipeline_preset("byte_histogram", benign.shape[1])
     black_box = _primary_byte_detector(state).label_fn()
     model = baselines.train_malgan(malicious, benign, black_box, preset,
                                    cfg.malgan_max_queries, cfg.seed)
@@ -906,8 +890,8 @@ ATTACKS = {
     "gan_all": Attack(GAN_KINDS, ("max_new_imports", "max_new_strings", "gap"),
                       attack_gan_all),
     "benign_injection": Attack((), (), attack_benign_injection),
-    "malgan_byte": Attack((), ("detectors", "gans", "malgan_max_queries",
-                               "gap"), attack_malgan_byte),
+    "malgan_byte": Attack((), ("detectors", "malgan_max_queries", "gap"),
+                          attack_malgan_byte),
 }
 
 
@@ -998,7 +982,11 @@ def stage_corpus(state: PipelineState):
     corpus_dir = state.workdir / "corpus"
     what = ("corpus", cfg.kind)
     if cfg.kind == "synthetic":
-        key = _key("corpus", dataclasses.asdict(cfg), state.cfg.seed)
+        # also keyed by the distributions it is drawn from, so a corpus made
+        # before they changed is made again
+        key = _key("corpus", dataclasses.asdict(cfg), state.cfg.seed,
+                   {label: a.tolist() for label, a in BYTE_ALPHA.items()},
+                   API_POOLS, STRING_POOLS)
         made = None
     else:
         # a dirs corpus is also keyed by its files, each read once here, so
@@ -1254,7 +1242,7 @@ def stage_evaluate(state: PipelineState) -> dict:
         key = _key("gap_sweep", state.keys[("gan", "byte_histogram")],
                    state.keys[("detector", _primary_byte_name(cfg))],
                    state.extract_key, cfg.gap_sweep, cfg.sweep_subsample,
-                   cfg.sweep_seed, cfg.seed)
+                   cfg.seed)
         # beside the attack's directory, which a rerun of the attack empties
         gap_rows = _resume(
             state, key, [Artifact(
@@ -1276,7 +1264,7 @@ def stage_evaluate(state: PipelineState) -> dict:
 
 def _gap_sweep(state: PipelineState, test_mal) -> list[dict]:
     cfg = state.cfg
-    sweep_seed = cfg.sweep_seed if cfg.sweep_seed is not None else cfg.seed + 1
+    sweep_seed = cfg.seed + 1
     rng = np.random.default_rng(sweep_seed)
     subset = test_mal
     if len(test_mal) > cfg.sweep_subsample:
@@ -1343,7 +1331,7 @@ def run_pipeline(cfg: ExperimentConfig, workdir) -> dict:
     report = {
         "config_hash": cfg.config_hash(),
         "seed": cfg.seed,
-        "sweep_seed": cfg.sweep_seed if cfg.sweep_seed is not None else cfg.seed + 1,
+        "sweep_seed": cfg.seed + 1,
         "tool_version": __version__,
         **evaluation,
         "runtime_seconds": round(time.time() - t0, 3),

@@ -341,14 +341,12 @@ class TestTraining:
         with pytest.raises(ValueError):
             TrainingConfig(batch_size=0)
         with pytest.raises(ValueError):
-            TrainingConfig(critic_hidden=[16, 0])
-        with pytest.raises(ValueError):
             TrainingConfig(learning_rate=float("nan"))
 
     @pytest.mark.parametrize("bad", [
         {"max_steps": 20.5}, {"batch_size": 8.0}, {"n_generator": 2.5},
-        {"max_steps": True}, {"generator_hidden": [32, 32.0]},
-        {"critic_hidden": ["16"]}, {"lambda_gp": "10"},
+        {"max_steps": True}, {"batch_size": "8"}, {"n_generator": None},
+        {"lambda_gp": "10"},
         {"learning_rate": True}])
     def test_config_types(self, bad):
         with pytest.raises(TypeError):

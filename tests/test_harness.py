@@ -144,7 +144,7 @@ class TestConfig:
 
     def test_gan_settings_are_one_class(self):
         assert GanStageConfig is gan.TrainingConfig
-        assert len(dataclasses.fields(GanStageConfig)) == 7
+        assert len(dataclasses.fields(GanStageConfig)) == 5
 
     def test_unknown_detector_kind_rejected(self):
         with pytest.raises(ConfigError):
@@ -189,6 +189,17 @@ class TestConfig:
 
 
 class TestCorpus:
+    def test_config_written_with_sorted_keys_draws_the_same_corpus(
+            self, tmp_path):
+        # the two configs have one config_hash and one corpus key
+        cfg = tiny_config()
+        written = ExperimentConfig.from_dict(
+            json.loads(json.dumps(cfg.to_dict(), sort_keys=True)))
+        assert written.config_hash() == cfg.config_hash()
+        made, _ = gen_corpus(cfg.corpus, 0, tmp_path / "a")
+        read, _ = gen_corpus(written.corpus, 0, tmp_path / "b")
+        assert read["digest"] == made["digest"]
+
     def test_gen_corpus_counts_and_labels(self, tmp_path):
         cfg = CorpusConfig(n_per_class=3, content_size=(200, 400))
         _, blobs = gen_corpus(cfg, 0, tmp_path / "c")
@@ -319,20 +330,14 @@ class TestSplits:
 
 class TestPresetScaling:
     def test_canonical_when_dims_match(self):
-        p = pipeline_preset("byte_histogram", 256, GanStageConfig())
+        p = pipeline_preset("byte_histogram", 256)
         assert p == gan.byte_preset()
 
     def test_scaled_variant_otherwise(self):
-        p = pipeline_preset("api", 150, GanStageConfig())
+        p = pipeline_preset("api", 150)
         assert p.input_dim == 150
         assert p.noise_dim == gan.api_preset().noise_dim
         assert p.output_activation == "sigmoid"
-
-    def test_explicit_hidden_override(self):
-        stage = GanStageConfig(generator_hidden=[32, 32], critic_hidden=[16])
-        p = pipeline_preset("strings", 80, stage)
-        assert p.generator_hidden == (32, 32)
-        assert p.critic_hidden == (16,)
 
 
 class TestPipeline:
@@ -1107,6 +1112,26 @@ class TestResume:
         assert state.manifest == fresh.manifest
         assert state.blobs == fresh.blobs
 
+    @pytest.mark.parametrize("constant", ["BYTE_ALPHA", "API_POOLS",
+                                          "STRING_POOLS"])
+    def test_corpus_regenerated_when_its_distributions_change(
+            self, tmp_path, monkeypatch, constant):
+        cfg = tiny_config()
+        harness.run_stages(PipelineState(cfg=cfg, workdir=tmp_path / "w"),
+                           "corpus")
+        value = getattr(harness, constant)
+        if constant == "BYTE_ALPHA":
+            changed = {**value, "benign": value["malicious"]}
+        else:
+            changed = (value[1], value[0], *value[2:])
+        monkeypatch.setattr(harness, constant, changed)
+        state = PipelineState(cfg=cfg, workdir=tmp_path / "w")
+        harness.run_stages(state, "corpus")
+        assert state.computed == {("corpus", "synthetic")}
+        fresh = PipelineState(cfg=cfg, workdir=tmp_path / "fresh")
+        harness.run_stages(fresh, "corpus")
+        assert state.manifest == fresh.manifest
+
     def test_attack_outputs_replace_an_earlier_run(self, tmp_path):
         # 4 test files per class at the first split, 1 at the second
         cfg = tiny_config(attacks=("gan_byte",))
@@ -1188,8 +1213,7 @@ class TestAttackResume:
         harness._gap_sweep(recorded, harness._rows(state, "test", "malicious"))
         # "detectors" picks the primary byte detector, whose key is in the
         # sweep's
-        assert read <= {"gap_sweep", "sweep_subsample", "sweep_seed", "seed",
-                        "detectors"}
+        assert read <= {"gap_sweep", "sweep_subsample", "seed", "detectors"}
 
     def test_fully_resumed_gan_byte_run_plans_no_padding(self, tmp_path,
                                                          monkeypatch):
@@ -1209,7 +1233,6 @@ class TestAttackResume:
     @pytest.mark.parametrize("field,value,computed", [
         ("gap_sweep", (0.005,), {"gap_sweep"}),
         ("sweep_subsample", 2, {"gap_sweep"}),
-        ("sweep_seed", 99, {"gap_sweep"}),
         # the attack reads gap, the sweep does not
         ("gap", 0.002, {"attack", "rates"})])
     def test_sweep_recomputed_when_a_field_it_reads_changes(
@@ -1243,6 +1266,20 @@ class TestAttackResume:
         kept = {path for path in before if path.parent.name not in rerun}
         assert {path: after[path] for path in kept} == \
             {path: before[path] for path in kept}
+        cold = run_pipeline(changed, tmp_path / "cold")
+        assert evaluation == {k: cold[k] for k in evaluation}
+
+    def test_malgan_resumes_across_a_gan_change(self, tmp_path):
+        # MalGAN trains its own generator: a GAN setting retrains that GAN
+        # and re-runs its attack, but spends no MalGAN query again
+        cfg = tiny_config(attacks=("gan_api", "malgan_byte"))
+        run_pipeline(cfg, tmp_path / "w")
+        gans = dict(cfg.gans, api=GanStageConfig(max_steps=11))
+        changed = dataclasses.replace(cfg, gans=gans)
+        state = PipelineState(cfg=changed, workdir=tmp_path / "w")
+        evaluation = harness.run_stages(state)
+        assert state.computed == {("gan", "api"), ("attack", "gan_api"),
+                                  ("rates", "gan_api")}
         cold = run_pipeline(changed, tmp_path / "cold")
         assert evaluation == {k: cold[k] for k in evaluation}
 
@@ -1405,8 +1442,7 @@ class TestCapacityCap:
         harness.stage_corpus(state)
         harness.stage_extract(state)
         vocab = state.table.vocabs["api_topk"]
-        preset = pipeline_preset("api", vocab.size,
-                                 GanStageConfig())
+        preset = pipeline_preset("api", vocab.size)
         model = gan.build_gan(preset, seed=0)
         table = state.table
         mal = [i for i, label in enumerate(table.labels) if label == "malicious"]
@@ -1483,6 +1519,11 @@ class TestCli:
         {"attacks": {"gan_byte": 1}},
         {"gap_sweep": 0.01},
         [1],
+        {"detectors": [{"name": "../../escaped", "families": ["byte"]}],
+         "attacks": ["gan_byte"]},
+        {"detectors": [{"name": 5, "families": ["byte"]}]},
+        {"corpus": {"n_per_class": 10, "content_size": [400, 800],
+                    "api_pools": 1}},
     ])
     def test_setting_error_exit_2_writes_nothing(self, tmp_path, bad):
         p = tmp_path / "bad.json"
@@ -1491,6 +1532,24 @@ class TestCli:
                        "--workdir", str(tmp_path / "w")])
         assert rc == 2
         assert not (tmp_path / "w").exists()
+
+    @pytest.mark.parametrize("name,old", [
+        ("sweep_seed", {"sweep_seed": 8}),
+        *((name, {"corpus": {name: value}}) for name, value in (
+            ("byte_alpha_benign", [1.0] * 256),
+            ("byte_alpha_malicious", [1.0] * 256),
+            ("api_pools", {}), ("string_pools", {}))),
+        *((name, {"gans": {"api": {name: [16]}}})
+          for name in ("generator_hidden", "critic_hidden"))])
+    def test_removed_field_exits_2_and_is_named(self, tmp_path, capsys, name,
+                                                old):
+        p = tmp_path / "old.json"
+        p.write_text(json.dumps(old))
+        rc = cli.main(["pipeline", "--config", str(p),
+                       "--workdir", str(tmp_path / "w")])
+        assert rc == 2
+        assert not (tmp_path / "w").exists()
+        assert repr(name) in capsys.readouterr().err
 
     @pytest.mark.parametrize("command", ["pipeline", "extract", "attack"])
     def test_invalid_config_writes_nothing(self, tmp_path, command):
