@@ -1,5 +1,5 @@
 """Binary container for every artifact a stage reads back: the feature
-matrices and vocabularies, and the detector and GAN checkpoints.
+matrices, each with its vocabulary, and the detector and GAN checkpoints.
 
 Layout (little-endian):
     magic   b"GEVD2"

@@ -63,7 +63,7 @@ def cmd_extract(args) -> int:
     harness.run_stages(state, "extract")
     table = state.table
     print(f"extracted {len(table.names)} files: " + ", ".join(
-        f"{fam} (vocab {table.vocabs[fam].size})" if fam in table.vocabs
+        f"{fam} (vocab {len(table.vocabs[fam])})" if fam in table.vocabs
         else fam for fam in table.matrices))
     return EXIT_OK
 

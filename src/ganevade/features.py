@@ -1,16 +1,16 @@
 """Static feature families: byte histograms, import and string indicators.
 
 Also provides the benign-frequency Top-K vocabulary selection and the
-signed hashing-trick vectorizer used by the hashed detector variants.
+signed hashing-trick vectorizer used by the hashed detector variants. A
+vocabulary is an ordered ``{token: column}`` dict, and it is stored in the
+container of the matrix whose columns it names.
 """
 
 from __future__ import annotations
 
 import functools
-import hashlib
 import re
 from collections import Counter
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -25,22 +25,6 @@ HASH_MEMO_SIZE = 1 << 14
 
 class EmptyInputError(ValueError):
     pass
-
-
-@dataclass
-class Vocabulary:
-    kind: str                   # "api" | "string"
-    entries: list[str]
-    provenance: str = ""
-
-    def __post_init__(self):
-        if len(set(self.entries)) != len(self.entries):
-            raise ValueError("vocabulary entries must be distinct")
-        self.index = {tok: i for i, tok in enumerate(self.entries)}
-
-    @property
-    def size(self) -> int:
-        return len(self.entries)
 
 
 def byte_histogram(data: bytes) -> np.ndarray:
@@ -75,9 +59,10 @@ def extract_strings(data: bytes, min_len: int = DEFAULT_MIN_STRING_LEN) -> Count
                    re.findall(rb"[\x20-\x7e]{%d,}" % min_len, data))
 
 
-def select_topk(benign_token_sets, k: int, kind: str = "api") -> Vocabulary:
-    """Top-K tokens by benign document frequency, ties broken lexicographically.
-    The documents are read once, in order, so a generator will do."""
+def select_topk(benign_token_sets, k: int) -> dict:
+    """Top-K tokens by benign document frequency, ties broken lexicographically,
+    each mapped to its column. The documents are read once, in order, so a
+    generator will do."""
     df: Counter = Counter()
     docs = 0
     for doc in benign_token_sets:
@@ -86,16 +71,14 @@ def select_topk(benign_token_sets, k: int, kind: str = "api") -> Vocabulary:
     if not docs:
         raise ValueError("empty benign corpus")
     ranked = sorted(df, key=lambda t: (-df[t], t))
-    digest = hashlib.sha256(
-        "\n".join(sorted(df)).encode("utf-8")).hexdigest()[:16]
-    return Vocabulary(kind=kind, entries=ranked[:k], provenance=digest)
+    return {tok: i for i, tok in enumerate(ranked[:k])}
 
 
-def vectorize(tokens, vocab: Vocabulary) -> np.ndarray:
+def vectorize(tokens, vocab: dict) -> np.ndarray:
     """Binary indicator vector over the vocabulary; OOV tokens ignored."""
-    bits = np.zeros(vocab.size, dtype=np.float64)
+    bits = np.zeros(len(vocab), dtype=np.float64)
     for tok in tokens:
-        i = vocab.index.get(tok)
+        i = vocab.get(tok)
         if i is not None:
             bits[i] = 1.0
     return bits
@@ -130,33 +113,35 @@ def hash_features(tokens, dim: int = DEFAULT_HASH_DIM) -> np.ndarray:
 
 
 # --- persistence -----------------------------------------------------------
-# Both are checkpoint containers whose ``key`` is the content key of the
-# inputs they were computed from; a loader given ``key`` raises
-# ``CheckpointError`` (a ValueError) for any other, and for a container
-# that lacks a field it reads.
-
-def save_vocab(path, vocab: Vocabulary, key: str = "") -> None:
-    ckpt.save_container(path, {"kind": vocab.kind, "entries": vocab.entries,
-                               "provenance": vocab.provenance, "key": key}, {})
-
-
-def load_vocab(path, key: str | None = None) -> Vocabulary:
-    meta, _ = ckpt.load_container(path, key)
-    return Vocabulary(kind=ckpt.field(meta, "kind", str),
-                      entries=ckpt.field(meta, "entries", list, str),
-                      provenance=ckpt.field(meta, "provenance", str))
-
+# A matrix is a checkpoint container whose ``key`` is the content key of the
+# inputs it was computed from; ``load_matrix`` given ``key`` raises
+# ``CheckpointError`` (a ValueError) for any other, and for a container that
+# lacks a field it reads.
 
 def save_matrix(path, value: tuple, key: str = "") -> None:
-    """``value``, a feature matrix and its ``columns`` names, as
-    ``load_matrix`` returns it: the matrix in its narrowest exact dtype
-    (``checkpoint.narrowest``), the same float64 bits."""
-    matrix, columns = value
-    ckpt.save_container(path, {"columns": list(columns), "key": key},
-                        {"matrix": matrix})
+    """``value``, a feature matrix, its ``columns`` names and its vocabulary
+    (``None`` for a family without one), as ``load_matrix`` returns it: the
+    matrix in its narrowest exact dtype (``checkpoint.narrowest``), the same
+    float64 bits."""
+    matrix, columns, vocab = value
+    ckpt.save_container(path, {"columns": list(columns),
+                               "vocab": None if vocab is None else list(vocab),
+                               "key": key}, {"matrix": matrix})
 
 
 def load_matrix(path, key: str | None = None):
+    """The ``(matrix, columns, vocab)`` stored at ``path``; the vocabulary is
+    ``None`` when none is stored, and is refused when an entry repeats or
+    when it does not name each of the matrix's columns once."""
     meta, arrays = ckpt.load_container(path, key)
-    return (ckpt.field(arrays, "matrix", np.ndarray),
-            ckpt.field(meta, "columns", list, str))
+    matrix = ckpt.field(arrays, "matrix", np.ndarray)
+    columns = ckpt.field(meta, "columns", list, str)
+    if meta.get("vocab") is None:
+        return matrix, columns, None
+    entries = ckpt.field(meta, "vocab", list, str)
+    vocab = {tok: i for i, tok in enumerate(entries)}
+    if len(vocab) != len(entries) or matrix.shape[1:] != (len(vocab),):
+        raise ckpt.CheckpointError(f"{len(entries)} vocabulary entries, "
+                                   f"{len(vocab)} distinct, name the columns "
+                                   f"of a {matrix.shape} matrix")
+    return matrix, columns, vocab

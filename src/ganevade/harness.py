@@ -22,9 +22,10 @@ computes only the families the run reads; ``gan_all`` and evaluation
 build the rewritten files' rows through the same table. All three go
 through ``FeatureTable.extract``, which visits each file once and drops its
 ``FileFeatures`` before the next file's is made, so a run holds the
-matrices, not every file's token sets. A Top-K vocabulary that is missing
-is ranked from the train-benign files, visited first; only their Top-K
-tokens are held until it exists, as references to one copy of each
+matrices, not every file's token sets. A Top-K family's vocabulary is
+stored in its matrix's container, so it is ranked exactly when the matrix
+is computed: from the train-benign files, visited first, whose token sets
+alone are held until it exists, as references to one copy of each
 distinct token.
 
 Every artifact resumes through ``_resume`` under a content key
@@ -32,9 +33,9 @@ Every artifact resumes through ``_resume`` under a content key
 keys of what it was computed from, as each stage builds it. What is
 stored under the key loads; anything else is computed and written over
 it, except a corpus file that kept its size but not its bytes: that fails
-the run (``CorpusError``). Extract resumes its vocabularies and matrices
-in one ``_resume`` call, so one pass over the files computes all that
-missed. Each matrix is held, as it is stored, in its narrowest exact
+the run (``CorpusError``). Extract resumes its matrices, one file per
+family, in one ``_resume`` call, so one pass over the files computes all
+that missed. Each matrix is held, as it is stored, in its narrowest exact
 dtype (``checkpoint.narrowest``).
 """
 
@@ -137,6 +138,9 @@ class DetectorSpec:
     hyperparams: dict = field(default_factory=dict)
 
     def __post_init__(self):
+        if not isinstance(self.families, (list, tuple)):
+            raise TypeError(f"detector families must be a list, got "
+                            f"{self.families!r}")
         self.families = tuple(self.families)
 
 
@@ -160,6 +164,10 @@ def _is_int(v) -> bool:
 def _is_number(v) -> bool:
     return isinstance(v, (int, float)) and not isinstance(v, bool)
 
+
+# the longest string run ``re`` can be asked for (its repeat counts stop
+# below 2**32 - 1)
+MAX_STRING_LEN = 2**32 - 2
 
 # a detector's name becomes part of a file name under models/
 DETECTOR_NAME = re.compile(r"[A-Za-z0-9_-]+")
@@ -192,10 +200,11 @@ class ExperimentConfig:
 
     def __post_init__(self):
         seqs = (list, tuple)
-        if not (isinstance(self.gans, dict) and isinstance(self.detectors, seqs)
-                and isinstance(self.attacks, seqs)):
-            raise ConfigError("gans must be an object, detectors and attacks "
-                              "lists")
+        if not (isinstance(self.gans, dict) and all(
+                isinstance(v, seqs)
+                for v in (self.detectors, self.attacks, self.gap_sweep))):
+            raise ConfigError("gans must be an object, detectors, attacks and "
+                              "gap_sweep lists")
         if not (isinstance(self.split, seqs) and len(self.split) == 3
                 and all(_is_number(f) and f >= 0 for f in self.split)
                 and abs(sum(self.split) - 1.0) <= 1e-9):
@@ -214,6 +223,9 @@ class ExperimentConfig:
             if not (_is_int(value) and value >= least):
                 raise ConfigError(f"{name} must be an integer >= {least}, "
                                   f"got {value!r}")
+        if fcfg.min_string_len > MAX_STRING_LEN:
+            raise ConfigError(f"feature_cfg.min_string_len must be <= "
+                              f"{MAX_STRING_LEN}, got {fcfg.min_string_len}")
         for attack in self.attacks:
             if attack not in ATTACKS:
                 raise ConfigError(f"unknown attack {attack!r}")
@@ -257,9 +269,13 @@ class ExperimentConfig:
                 raise ConfigError(f"gap {gap!r} outside [0, 1)")
         if self.corpus.kind not in ("synthetic", "dirs"):
             raise ConfigError(f"unknown corpus kind {self.corpus.kind!r}")
-        if self.corpus.kind == "dirs" and None in (self.corpus.benign_dir,
-                                                   self.corpus.malicious_dir):
+        paths = (corpus.benign_dir, corpus.malicious_dir)
+        if corpus.kind == "dirs" and None in paths:
             raise ConfigError("a dirs corpus needs benign_dir and malicious_dir")
+        for path in paths:
+            if not (path is None or isinstance(path, str) and (
+                    corpus.kind != "dirs" or os.path.isdir(path))):
+                raise ConfigError(f"corpus path {path!r} is not a directory")
         if self.corpus.kind == "synthetic":
             # a dirs corpus is checked by extract, once its files are known
             n = self.corpus.n_per_class
@@ -595,11 +611,10 @@ FAMILIES = {
     "strings_hashed": lambda f, table: features.hash_features(
         f.string_tokens, table.fcfg.hash_dim),
 }
-# Top-K family -> its vocabulary's file, kind and FeatureConfig size field,
-# and the FileFeatures field of the tokens it ranks
-TOPK = {"api_topk": ("vocab_api.gevf", "api", "k_api", "import_tokens"),
-        "strings_topk": ("vocab_strings.gevf", "string", "k_strings",
-                         "string_tokens")}
+# Top-K family -> its vocabulary's FeatureConfig size field and the
+# FileFeatures field of the tokens it ranks
+TOPK = {"api_topk": ("k_api", "import_tokens"),
+        "strings_topk": ("k_strings", "string_tokens")}
 
 
 def _split_sizes(n: int, fractions) -> tuple[int, int]:
@@ -799,15 +814,14 @@ def attack_gan_byte(state, names, blobs, rows, out: AttackOutput) -> None:
     out.stats["mean_appended_bytes"] = float(np.mean(appended))
 
 
-def attack_gan_indicator(model, names, indicators, blobs,
-                         vocab: features.Vocabulary, kind: str, cap: int,
-                         seed, out: AttackOutput) -> None:
+def attack_gan_indicator(model, names, indicators, blobs, vocab: dict,
+                         kind: str, cap: int, seed, out: AttackOutput) -> None:
     rng = np.random.default_rng(seed)
     added_counts = []
     for name, m, data in zip(names, indicators, blobs):
         z = gan.sample_noise(model.preset.noise_dim, 1, rng)
         m_adv = gan.generate(model, m[None, :], z)[0]
-        new = [vocab.entries[i] for i in range(vocab.size)
+        new = [tok for tok, i in vocab.items()
                if m_adv[i] > 0.5 and m[i] < 0.5]
         if len(new) > cap:
             out.warnings.append(f"{name}: {len(new)} new tokens over cap {cap}")
@@ -936,7 +950,7 @@ def _key(*parts) -> str:
 
 
 class Artifact(NamedTuple):
-    # (kind, name), the kind one of "corpus", "vocab", "features",
+    # (kind, name), the kind one of "corpus", "features",
     # "detector", "gan", "attack", "rates" and "gap_sweep"
     what: tuple
     path: Path
@@ -1033,42 +1047,37 @@ def stage_extract(state: PipelineState):
     families = [fam for fam in FAMILIES if fam in read]
 
     def load_matrix(path, key):
-        matrix, columns = features.load_matrix(path, key)
+        matrix, columns, vocab = features.load_matrix(path, key)
         if columns != names:
             raise ValueError(f"{path.name} holds the rows of other files")
-        return matrix, columns
+        # a Top-K matrix stored without its vocabulary is a miss
+        if (vocab is None) == (path.stem in TOPK):
+            raise ValueError(f"{path.name} holds a vocabulary exactly when "
+                             f"its family has none")
+        return matrix, columns, vocab
 
-    artifacts = []
-    for fam in families:
-        if fam in TOPK:
-            artifacts.append(Artifact(("vocab", fam), feat_dir / TOPK[fam][0],
-                                      features.load_vocab, features.save_vocab))
-        artifacts.append(Artifact(("features", fam), feat_dir / f"{fam}.gevf",
-                                  load_matrix, features.save_matrix))
-    values = _resume(state, key, artifacts,
+    values = _resume(state, key,
+                     [Artifact(("features", fam), feat_dir / f"{fam}.gevf",
+                               load_matrix, features.save_matrix)
+                      for fam in families],
                      lambda loaded: _extract_missing(state, families, loaded))
-    for (what, fam), value in values.items():
-        if what == "vocab":
-            table.vocabs[fam] = value
-        else:
-            table.matrices[fam] = value[0]
+    for (_, fam), (matrix, _, vocab) in values.items():
+        table.matrices[fam] = matrix
+        if vocab is not None:
+            table.vocabs[fam] = vocab
 
 
 def _extract_missing(state: PipelineState, families, loaded: dict) -> dict:
-    """The vocabularies and matrices of ``families`` that ``loaded`` lacks,
-    by ``what``, from one visit to each corpus file. A missing vocabulary
-    ranks the train-benign files' tokens, so those files come first and
-    only their Top-K tokens are held, each distinct token once, until it
-    exists."""
+    """The matrices, each with its columns and vocabulary, of ``families``
+    that ``loaded`` lacks, by ``what``, from one visit to each corpus file.
+    A missing Top-K matrix ranks its vocabulary from the train-benign files'
+    tokens, so those files come first and their token sets are held, each
+    distinct token once, until it exists."""
     table = state.table
     blobs = state.blobs.files(table.names)
-    for (what, fam), value in loaded.items():
-        if what == "vocab":
-            table.vocabs[fam] = value
-    ranked = [fam for fam in families if ("vocab", fam) not in loaded
-              and fam in TOPK]
     missing = [fam for fam in families if ("features", fam) not in loaded]
-    out, matrices = {}, {}
+    ranked = [fam for fam in missing if fam in TOPK]
+    matrices = {}
     rest = range(len(blobs))
     if ranked:
         first = _rows(state, "train", "benign")
@@ -1077,27 +1086,25 @@ def _extract_missing(state: PipelineState, families, loaded: dict) -> dict:
 
         def hold(feats):
             for fam in ranked:
-                tokens = getattr(feats, TOPK[fam][3])
+                tokens = getattr(feats, TOPK[fam][1])
                 held[fam].append(tuple(map(shared.setdefault, tokens, tokens)))
         table.extract(blobs, [fam for fam in missing if fam not in ranked],
                       first, matrices, hold)
         for fam in ranked:
-            _, kind, k, field_name = TOPK[fam]
-            table.vocabs[fam] = out[("vocab", fam)] = features.select_topk(
-                held[fam], getattr(table.fcfg, k), kind=kind)
-            if fam in missing:
-                for i, tokens in zip(first, held[fam]):
-                    table.fill(matrices, len(blobs), i,
-                               SimpleNamespace(**{field_name: tokens}), (fam,))
+            k, field_name = TOPK[fam]
+            table.vocabs[fam] = features.select_topk(held[fam],
+                                                     getattr(table.fcfg, k))
+            for i, tokens in zip(first, held[fam]):
+                table.fill(matrices, len(blobs), i,
+                           SimpleNamespace(**{field_name: tokens}), (fam,))
             del held[fam]
         rest = sorted(set(rest) - set(first))
-    if missing:
-        table.extract(blobs, missing, rest, matrices)
+    table.extract(blobs, missing, rest, matrices)
     # each in the dtype it is stored and loaded in, so a cold run holds
     # the arrays a warm one loads
-    for fam in missing:
-        out[("features", fam)] = ckpt.narrowest(matrices.pop(fam)), table.names
-    return out
+    return {("features", fam): (ckpt.narrowest(matrices.pop(fam)), table.names,
+                                table.vocabs.get(fam))
+            for fam in missing}
 
 
 @_stage("train-detector")

@@ -7,12 +7,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ganevade import checkpoint as ckpt
 from ganevade import features, petk
-from ganevade.features import (EmptyInputError, Vocabulary, byte_histogram,
+from ganevade.features import (EmptyInputError, byte_histogram,
                                extract_imports, extract_strings, fnv1a64,
-                               hash_features, load_matrix, load_vocab,
-                               save_matrix, save_vocab, select_topk,
-                               vectorize)
+                               hash_features, load_matrix, save_matrix,
+                               select_topk, vectorize)
 
 
 class TestByteHistogram:
@@ -90,34 +90,30 @@ class TestTopK:
     def test_document_frequency_ranks(self):
         docs = [{"a", "b"}, {"a", "b"}, {"a", "c"}]
         vocab = select_topk(docs, 2)
-        assert vocab.entries == ["a", "b"]
+        assert list(vocab) == ["a", "b"]
 
     def test_lexicographic_tie_break(self):
         docs = [{"zeta", "alpha", "mid"}]
         vocab = select_topk(docs, 2)
-        assert vocab.entries == ["alpha", "mid"]
+        assert list(vocab) == ["alpha", "mid"]
 
     def test_truncates_when_k_exceeds_tokens(self):
         vocab = select_topk([{"only"}], 10)
-        assert vocab.entries == ["only"]
+        assert list(vocab) == ["only"]
 
     def test_multiset_counts_do_not_inflate_df(self):
         docs = [Counter({"a": 100, "b": 1}), {"b"}]
         vocab = select_topk(docs, 1)
-        assert vocab.entries == ["b"]
+        assert list(vocab) == ["b"]
 
     def test_empty_corpus_rejected(self):
         with pytest.raises(ValueError):
             select_topk([], 5)
 
-    def test_provenance_stable(self):
-        docs = [{"x", "y"}, {"y"}]
-        assert select_topk(docs, 2).provenance == select_topk(docs, 2).provenance
-
     def test_generator_gives_the_vocabulary_of_a_list(self):
         docs = [{"a", "b"}, ("c", "a"), Counter({"b": 3, "d": 1}), {"d"}]
-        assert select_topk((doc for doc in docs), 3, kind="string") == \
-            select_topk(docs, 3, kind="string")
+        assert list(select_topk((doc for doc in docs), 3).items()) == \
+            list(select_topk(docs, 3).items())
         with pytest.raises(ValueError):
             select_topk(iter([]), 5)
 
@@ -125,7 +121,7 @@ class TestTopK:
 class TestVectorize:
     def test_indicator_and_oov(self):
         vocab = select_topk([{"a", "b", "c"}], 3)
-        assert vocab.entries == ["a", "b", "c"]
+        assert vocab == {"a": 0, "b": 1, "c": 2}
         v = vectorize({"a", "c", "unknown"}, vocab)
         np.testing.assert_array_equal(v, [1.0, 0.0, 1.0])
 
@@ -173,21 +169,20 @@ class TestHashing:
 class TestPersistence:
     def test_vocab_roundtrip(self, tmp_path):
         vocab = select_topk([{"kernel32.dll!exitprocess", "a!b"}], 2)
-        path = tmp_path / "v.txt"
-        save_vocab(path, vocab)
-        back = load_vocab(path)
-        assert back.entries == vocab.entries
-        assert back.kind == vocab.kind
-        assert back.provenance == vocab.provenance
+        path = tmp_path / "m.gevf"
+        save_matrix(path, (np.eye(2), ["f0", "f1"], vocab))
+        back = load_matrix(path)[2]
+        assert list(back.items()) == list(vocab.items())
 
     def test_matrix_roundtrip_bit_exact(self, tmp_path):
         rng = np.random.default_rng(1)
         mat = rng.normal(size=(4, 7))
         path = tmp_path / "m.gevf"
-        save_matrix(path, (mat, [f"c{i}" for i in range(7)]))
-        back, cols = load_matrix(path)
+        save_matrix(path, (mat, [f"c{i}" for i in range(7)], None))
+        back, cols, vocab = load_matrix(path)
         assert back.tobytes() == mat.tobytes()
         assert cols == [f"c{i}" for i in range(7)]
+        assert vocab is None
 
     def test_matrix_magic_checked(self, tmp_path):
         path = tmp_path / "bad.gevf"
@@ -198,28 +193,38 @@ class TestPersistence:
     def test_vocab_keeps_blank_and_padded_tokens(self, tmp_path):
         # a whitespace-only run is a valid string token at min_len 5
         tokens = ["     ", "abcde", " lead", "trail ", "lib!a\nb", ""]
-        path = tmp_path / "v.txt"
-        save_vocab(path, Vocabulary("string", tokens))
-        assert load_vocab(path).entries == tokens
+        path = tmp_path / "m.gevf"
+        save_matrix(path, (np.zeros((1, 6)), ["f"], dict.fromkeys(tokens)))
+        assert list(load_matrix(path)[2]) == tokens
 
     def test_vocab_key_checked(self, tmp_path):
-        path = tmp_path / "v.txt"
-        save_vocab(path, Vocabulary("api", ["a!b"]), key="k1")
-        assert load_vocab(path, "k1").entries == ["a!b"]
+        path = tmp_path / "m.gevf"
+        save_matrix(path, (np.ones((1, 1)), ["f"], {"a!b": 0}), key="k1")
+        assert load_matrix(path, "k1")[2] == {"a!b": 0}
         with pytest.raises(ValueError):
-            load_vocab(path, "k2")
+            load_matrix(path, "k2")
 
     def test_truncated_vocab_rejected(self, tmp_path):
-        path = tmp_path / "v.txt"
-        save_vocab(path, Vocabulary("api", ["a!b", "c!d"]))
+        path = tmp_path / "m.gevf"
+        save_matrix(path, (np.eye(2), ["f0", "f1"], {"a!b": 0, "c!d": 1}))
         path.write_bytes(path.read_bytes()[:-8])
         with pytest.raises(ValueError):
-            load_vocab(path)
+            load_matrix(path)
+
+    @pytest.mark.parametrize("entries", [["a!b", "a!b"], ["a!b"],
+                                         ["a!b", "c!d", "e!f"]])
+    def test_vocab_that_does_not_name_each_column_rejected(self, tmp_path,
+                                                           entries):
+        path = tmp_path / "m.gevf"
+        ckpt.save_container(path, {"columns": ["f0", "f1"], "vocab": entries},
+                            {"matrix": np.eye(2)})
+        with pytest.raises(ckpt.CheckpointError):
+            load_matrix(path)
 
     def test_matrix_key_checked(self, tmp_path):
         path = tmp_path / "m.gevf"
-        save_matrix(path, (np.eye(3), ["a", "b", "c"]), key="k1")
-        back, _ = load_matrix(path, "k1")
+        save_matrix(path, (np.eye(3), ["a", "b", "c"], None), key="k1")
+        back, _, _ = load_matrix(path, "k1")
         assert back.astype("<f8").tobytes() == np.eye(3).tobytes()
         with pytest.raises(ValueError):
             load_matrix(path, "k2")
@@ -227,7 +232,7 @@ class TestPersistence:
     @pytest.mark.parametrize("cut", [3, 7, 20, 8])
     def test_truncated_matrix_rejected(self, tmp_path, cut):
         path = tmp_path / "m.gevf"
-        save_matrix(path, (np.eye(3), ["a", "b", "c"]))
+        save_matrix(path, (np.eye(3), ["a", "b", "c"], None))
         data = path.read_bytes()
         path.write_bytes(data[:cut] if cut < 20 else data[:-cut])
         with pytest.raises(ValueError):
@@ -239,9 +244,10 @@ class TestPersistence:
                 unique=True, max_size=12))
 def test_vocab_roundtrip_any_latin1_tokens(tokens):
     with tempfile.TemporaryDirectory() as tmp:
-        path = Path(tmp) / "v.txt"
-        save_vocab(path, Vocabulary("api", tokens))
-        assert load_vocab(path).entries == tokens
+        path = Path(tmp) / "m.gevf"
+        save_matrix(path, (np.zeros((1, len(tokens))), ["f"],
+                           dict.fromkeys(tokens)))
+        assert list(load_matrix(path)[2]) == tokens
 
 
 @settings(max_examples=30, deadline=None)

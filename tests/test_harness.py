@@ -8,6 +8,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ganevade import checkpoint as ckpt
 from ganevade import cli, detectors, features, gan, harness, padopt, petk
@@ -31,6 +33,36 @@ def tiny_config(seed=7, attacks=("gan_byte", "benign_injection", "malgan_byte"))
         sweep_subsample=3,
         malgan_max_queries=300,
         seed=seed)
+
+
+# every field of the config and of its nested configs, by its path in the
+# config's JSON (the API GAN's entry and the first detector stand for each),
+# with its declared type
+CONFIG_FIELDS = [
+    *(((f.name,), f.type) for f in dataclasses.fields(ExperimentConfig)),
+    *(((name, f.name), f.type)
+      for name, nested in (("corpus", CorpusConfig),
+                           ("feature_cfg", FeatureConfig))
+      for f in dataclasses.fields(nested)),
+    *((("gans", "api", f.name), f.type)
+      for f in dataclasses.fields(GanStageConfig)),
+    *((("detectors", 0, f.name), f.type)
+      for f in dataclasses.fields(harness.DetectorSpec))]
+JSON_SCALARS = (st.none() | st.booleans() | st.integers()
+                | st.floats(allow_nan=False, allow_infinity=False)
+                | st.text(max_size=6))
+JSON_VALUES = {
+    "null": st.none(), "bool": st.booleans(), "int": st.integers(),
+    "float": st.floats(allow_nan=False, allow_infinity=False),
+    "string": st.text(max_size=6),
+    "list": st.lists(JSON_SCALARS, max_size=3),
+    "object": st.dictionaries(st.text(max_size=6), JSON_SCALARS, max_size=3)}
+# the JSON types a declared type accepts
+DECLARED_JSON_TYPES = {
+    "int": {"int"}, "float": {"int", "float"}, "str": {"string"},
+    "str | None": {"string", "null"}, "tuple": {"list"}, "list": {"list"},
+    "dict": {"object"}, "CorpusConfig": {"object"},
+    "FeatureConfig": {"object"}}
 
 
 @pytest.fixture(scope="module")
@@ -186,6 +218,23 @@ class TestConfig:
     def test_feature_size_below_one_rejected(self, field):
         with pytest.raises(ConfigError):
             ExperimentConfig(feature_cfg=FeatureConfig(**{field: 0}))
+
+    @pytest.mark.parametrize(
+        "path,declared", CONFIG_FIELDS,
+        ids=[".".join(map(str, path)) for path, _ in CONFIG_FIELDS])
+    @settings(max_examples=10, deadline=None)
+    @given(data=st.data())
+    def test_field_of_another_json_type_is_a_config_error(self, path, declared,
+                                                          data):
+        other = sorted(set(JSON_VALUES) - DECLARED_JSON_TYPES[declared])
+        value = data.draw(JSON_VALUES[data.draw(st.sampled_from(other))])
+        cfg = json.loads(json.dumps(tiny_config().to_dict()))
+        parent = cfg
+        for step in path[:-1]:
+            parent = parent[step]
+        parent[path[-1]] = value
+        with pytest.raises(ConfigError):
+            ExperimentConfig.from_dict(cfg)
 
 
 class TestCorpus:
@@ -348,7 +397,9 @@ class TestPipeline:
         assert set(report["attack_rates"]) == set(cfg.attacks)
         assert (workdir / "report.json").exists()
         assert (workdir / "corpus" / "manifest.json").exists()
-        assert (workdir / "features" / "vocab_api.gevf").exists()
+        matrix, _, vocab = features.load_matrix(
+            workdir / "features" / "api_topk.gevf")
+        assert vocab and len(vocab) == matrix.shape[1]
         assert (workdir / "models" / "gan_byte_histogram.gevd").exists()
         assert (workdir / "attacks" / "gan_byte" / "manifest.json").exists()
 
@@ -507,8 +558,8 @@ class TestStreaming:
 
     def test_cold_extract_holds_one_file_at_a_time(self, tmp_path,
                                                    monkeypatch):
-        # every family, both vocabularies computed: the vocabulary pass too
-        # holds token references, not FileFeatures
+        # every family, both Top-K matrices computed: the vocabulary pass
+        # too holds token references, not FileFeatures
         state = PipelineState(cfg=tiny_config(), workdir=tmp_path / "w")
         harness.run_stages(state, "corpus")
         assert {fam for spec in state.cfg.detectors
@@ -517,7 +568,7 @@ class TestStreaming:
         harness.stage_extract(state)
         assert seen["most_alive"] == 1
         assert seen["made"] == collections.Counter(state.blobs.values())
-        assert {("vocab", fam) for fam in harness.TOPK} <= state.computed
+        assert {("features", fam) for fam in harness.TOPK} <= state.computed
 
     def test_gan_all_and_evaluate_hold_one_file_at_a_time(self, tmp_path,
                                                           monkeypatch):
@@ -976,8 +1027,27 @@ class TestResume:
                                                 tiny_config_file):
         done = self.damaged_artifact_is_recomputed(
             monkeypatch, tmp_path / "w", tiny_config_file,
-            "features/vocab_api.gevf",
+            "features/api_topk.gevf",
             lambda path: path.write_bytes(path.read_bytes()[:-5]))
+        assert done["detectors"] == [] and done["gans"] == []
+
+    @pytest.mark.parametrize("vocab", [
+        lambda entries: entries[:1] * len(entries),     # an entry repeats
+        lambda entries: entries[:-1],                   # one column unnamed
+        lambda entries: [*entries, "extra!token"],      # one name too many
+        lambda entries: None])      # the layout of a separate vocabulary file
+    def test_topk_matrix_with_a_bad_vocabulary_is_recomputed(
+            self, tmp_path, monkeypatch, tiny_config_file, vocab):
+        def damage(path):
+            meta, arrays = ckpt.load_container(path)
+            meta["vocab"] = vocab(meta["vocab"])
+            if meta["vocab"] is None:
+                del meta["vocab"]
+            ckpt.save_container(path, meta, arrays)
+        done = self.damaged_artifact_is_recomputed(
+            monkeypatch, tmp_path / "w", tiny_config_file,
+            "features/strings_topk.gevf", damage)
+        assert done["extract"] > 0
         assert done["detectors"] == [] and done["gans"] == []
 
     def test_state_records_each_computed_artifact(self, tmp_path,
@@ -986,8 +1056,7 @@ class TestResume:
         cold = PipelineState(cfg=cfg, workdir=tmp_path / "w")
         harness.run_stages(cold, "train-gan")
         assert cold.computed == {
-            ("corpus", "synthetic"), ("vocab", "api_topk"),
-            ("vocab", "strings_topk"),
+            ("corpus", "synthetic"),
             *(("features", fam) for fam in harness.FAMILIES),
             *(("detector", spec.name) for spec in cfg.detectors),
             ("gan", "byte_histogram")}
@@ -1442,7 +1511,7 @@ class TestCapacityCap:
         harness.stage_corpus(state)
         harness.stage_extract(state)
         vocab = state.table.vocabs["api_topk"]
-        preset = pipeline_preset("api", vocab.size)
+        preset = pipeline_preset("api", len(vocab))
         model = gan.build_gan(preset, seed=0)
         table = state.table
         mal = [i for i, label in enumerate(table.labels) if label == "malicious"]
@@ -1524,6 +1593,12 @@ class TestCli:
         {"detectors": [{"name": 5, "families": ["byte"]}]},
         {"corpus": {"n_per_class": 10, "content_size": [400, 800],
                     "api_pools": 1}},
+        {"corpus": {"kind": "dirs", "benign_dir": 5, "malicious_dir": 6}},
+        {"corpus": {"kind": "dirs", "benign_dir": "no-such-benign-dir",
+                    "malicious_dir": "no-such-malicious-dir"}},
+        {"feature_cfg": {"min_string_len": 10**10}},
+        {"gap_sweep": {}},
+        {"detectors": [{"name": "d", "families": {"byte": 1}}]},
     ])
     def test_setting_error_exit_2_writes_nothing(self, tmp_path, bad):
         p = tmp_path / "bad.json"
