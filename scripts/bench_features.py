@@ -7,10 +7,13 @@ file's ``extend_imports`` rewrite, as an attack writes it. Over that corpus
 it times a lenient ``petk.parse`` of every file and ``hash_features`` of
 every file's import tokens and string tokens (``hash_dim`` 1280), and
 prints the median and interquartile range of microseconds per call over
-``--repeats`` repeats, followed by one SHA-256 over every file's import
-tokens and hashed vectors. The hash is the same on every repeat, and the
-exit status is 1 when the repeats disagree. A change to the parser or the
-hasher that keeps the hash has not moved the features.
+``--repeats`` repeats. Then comes ``topk_peak_mb``: the ``tracemalloc``
+peak of one more, untimed ``select_topk`` of the pipeline's default
+``k_strings`` over every file's string tokens, as extract ranks the
+strings vocabulary. Last comes one SHA-256 over every file's import tokens
+and hashed vectors. The hash is the same on every repeat, and the exit
+status is 1 when the repeats disagree. A change to the parser or the hasher
+that keeps the hash has not moved the features.
 
 Every repeat runs in one process, as the pipeline does: from the second
 repeat on, ``hash_features`` finds each token's bucket in its memo.
@@ -25,6 +28,7 @@ import hashlib
 import statistics
 import sys
 import time
+import tracemalloc
 
 import numpy as np
 
@@ -89,6 +93,14 @@ def main() -> int:
         print(f"{name} us_per_call runs " + " ".join(f"{v:.1f}" for v in runs))
         print(f"{name} us_per_call median {med:.1f} iqr {q3 - q1:.1f} "
               f"(q1 {q1:.1f}, q3 {q3:.1f})")
+
+    tracemalloc.start()
+    try:
+        features.select_topk(strings, harness.FeatureConfig().k_strings)
+        topk_peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    print(f"topk_peak_mb {topk_peak / 2**20:.2f}")
     for digest in sorted(digests):
         print(f"features_sha256 {digest}")
     # the same corpus on every repeat: two hashes mean the features moved

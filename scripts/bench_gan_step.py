@@ -53,19 +53,22 @@ def main() -> int:
     rng = np.random.default_rng(args.seed)
     benign = rng.dirichlet(np.ones(preset.input_dim), size=512)
     malicious = rng.dirichlet(np.ones(preset.input_dim), size=512)
+    # one matrix with each class's row indices, as the pipeline passes it
+    x = np.vstack([benign, malicious])
+    rows = np.arange(len(benign)), np.arange(len(benign), len(x))
     cfg = gan.TrainingConfig(max_steps=args.steps)
 
     ms_per_step = []
     hashes = set()
     for _ in range(args.repeats):
         start = time.perf_counter()
-        model = gan.train(benign, malicious, preset, cfg, args.seed)
+        model = gan.train(x, *rows, preset, cfg, args.seed)
         ms_per_step.append((time.perf_counter() - start) / args.steps * 1e3)
         hashes.add(weights_sha256(model))
 
     tracemalloc.start()
     try:
-        model = gan.train(benign, malicious, preset, cfg, args.seed)
+        model = gan.train(x, *rows, preset, cfg, args.seed)
         train_peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

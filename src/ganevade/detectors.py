@@ -58,7 +58,10 @@ def train_detector(kind: str, x_benign: np.ndarray, x_malicious: np.ndarray,
     mu = x.mean(axis=0)
     sd = x.std(axis=0)
     sd[sd == 0] = 1.0
-    xs = (x - mu) / sd
+    # standardized in place: the bits of (x - mu) / sd without a second
+    # matrix of the stacked rows
+    x -= mu
+    x /= sd
     rng = np.random.default_rng(seed)
 
     if kind == "logreg":
@@ -66,8 +69,8 @@ def train_detector(kind: str, x_benign: np.ndarray, x_malicious: np.ndarray,
         b = 0.0
         n = len(x)
         for _ in range(int(hp["steps"])):
-            p = 1.0 / (1.0 + np.exp(-(xs @ w + b)))
-            dw = xs.T @ (p - y) / n + hp["l2"] * w
+            p = 1.0 / (1.0 + np.exp(-(x @ w + b)))
+            dw = x.T @ (p - y) / n + hp["l2"] * w
             db = float(np.sum(p - y)) / n
             w -= hp["lr"] * dw
             b -= hp["lr"] * db
@@ -76,7 +79,7 @@ def train_detector(kind: str, x_benign: np.ndarray, x_malicious: np.ndarray,
         net = build_mlp([x.shape[1], int(hp["hidden"]), 1], "relu", "sigmoid", rng)
         state = AdamState.for_net(net)
         for _ in range(int(hp["steps"])):
-            p, cache = forward(net, xs)
+            p, cache = forward(net, x)
             grad(net, cache, bce(p, y)[1], out=state.grads)
             adam_step(net.parameters(), state, lr=1e-3, beta1=0.9, beta2=0.999)
     else:

@@ -9,6 +9,7 @@ container of the matrix whose columns it names.
 from __future__ import annotations
 
 import functools
+import heapq
 import re
 from collections import Counter
 
@@ -62,7 +63,9 @@ def extract_strings(data: bytes, min_len: int = DEFAULT_MIN_STRING_LEN) -> Count
 def select_topk(benign_token_sets, k: int) -> dict:
     """Top-K tokens by benign document frequency, ties broken lexicographically,
     each mapped to its column. The documents are read once, in order, so a
-    generator will do."""
+    generator will do. It holds one document-frequency entry per distinct
+    token and a heap of ``k`` candidates while ranking, not a sorted list
+    of every distinct token."""
     df: Counter = Counter()
     docs = 0
     for doc in benign_token_sets:
@@ -70,8 +73,9 @@ def select_topk(benign_token_sets, k: int) -> dict:
         docs += 1
     if not docs:
         raise ValueError("empty benign corpus")
-    ranked = sorted(df, key=lambda t: (-df[t], t))
-    return {tok: i for i, tok in enumerate(ranked[:k])}
+    # the same tokens in the same order as sorted(...)[:k]
+    ranked = heapq.nsmallest(k, df, key=lambda t: (-df[t], t))
+    return {tok: i for i, tok in enumerate(ranked)}
 
 
 def vectorize(tokens, vocab: dict) -> np.ndarray:

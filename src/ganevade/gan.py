@@ -307,9 +307,16 @@ def _generator_grads(model: GanModel, path, g_fake: np.ndarray, out) -> None:
     grad(model.generator, cache, g_fake, out=out)
 
 
-def train(benign: np.ndarray, malicious: np.ndarray, preset: GanPreset,
+def train(x: np.ndarray, benign_rows, malicious_rows, preset: GanPreset,
           cfg: TrainingConfig, seed: int = 0, metrics_sink=None) -> GanModel:
-    """Alternating critic/generator training loop.
+    """Alternating critic/generator training loop over the rows of ``x``.
+
+    ``benign_rows`` and ``malicious_rows`` index each class's rows of ``x``;
+    the seed draws positions in them, so their order matters. Each step
+    gathers its two batches straight from ``x`` and converts only them to
+    float64, so training holds no per-class copy of the rows, whatever
+    ``x``'s dtype: its working set is the two networks, their Adam buffers
+    and one step's batches and activations.
 
     Every step updates the critic; every ``n_generator``-th step the
     generator. Stops at the step cap or when the windowed moving average
@@ -319,11 +326,16 @@ def train(benign: np.ndarray, malicious: np.ndarray, preset: GanPreset,
     where ``step_ms`` is the step's wall time. The loop never touches any
     detector.
     """
-    benign = np.asarray(benign, dtype=np.float64)
-    malicious = np.asarray(malicious, dtype=np.float64)
-    if benign.ndim != 2 or malicious.ndim != 2 or not len(benign) or not len(malicious):
-        raise ValueError("benign and malicious sets must be nonempty 2-D arrays")
-    if benign.shape[1] != preset.input_dim or malicious.shape[1] != preset.input_dim:
+    x = np.asarray(x)
+    benign_rows = np.asarray(benign_rows, dtype=np.intp)
+    malicious_rows = np.asarray(malicious_rows, dtype=np.intp)
+    if x.ndim != 2 or not all(
+            rows.ndim == 1 and len(rows)
+            and 0 <= rows.min() <= rows.max() < len(x)
+            for rows in (benign_rows, malicious_rows)):
+        raise ValueError("need a 2-D matrix and nonempty 1-D benign and "
+                         "malicious indices of its rows")
+    if x.shape[1] != preset.input_dim:
         raise nncore.ShapeMismatchError("corpus dim does not match preset")
 
     rng = np.random.default_rng(seed)
@@ -340,10 +352,10 @@ def train(benign: np.ndarray, malicious: np.ndarray, preset: GanPreset,
 
     for step in range(1, cfg.max_steps + 1):
         started = time.perf_counter()
-        b_idx = rng.integers(0, len(benign), size=cfg.batch_size)
-        m_idx = rng.integers(0, len(malicious), size=cfg.batch_size)
-        real = benign[b_idx]
-        m_batch = malicious[m_idx]
+        b_idx = rng.integers(0, len(benign_rows), size=cfg.batch_size)
+        m_idx = rng.integers(0, len(malicious_rows), size=cfg.batch_size)
+        real = x[benign_rows[b_idx]].astype(np.float64, copy=False)
+        m_batch = x[malicious_rows[m_idx]].astype(np.float64, copy=False)
         z = sample_noise(preset.noise_dim, cfg.batch_size, rng)
         gen_masks = model.generator.sample_dropout_masks(rng, cfg.batch_size)
         critic_masks = model.critic.sample_dropout_masks(rng, cfg.batch_size)

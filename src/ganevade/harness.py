@@ -703,17 +703,24 @@ def pipeline_preset(kind: str, dim: int) -> gan.GanPreset:
                          canonical.output_activation)
 
 
-def train_gan_for(kind: str, table: FeatureTable, train_idx, cfg: ExperimentConfig,
+def train_gan_for(state: PipelineState, kind: str,
                   metrics_path=None) -> gan.GanModel:
-    benign, malicious = table.by_class((GAN_FAMILIES[kind],), train_idx)
+    """The GAN of ``kind`` trained on the train split's rows of its family's
+    matrix. ``gan.train`` reads them in place through each class's row
+    indices, so nothing beyond the table's matrix and one step's batches
+    holds the training rows."""
+    cfg = state.cfg
+    x = state.table.matrices[GAN_FAMILIES[kind]]
+    benign_rows = _rows(state, "train", "benign")
+    malicious_rows = _rows(state, "train", "malicious")
     stage = cfg.gans.get(kind, GanStageConfig())
-    preset = pipeline_preset(kind, benign.shape[1])
+    preset = pipeline_preset(kind, x.shape[1])
     sink = None
     rows_out = []
     if metrics_path is not None:
         def sink(step, ld, lg, gp, step_ms):
             rows_out.append(f"{step},{ld!r},{lg!r},{gp!r},{step_ms:.4f}\n")
-    model = gan.train(benign, malicious, preset, stage, cfg.seed,
+    model = gan.train(x, benign_rows, malicious_rows, preset, stage, cfg.seed,
                       metrics_sink=sink)
     if metrics_path is not None:
         metrics_path.parent.mkdir(parents=True, exist_ok=True)
@@ -1136,7 +1143,7 @@ def stage_gans(state: PipelineState):
             state, key, [Artifact(what, model_dir / f"gan_{kind}.gevd",
                                   gan.load_gan, gan.save_gan)],
             lambda _: {what: train_gan_for(
-                kind, state.table, state.splits["train"], state.cfg,
+                state, kind,
                 metrics_path=model_dir / f"gan_{kind}_metrics.csv")})[what]
 
 

@@ -1,4 +1,5 @@
 import tempfile
+import tracemalloc
 from collections import Counter
 from pathlib import Path
 
@@ -116,6 +117,45 @@ class TestTopK:
             list(select_topk(docs, 3).items())
         with pytest.raises(ValueError):
             select_topk(iter([]), 5)
+
+    # tokens from a small alphabet, so many share a document frequency and
+    # the lexicographic tie-break decides; k runs past the distinct count
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.lists(st.text(alphabet="abc", max_size=3), max_size=8),
+                    min_size=1, max_size=12),
+           st.integers(min_value=1, max_value=40))
+    def test_equals_the_full_sort(self, docs, k):
+        df = Counter(tok for doc in docs for tok in set(doc))
+        want = sorted(df, key=lambda t: (-df[t], t))[:k]
+        vocab = select_topk(docs, k)
+        assert list(vocab.items()) == [(tok, i) for i, tok in enumerate(want)]
+
+    def test_ranking_holds_little_beyond_its_df_table(self):
+        # 50,000 distinct tokens, each document holding 100 of them and the
+        # same first 20: ranking k = 10 of them may allocate what building
+        # the document-frequency table does, not a list of every token
+        tokens = [f"tok{i:06d}" for i in range(50_000)]
+        docs = [tokens[i:i + 100] + tokens[:20]
+                for i in range(0, len(tokens), 100)]
+
+        def traced_peak(fn):
+            tracemalloc.start()
+            try:
+                fn()
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        def df_table():
+            df = Counter()
+            for doc in docs:
+                df.update(set(doc))
+
+        table = traced_peak(df_table)
+        vocab = {}
+        peak = traced_peak(lambda: vocab.update(select_topk(docs, 10)))
+        assert list(vocab) == tokens[:10]
+        assert peak < table + 256 * 1024
 
 
 class TestVectorize:

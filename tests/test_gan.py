@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -323,13 +325,20 @@ class TestGeneratorStep:
             assert 0 < path[1].sum() < path[1].size
 
 
+def stacked(benign, malicious):
+    """One matrix and each class's row indices, as ``train`` reads them."""
+    x = np.vstack([benign, malicious])
+    return x, np.arange(len(benign)), np.arange(len(benign), len(x))
+
+
 def separable_corpora(n=80, dim=12, seed=0):
+    """Benign and malicious histograms, stacked (``stacked``)."""
     rng = np.random.default_rng(seed)
     alpha_b = np.full(dim, 0.4)
     alpha_b[:4] = 6.0
     alpha_m = np.full(dim, 0.4)
     alpha_m[-4:] = 6.0
-    return rng.dirichlet(alpha_b, n), rng.dirichlet(alpha_m, n)
+    return stacked(rng.dirichlet(alpha_b, n), rng.dirichlet(alpha_m, n))
 
 
 class TestTraining:
@@ -355,10 +364,10 @@ class TestTraining:
         TrainingConfig(max_steps=np.int64(3), lambda_gp=10, learning_rate=1e-3)
 
     def test_generator_updates_every_fifth_step(self):
-        benign, malicious = separable_corpora()
+        data = separable_corpora()
         preset = tiny_preset("byte_histogram")
         cfg = TrainingConfig(batch_size=8, max_steps=4)
-        model = train(benign, malicious, preset, cfg, seed=3)
+        model = train(*data, preset, cfg, seed=3)
         init = build_gan(preset, seed=3)
         # 4 steps < n_generator: generator untouched, critic moved
         for a, b in zip(model.generator.parameters(), init.generator.parameters()):
@@ -368,7 +377,7 @@ class TestTraining:
         assert moved
 
         cfg5 = TrainingConfig(batch_size=8, max_steps=5)
-        model5 = train(benign, malicious, preset, cfg5, seed=3)
+        model5 = train(*data, preset, cfg5, seed=3)
         changed = any(not np.array_equal(a, b) for a, b in
                       zip(model5.generator.parameters(),
                           init.generator.parameters()))
@@ -378,19 +387,18 @@ class TestTraining:
         # finite inputs whose critic scores overflow: the NaN/Inf is made
         # inside the forward, which checks only its output, and must still
         # stop training at the first step
-        benign = np.full((8, 256), 1e308)
-        malicious = np.full((8, 256), 1.0 / 256)
+        data = stacked(np.full((8, 256), 1e308), np.full((8, 256), 1.0 / 256))
         cfg = TrainingConfig(batch_size=4, max_steps=3)
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(gan.TrainingDivergedError) as err:
-                train(benign, malicious, gan.byte_preset(), cfg)
+                train(*data, gan.byte_preset(), cfg)
         assert err.value.step == 1
 
     def test_metrics_sink_called_every_step(self):
-        benign, malicious = separable_corpora()
+        data = separable_corpora()
         rows = []
         cfg = TrainingConfig(batch_size=8, max_steps=12)
-        train(benign, malicious, tiny_preset("byte_histogram"), cfg,
+        train(*data, tiny_preset("byte_histogram"), cfg,
               metrics_sink=lambda *a: rows.append(a))
         assert len(rows) == 12
         assert [r[0] for r in rows] == list(range(1, 13))
@@ -398,10 +406,10 @@ class TestTraining:
         assert all(len(r) == 5 and r[4] > 0.0 for r in rows)
 
     def test_stop_reason_recorded(self, monkeypatch):
-        benign, malicious = separable_corpora()
+        data = separable_corpora()
         preset = tiny_preset("byte_histogram")
         cfg = TrainingConfig(batch_size=8, max_steps=40)
-        model = train(benign, malicious, preset, cfg)
+        model = train(*data, preset, cfg)
         assert model.training_meta["stopped"] == "max_steps"
         assert model.training_meta["steps"] == 40
         # windows of 5 steps that always count as stable: the second and
@@ -409,15 +417,15 @@ class TestTraining:
         monkeypatch.setattr(gan, "EARLY_STOP_WINDOW", 5)
         monkeypatch.setattr(gan, "EARLY_STOP_PATIENCE", 2)
         monkeypatch.setattr(gan, "EARLY_STOP_TOL", np.inf)
-        model = train(benign, malicious, preset, cfg)
+        model = train(*data, preset, cfg)
         assert model.training_meta["stopped"] == "early_stop"
         assert model.training_meta["steps"] == 15
 
     def test_seed_reproducibility_bit_exact(self, tmp_path):
-        benign, malicious = separable_corpora()
+        data = separable_corpora()
         cfg = TrainingConfig(batch_size=8, max_steps=10)
-        m1 = train(benign, malicious, tiny_preset("api"), cfg, seed=11)
-        m2 = train(benign, malicious, tiny_preset("api"), cfg, seed=11)
+        m1 = train(*data, tiny_preset("api"), cfg, seed=11)
+        m2 = train(*data, tiny_preset("api"), cfg, seed=11)
         p1, p2 = tmp_path / "a.gevd", tmp_path / "b.gevd"
         save_gan(p1, m1)
         save_gan(p2, m2)
@@ -425,20 +433,48 @@ class TestTraining:
 
     def test_mismatched_dims_rejected(self):
         with pytest.raises(nncore.ShapeMismatchError):
-            train(np.zeros((4, 5)), np.zeros((4, 5)), tiny_preset(),
+            train(*stacked(np.zeros((4, 5)), np.zeros((4, 5))), tiny_preset(),
                   TrainingConfig(max_steps=1))
 
     def test_empty_corpus_rejected(self):
         with pytest.raises(ValueError):
-            train(np.zeros((0, 12)), np.zeros((4, 12)), tiny_preset(),
+            train(*stacked(np.zeros((0, 12)), np.zeros((4, 12))),
+                  tiny_preset(), TrainingConfig(max_steps=1))
+
+    @pytest.mark.parametrize("x,benign_rows,malicious_rows", [
+        (np.zeros((4, 12)), [0, 1], []),          # no malicious row
+        (np.zeros((4, 12)), [[0], [1]], [2]),     # indices not 1-D
+        (np.zeros(12), [0], [0]),                 # not a matrix
+        (np.zeros((4, 12)), [0, 4], [1]),         # past the last row
+        (np.zeros((4, 12)), [0], [-1])])          # would wrap around
+    def test_bad_rows_rejected(self, x, benign_rows, malicious_rows):
+        with pytest.raises(ValueError):
+            train(x, benign_rows, malicious_rows, tiny_preset(),
                   TrainingConfig(max_steps=1))
+
+    def test_batches_are_drawn_without_a_float_copy_of_the_matrix(self):
+        # a |u1 indicator matrix, as extract stores Top-K rows: training
+        # converts each batch, never the 100000 rows (a 9.6 MB float64
+        # copy), and copies no class's rows (0.6 MB each) out of it
+        rng = np.random.default_rng(8)
+        x = (rng.random((100_000, 12)) < 0.3).astype(np.uint8)
+        benign_rows = np.arange(0, len(x), 2)
+        malicious_rows = np.arange(1, len(x), 2)
+        cfg = TrainingConfig(batch_size=8, max_steps=2)
+        tracemalloc.start()
+        try:
+            train(x, benign_rows, malicious_rows, tiny_preset(), cfg, seed=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < x.nbytes // 4
 
 
 class TestPersistence:
     def test_roundtrip_preserves_generation(self, tmp_path):
-        benign, malicious = separable_corpora()
+        data = separable_corpora()
         cfg = TrainingConfig(batch_size=8, max_steps=10)
-        model = train(benign, malicious, tiny_preset("byte_histogram"), cfg,
+        model = train(*data, tiny_preset("byte_histogram"), cfg,
                       seed=2)
         path = tmp_path / "gan.gevd"
         save_gan(path, model)

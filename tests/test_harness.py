@@ -845,10 +845,11 @@ class TestResume:
             done["detectors"].append((kind, x_benign.shape[1]))
             return real_detector(kind, x_benign, *args, **kwargs)
 
-        def train(benign, malicious, preset, *args, **kwargs):
+        def train(x, benign_rows, malicious_rows, preset, *args, **kwargs):
             assert not fail, "GAN trained again"
             done["gans"].append(preset.feature_kind)
-            return real_train(benign, malicious, preset, *args, **kwargs)
+            return real_train(x, benign_rows, malicious_rows, preset, *args,
+                              **kwargs)
 
         monkeypatch.setattr(harness, "FileFeatures", FileFeatures)
         monkeypatch.setattr(detectors, "train_detector", train_detector)

@@ -11,12 +11,18 @@ instead of ``(u^T g)^T``. The critic's closed-form gradients are taken from
 ``gan.critic_loss`` itself, into a fresh list: their products are the same
 calls in both loops, and ``tests/test_gan.py`` checks them against the tape
 graph.
+
+The inputs differ in layout too: ``gan.train`` draws each batch from one
+matrix, in its stored dtype, through each class's row indices, while the
+reference draws from float64 copies of each class; the logreg and mlp
+detectors standardize their stacked rows in place, the references out of
+place.
 """
 
 import numpy as np
 import pytest
 
-from ganevade import baselines, detectors, gan, nncore
+from ganevade import baselines, checkpoint, detectors, gan, nncore
 from ganevade.detectors import BENIGN, MALICIOUS
 from ganevade.gan import GanPreset, TrainingConfig
 from ganevade.nncore import bce, forward, sigmoid, sigmoid_backward
@@ -112,6 +118,33 @@ def reference_gan_train(benign, malicious, preset, cfg, seed):
     return model
 
 
+def reference_logreg_detector(xb, xm, lr, l2, steps, seed):
+    """``train_detector("logreg", ...)``'s network, standardizing the
+    stacked class copies out of place."""
+    xb = np.asarray(xb, dtype=np.float64)
+    xm = np.asarray(xm, dtype=np.float64)
+    x = np.vstack([xb, xm])
+    y = np.concatenate([np.zeros(len(xb)), np.ones(len(xm))])
+    mu = x.mean(axis=0)
+    sd = x.std(axis=0)
+    sd[sd == 0] = 1.0
+    xs = (x - mu) / sd
+    rng = np.random.default_rng(seed)
+    w = rng.normal(scale=0.01, size=x.shape[1])
+    b = 0.0
+    n = len(x)
+    for _ in range(steps):
+        p = 1.0 / (1.0 + np.exp(-(xs @ w + b)))
+        dw = xs.T @ (p - y) / n + l2 * w
+        db = float(np.sum(p - y)) / n
+        w -= lr * dw
+        b -= lr * db
+    layer = nncore.DenseLayer(w[None, :], [b], "sigmoid")
+    layer.weights = layer.weights / sd
+    layer.biases = layer.biases - layer.weights @ mu
+    return nncore.Mlp([layer])
+
+
 def reference_mlp_detector(xb, xm, hidden, steps, seed):
     """``train_detector("mlp", ...)``'s network."""
     x = np.vstack([xb, xm])
@@ -201,15 +234,41 @@ def binary_rows(rng, n, dim, density):
 def test_gan_train_matches_reference(preset, rows):
     rng = np.random.default_rng(21)
     benign, malicious = rows(rng, 80), rows(rng, 80)
+    # the pipeline's layout: one matrix, in its narrowest exact dtype, the
+    # classes interleaved and read through their row indices; the
+    # reference trains on float64 copies of each class
+    x = np.empty((160, preset.input_dim))
+    x[0::2], x[1::2] = benign, malicious
+    x = checkpoint.narrowest(x)
+    assert x.dtype == (np.uint8 if preset.is_binary else np.float64)
     # two generator steps at the default n_generator of 5, default batch
     cfg = TrainingConfig(max_steps=11)
-    model = gan.train(benign, malicious, preset, cfg, seed=4)
+    model = gan.train(x, np.arange(0, 160, 2), np.arange(1, 160, 2), preset,
+                      cfg, seed=4)
     want = reference_gan_train(benign, malicious, preset, cfg, seed=4)
     init = gan.build_gan(preset, seed=4)
     assert any(not np.array_equal(a, b) for a, b in
                zip(want.generator.parameters(), init.generator.parameters()))
     assert_same_bits([model.generator, model.critic],
                      [want.generator, want.critic])
+
+
+@pytest.mark.parametrize("dtype", ["f8", "u1"])
+def test_logreg_detector_matches_reference(dtype):
+    rng = np.random.default_rng(24)
+    if dtype == "f8":
+        # byte-width histogram rows
+        xb, xm = byte_rows(rng, 40, 256), byte_rows(rng, 35, 256)
+    else:
+        # Top-K indicator rows as extract holds them, a constant column
+        # among them
+        xb = binary_rows(rng, 40, 150, 0.2).astype(np.uint8)
+        xm = binary_rows(rng, 35, 150, 0.3).astype(np.uint8)
+        xb[:, 7] = xm[:, 7] = 1
+    hp = {"lr": 0.5, "l2": 1e-4, "steps": 60}
+    model = detectors.train_detector("logreg", xb, xm, hp, seed=9)
+    want = reference_logreg_detector(xb, xm, 0.5, 1e-4, 60, seed=9)
+    assert_same_bits([model.net], [want])
 
 
 @pytest.mark.parametrize("dim,hidden", [(256, 64), (20, 16), (300, 100)])
