@@ -129,15 +129,18 @@ def cmd_pipeline(args) -> int:
 
 def cmd_report(args) -> int:
     path = Path(args.workdir) / "report.json"
-    if not path.exists():
-        raise StageError("report", f"no report at {path}; run the pipeline first")
-    report = json.loads(path.read_text())
-    text = harness.render_report(report, args.format)
-    if args.out:
-        Path(args.out).write_text(text)
-        print(f"wrote {args.out}")
-    else:
-        print(text, end="")
+    try:
+        report = json.loads(path.read_text())
+        if not isinstance(report, dict):
+            raise TypeError("the report is not a JSON object")
+        text = harness.render_report(report, args.format)
+        if args.out:
+            Path(args.out).write_text(text)
+            print(f"wrote {args.out}")
+        else:
+            print(text, end="")
+    except Exception as exc:
+        raise StageError("report", f"{path}: {type(exc).__name__}: {exc}") from exc
     return EXIT_OK
 
 

@@ -47,13 +47,13 @@ def train_detector(kind: str, x_benign: np.ndarray, x_malicious: np.ndarray,
     """Fit a surrogate; logreg via plain gradient descent, mlp via Adam.
     Deterministic under the seed."""
     hp = {**DEFAULT_HYPERPARAMS, **(hyperparams or {})}
-    xb = np.atleast_2d(np.asarray(x_benign, dtype=np.float64))
-    xm = np.atleast_2d(np.asarray(x_malicious, dtype=np.float64))
+    xb, xm = np.atleast_2d(x_benign), np.atleast_2d(x_malicious)
     if len(xb) == 0 or len(xm) == 0:
         raise ValueError("both classes must be nonempty")
     if xb.shape[1] != xm.shape[1]:
         raise ShapeMismatchError("class feature dims differ")
-    x = np.vstack([xb, xm])
+    # one float64 copy of the rows, not one per class and then a stacked one
+    x = np.concatenate([xb, xm], dtype=np.float64)
     y = np.concatenate([np.zeros(len(xb)), np.ones(len(xm))])
     mu = x.mean(axis=0)
     sd = x.std(axis=0)

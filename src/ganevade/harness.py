@@ -1,20 +1,21 @@
 """Experiment orchestration: synthetic corpora, pipeline stages, reports.
 
-The stages run in the order of ``STAGES``, in one process, handing their
-results on in memory. A CLI subcommand runs the table up to its own stage,
-and a full pipeline run is reproducible from the config plus the global
-seed. No file is held in memory: the corpus and each attack's outputs are
-a ``FileSet`` each, whose files are read from disk when a stage visits
-them and checked against their records. Each attack writes each rewritten
-file under ``attacks/<attack>/`` as it makes it, and evaluation
-re-extracts features from those files, never from the adversarial feature
-vectors. ``_store`` writes every JSON artifact, a set's manifest among
-them, and ``_stored`` reads it back.
+``STAGES`` runs, orders and names every stage: ``run_stages`` runs them in
+order, in one process, handing results on in memory, and names a failed
+one by its row. A CLI subcommand runs the table up to its own stage; a run
+is reproducible from the config and seed. No file is held in memory: the
+corpus and each attack's outputs are a ``FileSet`` each, whose files are
+read from disk when a stage visits them and checked against their records.
+Each attack writes each rewritten file under ``attacks/<attack>/`` as it
+makes it, and evaluation re-extracts features from those files, never from
+the adversarial feature vectors. ``_store`` writes every JSON artifact, a
+set's manifest among them, and ``_stored`` reads it back.
 
 Each attack is one entry of ``ATTACKS``: the GAN kinds it needs trained,
 the config fields it reads and the function that runs it. ``gan_all`` runs
 the ``gan_api``, ``gan_strings`` and ``gan_byte`` entries in sequence, each
-step on the files the step before rewrote.
+step on the files the step before rewrote. ``gan_byte`` and ``malgan_byte``
+pad their files through one loop, ``_pad_files``.
 
 Each feature family is one entry of ``FAMILIES``, the builder of one
 file's vector from its lazily extracted ``FileFeatures``. Extract loads or
@@ -704,9 +705,10 @@ def pipeline_preset(kind: str, dim: int) -> gan.GanPreset:
 
 
 def train_gan_for(state: PipelineState, kind: str,
-                  metrics_path=None) -> gan.GanModel:
+                  metrics_path: Path) -> gan.GanModel:
     """The GAN of ``kind`` trained on the train split's rows of its family's
-    matrix. ``gan.train`` reads them in place through each class's row
+    matrix, its per-step losses written to ``metrics_path`` as CSV.
+    ``gan.train`` reads the rows in place through each class's row
     indices, so nothing beyond the table's matrix and one step's batches
     holds the training rows."""
     cfg = state.cfg
@@ -715,19 +717,14 @@ def train_gan_for(state: PipelineState, kind: str,
     malicious_rows = _rows(state, "train", "malicious")
     stage = cfg.gans.get(kind, GanStageConfig())
     preset = pipeline_preset(kind, x.shape[1])
-    sink = None
-    rows_out = []
-    if metrics_path is not None:
-        def sink(step, ld, lg, gp, step_ms):
-            rows_out.append(f"{step},{ld!r},{lg!r},{gp!r},{step_ms:.4f}\n")
+    lines = ["step,loss_critic,loss_generator,gradient_penalty,step_ms\n"]
+
+    def sink(step, ld, lg, gp, step_ms):
+        lines.append(f"{step},{ld!r},{lg!r},{gp!r},{step_ms:.4f}\n")
     model = gan.train(x, benign_rows, malicious_rows, preset, stage, cfg.seed,
                       metrics_sink=sink)
-    if metrics_path is not None:
-        metrics_path.parent.mkdir(parents=True, exist_ok=True)
-        with open(metrics_path, "w") as fh:
-            fh.write("step,loss_critic,loss_generator,gradient_penalty,"
-                     "step_ms\n")
-            fh.writelines(rows_out)
+    metrics_path.parent.mkdir(parents=True, exist_ok=True)
+    metrics_path.write_text("".join(lines))
     return model
 
 
@@ -764,28 +761,17 @@ def load_attack(path: Path, key: str) -> AttackOutput:
                         warnings=ckpt.field(manifest, "warnings", list, str))
 
 
-def _padding_request(data: bytes, target: np.ndarray,
-                     gap: float) -> padopt.PaddingRequest:
-    """Padding of ``data`` towards ``target`` within ``gap``; 0 is exact."""
+def _certified_plan(data: bytes, target: np.ndarray,
+                    gap: float) -> padopt.PaddingPlan:
+    """``padopt.plan_for``'s plan to pad ``data`` towards ``target`` within
+    ``gap`` (0 is exact), re-checked against its certificate."""
     counts = np.bincount(np.frombuffer(data, dtype=np.uint8), minlength=256)
-    return padopt.PaddingRequest(counts, target, gap=gap)
-
-
-def _certified_plan(req: padopt.PaddingRequest) -> padopt.PaddingPlan:
-    """``padopt.plan_for``'s plan, re-checked against its certificate."""
+    req = padopt.PaddingRequest(counts, target, gap=gap)
     plan = padopt.plan_for(req)
     if not padopt.check_plan(plan, req):
         raise padopt.InfeasiblePaddingError(
             "padding plan misses its certified bound")
     return plan
-
-
-def _pad_to_target(data: bytes, target: np.ndarray,
-                   gap: float) -> tuple[bytes, dict]:
-    """``data`` padded towards ``target``, and the plan's certificate."""
-    plan = _certified_plan(_padding_request(data, target, gap))
-    pe = petk.parse(data, strict=False)
-    return petk.append_overlay(pe, plan).data, plan.certificate
 
 
 def _safe_target(target: np.ndarray) -> np.ndarray:
@@ -803,6 +789,21 @@ def _byte_target(model, histogram: np.ndarray, rng) -> np.ndarray:
     return _safe_target(gan.generate(model, histogram[None, :], z)[0])
 
 
+def _pad_files(model, rng, gap: float, names, blobs, histograms,
+               out: AttackOutput) -> list[int]:
+    """Pad each file towards a ``_byte_target`` of its histogram within
+    ``gap`` and write it to ``out`` with its certificate; return the bytes
+    appended to each."""
+    appended = []
+    for name, data, histogram in zip(names, blobs, histograms):
+        plan = _certified_plan(data, _byte_target(model, histogram, rng), gap)
+        rewritten = petk.append_overlay(petk.parse(data, strict=False),
+                                        plan).data
+        out.files.write(name, rewritten, certificate=plan.certificate)
+        appended.append(len(rewritten) - len(data))
+    return appended
+
+
 # An attack runs on the state, the names of the files it rewrites, their
 # bytes ``blobs`` (``blobs[i]`` is file ``names[i]``, read when indexed),
 # ``rows``, where ``rows(family)`` holds those files' feature rows of
@@ -810,14 +811,9 @@ def _byte_target(model, histogram: np.ndarray, rng) -> np.ndarray:
 # rewritten file to.
 
 def attack_gan_byte(state, names, blobs, rows, out: AttackOutput) -> None:
-    model = state.gan_models["byte_histogram"]
-    rng = np.random.default_rng(state.cfg.seed + 10)
-    appended = []
-    for name, data, histogram in zip(names, blobs, rows("byte")):
-        target = _byte_target(model, histogram, rng)
-        rewritten, certificate = _pad_to_target(data, target, state.cfg.gap)
-        out.files.write(name, rewritten, certificate=certificate)
-        appended.append(len(rewritten) - len(data))
+    appended = _pad_files(state.gan_models["byte_histogram"],
+                          np.random.default_rng(state.cfg.seed + 10),
+                          state.cfg.gap, names, blobs, rows("byte"), out)
     out.stats["mean_appended_bytes"] = float(np.mean(appended))
 
 
@@ -885,14 +881,11 @@ def attack_malgan_byte(state, names, blobs, rows, out) -> None:
     cfg = state.cfg
     benign, malicious = state.table.by_class(("byte",), state.splits["train"])
     preset = pipeline_preset("byte_histogram", benign.shape[1])
-    black_box = _primary_byte_detector(state).label_fn()
+    black_box = state.detector_models[_primary_byte_name(cfg)].label_fn()
     model = baselines.train_malgan(malicious, benign, black_box, preset,
                                    cfg.malgan_max_queries, cfg.seed)
-    rng = np.random.default_rng(cfg.seed + 2)
-    for name, data, histogram in zip(names, blobs, rows("byte")):
-        target = _byte_target(model, histogram, rng)
-        rewritten, certificate = _pad_to_target(data, target, cfg.gap)
-        out.files.write(name, rewritten, certificate=certificate)
+    _pad_files(model, np.random.default_rng(cfg.seed + 2), cfg.gap, names,
+               blobs, rows("byte"), out)
     out.query_count = model.training_meta["queries"]
     out.stats["rounds"] = model.training_meta.get("rounds", 0)
 
@@ -934,20 +927,6 @@ class PipelineState:
     # loaded from the workdir, and the key of each it resumed, by ``what``
     computed: set = field(default_factory=set)
     keys: dict = field(default_factory=dict)
-
-
-def _stage(name):
-    def wrap(fn):
-        def run(state, *args, **kwargs):
-            try:
-                return fn(state, *args, **kwargs)
-            except (ConfigError, StageError):
-                raise
-            except Exception as exc:
-                raise StageError(name, f"{type(exc).__name__}: {exc}") from exc
-        run.__name__ = fn.__name__
-        return run
-    return wrap
 
 
 def _key(*parts) -> str:
@@ -997,7 +976,6 @@ def _rows(state: PipelineState, part: str, label: str) -> list[int]:
     return [i for i in state.splits[part] if state.table.labels[i] == label]
 
 
-@_stage("corpus")
 def stage_corpus(state: PipelineState):
     cfg = state.cfg.corpus
     corpus_dir = state.workdir / "corpus"
@@ -1029,7 +1007,6 @@ def _gans_needed(cfg: ExperimentConfig) -> list[str]:
                    for kind in ATTACKS[attack].gans})
 
 
-@_stage("extract")
 def stage_extract(state: PipelineState):
     cfg = state.cfg
     fcfg = cfg.feature_cfg
@@ -1114,7 +1091,6 @@ def _extract_missing(state: PipelineState, families, loaded: dict) -> dict:
             for fam in missing}
 
 
-@_stage("train-detector")
 def stage_detectors(state: PipelineState):
     model_dir = state.workdir / "models"
     for spec in state.cfg.detectors:
@@ -1131,7 +1107,6 @@ def stage_detectors(state: PipelineState):
                 hyperparams=spec.hyperparams, seed=state.cfg.seed)})[what]
 
 
-@_stage("train-gan")
 def stage_gans(state: PipelineState):
     model_dir = state.workdir / "models"
     for kind in _gans_needed(state.cfg):
@@ -1143,11 +1118,9 @@ def stage_gans(state: PipelineState):
             state, key, [Artifact(what, model_dir / f"gan_{kind}.gevd",
                                   gan.load_gan, gan.save_gan)],
             lambda _: {what: train_gan_for(
-                state, kind,
-                metrics_path=model_dir / f"gan_{kind}_metrics.csv")})[what]
+                state, kind, model_dir / f"gan_{kind}_metrics.csv")})[what]
 
 
-@_stage("attack")
 def stage_attacks(state: PipelineState):
     cfg = state.cfg
     test_mal = _rows(state, "test", "malicious")
@@ -1200,11 +1173,6 @@ def _primary_byte_name(cfg: ExperimentConfig) -> str:
                 if spec.families == ("byte",))
 
 
-def _primary_byte_detector(state: PipelineState) -> detectors.DetectorModel:
-    return state.detector_models[_primary_byte_name(state.cfg)]
-
-
-@_stage("evaluate")
 def stage_evaluate(state: PipelineState) -> dict:
     cfg = state.cfg
     table = state.table
@@ -1286,7 +1254,7 @@ def _gap_sweep(state: PipelineState, test_mal) -> list[dict]:
                                  replace=False).tolist())
         subset = [test_mal[i] for i in pick]
     model = state.gan_models["byte_histogram"]
-    byte_detector = _primary_byte_detector(state)
+    byte_detector = state.detector_models[_primary_byte_name(cfg)]
 
     # one target per file, shared across every gap value
     zrng = np.random.default_rng(sweep_seed + 1)
@@ -1300,7 +1268,7 @@ def _gap_sweep(state: PipelineState, test_mal) -> list[dict]:
     for i in subset:
         blob = state.blobs[state.table.names[i]]
         for gap, plans in planned.items():
-            plan = _certified_plan(_padding_request(blob, targets[i], gap))
+            plan = _certified_plan(blob, targets[i], gap)
             plans.append((len(blob) + plan.total_appended,
                           plan.total_appended, plan.achieved))
     rows = []
@@ -1327,12 +1295,18 @@ STAGES = (
 
 
 def run_stages(state: PipelineState, upto: str = "evaluate"):
-    """Run the stages in order up to and including ``upto``; return the
-    last stage's result."""
+    """Run ``STAGES`` in order up to and including ``upto``; return the last
+    stage's result. Any failure but a ``ConfigError`` or ``StageError`` is
+    raised as a ``StageError`` named by the stage's row, chained to it."""
     last = [name for name, _ in STAGES].index(upto)
     result = None
-    for _, attr in STAGES[:last + 1]:
-        result = globals()[attr](state)
+    for name, attr in STAGES[:last + 1]:
+        try:
+            result = globals()[attr](state)
+        except (ConfigError, StageError):
+            raise
+        except Exception as exc:
+            raise StageError(name, f"{type(exc).__name__}: {exc}") from exc
     return result
 
 
@@ -1378,19 +1352,22 @@ def render_report(report: dict, fmt: str) -> str:
                          f"{row['detection_rate']!r}")
         return "\n".join(lines) + "\n"
     if fmt == "markdown":
+        def table(header, body) -> list[str]:
+            # the separator and each row have a cell per header cell
+            head, *rows = ["| " + " | ".join(map(str, cells)) + " |"
+                           for cells in (header, *body)]
+            return [head, "|---" * len(header) + "|", *rows]
         attacks = sorted(report.get("attack_rates", {}))
-        lines = ["| Detector | Original | " + " | ".join(attacks) + " |",
-                 "|---" * (len(attacks) + 2) + "|"]
-        for det, orig in sorted(report.get("original_rates", {}).items()):
-            cells = [f"{report['attack_rates'][a].get(det, float('nan')):.3f}"
-                     for a in attacks]
-            lines.append(f"| {det} | {orig:.3f} | " + " | ".join(cells) + " |")
+        lines = table(["Detector", "Original", *attacks], [
+            [det, f"{orig:.3f}", *(
+                f"{report['attack_rates'][a].get(det, float('nan')):.3f}"
+                for a in attacks)]
+            for det, orig in sorted(report.get("original_rates", {}).items())])
         if report.get("gap_sweep"):
-            lines.append("")
-            lines.append("| Gap | Mean size (MB) | Detection rate |")
-            lines.append("|---|---|---|")
-            for row in report["gap_sweep"]:
-                lines.append(f"| {row['gap']} | {row['mean_size_mb']:.3f} |"
-                             f" {row['detection_rate']:.3f} |")
+            lines += ["", *table(
+                ["Gap", "Mean size (MB)", "Detection rate"],
+                [[row["gap"], f"{row['mean_size_mb']:.3f}",
+                  f"{row['detection_rate']:.3f}"]
+                 for row in report["gap_sweep"]])]
         return "\n".join(lines) + "\n"
     raise ConfigError(f"unknown report format {fmt!r}")

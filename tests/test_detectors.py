@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -67,6 +69,22 @@ class TestLogreg:
     def test_dim_mismatch_rejected(self):
         with pytest.raises(nncore.ShapeMismatchError):
             train_detector("logreg", np.zeros((4, 3)), np.zeros((4, 5)))
+
+    def test_narrow_rows_are_stacked_into_one_float64_copy(self):
+        # |u1 rows, as extract stores the Top-K indicator rows: training
+        # holds the stacked float64 matrix and one row-sized temporary
+        # (x.std), not a float64 copy of each class besides
+        rng = np.random.default_rng(3)
+        xb = rng.integers(0, 2, size=(400, 1000), dtype=np.uint8)
+        xm = rng.integers(0, 2, size=(400, 1000), dtype=np.uint8)
+        stacked = (len(xb) + len(xm)) * xb.shape[1] * 8
+        tracemalloc.start()
+        try:
+            train_detector("logreg", xb, xm, hyperparams={"steps": 1})
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.2 * stacked
 
 
 class TestMlp:

@@ -465,6 +465,21 @@ class TestPipeline:
         assert report["gap_sweep"] == []
         assert set(report["original_rates"]) == {d.name for d in cfg.detectors}
 
+    @pytest.mark.parametrize("attacks", [[], ["gan_byte", "malgan_byte"]])
+    def test_markdown_rows_have_a_cell_per_header_cell(self, attacks):
+        report = {"original_rates": {"d1": 0.9, "d2": 0.8},
+                  "attack_rates": {a: {"d1": 0.1, "d2": 0.2} for a in attacks},
+                  "gap_sweep": [{"gap": "exact", "mean_size_mb": 0.1,
+                                 "mean_appended_bytes": 10.0,
+                                 "detection_rate": 0.5}]}
+        detector_table, sweep_table = \
+            render_report(report, "markdown").strip().split("\n\n")
+        for table, width in ((detector_table, len(attacks) + 2),
+                             (sweep_table, 3)):
+            rows = table.splitlines()
+            assert rows[1] == "|---" * width + "|"
+            assert [row.count("|") - 1 for row in rows] == [width] * len(rows)
+
     def test_render_formats(self, tiny_run):
         _, _, report = tiny_run
         as_json = render_report(report, "json")
@@ -499,11 +514,29 @@ class TestPipeline:
         assert seen == ["stage_corpus", "stage_extract", "stage_detectors",
                         "stage_gans"]
 
-    def test_stage_error_names_stage(self, tmp_path):
+    def test_stage_error_names_stage(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(harness, "stage_corpus", lambda state: None)
         state = PipelineState(cfg=tiny_config(), workdir=tmp_path)
         with pytest.raises(StageError) as exc:
-            harness.stage_extract(state)   # corpus never loaded
+            harness.run_stages(state, "extract")   # corpus never loaded
         assert exc.value.stage == "extract"
+
+    @pytest.mark.parametrize("name, attr", harness.STAGES)
+    def test_each_stage_failure_is_named_by_its_row(self, tmp_path,
+                                                    monkeypatch, name, attr):
+        # the other stages do nothing; this one fails as a stage's code may
+        for _, other in harness.STAGES:
+            monkeypatch.setattr(harness, other, lambda state: None)
+
+        def boom(state):
+            raise RuntimeError("boom")
+        monkeypatch.setattr(harness, attr, boom)
+        state = PipelineState(cfg=tiny_config(), workdir=tmp_path)
+        with pytest.raises(StageError) as exc:
+            harness.run_stages(state)
+        assert exc.value.stage == name
+        assert str(exc.value) == f"stage {name!r} failed: RuntimeError: boom"
+        assert isinstance(exc.value.__cause__, RuntimeError)
 
     def test_dirs_kind_requires_paths(self):
         for corpus in ({"kind": "dirs"}, {"kind": "dirs", "benign_dir": "b"},
@@ -1482,8 +1515,7 @@ class TestBytePadding:
             logits = rng.normal(scale=3.0, size=256)
             t = np.exp(logits - logits.max())
             target = harness._safe_target(t / t.sum())
-            req = harness._padding_request(blob, target, 0.0)
-            assert padopt.check_plan(padopt.plan_for(req), req)
+            harness._certified_plan(blob, target, 0.0)
 
     def test_uncertified_plan_fails_the_attack(self, tmp_path, monkeypatch):
         # two counts moved between bins put an exact-mode plan past its
@@ -1701,6 +1733,26 @@ class TestCli:
     def test_report_before_run_exit_3(self, tmp_path):
         rc = cli.main(["report", "--workdir", str(tmp_path / "empty")])
         assert rc == 3
+
+    @pytest.mark.parametrize("stored, out", [
+        ("not json", None), ("[1, 2]", None), ("[]", None),
+        ('{"original_rates": {"d": 0.5}}', "missing/report.md")])
+    @pytest.mark.parametrize("fmt", ["json", "csv", "markdown"])
+    def test_unreadable_report_or_out_exit_3(self, tmp_path, capsys, stored,
+                                             out, fmt):
+        # a report that is not a JSON object, or an --out that cannot be
+        # written, fails the command as a stage does, naming the path
+        path = tmp_path / "w" / "report.json"
+        path.parent.mkdir()
+        path.write_text(stored)
+        args = ["report", "--workdir", str(path.parent), "--format", fmt]
+        if out is not None:
+            args += ["--out", str(tmp_path / out)]
+        assert cli.main(args) == 3
+        err = capsys.readouterr().err
+        assert f"stage 'report' failed: {path}: " in err
+        if out is not None:
+            assert "FileNotFoundError" in err and str(tmp_path / out) in err
 
     def test_gen_corpus_exit_0(self, tmp_path, capsys):
         p = tmp_path / "cfg.json"
