@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Time one WGAN-GP training step of the byte-histogram GAN.
 
-Trains the byte preset (batch 64, the default ``TrainingConfig``) on fixed
+Trains the byte preset (batch ``gan.BATCH_SIZE``, 64) on fixed
 random histograms for ``--steps`` steps, ``--repeats`` times, and prints the
 median and interquartile range of milliseconds per step, then
 ``train_peak_mb``: the ``tracemalloc`` peak of one more, untimed training
@@ -75,7 +75,7 @@ def main() -> int:
     hashes.add(weights_sha256(model))
 
     q1, med, q3 = statistics.quantiles(ms_per_step, n=4, method="inclusive")
-    print(f"byte preset, batch {cfg.batch_size}, {args.steps} steps "
+    print(f"byte preset, batch {gan.BATCH_SIZE}, {args.steps} steps "
           f"x {args.repeats} repeats, seed {args.seed}")
     print("ms_per_step runs " + " ".join(f"{v:.2f}" for v in ms_per_step))
     print(f"ms_per_step median {med:.2f} iqr {q3 - q1:.2f} "

@@ -71,6 +71,7 @@ def cmd_extract(args) -> int:
 def cmd_train_detector(args) -> int:
     state = _state(args)
     if args.name:
+        # in place: replace()'s byte-detector rule is for attacks, not run here
         state.cfg.detectors = [d for d in state.cfg.detectors
                                if d.name == args.name]
         if not state.cfg.detectors:
@@ -87,6 +88,7 @@ def cmd_train_gan(args) -> int:
         if args.kind not in harness.GAN_KINDS:
             raise ConfigError(f"unknown feature kind {args.kind!r}")
         # the attack that needs this GAN kind alone
+        # in place: replace()'s byte-detector rule is for attacks, not run here
         state.cfg.attacks = [name for name, attack in harness.ATTACKS.items()
                              if attack.gans == (args.kind,)]
     harness.run_stages(state, "train-gan")

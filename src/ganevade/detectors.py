@@ -20,8 +20,10 @@ BENIGN = "benign"
 MALICIOUS = "malicious"
 THRESHOLD = 0.5             # a score at or above it is labelled malicious
 KINDS = ("logreg", "mlp")
-# lr, l2: logreg gradient descent; hidden: the mlp's width; steps: both
-DEFAULT_HYPERPARAMS = {"lr": 0.5, "steps": 400, "hidden": 64, "l2": 1e-4}
+# the settings a config's detector may set: steps, of both kinds' training,
+# and hidden, the mlp's width
+DEFAULT_HYPERPARAMS = {"steps": 400, "hidden": 64}
+LOGREG_LR, LOGREG_L2 = 0.5, 1e-4    # logreg gradient descent step, L2 weight
 
 
 @dataclass
@@ -70,10 +72,10 @@ def train_detector(kind: str, x_benign: np.ndarray, x_malicious: np.ndarray,
         n = len(x)
         for _ in range(int(hp["steps"])):
             p = 1.0 / (1.0 + np.exp(-(x @ w + b)))
-            dw = x.T @ (p - y) / n + hp["l2"] * w
+            dw = x.T @ (p - y) / n + LOGREG_L2 * w
             db = float(np.sum(p - y)) / n
-            w -= hp["lr"] * dw
-            b -= hp["lr"] * db
+            w -= LOGREG_LR * dw
+            b -= LOGREG_LR * db
         net = Mlp([DenseLayer(w[None, :], [b], "sigmoid")])
     elif kind == "mlp":
         net = build_mlp([x.shape[1], int(hp["hidden"]), 1], "relu", "sigmoid", rng)

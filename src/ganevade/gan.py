@@ -33,10 +33,9 @@ the critic's output is not finite, ``adam_step`` when a gradient is not;
 
 from __future__ import annotations
 
-import math
 import time
 from dataclasses import dataclass, field
-from numbers import Integral, Real
+from numbers import Integral
 
 import numpy as np
 
@@ -88,6 +87,11 @@ def preset_for(kind: str) -> GanPreset:
         raise ValueError(f"unknown feature kind {kind!r}") from None
 
 
+# the WGAN-GP recipe of Gulrajani et al. (2017), which the paper trains with
+BATCH_SIZE = 64
+LAMBDA_GP = 10.0                        # gradient penalty weight
+N_GENERATOR = 5                         # critic steps per generator step
+LEARNING_RATE = 1e-4                    # Adam, both networks
 BETA1, BETA2 = 0.0, 0.9                 # Adam moment decays
 # training stops early once the mean |L_D| over a window of steps moves by
 # less than the tolerance from the window before, patience times in a row
@@ -99,28 +103,17 @@ INPUT_DROPOUT, HIDDEN_DROPOUT = 0.1, 0.5    # both networks, training only
 
 @dataclass
 class TrainingConfig:
-    """GAN settings of one feature kind; the config's ``gans`` entries."""
-    max_steps: int = 3000
-    batch_size: int = 64
-    lambda_gp: float = 10.0
-    n_generator: int = 5
-    learning_rate: float = 1e-4
+    """The GAN setting of one feature kind that a run sets: its step cap,
+    the config's ``gans`` entry. The rest of the recipe is the constants
+    above."""
+    max_steps: int
 
     def __post_init__(self):
-        rates = (self.lambda_gp, self.learning_rate)
-        if not all(isinstance(r, Real) and not isinstance(r, bool)
-                   for r in rates):
-            raise TypeError("lambda_gp and learning_rate must be numbers")
-        if not all(math.isfinite(r) and r > 0 for r in rates):
-            raise ValueError("lambda_gp and learning_rate must be positive")
-        counts = (self.max_steps, self.batch_size, self.n_generator)
-        if not all(isinstance(c, Integral) and not isinstance(c, bool)
-                   for c in counts):
-            raise TypeError("max_steps, batch_size and n_generator must be "
-                            "integers")
-        if min(counts) < 1:
-            raise ValueError("max_steps, batch_size and n_generator must be "
-                             ">= 1")
+        if not (isinstance(self.max_steps, Integral)
+                and not isinstance(self.max_steps, bool)):
+            raise TypeError("max_steps must be an integer")
+        if self.max_steps < 1:
+            raise ValueError("max_steps must be >= 1")
 
 
 @dataclass
@@ -318,7 +311,7 @@ def train(x: np.ndarray, benign_rows, malicious_rows, preset: GanPreset,
     ``x``'s dtype: its working set is the two networks, their Adam buffers
     and one step's batches and activations.
 
-    Every step updates the critic; every ``n_generator``-th step the
+    Every step updates the critic; every ``N_GENERATOR``-th step the
     generator. Stops at the step cap or when the windowed moving average
     of |L_D| stops moving; ``training_meta["stopped"]`` says which
     (``"max_steps"`` or ``"early_stop"``). ``metrics_sink``, if given, is
@@ -352,14 +345,14 @@ def train(x: np.ndarray, benign_rows, malicious_rows, preset: GanPreset,
 
     for step in range(1, cfg.max_steps + 1):
         started = time.perf_counter()
-        b_idx = rng.integers(0, len(benign_rows), size=cfg.batch_size)
-        m_idx = rng.integers(0, len(malicious_rows), size=cfg.batch_size)
+        b_idx = rng.integers(0, len(benign_rows), size=BATCH_SIZE)
+        m_idx = rng.integers(0, len(malicious_rows), size=BATCH_SIZE)
         real = x[benign_rows[b_idx]].astype(np.float64, copy=False)
         m_batch = x[malicious_rows[m_idx]].astype(np.float64, copy=False)
-        z = sample_noise(preset.noise_dim, cfg.batch_size, rng)
-        gen_masks = model.generator.sample_dropout_masks(rng, cfg.batch_size)
-        critic_masks = model.critic.sample_dropout_masks(rng, cfg.batch_size)
-        eps = rng.random((cfg.batch_size, 1))
+        z = sample_noise(preset.noise_dim, BATCH_SIZE, rng)
+        gen_masks = model.generator.sample_dropout_masks(rng, BATCH_SIZE)
+        critic_masks = model.critic.sample_dropout_masks(rng, BATCH_SIZE)
+        eps = rng.random((BATCH_SIZE, 1))
 
         try:
             # one generator forward per step: the critic trains on its
@@ -368,18 +361,18 @@ def train(x: np.ndarray, benign_rows, malicious_rows, preset: GanPreset,
             # in between
             fake, path = _generator_path(model, m_batch, z, gen_masks)
             ld_val, _, gp = critic_loss(model.critic, real, fake,
-                                        cfg.lambda_gp, eps, critic_masks,
+                                        LAMBDA_GP, eps, critic_masks,
                                         out=d_state.grads)
             adam_step(model.critic.parameters(), d_state,
-                      lr=cfg.learning_rate, beta1=BETA1, beta2=BETA2)
+                      lr=LEARNING_RATE, beta1=BETA1, beta2=BETA2)
 
-            if step % cfg.n_generator == 0:
+            if step % N_GENERATOR == 0:
                 # ascend the mean critic score so fakes drift toward "real"
                 last_lg, g_fake = generator_loss(model.critic, fake,
                                                  critic_masks)
                 _generator_grads(model, path, g_fake, g_state.grads)
                 adam_step(model.generator.parameters(), g_state,
-                          lr=cfg.learning_rate, beta1=BETA1, beta2=BETA2)
+                          lr=LEARNING_RATE, beta1=BETA1, beta2=BETA2)
         except NumericError:
             raise TrainingDivergedError(step, None, last_lg) from None
 

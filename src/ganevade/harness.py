@@ -62,7 +62,6 @@ import numpy as np
 from . import baselines, detectors, features, gan, padopt, petk
 from . import checkpoint as ckpt
 from . import __version__
-from .gan import TrainingConfig as GanStageConfig
 
 SCHEMA_VERSION = 1
 CACHE_ENV_VAR = "GANEVADE_CACHE_DIR"
@@ -71,6 +70,8 @@ CACHE_ENV_VAR = "GANEVADE_CACHE_DIR"
 GAN_FAMILIES = {"byte_histogram": "byte", "api": "api_topk",
                 "strings": "strings_topk"}
 GAN_KINDS = tuple(GAN_FAMILIES)
+# GAN kind -> the steps it trains for when the config's ``gans`` leaves it out
+GAN_STEPS = {"byte_histogram": 3000, "api": 300, "strings": 300}
 
 
 class ConfigError(ValueError):
@@ -127,8 +128,7 @@ class CorpusConfig:
 class FeatureConfig:
     k_api: int = 150
     k_strings: int = 200
-    hash_dim: int = 1280
-    min_string_len: int = 5
+    hash_dim: int = features.DEFAULT_HASH_DIM
 
 
 @dataclass
@@ -142,6 +142,9 @@ class DetectorSpec:
         if not isinstance(self.families, (list, tuple)):
             raise TypeError(f"detector families must be a list, got "
                             f"{self.families!r}")
+        if not isinstance(self.hyperparams, dict):
+            raise TypeError(f"detector hyperparams must be an object, got "
+                            f"{self.hyperparams!r}")
         self.families = tuple(self.families)
 
 
@@ -166,10 +169,6 @@ def _is_number(v) -> bool:
     return isinstance(v, (int, float)) and not isinstance(v, bool)
 
 
-# the longest string run ``re`` can be asked for (its repeat counts stop
-# below 2**32 - 1)
-MAX_STRING_LEN = 2**32 - 2
-
 # a detector's name becomes part of a file name under models/
 DETECTOR_NAME = re.compile(r"[A-Za-z0-9_-]+")
 
@@ -181,11 +180,7 @@ DEFAULT_GAP_SWEEP = (0.01, 0.008, 0.005, 0.003, 0.001, 0.0008, 0.0005,
 class ExperimentConfig:
     corpus: CorpusConfig = field(default_factory=CorpusConfig)
     feature_cfg: FeatureConfig = field(default_factory=FeatureConfig)
-    gans: dict = field(default_factory=lambda: {
-        "byte_histogram": GanStageConfig(max_steps=3000),
-        "api": GanStageConfig(max_steps=300),
-        "strings": GanStageConfig(max_steps=300),
-    })
+    gans: dict = field(default_factory=dict)    # kind -> gan.TrainingConfig
     detectors: list = field(default_factory=_default_detectors)
     attacks: list = field(default_factory=lambda: [
         "gan_byte", "gan_api", "gan_strings", "benign_injection",
@@ -224,9 +219,6 @@ class ExperimentConfig:
             if not (_is_int(value) and value >= least):
                 raise ConfigError(f"{name} must be an integer >= {least}, "
                                   f"got {value!r}")
-        if fcfg.min_string_len > MAX_STRING_LEN:
-            raise ConfigError(f"feature_cfg.min_string_len must be <= "
-                              f"{MAX_STRING_LEN}, got {fcfg.min_string_len}")
         for attack in self.attacks:
             if attack not in ATTACKS:
                 raise ConfigError(f"unknown attack {attack!r}")
@@ -246,14 +238,9 @@ class ExperimentConfig:
             if unknown:
                 raise ConfigError(f"unknown hyperparams {sorted(unknown)} "
                                   f"of detector {spec.name!r}")
-            hp = {**detectors.DEFAULT_HYPERPARAMS, **spec.hyperparams}
-            if not all(_is_int(hp[k]) and hp[k] >= 1 for k in ("steps", "hidden")):
+            if not all(_is_int(v) and v >= 1 for v in spec.hyperparams.values()):
                 raise ConfigError(f"detector {spec.name!r}: steps and hidden "
                                   f"must be integers >= 1")
-            if not (_is_number(hp["lr"]) and hp["lr"] > 0
-                    and _is_number(hp["l2"]) and hp["l2"] >= 0):
-                raise ConfigError(f"detector {spec.name!r}: lr must be > 0 "
-                                  f"and l2 >= 0")
             for fam in spec.families:
                 if fam not in FAMILIES:
                     raise ConfigError(f"unknown feature family {fam!r}")
@@ -265,6 +252,9 @@ class ExperimentConfig:
         for kind in self.gans:
             if kind not in GAN_KINDS:
                 raise ConfigError(f"unknown GAN kind {kind!r} in gans")
+        # a kind left out trains for its default steps
+        self.gans = {kind: self.gans.get(kind, gan.TrainingConfig(steps))
+                     for kind, steps in GAN_STEPS.items()}
         for gap in (self.gap, *self.gap_sweep):
             if not (_is_number(gap) and 0.0 <= gap < 1.0):
                 raise ConfigError(f"gap {gap!r} outside [0, 1)")
@@ -312,7 +302,8 @@ class ExperimentConfig:
                 d["feature_cfg"] = FeatureConfig(**d["feature_cfg"])
             # another container is left as it is, for __post_init__ to refuse
             if isinstance(d.get("gans"), dict):
-                d["gans"] = {k: GanStageConfig(**v) for k, v in d["gans"].items()}
+                d["gans"] = {k: gan.TrainingConfig(**v)
+                             for k, v in d["gans"].items()}
             if isinstance(d.get("detectors"), list):
                 d["detectors"] = [DetectorSpec(**s) for s in d["detectors"]]
             for key in ("split", "gap_sweep"):
@@ -579,9 +570,8 @@ class FileFeatures:
     never parses a file or scans it for strings. A non-PE has no imports; a
     PE whose import walk was cut short has those read before."""
 
-    def __init__(self, data: bytes, fcfg: FeatureConfig):
+    def __init__(self, data: bytes):
         self.data = data
-        self.fcfg = fcfg
 
     @functools.cached_property
     def histogram(self) -> np.ndarray:
@@ -596,7 +586,7 @@ class FileFeatures:
 
     @functools.cached_property
     def string_tokens(self) -> "features.Counter":
-        return features.extract_strings(self.data, self.fcfg.min_string_len)
+        return features.extract_strings(self.data)
 
 
 # family -> the builder of one file's vector from its FileFeatures and the
@@ -683,7 +673,7 @@ class FeatureTable:
         the next file's is made."""
         matrices = {} if matrices is None else matrices
         for i in range(len(blobs)) if rows is None else rows:
-            feats = FileFeatures(blobs[i], self.fcfg)
+            feats = FileFeatures(blobs[i])
             self.fill(matrices, len(blobs), i, feats, families)
             if visit is not None:
                 visit(feats)
@@ -715,14 +705,13 @@ def train_gan_for(state: PipelineState, kind: str,
     x = state.table.matrices[GAN_FAMILIES[kind]]
     benign_rows = _rows(state, "train", "benign")
     malicious_rows = _rows(state, "train", "malicious")
-    stage = cfg.gans.get(kind, GanStageConfig())
     preset = pipeline_preset(kind, x.shape[1])
     lines = ["step,loss_critic,loss_generator,gradient_penalty,step_ms\n"]
 
     def sink(step, ld, lg, gp, step_ms):
         lines.append(f"{step},{ld!r},{lg!r},{gp!r},{step_ms:.4f}\n")
-    model = gan.train(x, benign_rows, malicious_rows, preset, stage, cfg.seed,
-                      metrics_sink=sink)
+    model = gan.train(x, benign_rows, malicious_rows, preset, cfg.gans[kind],
+                      cfg.seed, metrics_sink=sink)
     metrics_path.parent.mkdir(parents=True, exist_ok=True)
     metrics_path.write_text("".join(lines))
     return model
@@ -1112,7 +1101,7 @@ def stage_gans(state: PipelineState):
     for kind in _gans_needed(state.cfg):
         what = ("gan", kind)
         key = _key("gan", state.extract_key, kind,
-                   dataclasses.asdict(state.cfg.gans.get(kind, GanStageConfig())),
+                   dataclasses.asdict(state.cfg.gans[kind]),
                    state.cfg.seed)
         state.gan_models[kind] = _resume(
             state, key, [Artifact(what, model_dir / f"gan_{kind}.gevd",

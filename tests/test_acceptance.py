@@ -14,8 +14,8 @@ import pytest
 from ganevade import gan, harness, nncore, padopt, petk
 from ganevade.features import byte_histogram, extract_imports
 from ganevade.harness import (CorpusConfig, DetectorSpec, ExperimentConfig,
-                              FeatureConfig, GanStageConfig,
-                              report_without_runtime, run_pipeline)
+                              FeatureConfig, report_without_runtime,
+                              run_pipeline)
 from ganevade.nncore import build_mlp
 from test_padopt import lp_oracle
 
@@ -28,7 +28,7 @@ def full_run(tmp_path_factory):
         corpus=CorpusConfig(n_per_class=1000),
         detectors=[DetectorSpec("byte_logreg", "logreg", ("byte",))],
         attacks=["gan_byte", "malgan_byte"],
-        gans={"byte_histogram": GanStageConfig(max_steps=3000)},
+        gans={"byte_histogram": gan.TrainingConfig(max_steps=3000)},
         seed=0)
     t0 = time.time()
     report = run_pipeline(cfg, workdir)
@@ -49,7 +49,7 @@ def api_runs(tmp_path_factory):
                        DetectorSpec("api_hashed_logreg", "logreg",
                                     ("api_hashed",))],
             attacks=["gan_api"],
-            gans={"api": GanStageConfig(max_steps=200)},
+            gans={"api": gan.TrainingConfig(max_steps=200)},
             seed=seed)
         results.append((cfg, workdir, run_pipeline(cfg, workdir)))
     return results

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from ganevade import checkpoint as ckpt
 from ganevade import cli, detectors, features, gan, harness, padopt, petk
 from ganevade.harness import (ConfigError, CorpusConfig, ExperimentConfig,
-                              FeatureConfig, GanStageConfig, PipelineState,
+                              FeatureConfig, PipelineState,
                               StageError, gen_corpus, ingest_dirs, load_corpus,
                               pipeline_preset, render_report,
                               report_without_runtime, run_pipeline,
@@ -25,9 +25,9 @@ def tiny_config(seed=7, attacks=("gan_byte", "benign_injection", "malgan_byte"))
     return ExperimentConfig(
         corpus=CorpusConfig(n_per_class=10, content_size=(400, 800)),
         feature_cfg=FeatureConfig(k_api=40, k_strings=40, hash_dim=64),
-        gans={"byte_histogram": GanStageConfig(max_steps=20),
-              "api": GanStageConfig(max_steps=10),
-              "strings": GanStageConfig(max_steps=10)},
+        gans={"byte_histogram": gan.TrainingConfig(max_steps=20),
+              "api": gan.TrainingConfig(max_steps=10),
+              "strings": gan.TrainingConfig(max_steps=10)},
         attacks=list(attacks),
         gap_sweep=(0.01, 0.001),
         sweep_subsample=3,
@@ -45,7 +45,7 @@ CONFIG_FIELDS = [
                            ("feature_cfg", FeatureConfig))
       for f in dataclasses.fields(nested)),
     *((("gans", "api", f.name), f.type)
-      for f in dataclasses.fields(GanStageConfig)),
+      for f in dataclasses.fields(gan.TrainingConfig)),
     *((("detectors", 0, f.name), f.type)
       for f in dataclasses.fields(harness.DetectorSpec))]
 JSON_SCALARS = (st.none() | st.booleans() | st.integers()
@@ -106,19 +106,20 @@ class TestConfig:
         with pytest.raises(ConfigError):
             ExperimentConfig(detectors=self.mlp_with(hidden=hidden))
 
+    # the logreg's step size and L2 weight are detectors' constants: a
+    # config that sets either, to any value, names an unknown hyperparam
     @pytest.mark.parametrize("lr", [0, -1, float("nan"), "fast"])
     def test_detector_lr_must_be_positive(self, lr):
-        with pytest.raises(ConfigError):
+        with pytest.raises(ConfigError, match=r"unknown hyperparams \['lr'\]"):
             ExperimentConfig(detectors=self.mlp_with(lr=lr))
 
     @pytest.mark.parametrize("l2", [-1e-4, float("nan"), None])
     def test_detector_l2_must_be_non_negative(self, l2):
-        with pytest.raises(ConfigError):
+        with pytest.raises(ConfigError, match=r"unknown hyperparams \['l2'\]"):
             ExperimentConfig(detectors=self.mlp_with(l2=l2))
 
     def test_detector_hyperparams_at_their_bounds_accepted(self):
-        ExperimentConfig(detectors=self.mlp_with(steps=1, hidden=1, lr=2,
-                                                 l2=0))
+        ExperimentConfig(detectors=self.mlp_with(steps=1, hidden=1))
 
     def test_schema_version_checked(self):
         with pytest.raises(ConfigError):
@@ -175,8 +176,24 @@ class TestConfig:
             ExperimentConfig.from_dict({"gans": {"byte_histogram": setting}})
 
     def test_gan_settings_are_one_class(self):
-        assert GanStageConfig is gan.TrainingConfig
-        assert len(dataclasses.fields(GanStageConfig)) == 5
+        assert [f.name for f in dataclasses.fields(gan.TrainingConfig)] == [
+            "max_steps"]
+        assert all(type(v) is gan.TrainingConfig
+                   for v in ExperimentConfig().gans.values())
+
+    def test_gan_kind_left_out_trains_for_its_default_steps(self):
+        cfg = ExperimentConfig.from_dict(
+            {"gans": {"byte_histogram": {"max_steps": 5}}})
+        assert {kind: stage.max_steps for kind, stage in cfg.gans.items()} \
+            == {"byte_histogram": 5, "api": 300, "strings": 300}
+        assert ExperimentConfig().gans == ExperimentConfig.from_dict(
+            {}).gans == {kind: gan.TrainingConfig(steps)
+                         for kind, steps in harness.GAN_STEPS.items()}
+
+    def test_empty_gan_entry_rejected(self):
+        # an entry names its steps; a kind left out takes its default
+        with pytest.raises(ConfigError, match="max_steps"):
+            ExperimentConfig.from_dict({"gans": {"api": {}}})
 
     def test_unknown_detector_kind_rejected(self):
         with pytest.raises(ConfigError):
@@ -213,8 +230,7 @@ class TestConfig:
             ExperimentConfig(detectors=[harness.DetectorSpec(
                 "x", "mlp", ("byte",), hyperparams={"hiden": 8})])
 
-    @pytest.mark.parametrize("field", ["hash_dim", "k_api", "k_strings",
-                                       "min_string_len"])
+    @pytest.mark.parametrize("field", ["hash_dim", "k_api", "k_strings"])
     def test_feature_size_below_one_rejected(self, field):
         with pytest.raises(ConfigError):
             ExperimentConfig(feature_cfg=FeatureConfig(**{field: 0}))
@@ -579,8 +595,8 @@ class TestStreaming:
             seen["alive"] -= 1
 
         class FileFeatures(harness.FileFeatures):
-            def __init__(self, data, fcfg):
-                super().__init__(data, fcfg)
+            def __init__(self, data):
+                super().__init__(data)
                 weakref.finalize(self, dropped)
                 seen["made"][data] += 1
                 seen["alive"] += 1
@@ -867,11 +883,11 @@ class TestResume:
         real_detector = detectors.train_detector
 
         class FileFeatures(harness.FileFeatures):
-            def __init__(self, data, fcfg):
+            def __init__(self, data):
                 if data in corpus:
                     assert not fail, "a corpus file extracted again"
                     done["extract"] += 1
-                super().__init__(data, fcfg)
+                super().__init__(data)
 
         def train_detector(kind, x_benign, *args, **kwargs):
             assert not fail, "detector trained again"
@@ -901,7 +917,7 @@ class TestResume:
     def test_one_gan_changed_retrains_only_it(self, tmp_path, monkeypatch):
         cfg = tiny_config(attacks=self.ATTACKS)
         run_pipeline(cfg, tmp_path / "w")
-        gans = dict(cfg.gans, api=GanStageConfig(max_steps=11))
+        gans = dict(cfg.gans, api=gan.TrainingConfig(max_steps=11))
         done = self.record_training(monkeypatch, tmp_path / "w")
         run_pipeline(dataclasses.replace(cfg, gans=gans), tmp_path / "w")
         assert done["gans"] == ["api"]
@@ -1377,7 +1393,7 @@ class TestAttackResume:
         # and re-runs its attack, but spends no MalGAN query again
         cfg = tiny_config(attacks=("gan_api", "malgan_byte"))
         run_pipeline(cfg, tmp_path / "w")
-        gans = dict(cfg.gans, api=GanStageConfig(max_steps=11))
+        gans = dict(cfg.gans, api=gan.TrainingConfig(max_steps=11))
         changed = dataclasses.replace(cfg, gans=gans)
         state = PipelineState(cfg=changed, workdir=tmp_path / "w")
         evaluation = harness.run_stages(state)
@@ -1648,7 +1664,15 @@ class TestCli:
             ("byte_alpha_malicious", [1.0] * 256),
             ("api_pools", {}), ("string_pools", {}))),
         *((name, {"gans": {"api": {name: [16]}}})
-          for name in ("generator_hidden", "critic_hidden"))])
+          for name in ("generator_hidden", "critic_hidden")),
+        # the WGAN-GP recipe, the string floor and the logreg's step are
+        # constants, each refused at the value it had
+        *((name, {"gans": {"api": {"max_steps": 3, name: value}}})
+          for name, value in (("batch_size", 64), ("lambda_gp", 10.0),
+                              ("n_generator", 5), ("learning_rate", 1e-4))),
+        ("min_string_len", {"feature_cfg": {"min_string_len": 5}}),
+        *((name, {"detectors": [{"name": "d", "hyperparams": {name: value}}]})
+          for name, value in (("lr", 0.5), ("l2", 1e-4)))])
     def test_removed_field_exits_2_and_is_named(self, tmp_path, capsys, name,
                                                 old):
         p = tmp_path / "old.json"
@@ -1684,6 +1708,34 @@ class TestCli:
                        "--workdir", str(tmp_path / "w")])
         assert rc == 0
         assert summary in capsys.readouterr().out
+
+    def test_train_detector_name_trains_that_detector_alone(
+            self, tmp_path, tiny_config_file, capsys):
+        # the tiny config's byte attacks need a byte-only detector, which
+        # this roster lacks: the command narrows it past that rule
+        workdir = tmp_path / "w"
+        assert cli.main(["train-detector", "--name", "api_topk_logreg",
+                         "--config", str(tiny_config_file),
+                         "--workdir", str(workdir)]) == 0
+        assert capsys.readouterr().out == "trained detector api_topk_logreg\n"
+        assert [p.name for p in (workdir / "models").iterdir()] == [
+            "detector_api_topk_logreg.gevd"]
+
+    def test_train_gan_kind_trains_that_gan_alone(self, tmp_path, capsys):
+        # gan_byte, the attack the command runs the stages for, needs a
+        # byte-only detector, and the config's one detector is not
+        cfg = tiny_config(attacks=("gan_api",)).to_dict()
+        cfg.update(detectors=[{"name": "mm", "families": ["byte", "api_hashed"]}],
+                   gans={"byte_histogram": {"max_steps": 3}})
+        path, workdir = tmp_path / "cfg.json", tmp_path / "w"
+        path.write_text(json.dumps(cfg))
+        assert cli.main(["train-gan", "--kind", "byte_histogram",
+                         "--config", str(path), "--workdir", str(workdir)]) == 0
+        out = capsys.readouterr().out.splitlines()
+        assert len(out) == 1 and out[0].startswith(
+            "trained byte_histogram model: {'steps': 3,")
+        assert sorted(p.name for p in (workdir / "models").glob("gan_*")) == [
+            "gan_byte_histogram.gevd", "gan_byte_histogram_metrics.csv"]
 
     @pytest.mark.parametrize("argv", [["train-gan", "--kind", "bogus"],
                                       ["train-detector", "--name", "nope"],
@@ -1790,9 +1842,9 @@ def test_full_run_config_is_the_old_scripts_default():
     path = Path(__file__).resolve().parent.parent / "scripts" / "full_run.json"
     old_default = ExperimentConfig(
         corpus=CorpusConfig(n_per_class=500),
-        gans={"byte_histogram": GanStageConfig(max_steps=3000),
-              "api": GanStageConfig(max_steps=300),
-              "strings": GanStageConfig(max_steps=300)},
+        gans={"byte_histogram": gan.TrainingConfig(max_steps=3000),
+              "api": gan.TrainingConfig(max_steps=300),
+              "strings": gan.TrainingConfig(max_steps=300)},
         seed=0)
     assert harness.load_config(path).config_hash() == old_default.config_hash()
 
@@ -1802,7 +1854,7 @@ def test_gap_sweep_config_is_the_old_scripts_default():
     path = Path(__file__).resolve().parent.parent / "scripts" / "gap_sweep.json"
     old_default = ExperimentConfig(
         corpus=CorpusConfig(n_per_class=300),
-        gans={"byte_histogram": GanStageConfig(max_steps=3000)},
+        gans={"byte_histogram": gan.TrainingConfig(max_steps=3000)},
         detectors=[harness.DetectorSpec("byte_logreg", "logreg", ("byte",))],
         attacks=["gan_byte"],
         gap_sweep=harness.DEFAULT_GAP_SWEEP,

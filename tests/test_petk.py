@@ -362,7 +362,7 @@ def test_mutated_pe_parses_or_raises_parse_error(seed):
         parse(data, strict=False)
     except PeEditError:
         pass
-    feats = harness.FileFeatures(data, harness.FeatureConfig())
+    feats = harness.FileFeatures(data)
     assert feats.histogram.sum() == pytest.approx(1.0)
     assert isinstance(feats.import_tokens, set)
     assert all(len(s) >= 5 for s in feats.string_tokens)

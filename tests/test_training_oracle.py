@@ -97,20 +97,20 @@ def reference_gan_train(benign, malicious, preset, cfg, seed):
     rng = np.random.default_rng(seed)
     model = gan.build_gan(preset, seed=seed)
     d_adam, g_adam = ReferenceAdam(model.critic), ReferenceAdam(model.generator)
-    hp = dict(lr=cfg.learning_rate, beta1=gan.BETA1, beta2=gan.BETA2)
+    hp = dict(lr=gan.LEARNING_RATE, beta1=gan.BETA1, beta2=gan.BETA2)
     for step in range(1, cfg.max_steps + 1):
-        real = benign[rng.integers(0, len(benign), size=cfg.batch_size)]
-        m_batch = malicious[rng.integers(0, len(malicious), size=cfg.batch_size)]
-        z = gan.sample_noise(preset.noise_dim, cfg.batch_size, rng)
-        gen_masks = model.generator.sample_dropout_masks(rng, cfg.batch_size)
-        critic_masks = model.critic.sample_dropout_masks(rng, cfg.batch_size)
-        eps = rng.random((cfg.batch_size, 1))
+        real = benign[rng.integers(0, len(benign), size=gan.BATCH_SIZE)]
+        m_batch = malicious[rng.integers(0, len(malicious), size=gan.BATCH_SIZE)]
+        z = gan.sample_noise(preset.noise_dim, gan.BATCH_SIZE, rng)
+        gen_masks = model.generator.sample_dropout_masks(rng, gan.BATCH_SIZE)
+        critic_masks = model.critic.sample_dropout_masks(rng, gan.BATCH_SIZE)
+        eps = rng.random((gan.BATCH_SIZE, 1))
         fake, (cache, route) = gan._generator_path(model, m_batch, z, gen_masks)
         d_grads = [np.empty_like(p) for p in model.critic.parameters()]
-        gan.critic_loss(model.critic, real, fake, cfg.lambda_gp, eps,
+        gan.critic_loss(model.critic, real, fake, gan.LAMBDA_GP, eps,
                         critic_masks, out=d_grads)
         d_adam.step(d_grads, **hp)
-        if step % cfg.n_generator == 0:
+        if step % gan.N_GENERATOR == 0:
             _, g_fake = gan.generator_loss(model.critic, fake, critic_masks)
             if route is not None:
                 g_fake = g_fake * route
@@ -241,7 +241,7 @@ def test_gan_train_matches_reference(preset, rows):
     x[0::2], x[1::2] = benign, malicious
     x = checkpoint.narrowest(x)
     assert x.dtype == (np.uint8 if preset.is_binary else np.float64)
-    # two generator steps at the default n_generator of 5, default batch
+    # two generator steps at gan.N_GENERATOR = 5, batch gan.BATCH_SIZE
     cfg = TrainingConfig(max_steps=11)
     model = gan.train(x, np.arange(0, 160, 2), np.arange(1, 160, 2), preset,
                       cfg, seed=4)
@@ -265,9 +265,9 @@ def test_logreg_detector_matches_reference(dtype):
         xb = binary_rows(rng, 40, 150, 0.2).astype(np.uint8)
         xm = binary_rows(rng, 35, 150, 0.3).astype(np.uint8)
         xb[:, 7] = xm[:, 7] = 1
-    hp = {"lr": 0.5, "l2": 1e-4, "steps": 60}
-    model = detectors.train_detector("logreg", xb, xm, hp, seed=9)
-    want = reference_logreg_detector(xb, xm, 0.5, 1e-4, 60, seed=9)
+    model = detectors.train_detector("logreg", xb, xm, {"steps": 60}, seed=9)
+    want = reference_logreg_detector(xb, xm, detectors.LOGREG_LR,
+                                     detectors.LOGREG_L2, 60, seed=9)
     assert_same_bits([model.net], [want])
 
 
