@@ -93,11 +93,6 @@ LAMBDA_GP = 10.0                        # gradient penalty weight
 N_GENERATOR = 5                         # critic steps per generator step
 LEARNING_RATE = 1e-4                    # Adam, both networks
 BETA1, BETA2 = 0.0, 0.9                 # Adam moment decays
-# training stops early once the mean |L_D| over a window of steps moves by
-# less than the tolerance from the window before, patience times in a row
-EARLY_STOP_WINDOW = 100
-EARLY_STOP_TOL = 1e-4
-EARLY_STOP_PATIENCE = 10
 INPUT_DROPOUT, HIDDEN_DROPOUT = 0.1, 0.5    # both networks, training only
 
 
@@ -312,9 +307,8 @@ def train(x: np.ndarray, benign_rows, malicious_rows, preset: GanPreset,
     and one step's batches and activations.
 
     Every step updates the critic; every ``N_GENERATOR``-th step the
-    generator. Stops at the step cap or when the windowed moving average
-    of |L_D| stops moving; ``training_meta["stopped"]`` says which
-    (``"max_steps"`` or ``"early_stop"``). ``metrics_sink``, if given, is
+    generator. Runs ``cfg.max_steps`` steps unless a non-finite loss or
+    gradient raises ``TrainingDivergedError``. ``metrics_sink``, if given, is
     called after every step with ``(step, L_D, L_G, penalty, step_ms)``,
     where ``step_ms`` is the step's wall time. The loop never touches any
     detector.
@@ -336,12 +330,7 @@ def train(x: np.ndarray, benign_rows, malicious_rows, preset: GanPreset,
     d_state = AdamState.for_net(model.critic)
     g_state = AdamState.for_net(model.generator)
 
-    window: list[float] = []
-    prev_window_mean = None
-    stable_windows = 0
     last_lg = float("nan")
-    steps_run = 0
-    stopped = "max_steps"
 
     for step in range(1, cfg.max_steps + 1):
         started = time.perf_counter()
@@ -381,23 +370,8 @@ def train(x: np.ndarray, benign_rows, malicious_rows, preset: GanPreset,
         if metrics_sink is not None:
             metrics_sink(step, ld_val, last_lg, gp,
                          (time.perf_counter() - started) * 1e3)
-        steps_run = step
 
-        window.append(abs(ld_val))
-        if len(window) == EARLY_STOP_WINDOW:
-            mean = float(np.mean(window))
-            window.clear()
-            if prev_window_mean is not None:
-                if abs(mean - prev_window_mean) < EARLY_STOP_TOL:
-                    stable_windows += 1
-                else:
-                    stable_windows = 0
-            prev_window_mean = mean
-            if stable_windows >= EARLY_STOP_PATIENCE:
-                stopped = "early_stop"
-                break
-
-    model.training_meta = {"steps": steps_run, "seed": seed, "stopped": stopped}
+    model.training_meta = {"steps": cfg.max_steps, "seed": seed}
     return model
 
 

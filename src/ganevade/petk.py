@@ -10,6 +10,7 @@ untouched. Serializing an unmodified image is byte-identical to the input.
 from __future__ import annotations
 
 import functools
+import itertools
 import struct
 from dataclasses import dataclass, field
 
@@ -359,10 +360,10 @@ def _next_virtual_address(pe: PeImage) -> int:
     return _align_up(last, pe.section_align)
 
 
-def add_section(pe: PeImage, name: str, content: bytes,
-                characteristics: int = CHAR_INITIALIZED_DATA | CHAR_MEM_READ
-                ) -> PeImage:
-    """Append a new final section holding ``content``.
+def _with_section(pe: PeImage, name: str, content: bytes,
+                  characteristics: int) -> bytearray:
+    """``pe``'s bytes with a new final section holding ``content`` at
+    ``_next_virtual_address(pe)``, unparsed.
 
     Raw data is padded to file alignment (one unit minimum); existing raw
     offsets shift only when the section table has no slack for the header.
@@ -394,7 +395,6 @@ def add_section(pe: PeImage, name: str, content: bytes,
     raw_size = max(_align_up(len(content), pe.file_align), pe.file_align)
     payload = content + bytes(raw_size - len(content))
     gap = bytes(raw_base - overlay_at) if raw_base > overlay_at else b""
-    insert_at = overlay_at
 
     va = _next_virtual_address(pe)
     vsize = len(content) if content else raw_size
@@ -406,122 +406,143 @@ def add_section(pe: PeImage, name: str, content: bytes,
     _pack("<I", buf, pe.opt_offset + 56,
           _align_up(va + max(vsize, 1), pe.section_align))
     _zero_checksum(buf, pe)
-
-    new_data = bytes(buf[:insert_at]) + gap + payload + bytes(buf[insert_at:])
-    return parse(new_data, strict=True)
-
-
-def _parse_token(token: str) -> tuple[str, ImportEntry]:
-    lib, _, func = token.partition("!")
-    if not lib or not func:
-        raise PeEditError("invariant", 0, f"malformed import token {token!r}")
-    if func.startswith("#"):
-        return lib, ImportEntry(ordinal=int(func[1:]))
-    return lib, ImportEntry(name=func)
+    buf[overlay_at:overlay_at] = gap + payload
+    return buf
 
 
-def _build_import_blob(descriptors: list[ImportDescriptor], base_rva: int,
+def add_section(pe: PeImage, name: str, content: bytes,
+                characteristics: int = CHAR_INITIALIZED_DATA | CHAR_MEM_READ
+                ) -> PeImage:
+    """Append a new final section holding ``content``: one pass over the
+    bytes (``_with_section``), then one strict parse of the result."""
+    return parse(bytes(_with_section(pe, name, content, characteristics)),
+                 strict=True)
+
+
+def _group_imports(tokens, descriptors=()) -> list[tuple[str, list]]:
+    """``(library, entries)`` pairs for ``_build_import_blob``: one per
+    descriptor of ``descriptors``, then one per library the
+    ``library!function`` tokens name that none of them does, in the order
+    first seen. A token joins the last pair whose library matches it,
+    ignoring case.
+
+    An entry is an ordinal (an int) or a hint/name record (bytes: the hint,
+    little-endian, then the name and its NUL); a token's hint is 0. A token
+    with no library or function, one that holds a NUL or that latin-1
+    cannot encode, or an ordinal (``#n``) that is not ASCII decimal digits
+    in 0..65535 raises ``PeEditError("invariant")``."""
+    groups = [(d.library, [e.ordinal if e.name is None else
+                           struct.pack("<H", e.hint)
+                           + e.name.encode("latin-1") + b"\x00"
+                           for e in d.entries])
+              for d in descriptors]
+    by_lib = {lib.lower(): entries for lib, entries in groups}
+    tokens = list(tokens)
+    text = "".join(tokens)
+    if "\x00" in text or not text.isascii() and max(text) > "\xff":
+        bad = next(t for t in tokens
+                   if "\x00" in t or max(t, default="") > "\xff")
+        raise PeEditError("invariant", 0, f"import token {bad!r} holds a NUL "
+                          f"or a character latin-1 cannot encode")
+    for token in tokens:
+        lib, _, func = token.partition("!")
+        if not lib or not func:
+            raise PeEditError("invariant", 0, f"malformed import token {token!r}")
+        entries = by_lib.get(lib.lower())
+        if entries is None:
+            entries = by_lib[lib.lower()] = []
+            groups.append((lib, entries))
+        if func[0] == "#":
+            digits = func[1:]
+            if not (0 < len(digits) <= 5 and digits.isascii()
+                    and digits.isdigit() and int(digits) <= 0xFFFF):
+                raise PeEditError("invariant", 0,
+                                  f"import token {token!r}: ordinal not a "
+                                  f"decimal number in 0..65535")
+            entries.append(int(digits))
+        else:
+            entries.append(b"\x00\x00%s\x00" % func.encode("latin-1"))
+    return groups
+
+
+def _build_import_blob(libraries: list[tuple[str, list]], base_rva: int,
                        is_pe64: bool) -> tuple[bytes, int]:
-    """Fresh directory: descriptors, per-library ILT+IAT, hint/names, names."""
+    """A fresh import directory at ``base_rva`` for the ``(library,
+    entries)`` pairs of ``_group_imports``, laid out in one pass with its
+    offsets as running sums: the descriptors; each library's thunk array,
+    packed once and written twice, as its ILT and its IAT; the hint/name
+    records, each at an even offset; the library names.
+
+    Returns the bytes and the size of the descriptor table. A name RVA
+    that would read as an ordinal, or an RVA its field cannot hold, raises
+    ``PeEditError("capacity")``."""
     thunk_size = 8 if is_pe64 else 4
     ordinal_flag = 1 << (thunk_size * 8 - 1)
-    desc_bytes = IMPORT_DESCRIPTOR_SIZE * (len(descriptors) + 1)
+    desc_bytes = IMPORT_DESCRIPTOR_SIZE * (len(libraries) + 1)
+    thunks_rva = base_rva + desc_bytes
+    records_rva = thunks_rva + 2 * thunk_size * sum(
+        len(entries) + 1 for _, entries in libraries)
 
-    cursor = desc_bytes
-    thunk_offsets = []
-    for desc in descriptors:
-        ilt_off = cursor
-        cursor += thunk_size * (len(desc.entries) + 1)
-        iat_off = cursor
-        cursor += thunk_size * (len(desc.entries) + 1)
-        thunk_offsets.append((ilt_off, iat_off))
-
-    hint_name_offsets: list[list[int | None]] = []
-    hint_blob = bytearray()
-    for desc in descriptors:
-        offs: list[int | None] = []
-        for entry in desc.entries:
-            if entry.name is None:
-                offs.append(None)
-            else:
-                if len(hint_blob) % 2:
-                    hint_blob += b"\x00"
-                offs.append(cursor + len(hint_blob))
-                hint_blob += struct.pack("<H", entry.hint)
-                hint_blob += entry.name.encode("latin-1") + b"\x00"
-        hint_name_offsets.append(offs)
-    cursor += len(hint_blob)
-
-    name_offsets = []
-    name_blob = bytearray()
-    for desc in descriptors:
-        name_offsets.append(cursor + len(name_blob))
-        name_blob += desc.library.encode("latin-1") + b"\x00"
-    cursor += len(name_blob)
-
-    blob = bytearray(cursor)
-    for i, desc in enumerate(descriptors):
-        ilt_off, iat_off = thunk_offsets[i]
-        _pack("<IIIII", blob, IMPORT_DESCRIPTOR_SIZE * i,
-              base_rva + ilt_off, 0, 0,
-              base_rva + name_offsets[i], base_rva + iat_off)
-        fmt = "<Q" if is_pe64 else "<I"
-        for j, entry in enumerate(desc.entries):
-            if entry.name is None:
-                value = ordinal_flag | entry.ordinal
-            else:
-                value = base_rva + hint_name_offsets[i][j]
-                if value & ordinal_flag:
-                    raise PeEditError("capacity", base_rva,
-                                      f"name RVA {value:#x} reads as an ordinal")
-            _pack(fmt, blob, ilt_off + thunk_size * j, value)
-            _pack(fmt, blob, iat_off + thunk_size * j, value)
-    blob[cursor - len(name_blob) - len(hint_blob):cursor - len(name_blob)] = hint_blob
-    blob[cursor - len(name_blob):cursor] = name_blob
-    return bytes(blob), desc_bytes
+    # each hint/name record starts at an even offset: every record but the
+    # last is padded to an even length
+    records = [e for _, entries in libraries for e in entries
+               if not isinstance(e, int)]
+    padded = [e + b"\x00" if len(e) & 1 else e for e in records]
+    starts = list(itertools.accumulate(map(len, padded), initial=records_rva))
+    if records:
+        if starts[-2] >= ordinal_flag:
+            raise PeEditError("capacity", base_rva,
+                              f"name RVA {starts[-2]:#x} reads as an ordinal")
+        padded[-1] = records[-1]
+    hint_names = b"".join(padded)
+    rvas = iter(starts)
+    fmt = "Q" if is_pe64 else "I"
+    fields, parts, names = [], [], []
+    thunk_rva, name_rva = thunks_rva, records_rva + len(hint_names)
+    try:
+        for lib, entries in libraries:
+            thunks = struct.pack(
+                f"<{len(entries) + 1}{fmt}",
+                *[ordinal_flag | e if isinstance(e, int) else next(rvas)
+                  for e in entries], 0)
+            parts += (thunks, thunks)
+            fields += (thunk_rva, 0, 0, name_rva, thunk_rva + len(thunks))
+            thunk_rva += 2 * len(thunks)
+            names.append(lib.encode("latin-1") + b"\x00")
+            name_rva += len(names[-1])
+        head = struct.pack(f"<{len(fields) + 5}I", *fields, 0, 0, 0, 0, 0)
+    except struct.error:
+        raise PeEditError("capacity", base_rva,
+                          "import directory RVA out of range") from None
+    return b"".join([head, *parts, hint_names, *names]), desc_bytes
 
 
 def extend_imports(pe: PeImage, new_tokens, section_name: str = ".idat2"
                    ) -> tuple[PeImage, list[str]]:
     """Rebuild the import directory in a new section with tokens added.
 
-    Returns the edited image and the list of duplicate tokens skipped.
-    The original import section stays in place, unreferenced.
+    The new section and the data-directory patch are laid out on bytes,
+    then parsed once, strictly. Returns the edited image and the list of
+    duplicate tokens skipped. The original import section stays in place,
+    unreferenced.
     """
     from .features import extract_imports
 
     _check_layout(pe)
     existing = extract_imports(pe)
-    descriptors = [ImportDescriptor(d.library, list(d.entries))
-                   for d in pe.import_descriptors]
-    by_lib = {d.library.lower(): d for d in descriptors}
-
-    skipped = []
+    added, skipped = [], []
     for token in sorted(new_tokens):
-        lib, entry = _parse_token(token)
-        if token.lower() in existing:
-            skipped.append(token)
-            continue
-        desc = by_lib.get(lib.lower())
-        if desc is None:
-            desc = ImportDescriptor(lib)
-            descriptors.append(desc)
-            by_lib[lib.lower()] = desc
-        desc.entries.append(entry)
+        (skipped if token.lower() in existing else added).append(token)
+    libraries = _group_imports(added, pe.import_descriptors)
 
     base_rva = _next_virtual_address(pe)
-    blob, dir_size = _build_import_blob(descriptors, base_rva, pe.is_pe64)
-    edited = add_section(
+    blob, dir_size = _build_import_blob(libraries, base_rva, pe.is_pe64)
+    buf = _with_section(
         pe, section_name, blob,
-        characteristics=CHAR_INITIALIZED_DATA | CHAR_MEM_READ | CHAR_MEM_WRITE)
-    new_sec = edited.sections[-1]
-    if new_sec.virtual_address != base_rva:
-        raise PeEditError("invariant", 0, "import section landed off-plan")
-
-    buf = bytearray(edited.data)
-    ndirs_off = edited.opt_offset + (108 if edited.is_pe64 else 92)
+        CHAR_INITIALIZED_DATA | CHAR_MEM_READ | CHAR_MEM_WRITE)
+    ndirs_off = pe.opt_offset + (108 if pe.is_pe64 else 92)
     _pack("<II", buf, ndirs_off + 4 + 8 * DIR_IMPORT, base_rva, dir_size)
-    if len(edited.data_dirs) > DIR_IAT:
+    if len(pe.data_dirs) > DIR_IAT:
         _pack("<II", buf, ndirs_off + 4 + 8 * DIR_IAT, 0, 0)
     return parse(bytes(buf), strict=True), skipped
 
@@ -547,15 +568,17 @@ class SynthSpec:
 
 def synth_pe(spec: SynthSpec, seed: int = 0) -> bytes:
     """Deterministic minimal valid PE realizing the spec."""
-    rng = np.random.default_rng(seed)
     sections: list[tuple[str, bytes, int]] = []
     specs = spec.sections or [SectionSpec(".text", b"\xC3")]
+    rng = None
     for s in specs:
+        if s.content is None:
+            rng = rng or np.random.default_rng(seed)
         content = s.content if s.content is not None else rng.bytes(s.size or 64)
         sections.append((s.name, content, s.characteristics))
     if spec.strings:
-        payload = b"\x00" + b"\x00".join(
-            s.encode("latin-1") for s in spec.strings) + b"\x00"
+        payload = ("\x00" + "\x00".join(spec.strings) + "\x00").encode(
+            "latin-1")
         sections.append((".sdata", payload,
                          CHAR_INITIALIZED_DATA | CHAR_MEM_READ))
 
@@ -578,18 +601,9 @@ def synth_pe(spec: SynthSpec, seed: int = 0) -> bytes:
         va = _align_up(va + max(len(content), 1), SECT_ALIGN)
         raw += raw_size
 
-    descriptors: list[ImportDescriptor] = []
-    by_lib: dict[str, ImportDescriptor] = {}
-    for token in spec.imports:
-        lib, entry = _parse_token(token)
-        desc = by_lib.get(lib.lower())
-        if desc is None:
-            desc = ImportDescriptor(lib)
-            by_lib[lib.lower()] = desc
-            descriptors.append(desc)
-        desc.entries.append(entry)
     import_rva = va
-    blob, dir_size = _build_import_blob(descriptors, import_rva, is_pe64)
+    blob, dir_size = _build_import_blob(_group_imports(spec.imports),
+                                         import_rva, is_pe64)
     raw_size = max(_align_up(len(blob), FILE_ALIGN), FILE_ALIGN)
     layout.append([".idata", blob, CHAR_INITIALIZED_DATA | CHAR_MEM_READ
                    | CHAR_MEM_WRITE, va, raw, raw_size])

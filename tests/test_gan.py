@@ -400,21 +400,13 @@ class TestTraining:
         # (step, L_D, L_G, penalty, step_ms)
         assert all(len(r) == 5 and r[4] > 0.0 for r in rows)
 
-    def test_stop_reason_recorded(self, monkeypatch):
-        data = separable_corpora()
-        preset = tiny_preset("byte_histogram")
-        cfg = TrainingConfig(max_steps=40)
-        model = train(*data, preset, cfg)
-        assert model.training_meta["stopped"] == "max_steps"
-        assert model.training_meta["steps"] == 40
-        # windows of 5 steps that always count as stable: the second and
-        # third windows make the patience of 2, so training stops at 15
-        monkeypatch.setattr(gan, "EARLY_STOP_WINDOW", 5)
-        monkeypatch.setattr(gan, "EARLY_STOP_PATIENCE", 2)
-        monkeypatch.setattr(gan, "EARLY_STOP_TOL", np.inf)
-        model = train(*data, preset, cfg)
-        assert model.training_meta["stopped"] == "early_stop"
-        assert model.training_meta["steps"] == 15
+    def test_runs_max_steps(self):
+        rows = []
+        model = train(*separable_corpora(), tiny_preset("byte_histogram"),
+                      TrainingConfig(max_steps=40), seed=3,
+                      metrics_sink=lambda *a: rows.append(a))
+        assert model.training_meta == {"steps": 40, "seed": 3}
+        assert len(rows) == 40
 
     def test_seed_reproducibility_bit_exact(self, tmp_path):
         data = separable_corpora()

@@ -441,7 +441,6 @@ class TestPipeline:
                             "gradient_penalty,step_ms")
         steps = cfg.gans["byte_histogram"].max_steps
         assert model.training_meta["steps"] == steps
-        assert model.training_meta["stopped"] == "max_steps"
         rows = [line.split(",") for line in lines[1:]]
         assert [int(r[0]) for r in rows] == list(range(1, steps + 1))
         assert all(len(r) == 5 and float(r[4]) > 0.0 for r in rows)

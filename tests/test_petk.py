@@ -255,6 +255,49 @@ class TestExtendImports:
         assert extract_imports(parse(out.data, strict=True)) == \
             extract_imports(pe) | {"x.dll!y"}
 
+    @pytest.mark.parametrize("token", [
+        "lib.dll!#abc", "lib.dll!#", "lib.dll!#70000", "lib.dll!#65536",
+        "lib.dll!#-1", "lib.dll!#+5", "lib.dll!# 5", "lib.dll!#1_0",
+        "lib.dll!#\u0663", "lib.dll!#" + "9" * 5000, "lib.dll!", "!fn",
+        "lib.dll!a\x00b", "lib\x00.dll!fn", "lib.dll!\u0100fn"])
+    def test_malformed_token_rejected(self, token):
+        pe = parse(synth_pe(basic_spec()))
+        with pytest.raises(PeEditError) as exc:
+            extend_imports(pe, ["ok.dll!fine", token])
+        assert exc.value.kind == "invariant"
+        with pytest.raises(PeEditError) as exc:
+            synth_pe(SynthSpec(imports=[token]))
+        assert exc.value.kind == "invariant"
+
+    def test_ordinal_bounds_round_trip(self):
+        tokens = ["lib.dll!#0", "lib.dll!#65535"]
+        assert extract_imports(parse(synth_pe(SynthSpec(imports=tokens)))) \
+            == set(tokens)
+        out, _ = extend_imports(parse(synth_pe(basic_spec())), tokens)
+        assert set(tokens) <= extract_imports(out)
+
+    def test_tokens_group_by_library_ignoring_case(self):
+        # two descriptors of one library: new tokens join the last
+        old = [petk.ImportDescriptor("K.dll", [petk.ImportEntry(ordinal=1)]),
+               petk.ImportDescriptor("k.DLL", [petk.ImportEntry(name="f",
+                                                                hint=0x102)])]
+        groups = petk._group_imports(
+            ["A.dll!x", "b.dll!#3", "a.DLL!yz", "K.dll!g"], old)
+        assert groups == [("K.dll", [1]),
+                          ("k.DLL", [b"\x02\x01f\x00", b"\x00\x00g\x00"]),
+                          ("A.dll", [b"\x00\x00x\x00", b"\x00\x00yz\x00"]),
+                          ("b.dll", [3])]
+
+    def test_each_editor_parses_once(self):
+        pe = parse(synth_pe(basic_spec()))
+        with mock.patch.object(petk, "parse", wraps=petk.parse) as counted:
+            out, _ = extend_imports(pe, ["x.dll!y", "kernel32.dll!#9"])
+            assert counted.call_count == 1
+            sec = add_section(pe, ".x", b"yy")
+            assert counted.call_count == 2
+        assert out == parse(out.data, strict=True)
+        assert sec == parse(sec.data, strict=True)
+
     def test_pe32_name_rva_with_the_ordinal_bit_rejected(self):
         # the import section's VirtualSize reaches past 2 GiB, so the new
         # section's hint/name RVAs would set the PE32 ordinal flag
@@ -618,3 +661,123 @@ def test_rva_run_agrees_with_the_linear_scan(size_of_headers, sections):
         assert lo <= rva < hi
         for r in range(lo, min(hi, 100)):
             assert linear_rva_to_offset(pe, r) == r + delta
+
+
+# --- the import directory writer against the one it replaced ---------------
+
+def reference_import_blob(descriptors, base_rva: int, is_pe64: bool):
+    """The import directory writer before it was made one pass: offsets
+    laid out first, then every thunk packed twice, once into the ILT and
+    once into the IAT."""
+    thunk_size = 8 if is_pe64 else 4
+    ordinal_flag = 1 << (thunk_size * 8 - 1)
+    desc_bytes = 20 * (len(descriptors) + 1)
+
+    cursor = desc_bytes
+    thunk_offsets = []
+    for desc in descriptors:
+        ilt_off = cursor
+        cursor += thunk_size * (len(desc.entries) + 1)
+        iat_off = cursor
+        cursor += thunk_size * (len(desc.entries) + 1)
+        thunk_offsets.append((ilt_off, iat_off))
+
+    hint_name_offsets = []
+    hint_blob = bytearray()
+    for desc in descriptors:
+        offs = []
+        for entry in desc.entries:
+            if entry.name is None:
+                offs.append(None)
+            else:
+                if len(hint_blob) % 2:
+                    hint_blob += b"\x00"
+                offs.append(cursor + len(hint_blob))
+                hint_blob += struct.pack("<H", entry.hint)
+                hint_blob += entry.name.encode("latin-1") + b"\x00"
+        hint_name_offsets.append(offs)
+    cursor += len(hint_blob)
+
+    name_offsets = []
+    name_blob = bytearray()
+    for desc in descriptors:
+        name_offsets.append(cursor + len(name_blob))
+        name_blob += desc.library.encode("latin-1") + b"\x00"
+    cursor += len(name_blob)
+
+    blob = bytearray(cursor)
+    for i, desc in enumerate(descriptors):
+        ilt_off, iat_off = thunk_offsets[i]
+        petk._pack("<IIIII", blob, 20 * i, base_rva + ilt_off, 0, 0,
+                   base_rva + name_offsets[i], base_rva + iat_off)
+        fmt = "<Q" if is_pe64 else "<I"
+        for j, entry in enumerate(desc.entries):
+            if entry.name is None:
+                value = ordinal_flag | entry.ordinal
+            else:
+                value = base_rva + hint_name_offsets[i][j]
+                if value & ordinal_flag:
+                    raise PeEditError("capacity", base_rva,
+                                      f"name RVA {value:#x} reads as an ordinal")
+            petk._pack(fmt, blob, ilt_off + thunk_size * j, value)
+            petk._pack(fmt, blob, iat_off + thunk_size * j, value)
+    blob[cursor - len(name_blob) - len(hint_blob):cursor - len(name_blob)] = hint_blob
+    blob[cursor - len(name_blob):cursor] = name_blob
+    return bytes(blob), desc_bytes
+
+
+def blob_outcome(write, *args):
+    """A writer's (bytes, directory size), or the kind of its PeEditError."""
+    try:
+        return write(*args)
+    except PeEditError as exc:
+        return exc.kind
+
+
+latin1_text = st.text(st.characters(min_codepoint=1, max_codepoint=255),
+                      max_size=9)
+import_entries = st.one_of(
+    st.builds(lambda o: petk.ImportEntry(ordinal=o), st.integers(0, 0xFFFF)),
+    st.builds(lambda n, h: petk.ImportEntry(name=n, hint=h), latin1_text,
+              st.integers(0, 0xFFFF)))
+import_directories = st.lists(
+    st.builds(petk.ImportDescriptor, latin1_text,
+              st.lists(import_entries, max_size=6)), max_size=5)
+base_rvas = st.one_of(st.integers(0x1000, 0x100000).map(lambda r: r & ~0xFFF),
+                      st.integers(2**31 - 512, 2**31 + 16),
+                      st.integers(2**32 - 512, 2**32 + 16))
+
+
+@settings(max_examples=400, deadline=None)
+@given(import_directories, base_rvas, st.booleans())
+def test_import_blob_matches_the_two_pass_writer(descriptors, base_rva, is_pe64):
+    """PE32 and PE32+, name and ordinal entries, names of odd and even
+    length, libraries with no entries, and base RVAs up to and past where a
+    name RVA reads as an ordinal or a field overflows: the one-pass writer
+    gives the reference bytes and directory size, or its error kind."""
+    expected = blob_outcome(reference_import_blob, descriptors, base_rva,
+                            is_pe64)
+    got = blob_outcome(petk._build_import_blob,
+                       petk._group_imports([], descriptors), base_rva, is_pe64)
+    assert got == expected
+
+
+def test_import_blob_examples_cover_every_case():
+    """The cases the property draws, pinned: an empty library, odd and even
+    names, and a PE32 name RVA that reads as an ordinal."""
+    descriptors = [
+        petk.ImportDescriptor("empty.dll", []),
+        petk.ImportDescriptor("a.dll", [petk.ImportEntry(name="odd", hint=3),
+                                        petk.ImportEntry(ordinal=9),
+                                        petk.ImportEntry(name="even", hint=4)])]
+    for is_pe64 in (False, True):
+        for base_rva in (0x3000, 2**31 - 64, 2**32 - 64):
+            expected = blob_outcome(reference_import_blob, descriptors,
+                                    base_rva, is_pe64)
+            assert blob_outcome(petk._build_import_blob,
+                                petk._group_imports([], descriptors),
+                                base_rva, is_pe64) == expected
+    assert blob_outcome(reference_import_blob, descriptors, 2**31 - 64,
+                        False) == "capacity"
+    assert blob_outcome(reference_import_blob, descriptors, 2**32 - 64,
+                        True) == "capacity"
