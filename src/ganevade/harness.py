@@ -12,22 +12,22 @@ the adversarial feature vectors. ``_store`` writes every JSON artifact, a
 set's manifest among them, and ``_stored`` reads it back.
 
 Each attack is one entry of ``ATTACKS``: the GAN kinds it needs trained,
-the config fields it reads and the function that runs it. ``gan_all`` runs
-the ``gan_api``, ``gan_strings`` and ``gan_byte`` entries in sequence, each
-step on the files the step before rewrote. ``gan_byte`` and ``malgan_byte``
-pad their files through one loop, ``_pad_files``.
+the config fields it reads and its steps, each an editor of one file's
+image in memory. ``run_attack`` is the one loop over the files: it parses
+each once, hands it through the steps in order and writes it once.
+``gan_all`` is the ``gan_api``, ``gan_strings`` and ``gan_byte`` steps.
 
 Each feature family is one entry of ``FAMILIES``, the builder of one
 file's vector from its lazily extracted ``FileFeatures``. Extract loads or
-computes only the families the run reads; ``gan_all`` and evaluation
-build the rewritten files' rows through the same table. All three go
-through ``FeatureTable.extract``, which visits each file once and drops its
-``FileFeatures`` before the next file's is made, so a run holds the
-matrices, not every file's token sets. A Top-K family's vocabulary is
-stored in its matrix's container, so it is ranked exactly when the matrix
-is computed: from the train-benign files, visited first, whose token sets
-alone are held until it exists, as references to one copy of each
-distinct token.
+computes only the families the run reads; a later step of an attack and
+evaluation build the rewritten files' rows through the same table.
+Extract and evaluation go through ``FeatureTable.extract``, which visits
+each file once and drops its ``FileFeatures`` before the next file's is
+made, so a run holds the matrices, not every file's token sets. A Top-K
+family's vocabulary is stored in its matrix's container, so it is ranked
+exactly when the matrix is computed: from the train-benign files, visited
+first, whose token sets alone are held until it exists, as references to
+one copy of each distinct token.
 
 Every artifact resumes through ``_resume`` under a content key
 (``_key``): a SHA-256 over the config slice that determines it and the
@@ -778,124 +778,121 @@ def _byte_target(model, histogram: np.ndarray, rng) -> np.ndarray:
     return _safe_target(gan.generate(model, histogram[None, :], z)[0])
 
 
-def _pad_files(model, rng, gap: float, names, blobs, histograms,
-               out: AttackOutput) -> list[int]:
-    """Pad each file towards a ``_byte_target`` of its histogram within
-    ``gap`` and write it to ``out`` with its certificate; return the bytes
-    appended to each."""
-    appended = []
-    for name, data, histogram in zip(names, blobs, histograms):
-        plan = _certified_plan(data, _byte_target(model, histogram, rng), gap)
-        rewritten = petk.append_overlay(petk.parse(data, strict=False),
-                                        plan).data
-        out.files.write(name, rewritten, certificate=plan.certificate)
-        appended.append(len(rewritten) - len(data))
-    return appended
+def _padder(model, rng, gap: float) -> Callable:
+    """The editor that pads a file towards a ``_byte_target`` of its byte
+    row within ``gap``, its record holding the plan's certificate."""
+    def edit(name, pe, row, out):
+        plan = _certified_plan(pe.data, _byte_target(model, row, rng), gap)
+        edited = petk.append_overlay(pe, plan)
+        return (edited, {"certificate": plan.certificate},
+                {"mean_appended_bytes": len(edited.data) - len(pe.data)})
+    return edit
 
 
-# An attack runs on the state, the names of the files it rewrites, their
-# bytes ``blobs`` (``blobs[i]`` is file ``names[i]``, read when indexed),
-# ``rows``, where ``rows(family)`` holds those files' feature rows of
-# ``family``, row for row, and the ``AttackOutput`` it writes each
-# rewritten file to.
-
-def attack_gan_byte(state, names, blobs, rows, out: AttackOutput) -> None:
-    appended = _pad_files(state.gan_models["byte_histogram"],
-                          np.random.default_rng(state.cfg.seed + 10),
-                          state.cfg.gap, names, blobs, rows("byte"), out)
-    out.stats["mean_appended_bytes"] = float(np.mean(appended))
+class Step(NamedTuple):
+    family: str | None      # the feature family of the row its editor reads
+    # (state, out) -> edit(name, pe, row, out) -> (image, extras, numbers)
+    prepare: Callable
 
 
-def attack_gan_indicator(model, names, indicators, blobs, vocab: dict,
-                         kind: str, cap: int, seed, out: AttackOutput) -> None:
-    rng = np.random.default_rng(seed)
-    added_counts = []
-    for name, m, data in zip(names, indicators, blobs):
-        z = gan.sample_noise(model.preset.noise_dim, 1, rng)
-        m_adv = gan.generate(model, m[None, :], z)[0]
-        new = [tok for tok, i in vocab.items()
-               if m_adv[i] > 0.5 and m[i] < 0.5]
-        if len(new) > cap:
-            out.warnings.append(f"{name}: {len(new)} new tokens over cap {cap}")
-            new = new[:cap]
-        added_counts.append(len(new))
-        pe = petk.parse(data, strict=False)
-        if kind == "api":
-            edited, _ = petk.extend_imports(pe, new)
-        else:
-            payload = b"\x00" + b"\x00".join(
-                s.encode("latin-1") for s in new) + b"\x00"
-            edited = petk.add_section(pe, ".sdat2", payload)
-        out.files.write(name, edited.data)
-    out.stats["mean_new_tokens"] = float(np.mean(added_counts))
+def _indicator_step(kind: str, cap_field: str, seed_offset: int, stat: str,
+                    write: Callable) -> Step:
+    """The step that adds, through ``write(pe, tokens)``, each token of its
+    family's vocabulary that the ``kind`` GAN turns on, at most the
+    ``cap_field`` config field's number of them, counted as ``stat``."""
+    family = GAN_FAMILIES[kind]
+
+    def prepare(state, out):
+        model, vocab = state.gan_models[kind], state.table.vocabs[family]
+        cap = getattr(state.cfg, cap_field)
+        rng = np.random.default_rng(state.cfg.seed + seed_offset)
+
+        def edit(name, pe, m, out):
+            z = gan.sample_noise(model.preset.noise_dim, 1, rng)
+            m_adv = gan.generate(model, m[None, :], z)[0]
+            new = [tok for tok, i in vocab.items()
+                   if m_adv[i] > 0.5 and m[i] < 0.5]
+            if len(new) > cap:
+                out.warnings.append(
+                    f"{name}: {len(new)} new tokens over cap {cap}")
+                new = new[:cap]
+            return write(pe, new), {}, {stat: len(new)}
+        return edit
+    return Step(family, prepare)
 
 
-def attack_gan_api(state, names, blobs, rows, out) -> None:
-    attack_gan_indicator(state.gan_models["api"], names, rows("api_topk"),
-                         blobs, state.table.vocabs["api_topk"], "api",
-                         state.cfg.max_new_imports, state.cfg.seed + 11, out)
+GAN_API = _indicator_step("api", "max_new_imports", 11, "mean_new_imports",
+                          lambda pe, new: petk.extend_imports(pe, new)[0])
+GAN_STRINGS = _indicator_step(
+    "strings", "max_new_strings", 12, "mean_new_strings",
+    lambda pe, new: petk.add_section(pe, ".sdat2", b"\x00" + b"\x00".join(
+        s.encode("latin-1") for s in new) + b"\x00"))
+GAN_BYTE = Step("byte", lambda state, out: _padder(
+    state.gan_models["byte_histogram"],
+    np.random.default_rng(state.cfg.seed + 10), state.cfg.gap))
 
 
-def attack_gan_strings(state, names, blobs, rows, out) -> None:
-    attack_gan_indicator(state.gan_models["strings"], names,
-                         rows("strings_topk"), blobs,
-                         state.table.vocabs["strings_topk"], "strings",
-                         state.cfg.max_new_strings, state.cfg.seed + 12, out)
-
-
-def attack_gan_all(state, names, blobs, rows, out) -> None:
-    """The API, string and byte attacks in sequence, each step writing to
-    ``out``'s directory: a step reads the files the step before wrote
-    there, its rows extracted from them. Only the steps' warnings are
-    kept."""
-    for step in ("gan_api", "gan_strings", "gan_byte"):
-        step_out = AttackOutput(out.files)
-        ATTACKS[step].run(state, names, blobs, rows, step_out)
-        out.warnings += step_out.warnings
-        blobs = out.files.files(names)
-        rows = lambda family, blobs=blobs: state.table.extract(
-            blobs, [family])[family]
-
-
-def attack_benign_injection(state, names, blobs, rows, out) -> None:
+def _prepare_benign_injection(state, out):
     rng = np.random.default_rng(state.cfg.seed + 13)
     pool = state.blobs.files(sorted(
         state.table.names[i] for i in _rows(state, "train", "benign")))
-    for name, data in zip(names, blobs):
-        pe = petk.parse(data, strict=False)
-        out.files.write(name, baselines.benign_injection(pe, pool, rng).data)
+    return lambda name, pe, row, out: (
+        baselines.benign_injection(pe, pool, rng), {}, {})
 
 
-def attack_malgan_byte(state, names, blobs, rows, out) -> None:
+def _prepare_malgan_byte(state, out):
     cfg = state.cfg
     benign, malicious = state.table.by_class(("byte",), state.splits["train"])
     preset = pipeline_preset("byte_histogram", benign.shape[1])
     black_box = state.detector_models[_primary_byte_name(cfg)].label_fn()
     model = baselines.train_malgan(malicious, benign, black_box, preset,
                                    cfg.malgan_max_queries, cfg.seed)
-    _pad_files(model, np.random.default_rng(cfg.seed + 2), cfg.gap, names,
-               blobs, rows("byte"), out)
     out.query_count = model.training_meta["queries"]
     out.stats["rounds"] = model.training_meta.get("rounds", 0)
+    return _padder(model, np.random.default_rng(cfg.seed + 2), cfg.gap)
 
 
 class Attack(NamedTuple):
     gans: tuple             # the GAN kinds it needs trained
     fields: tuple           # the config fields it reads, besides seed
-    run: Callable           # (state, names, blobs, rows, out) -> None
+    steps: tuple            # its Steps, applied to each file in order
 
 
 ATTACKS = {
-    "gan_byte": Attack(("byte_histogram",), ("gap",), attack_gan_byte),
-    "gan_api": Attack(("api",), ("max_new_imports",), attack_gan_api),
-    "gan_strings": Attack(("strings",), ("max_new_strings",),
-                          attack_gan_strings),
+    "gan_byte": Attack(("byte_histogram",), ("gap",), (GAN_BYTE,)),
+    "gan_api": Attack(("api",), ("max_new_imports",), (GAN_API,)),
+    "gan_strings": Attack(("strings",), ("max_new_strings",), (GAN_STRINGS,)),
     "gan_all": Attack(GAN_KINDS, ("max_new_imports", "max_new_strings", "gap"),
-                      attack_gan_all),
-    "benign_injection": Attack((), (), attack_benign_injection),
+                      (GAN_API, GAN_STRINGS, GAN_BYTE)),
+    "benign_injection": Attack((), (), (Step(None, _prepare_benign_injection),)),
     "malgan_byte": Attack((), ("detectors", "malgan_max_queries", "gap"),
-                          attack_malgan_byte),
+                          (Step("byte", _prepare_malgan_byte),)),
 }
+
+
+def run_attack(state: PipelineState, attack: Attack,
+               out: AttackOutput) -> None:
+    """Parse each malicious test file once, leniently, hand its image
+    through ``attack``'s steps in order and write the result to ``out``
+    once, with the extras the steps returned; average each number they
+    returned into ``out.stats``. The first step reads the file's row from
+    the table, a later one the row of the bytes the step before made."""
+    edits = [(step.family, step.prepare(state, out)) for step in attack.steps]
+    numbers = {}
+    for i in _rows(state, "test", "malicious"):
+        name = state.table.names[i]
+        pe, extras = petk.parse(state.blobs[name], strict=False), {}
+        for k, (family, edit) in enumerate(edits):
+            row = None if family is None else (
+                state.table.matrices[family][i] if k == 0 else
+                state.table.vector_for(FileFeatures(pe.data), (family,)))
+            pe, extra, nums = edit(name, pe, row, out)
+            extras.update(extra)
+            for stat, value in nums.items():
+                numbers.setdefault(stat, []).append(value)
+        out.files.write(name, pe.data, **extras)
+    out.stats.update({stat: float(np.mean(values))
+                      for stat, values in numbers.items()})
 
 
 # --- pipeline ---------------------------------------------------------------
@@ -1112,13 +1109,7 @@ def stage_gans(state: PipelineState):
 
 def stage_attacks(state: PipelineState):
     cfg = state.cfg
-    test_mal = _rows(state, "test", "malicious")
-    names = [state.table.names[i] for i in test_mal]
     config = cfg.to_dict()
-
-    def rows(family):
-        return state.table.matrices[family][test_mal]
-
     for attack in cfg.attacks:
         what, spec = ("attack", attack), ATTACKS[attack]
         directory = state.workdir / "attacks" / attack
@@ -1131,7 +1122,7 @@ def stage_attacks(state: PipelineState):
             # corpus, whose file names repeat) left there
             shutil.rmtree(directory, ignore_errors=True)
             out = AttackOutput(FileSet(directory, kind="attack output"))
-            spec.run(state, names, state.blobs.files(names), rows, out)
+            run_attack(state, spec, out)
             return {what: out}
         state.attack_outputs[attack] = _resume(
             state, key, [Artifact(what, directory / "manifest.json",

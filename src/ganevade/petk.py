@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import re
 import struct
 from dataclasses import dataclass, field
 
@@ -523,16 +524,20 @@ def extend_imports(pe: PeImage, new_tokens, section_name: str = ".idat2"
 
     The new section and the data-directory patch are laid out on bytes,
     then parsed once, strictly. Returns the edited image and the list of
-    duplicate tokens skipped. The original import section stays in place,
-    unreferenced.
+    duplicate tokens skipped: each names, as ``features.extract_imports``
+    renders it, an import the image has or an earlier token adds. The
+    original import section stays in place, unreferenced.
     """
     from .features import extract_imports
 
     _check_layout(pe)
-    existing = extract_imports(pe)
-    added, skipped = [], []
+    seen, added, skipped = extract_imports(pe), [], []
     for token in sorted(new_tokens):
-        (skipped if token.lower() in existing else added).append(token)
+        lib, _, func = token.lower().partition("!")
+        if re.fullmatch("#[0-9]{1,5}", func):   # an ordinal, as an integer
+            func = f"#{int(func[1:])}"
+        (skipped if f"{lib}!{func}" in seen else added).append(token)
+        seen.add(f"{lib}!{func}")
     libraries = _group_imports(added, pe.import_descriptors)
 
     base_rva = _next_virtual_address(pe)

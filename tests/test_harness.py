@@ -791,24 +791,20 @@ class TestCorpusOnDisk:
                 p.name for p in out.files.directory.glob("*.exe"))
 
 
-    @pytest.mark.parametrize("attack,stage", [
-        # gan_all's gan_strings step reads what its gan_api step wrote
-        ("gan_all", "attack"),
-        ("gan_api", "evaluate")])
+    @pytest.mark.parametrize("attack,stage", [("gan_api", "evaluate")])
     def test_output_edited_before_it_is_read_back_is_named(
             self, tmp_path, monkeypatch, attack, stage):
-        spec = harness.ATTACKS["gan_api"]
+        run_attack = harness.run_attack
         edited = []
 
-        def run_then_edit(state, names, blobs, rows, out):
-            spec.run(state, names, blobs, rows, out)
-            path = out.files.path(names[0])
+        def run_then_edit(state, spec, out):
+            run_attack(state, spec, out)
+            path = out.files.path(next(iter(out.files)))
             data = bytearray(path.read_bytes())
             data[200:208] = bytes(255 - b for b in data[200:208])
             path.write_bytes(data)
             edited.append(path)
-        monkeypatch.setitem(harness.ATTACKS, "gan_api",
-                            spec._replace(run=run_then_edit))
+        monkeypatch.setattr(harness, "run_attack", run_then_edit)
         with pytest.raises(StageError) as exc:
             run_pipeline(tiny_config(attacks=(attack,)), tmp_path / "w")
         assert exc.value.stage == stage
@@ -1291,12 +1287,8 @@ def undeclared_reads(state, attack: str, directory: Path) -> set:
     slice (its ``fields`` and ``seed``) leaves out."""
     read = set()
     recorded = dataclasses.replace(state, cfg=ReadRecorder(state.cfg, read))
-    test_mal = harness._rows(state, "test", "malicious")
-    names = [state.table.names[i] for i in test_mal]
-    harness.ATTACKS[attack].run(
-        recorded, names, state.blobs.files(names),
-        lambda family: state.table.matrices[family][test_mal],
-        harness.AttackOutput(harness.FileSet(directory)))
+    harness.run_attack(recorded, harness.ATTACKS[attack],
+                       harness.AttackOutput(harness.FileSet(directory)))
     return read - set(harness.ATTACKS[attack].fields) - {"seed"}
 
 
@@ -1514,8 +1506,9 @@ class TestGanAll:
 
     def test_stats_keys(self, gan_all_run):
         _, report = gan_all_run
-        assert set(report["attack_stats"]["gan_all"]) == {"mean_size_mb",
-                                                          "capacity_warnings"}
+        assert set(report["attack_stats"]["gan_all"]) == {
+            "mean_size_mb", "capacity_warnings", "mean_new_imports",
+            "mean_new_strings", "mean_appended_bytes"}
         assert report["query_counts"]["gan_all"] == 0
 
 
@@ -1554,23 +1547,21 @@ class TestBytePadding:
 
 class TestCapacityCap:
     def test_cap_zero_warns_and_truncates(self, tmp_path):
-        cfg = tiny_config(attacks=("gan_api",))
+        # 4 test files per class
+        cfg = dataclasses.replace(tiny_config(attacks=("gan_api",)),
+                                  split=(0.5, 0.1, 0.4), max_new_imports=0)
         state = PipelineState(cfg=cfg, workdir=tmp_path)
-        harness.stage_corpus(state)
-        harness.stage_extract(state)
+        harness.run_stages(state, "extract")
         vocab = state.table.vocabs["api_topk"]
-        preset = pipeline_preset("api", len(vocab))
-        model = gan.build_gan(preset, seed=0)
-        table = state.table
-        mal = [i for i, label in enumerate(table.labels) if label == "malicious"]
-        names = [table.names[i] for i in mal]
+        state.gan_models["api"] = gan.build_gan(
+            pipeline_preset("api", len(vocab)), seed=0)
+        names = [state.table.names[i]
+                 for i in harness._rows(state, "test", "malicious")]
         out = harness.AttackOutput(harness.FileSet(tmp_path / "out"))
-        harness.attack_gan_indicator(model, names,
-                                     table.matrices["api_topk"][mal],
-                                     state.blobs.files(names),
-                                     vocab, "api", 0, 0, out)
+        harness.run_attack(state, harness.ATTACKS["gan_api"], out)
         assert out.warnings
         assert list(out.files) == names
+        assert out.stats == {"mean_new_imports": 0.0}
         from ganevade.features import extract_imports
         for name, data in zip(names, out.files.files(names)):
             before = extract_imports(petk.parse(state.blobs[name]))

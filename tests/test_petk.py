@@ -215,6 +215,25 @@ class TestExtendImports:
         assert skipped == ["KERNEL32.dll!CreateFileA"]
         assert "new.dll!fresh" in extract_imports(out)
 
+    @pytest.mark.parametrize("tokens,skipped,added", [
+        # an ordinal the image imports, its library in another case and the
+        # ordinal with a leading zero
+        (["USER32.dll!#017"], ["USER32.dll!#017"], set()),
+        # one import named twice in one call (sorted, the first is kept)
+        (["a.dll!g", "a.dll!g"], ["a.dll!g"], {"a.dll!g"}),
+        (["a.dll!#5", "a.dll!#05"], ["a.dll!#5"], {"a.dll!#5"}),
+        (["a.dll!f", "A.DLL!F"], ["a.dll!f"], {"a.dll!f"})])
+    def test_each_import_written_once(self, tokens, skipped, added):
+        pe = parse(synth_pe(basic_spec()))
+        out, skipped_now = extend_imports(pe, tokens)
+        assert skipped_now == skipped
+        # every import of the image, as extract_imports renders it, repeats
+        # kept
+        written = [f"{d.library.lower()}!" + (
+            f"#{e.ordinal}" if e.name is None else e.name.lower())
+            for d in out.import_descriptors for e in d.entries]
+        assert sorted(written) == sorted(extract_imports(pe) | added)
+
     def test_ordinal_injection(self):
         pe = parse(synth_pe(basic_spec()))
         out, _ = extend_imports(pe, ["ole32.dll!#7"])
