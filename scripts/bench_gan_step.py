@@ -49,7 +49,7 @@ def main() -> int:
     if args.steps < 1 or args.repeats < 3:
         ap.error("need --steps >= 1 and --repeats >= 3")
 
-    preset = gan.byte_preset()
+    preset = gan.PRESETS["byte_histogram"]
     rng = np.random.default_rng(args.seed)
     benign = rng.dirichlet(np.ones(preset.input_dim), size=512)
     malicious = rng.dirichlet(np.ones(preset.input_dim), size=512)

@@ -85,12 +85,10 @@ def cmd_train_detector(args) -> int:
 def cmd_train_gan(args) -> int:
     state = _state(args)
     if args.kind:
-        if args.kind not in harness.GAN_KINDS:
-            raise ConfigError(f"unknown feature kind {args.kind!r}")
         # the attack that needs this GAN kind alone
         # in place: replace()'s byte-detector rule is for attacks, not run here
-        state.cfg.attacks = [name for name, attack in harness.ATTACKS.items()
-                             if attack.gans == (args.kind,)]
+        state.cfg.attacks = [name for name in harness.ATTACKS
+                             if harness.attack_gans(name) == (args.kind,)]
     harness.run_stages(state, "train-gan")
     for kind, model in state.gan_models.items():
         print(f"{_verb(state, 'gan', kind)} {kind} model: "
@@ -105,9 +103,10 @@ def cmd_attack(args) -> int:
         state.cfg = dataclasses.replace(state.cfg, attacks=[args.attack])
     harness.run_stages(state, "attack")
     for name, out in state.attack_outputs.items():
-        print(f"attack {name}: {len(out.files)} files "
+        print(f"attack {name}: {len(out)} files "
               f"{_verb(state, 'attack', name, 'rewritten')}, "
-              f"queries={out.query_count}, warnings={len(out.warnings)}")
+              f"queries={out.meta['query_count']}, "
+              f"warnings={len(out.meta['warnings'])}")
     return EXIT_OK
 
 
@@ -175,12 +174,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("train-gan", help="train feature-transformation models")
     common(p)
-    p.add_argument("--kind", help="byte_histogram | api | strings")
+    p.add_argument("--kind", choices=harness.GAN_KINDS)
     p.set_defaults(fn=cmd_train_gan)
 
     p = sub.add_parser("attack", help="rewrite test files with an attack")
     common(p)
-    p.add_argument("--attack", help="run only this attack")
+    p.add_argument("--attack", choices=harness.ATTACKS,
+                   help="run only this attack")
     p.set_defaults(fn=cmd_attack)
 
     p = sub.add_parser("evaluate", help="run everything and print rates")

@@ -4,7 +4,8 @@ The generator is conditioned on a malicious feature vector plus uniform
 noise and emits a benign-looking vector: a softmax distribution for byte
 histograms, or sigmoid activations that are thresholded and OR-ed onto the
 original indicator vector for the binary families (features are only ever
-added, never removed).
+added, never removed). ``PRESETS`` holds each feature kind's canonical
+preset; one with a sigmoid output is binary.
 
 Both steps are closed-form numpy. The generator step is one ``nncore``
 forward and first-order backward, through the critic and the generator.
@@ -34,7 +35,8 @@ the critic's output is not finite, ``adam_step`` when a gradient is not;
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+import typing
+from dataclasses import asdict, dataclass, field
 from numbers import Integral
 
 import numpy as np
@@ -43,8 +45,6 @@ from . import checkpoint as ckpt
 from . import nncore
 from .nncore import (AdamState, Mlp, NumericError, adam_step, build_mlp,
                      forward, grad)
-
-BINARY_KINDS = ("api", "strings")
 
 
 class TrainingDivergedError(RuntimeError):
@@ -64,27 +64,14 @@ class GanPreset:
 
     @property
     def is_binary(self) -> bool:
-        return self.feature_kind in BINARY_KINDS
+        return self.output_activation == "sigmoid"
 
 
-def byte_preset() -> GanPreset:
-    return GanPreset("byte_histogram", 256, 8, (256, 256), (128, 64), "softmax")
-
-
-def api_preset() -> GanPreset:
-    return GanPreset("api", 2000, 128, (2000, 2000), (500, 300, 100), "sigmoid")
-
-
-def strings_preset() -> GanPreset:
-    return GanPreset("strings", 2000, 128, (512, 512), (500, 300, 100), "sigmoid")
-
-
-def preset_for(kind: str) -> GanPreset:
-    try:
-        return {"byte_histogram": byte_preset, "api": api_preset,
-                "strings": strings_preset}[kind]()
-    except KeyError:
-        raise ValueError(f"unknown feature kind {kind!r}") from None
+# feature kind -> its canonical preset
+PRESETS = {preset.feature_kind: preset for preset in (
+    GanPreset("byte_histogram", 256, 8, (256, 256), (128, 64), "softmax"),
+    GanPreset("api", 2000, 128, (2000, 2000), (500, 300, 100), "sigmoid"),
+    GanPreset("strings", 2000, 128, (512, 512), (500, 300, 100), "sigmoid"))}
 
 
 # the WGAN-GP recipe of Gulrajani et al. (2017), which the paper trains with
@@ -381,14 +368,7 @@ def save_gan(path, model: GanModel, key: str = "") -> None:
     meta = {
         "kind": "gan",
         "key": key,
-        "preset": {
-            "feature_kind": model.preset.feature_kind,
-            "input_dim": model.preset.input_dim,
-            "noise_dim": model.preset.noise_dim,
-            "generator_hidden": list(model.preset.generator_hidden),
-            "critic_hidden": list(model.preset.critic_hidden),
-            "output_activation": model.preset.output_activation,
-        },
+        "preset": asdict(model.preset),
         "training_meta": model.training_meta,
         "generator": ckpt.mlp_meta(model.generator),
         "critic": ckpt.mlp_meta(model.critic),
@@ -404,12 +384,11 @@ def load_gan(path, key: str | None = None) -> GanModel:
     if meta.get("kind") != "gan":
         raise ckpt.CheckpointError("not a GAN checkpoint")
     p = ckpt.field(meta, "preset", dict)
-    preset = GanPreset(ckpt.field(p, "feature_kind", str),
-                       ckpt.field(p, "input_dim", int),
-                       ckpt.field(p, "noise_dim", int),
-                       tuple(ckpt.field(p, "generator_hidden", list, int)),
-                       tuple(ckpt.field(p, "critic_hidden", list, int)),
-                       ckpt.field(p, "output_activation", str))
+    # each field with its declared type; a tuple is stored as a list of ints
+    preset = GanPreset(**{
+        name: tuple(ckpt.field(p, name, list, int)) if kind is tuple
+        else ckpt.field(p, name, kind)
+        for name, kind in typing.get_type_hints(GanPreset).items()})
     return GanModel(ckpt.mlp_from(meta.get("generator"), arrays, "gen"),
                     ckpt.mlp_from(meta.get("critic"), arrays, "critic"),
                     preset, training_meta=meta.get("training_meta", {}))

@@ -5,17 +5,19 @@ order, in one process, handing results on in memory, and names a failed
 one by its row. A CLI subcommand runs the table up to its own stage; a run
 is reproducible from the config and seed. No file is held in memory: the
 corpus and each attack's outputs are a ``FileSet`` each, whose files are
-read from disk when a stage visits them and checked against their records.
-Each attack writes each rewritten file under ``attacks/<attack>/`` as it
-makes it, and evaluation re-extracts features from those files, never from
-the adversarial feature vectors. ``_store`` writes every JSON artifact, a
-set's manifest among them, and ``_stored`` reads it back.
+read from disk when a stage visits them and checked against their records,
+with the rest of its manifest as ``meta``. Each attack writes each
+rewritten file under ``attacks/<attack>/`` as it makes it, and evaluation
+re-extracts features from those files, never from the adversarial feature
+vectors. ``_store`` writes every JSON artifact, a set's manifest among
+them, and ``_stored`` reads it back.
 
-Each attack is one entry of ``ATTACKS``: the GAN kinds it needs trained,
-the config fields it reads and its steps, each an editor of one file's
-image in memory. ``run_attack`` is the one loop over the files: it parses
-each once, hands it through the steps in order and writes it once.
-``gan_all`` is the ``gan_api``, ``gan_strings`` and ``gan_byte`` steps.
+Each attack is one entry of ``ATTACKS``: its steps, each an editor of one
+file's image in memory that declares the GAN kinds and config fields it
+needs, which key the attack. ``run_attack`` is the one loop over the
+files: it parses each once, hands it through the steps in order and
+writes it once. ``gan_all`` is the ``gan_api``, ``gan_strings`` and
+``gan_byte`` steps.
 
 Each feature family is one entry of ``FAMILIES``, the builder of one
 file's vector from its lazily extracted ``FileFeatures``. Extract loads or
@@ -47,6 +49,7 @@ import functools
 import hashlib
 import itertools
 import json
+import math
 import os
 import re
 import shutil
@@ -172,6 +175,15 @@ def _is_number(v) -> bool:
 # a detector's name becomes part of a file name under models/
 DETECTOR_NAME = re.compile(r"[A-Za-z0-9_-]+")
 
+# the upper bounds of the config's sizes, each with the largest allocation
+# it allows, the other sizes at their bounds
+MAX_N_PER_CLASS = 10_000    # a matrix of 20,000 float64 rows of 4096: 655 MB
+MAX_CONTENT_SIZE = 1 << 20  # a write batch of 64 files of 1 MiB: 64 MiB
+MAX_HASH_DIM = 4096         # a hashed row of 32 KiB per file
+# pipeline_preset's GAN of a Top-K family: about 3 k^2 = 12.6M generator
+# weights, 101 MB, and 403 MB with their gradient and two Adam moments
+MAX_TOPK = 2048
+
 DEFAULT_GAP_SWEEP = (0.01, 0.008, 0.005, 0.003, 0.001, 0.0008, 0.0005,
                      0.0003, 0.0001)
 
@@ -207,18 +219,19 @@ class ExperimentConfig:
             raise ConfigError(f"split must be three fractions >= 0 that sum "
                               f"to 1, got {self.split!r}")
         corpus, fcfg = self.corpus, self.feature_cfg
-        for name, value, least in (
-                ("seed", self.seed, 0),
-                ("sweep_subsample", self.sweep_subsample, 1),
-                ("max_new_imports", self.max_new_imports, 0),
-                ("max_new_strings", self.max_new_strings, 0),
-                ("malgan_max_queries", self.malgan_max_queries, 0),
-                ("corpus.n_per_class", corpus.n_per_class, 1),
-                *((f"feature_cfg.{f.name}", getattr(fcfg, f.name), 1)
-                  for f in dataclasses.fields(fcfg))):
-            if not (_is_int(value) and value >= least):
-                raise ConfigError(f"{name} must be an integer >= {least}, "
-                                  f"got {value!r}")
+        for name, value, least, most in (
+                ("seed", self.seed, 0, math.inf),
+                ("sweep_subsample", self.sweep_subsample, 1, math.inf),
+                ("max_new_imports", self.max_new_imports, 0, math.inf),
+                ("max_new_strings", self.max_new_strings, 0, math.inf),
+                ("malgan_max_queries", self.malgan_max_queries, 0, math.inf),
+                ("corpus.n_per_class", corpus.n_per_class, 1, MAX_N_PER_CLASS),
+                ("feature_cfg.k_api", fcfg.k_api, 1, MAX_TOPK),
+                ("feature_cfg.k_strings", fcfg.k_strings, 1, MAX_TOPK),
+                ("feature_cfg.hash_dim", fcfg.hash_dim, 1, MAX_HASH_DIM)):
+            if not (_is_int(value) and least <= value <= most):
+                raise ConfigError(f"{name} must be an integer in [{least}, "
+                                  f"{most}], got {value!r}")
         for attack in self.attacks:
             if attack not in ATTACKS:
                 raise ConfigError(f"unknown attack {attack!r}")
@@ -278,9 +291,9 @@ class ExperimentConfig:
         size = self.corpus.content_size
         if not (isinstance(size, (tuple, list)) and len(size) == 2
                 and all(_is_int(v) for v in size)
-                and 1 <= size[0] <= size[1]):
-            raise ConfigError(f"corpus.content_size must be two integers "
-                              f"1 <= lo <= hi, got {size!r}")
+                and 1 <= size[0] <= size[1] <= MAX_CONTENT_SIZE):
+            raise ConfigError(f"corpus.content_size must be integers 1 <= lo "
+                              f"<= hi <= {MAX_CONTENT_SIZE}, got {size!r}")
 
     def to_dict(self) -> dict:
         d = dataclasses.asdict(self)
@@ -366,6 +379,7 @@ class FileSet(Mapping):
         self.directory = directory
         self.records = {rec["name"]: rec for rec in records}
         self.kind = kind    # what the error of a changed file calls it
+        self.meta = {}     # the rest of its manifest
 
     def path(self, name: str) -> Path:
         rec = self.records[name]
@@ -399,6 +413,35 @@ class FileSet(Mapping):
 
     def files(self, names: list[str]) -> "Files":
         return Files(names, self.__getitem__)
+
+    def save(self, path: Path, key: str | None) -> None:
+        """``meta``, the records and ``key`` at ``path``, after the files."""
+        _store(path, key, **self.meta, files=list(self.records.values()))
+
+    @classmethod
+    def load(cls, path: Path, key: str | None, kind: str, required: tuple,
+             **fields) -> "FileSet":
+        """The set ``save`` wrote at ``path`` under ``key``, each record, each
+        of ``fields`` of ``meta`` and each file (``check``) checked."""
+        meta = _stored(path, key)
+        records = ckpt.field(meta, "files", list, dict)
+        for rec in records:
+            ckpt.field(rec, "size", int)
+            for name in ("name", "sha256", *required):
+                ckpt.field(rec, name, str)
+            if "source" in rec:
+                ckpt.field(rec, "source", str)
+            # a name with a directory in it leads out of ``directory``
+            if rec["name"] in ("", ".", "..") or \
+                    os.path.basename(rec["name"]) != rec["name"]:
+                raise ValueError(f"{path.name} records the file name "
+                                 f"{rec['name']!r}")
+        for name, kinds in fields.items():
+            ckpt.field(meta, name, *kinds)
+        files = cls(path.parent, meta.pop("files"), kind)
+        files.meta = meta
+        files.check()
+        return files
 
     def check(self) -> None:
         """``ValueError`` when a file is gone or resized, then
@@ -446,24 +489,6 @@ def _stored(path: Path, key: str | None) -> dict:
     return stored
 
 
-def _stored_files(path: Path, key: str | None, kind: str,
-                  *required) -> tuple[dict, FileSet]:
-    """The manifest ``_store`` wrote at ``path`` under ``key``, but its
-    ``files``, and the ``FileSet`` of those, each record checked for its
-    fields (``required`` ones too) and each file by ``FileSet.check``."""
-    manifest = _stored(path, key)
-    records = ckpt.field(manifest, "files", list, dict)
-    for rec in records:
-        ckpt.field(rec, "size", int)
-        for name in ("name", "sha256", *required):
-            ckpt.field(rec, name, str)
-        if "source" in rec:
-            ckpt.field(rec, "source", str)
-    files = FileSet(path.parent, manifest.pop("files"), kind)
-    files.check()
-    return manifest, files
-
-
 # gen_corpus writes the files it makes in batches of this many: creating
 # each file right after making it, interleaved with generation, ran about
 # 15% slower on ext4 (a 1000-file corpus, 2 vCPUs), and a batch holds at
@@ -496,12 +521,10 @@ def _digest(digest, name: str, label: str, data: bytes) -> None:
     digest.update(data)
 
 
-def gen_corpus(cfg: CorpusConfig, seed: int,
-               corpus_dir: Path) -> tuple[dict, FileSet]:
+def gen_corpus(cfg: CorpusConfig, seed: int, corpus_dir: Path) -> FileSet:
     """A labeled synthetic PE corpus written to ``corpus_dir``, in place of
     whatever it held, as it is made, ``CORPUS_WRITE_BATCH`` files at a
-    time: (manifest, blobs), the blobs read from disk when accessed. Same
-    seed, same bytes."""
+    time, its files read from disk when accessed. Same seed, same bytes."""
     shutil.rmtree(corpus_dir, ignore_errors=True)
     blobs, digest = FileSet(corpus_dir), hashlib.sha256()
     files = _synth_files(cfg, seed)
@@ -509,14 +532,15 @@ def gen_corpus(cfg: CorpusConfig, seed: int,
         for name, label, data in batch:
             blobs.write(name, data, label=label)
             _digest(digest, name, label, data)
-    return {"seed": seed, "digest": digest.hexdigest()}, blobs
+    blobs.meta = {"seed": seed, "digest": digest.hexdigest()}
+    return blobs
 
 
-def ingest_dirs(benign_dir, malicious_dir) -> tuple[dict, FileSet]:
-    """A corpus, (manifest, blobs), of user-supplied PE directories, read in
-    place: each source is read once here, for its record, and is not
-    copied. An empty file has no byte histogram: it is left out, and
-    ``skipped`` names it with the reason."""
+def ingest_dirs(benign_dir, malicious_dir) -> FileSet:
+    """A corpus of user-supplied PE directories, read in place: each source
+    is read once here, for its record, and is not copied. An empty file has
+    no byte histogram: it is left out, and ``skipped`` names it with the
+    reason."""
     blobs, skipped, digest = FileSet(None), [], hashlib.sha256()
     for label, src in (("benign", benign_dir), ("malicious", malicious_dir)):
         for i, path in enumerate(sorted(Path(src).iterdir())):
@@ -529,38 +553,29 @@ def ingest_dirs(benign_dir, malicious_dir) -> tuple[dict, FileSet]:
             name = f"{label}_{i:05d}.exe"
             blobs.add(name, data, label=label, source=str(path))
             _digest(digest, name, label, data)
-    return {"seed": None, "skipped": skipped,
-            "digest": digest.hexdigest()}, blobs
+    blobs.meta = {"seed": None, "skipped": skipped,
+                  "digest": digest.hexdigest()}
+    return blobs
 
 
-def _manifest(manifest: dict, files: FileSet) -> dict:
-    """``manifest`` with the records of ``files`` as its ``files``."""
-    return {**manifest, "files": list(files.records.values())}
-
-
-def save_corpus(corpus_dir: Path, corpus: tuple, key: str | None = None) -> None:
-    """Write the manifest of ``corpus`` (manifest, blobs) under ``key`` to
-    ``corpus_dir``, which holds its files already but those read in place
-    (``source``), and remove any other file there."""
-    manifest, blobs = corpus
+def save_corpus(corpus_dir: Path, blobs: FileSet, key: str | None = None) -> None:
+    """Write the manifest of ``blobs`` under ``key`` to ``corpus_dir``,
+    which holds its files already but those read in place (``source``),
+    and remove any other file there."""
     corpus_dir.mkdir(parents=True, exist_ok=True)
     for path in corpus_dir.iterdir():
         rec = blobs.records.get(path.name)
         if rec is None or "source" in rec:
             path.unlink()
-    _store(corpus_dir / "manifest.json", key, **_manifest(manifest, blobs))
+    blobs.save(corpus_dir / "manifest.json", key)
 
 
-def load_corpus(corpus_dir: Path, key: str | None = None) -> tuple[dict, FileSet]:
-    """The (manifest, blobs) ``save_corpus`` wrote. ``ValueError`` (or
-    ``OSError``) for a malformed manifest, a file gone or resized or, when
-    ``key`` is given, a corpus stored under another: it is made again. A
-    file that kept its size but not its bytes raises ``CorpusError``,
-    which fails the stage and names it."""
-    manifest, blobs = _stored_files(corpus_dir / "manifest.json", key,
-                                    "corpus", "label")
-    ckpt.field(manifest, "digest", str)
-    return manifest, blobs
+def load_corpus(corpus_dir: Path, key: str | None = None) -> FileSet:
+    """The corpus ``save_corpus`` wrote. ``ValueError`` (or ``OSError``) for
+    a miss, which is made again; ``CorpusError``, which fails the stage and
+    names it, for a file that kept its size but not its bytes."""
+    return FileSet.load(corpus_dir / "manifest.json", key, "corpus",
+                        ("label",), digest=(str,))
 
 
 # --- feature extraction -----------------------------------------------------
@@ -685,7 +700,7 @@ class FeatureTable:
 
 def pipeline_preset(kind: str, dim: int) -> gan.GanPreset:
     """Canonical preset when dims match it, else a size-appropriate variant."""
-    canonical = gan.preset_for(kind)
+    canonical = gan.PRESETS[kind]
     if dim == canonical.input_dim:
         return canonical
     return gan.GanPreset(kind, dim, canonical.noise_dim,
@@ -719,35 +734,16 @@ def train_gan_for(state: PipelineState, kind: str,
 
 # --- attacks ----------------------------------------------------------------
 
-@dataclass
-class AttackOutput:
-    """What an attack made: ``files``, each rewritten file, written as
-    soon as it is made and kept only as its record."""
-    files: FileSet
-    query_count: int = 0
-    stats: dict = field(default_factory=dict)
-    warnings: list = field(default_factory=list)
-
-
-def save_attack(path: Path, out: AttackOutput, key: str) -> None:
-    """The manifest of ``out``, ``key`` in it, written after its files."""
-    _store(path, key, **_manifest({"query_count": out.query_count,
-                                   "stats": out.stats,
-                                   "warnings": out.warnings}, out.files))
-
-
-def load_attack(path: Path, key: str) -> AttackOutput:
-    """The ``AttackOutput`` ``save_attack`` wrote at ``path`` under ``key``.
+def load_attack(path: Path, key: str) -> FileSet:
+    """The attack outputs ``FileSet.save`` wrote at ``path`` under ``key``.
     ``ValueError`` (or ``OSError``) for another key, a malformed manifest
     or a file gone, resized or edited: the attack then runs again."""
     try:
-        manifest, files = _stored_files(path, key, "attack output")
+        return FileSet.load(path, key, "attack output", (),
+                            query_count=(int,), stats=(dict,),
+                            warnings=(list, str))
     except CorpusError as exc:
         raise ValueError(str(exc)) from None
-    return AttackOutput(files,
-                        query_count=ckpt.field(manifest, "query_count", int),
-                        stats=ckpt.field(manifest, "stats", dict),
-                        warnings=ckpt.field(manifest, "warnings", list, str))
 
 
 def _certified_plan(data: bytes, target: np.ndarray,
@@ -793,6 +789,8 @@ class Step(NamedTuple):
     family: str | None      # the feature family of the row its editor reads
     # (state, out) -> edit(name, pe, row, out) -> (image, extras, numbers)
     prepare: Callable
+    gans: tuple             # the GAN kinds it needs trained
+    fields: tuple           # the config fields it reads, besides seed
 
 
 def _indicator_step(kind: str, cap_field: str, seed_offset: int, stat: str,
@@ -813,12 +811,12 @@ def _indicator_step(kind: str, cap_field: str, seed_offset: int, stat: str,
             new = [tok for tok, i in vocab.items()
                    if m_adv[i] > 0.5 and m[i] < 0.5]
             if len(new) > cap:
-                out.warnings.append(
+                out.meta["warnings"].append(
                     f"{name}: {len(new)} new tokens over cap {cap}")
                 new = new[:cap]
             return write(pe, new), {}, {stat: len(new)}
         return edit
-    return Step(family, prepare)
+    return Step(family, prepare, (kind,), (cap_field,))
 
 
 GAN_API = _indicator_step("api", "max_new_imports", 11, "mean_new_imports",
@@ -829,7 +827,8 @@ GAN_STRINGS = _indicator_step(
         s.encode("latin-1") for s in new) + b"\x00"))
 GAN_BYTE = Step("byte", lambda state, out: _padder(
     state.gan_models["byte_histogram"],
-    np.random.default_rng(state.cfg.seed + 10), state.cfg.gap))
+    np.random.default_rng(state.cfg.seed + 10), state.cfg.gap),
+    ("byte_histogram",), ("gap",))
 
 
 def _prepare_benign_injection(state, out):
@@ -847,37 +846,38 @@ def _prepare_malgan_byte(state, out):
     black_box = state.detector_models[_primary_byte_name(cfg)].label_fn()
     model = baselines.train_malgan(malicious, benign, black_box, preset,
                                    cfg.malgan_max_queries, cfg.seed)
-    out.query_count = model.training_meta["queries"]
-    out.stats["rounds"] = model.training_meta.get("rounds", 0)
+    out.meta["query_count"] = model.training_meta["queries"]
+    out.meta["stats"]["rounds"] = model.training_meta.get("rounds", 0)
     return _padder(model, np.random.default_rng(cfg.seed + 2), cfg.gap)
 
 
-class Attack(NamedTuple):
-    gans: tuple             # the GAN kinds it needs trained
-    fields: tuple           # the config fields it reads, besides seed
-    steps: tuple            # its Steps, applied to each file in order
-
-
+# attack -> its steps, applied to each file in order
 ATTACKS = {
-    "gan_byte": Attack(("byte_histogram",), ("gap",), (GAN_BYTE,)),
-    "gan_api": Attack(("api",), ("max_new_imports",), (GAN_API,)),
-    "gan_strings": Attack(("strings",), ("max_new_strings",), (GAN_STRINGS,)),
-    "gan_all": Attack(GAN_KINDS, ("max_new_imports", "max_new_strings", "gap"),
-                      (GAN_API, GAN_STRINGS, GAN_BYTE)),
-    "benign_injection": Attack((), (), (Step(None, _prepare_benign_injection),)),
-    "malgan_byte": Attack((), ("detectors", "malgan_max_queries", "gap"),
-                          (Step("byte", _prepare_malgan_byte),)),
+    "gan_byte": (GAN_BYTE,),
+    "gan_api": (GAN_API,),
+    "gan_strings": (GAN_STRINGS,),
+    "gan_all": (GAN_API, GAN_STRINGS, GAN_BYTE),
+    "benign_injection": (Step(None, _prepare_benign_injection, (), ()),),
+    "malgan_byte": (Step("byte", _prepare_malgan_byte, (),
+                         ("detectors", "malgan_max_queries", "gap")),),
 }
 
 
-def run_attack(state: PipelineState, attack: Attack,
-               out: AttackOutput) -> None:
+def attack_gans(attack: str) -> tuple:
+    """The GAN kinds ``attack``'s steps need, in ``GAN_KINDS`` order."""
+    return tuple(kind for kind in GAN_KINDS
+                 if any(kind in step.gans for step in ATTACKS[attack]))
+
+
+def run_attack(state: PipelineState, steps: tuple, directory: Path) -> FileSet:
     """Parse each malicious test file once, leniently, hand its image
-    through ``attack``'s steps in order and write the result to ``out``
-    once, with the extras the steps returned; average each number they
-    returned into ``out.stats``. The first step reads the file's row from
-    the table, a later one the row of the bytes the step before made."""
-    edits = [(step.family, step.prepare(state, out)) for step in attack.steps]
+    through ``steps`` and write the result to ``directory`` once, with the
+    extras they returned; average each number they returned into the
+    returned set's ``stats``. The first step reads the file's row from the
+    table, a later one the row of the bytes the step before made."""
+    out = FileSet(directory, kind="attack output")
+    out.meta = {"query_count": 0, "stats": {}, "warnings": []}
+    edits = [(step.family, step.prepare(state, out)) for step in steps]
     numbers = {}
     for i in _rows(state, "test", "malicious"):
         name = state.table.names[i]
@@ -890,9 +890,10 @@ def run_attack(state: PipelineState, attack: Attack,
             extras.update(extra)
             for stat, value in nums.items():
                 numbers.setdefault(stat, []).append(value)
-        out.files.write(name, pe.data, **extras)
-    out.stats.update({stat: float(np.mean(values))
-                      for stat, values in numbers.items()})
+        out.write(name, pe.data, **extras)
+    out.meta["stats"].update({stat: float(np.mean(values))
+                              for stat, values in numbers.items()})
+    return out
 
 
 # --- pipeline ---------------------------------------------------------------
@@ -901,7 +902,6 @@ def run_attack(state: PipelineState, attack: Attack,
 class PipelineState:
     cfg: ExperimentConfig
     workdir: Path
-    manifest: dict | None = None
     blobs: FileSet | None = None
     splits: dict | None = None
     extract_key: str | None = None
@@ -978,10 +978,10 @@ def stage_corpus(state: PipelineState):
         # an edited one is ingested again
         made = ingest_dirs(cfg.benign_dir, cfg.malicious_dir)
         key = _key("corpus", dataclasses.asdict(cfg), state.cfg.seed,
-                   _manifest(*made))
+                   {**made.meta, "files": list(made.records.values())})
     # a corpus just made is read back from disk like a stored one, so no
     # stage holds its bytes
-    state.manifest, state.blobs = _resume(
+    state.blobs = _resume(
         state, key, [Artifact(what, corpus_dir, load_corpus, save_corpus)],
         lambda _: {what: gen_corpus(cfg, state.cfg.seed, corpus_dir)
                    if made is None else made})[what]
@@ -990,7 +990,7 @@ def stage_corpus(state: PipelineState):
 def _gans_needed(cfg: ExperimentConfig) -> list[str]:
     """The GAN kinds the configured attacks need trained, sorted."""
     return sorted({kind for attack in cfg.attacks
-                   for kind in ATTACKS[attack].gans})
+                   for kind in attack_gans(attack)})
 
 
 def stage_extract(state: PipelineState):
@@ -1005,7 +1005,7 @@ def stage_extract(state: PipelineState):
                               f"{len(names)}-file corpus no {part} file")
     key = state.extract_key = _key(
         "extract", SCHEMA_VERSION, __version__,
-        state.manifest["digest"],
+        state.blobs.meta["digest"],
         dataclasses.asdict(fcfg), cfg.split, cfg.seed)
     feat_dir = state.workdir / "features"
     table = state.table = FeatureTable(names, labels, fcfg)
@@ -1111,22 +1111,21 @@ def stage_attacks(state: PipelineState):
     cfg = state.cfg
     config = cfg.to_dict()
     for attack in cfg.attacks:
-        what, spec = ("attack", attack), ATTACKS[attack]
+        what, steps = ("attack", attack), ATTACKS[attack]
         directory = state.workdir / "attacks" / attack
         key = _key("attack", attack, state.extract_key,
-                   [state.keys[("gan", kind)] for kind in spec.gans],
-                   {name: config[name] for name in spec.fields}, cfg.seed)
+                   [state.keys[("gan", kind)] for kind in attack_gans(attack)],
+                   {name: config[name] for step in steps
+                    for name in step.fields}, cfg.seed)
 
         def run(_):
             # replace, not add to, what an earlier run (maybe of another
             # corpus, whose file names repeat) left there
             shutil.rmtree(directory, ignore_errors=True)
-            out = AttackOutput(FileSet(directory, kind="attack output"))
-            run_attack(state, spec, out)
-            return {what: out}
-        state.attack_outputs[attack] = _resume(
-            state, key, [Artifact(what, directory / "manifest.json",
-                                  load_attack, save_attack)], run)[what]
+            return {what: run_attack(state, steps, directory)}
+        state.attack_outputs[attack] = _resume(state, key, [Artifact(
+            what, directory / "manifest.json", load_attack,
+            lambda path, out, key: out.save(path, key))], run)[what]
 
 
 def load_rates(path: Path, key: str) -> dict:
@@ -1185,17 +1184,16 @@ def stage_evaluate(state: PipelineState) -> dict:
         what = ("rates", attack)
         attack_rates[attack] = _resume(
             state, _key("rates", state.keys[("attack", attack)], detector_keys),
-            [Artifact(what, out.files.directory / "rates.json", load_rates,
+            [Artifact(what, out.directory / "rates.json", load_rates,
                       lambda path, rates, key: _store(path, key, rates=rates))],
             # read back from the files the attack wrote
-            lambda _: {what: rates(table.extract(out.files.files(names),
-                                                 families))}
+            lambda _: {what: rates(table.extract(out.files(names), families))}
         )[what]
-        query_counts[attack] = out.query_count
-        stats = dict(out.stats)
+        query_counts[attack] = out.meta["query_count"]
+        stats = dict(out.meta["stats"])
         stats["mean_size_mb"] = float(np.mean(
-            [rec["size"] for rec in out.files.records.values()])) / 1e6
-        stats["capacity_warnings"] = len(out.warnings)
+            [rec["size"] for rec in out.records.values()])) / 1e6
+        stats["capacity_warnings"] = len(out.meta["warnings"])
         attack_stats[attack] = stats
 
     gap_rows = []

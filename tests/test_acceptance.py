@@ -142,7 +142,7 @@ def test_ac06_or_superset(api_runs):
         assert np.all(out >= m)
         checked += len(m)
     # on disk: every rewritten file's import set contains the original's
-    _, blobs = harness.load_corpus(workdir / "corpus")
+    blobs = harness.load_corpus(workdir / "corpus")
     files = 0
     for path in sorted((workdir / "attacks" / "gan_api").glob("*.exe")):
         before = extract_imports(petk.parse(blobs[path.name], strict=False))

@@ -11,14 +11,24 @@ value of every stat the reference writes, under the name it has now.
 """
 
 import collections
+from dataclasses import dataclass, field
 
 import numpy as np
 import pytest
 
 from ganevade import baselines, gan, harness, petk
-from ganevade.harness import (AttackOutput, CorpusConfig, DetectorSpec,
-                              ExperimentConfig, FeatureConfig, FileSet,
-                              PipelineState)
+from ganevade.harness import (CorpusConfig, DetectorSpec, ExperimentConfig,
+                              FeatureConfig, FileSet, PipelineState)
+
+
+@dataclass
+class ReferenceOutput:
+    """What a reference attack made: its files and the rest of its
+    manifest."""
+    files: FileSet
+    query_count: int = 0
+    stats: dict = field(default_factory=dict)
+    warnings: list = field(default_factory=list)
 
 
 def reference_pad_files(model, rng, gap, names, blobs, histograms, out):
@@ -82,7 +92,7 @@ def reference_gan_strings(state, names, blobs, rows, out):
 
 def reference_gan_all(state, names, blobs, rows, out):
     for step in ("gan_api", "gan_strings", "gan_byte"):
-        step_out = AttackOutput(out.files)
+        step_out = ReferenceOutput(out.files)
         REFERENCE[step](state, names, blobs, rows, step_out)
         out.warnings += step_out.warnings
         blobs = out.files.files(names)
@@ -162,39 +172,37 @@ def test_run_attack_matches_the_reference(trained, tmp_path, monkeypatch,
     test_mal = harness._rows(state, "test", "malicious")
     names = [state.table.names[i] for i in test_mal]
     assert len(names) >= 20
-    steps = len(harness.ATTACKS[attack].steps)
+    steps = len(harness.ATTACKS[attack])
 
-    reference = AttackOutput(FileSet(tmp_path / "reference"))
+    reference = ReferenceOutput(FileSet(tmp_path / "reference"))
     parses = counting_parse(monkeypatch)
     REFERENCE[attack](state, names, state.blobs.files(names),
                       lambda family: state.table.matrices[family][test_mal],
                       reference)
     # each step parsed each file and its editor re-parsed the result
     assert len(parses) == len(names) * 2 * steps
-    out = AttackOutput(FileSet(tmp_path / "new"))
     parses.clear()
-    harness.run_attack(state, harness.ATTACKS[attack], out)
+    out = harness.run_attack(state, harness.ATTACKS[attack], tmp_path / "new")
     # each file once, then each step's editor once
     assert len(parses) == len(names) * (1 + steps)
     monkeypatch.undo()
 
-    assert list(out.files) == list(reference.files) == names
+    assert list(out) == list(reference.files) == names
     for name in names:
-        assert out.files[name] == reference.files[name]
-    assert out.files.records == reference.files.records
-    assert out.query_count == reference.query_count
-    assert collections.Counter(out.warnings) \
+        assert out[name] == reference.files[name]
+    assert out.records == reference.files.records
+    assert out.meta["query_count"] == reference.query_count
+    assert collections.Counter(out.meta["warnings"]) \
         == collections.Counter(reference.warnings)
     renamed = RENAMED.get(attack, {})
     assert {renamed.get(stat, stat): value
             for stat, value in reference.stats.items()}.items() \
-        <= out.stats.items()
+        <= out.meta["stats"].items()
 
 
 def test_both_indicator_caps_warn(trained, tmp_path):
-    out = AttackOutput(FileSet(tmp_path))
-    harness.run_attack(trained, harness.ATTACKS["gan_all"], out)
-    caps = {w.rsplit(" ", 1)[1] for w in out.warnings}
+    out = harness.run_attack(trained, harness.ATTACKS["gan_all"], tmp_path)
+    caps = {w.rsplit(" ", 1)[1] for w in out.meta["warnings"]}
     assert caps == {"3", "2"}
-    assert set(out.stats) == {"mean_new_imports", "mean_new_strings",
+    assert set(out.meta["stats"]) == {"mean_new_imports", "mean_new_strings",
                               "mean_appended_bytes"}

@@ -6,10 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ganevade import gan, nncore
-from ganevade.gan import (GanPreset, TrainingConfig, api_preset, build_gan,
-                          byte_preset, critic_loss, generate, generator_loss,
-                          load_gan, preset_for, sample_noise, save_gan,
-                          smooth_union, strings_preset, train)
+from ganevade.gan import (PRESETS, GanPreset, TrainingConfig, build_gan,
+                          critic_loss, generate, generator_loss, load_gan,
+                          sample_noise, save_gan, smooth_union, train)
 from ganevade.nncore import build_mlp
 import tape
 from tape import Tensor, add, mul, power, sub, tmean, tsum
@@ -23,7 +22,7 @@ def critic_grads(critic, *args, **kwargs):
 
 class TestPresets:
     def test_byte_dims(self):
-        p = byte_preset()
+        p = PRESETS["byte_histogram"]
         assert (p.input_dim, p.noise_dim) == (256, 8)
         assert p.generator_hidden == (256, 256)
         assert p.critic_hidden == (128, 64)
@@ -31,7 +30,7 @@ class TestPresets:
         assert not p.is_binary
 
     def test_api_dims(self):
-        p = api_preset()
+        p = PRESETS["api"]
         assert (p.input_dim, p.noise_dim) == (2000, 128)
         assert p.generator_hidden == (2000, 2000)
         assert p.critic_hidden == (500, 300, 100)
@@ -39,13 +38,18 @@ class TestPresets:
         assert p.is_binary
 
     def test_strings_dims(self):
-        p = strings_preset()
+        p = PRESETS["strings"]
         assert p.generator_hidden == (512, 512)
         assert p.critic_hidden == (500, 300, 100)
 
-    def test_unknown_kind(self):
-        with pytest.raises(ValueError):
-            preset_for("registry")
+    def test_each_kind_names_its_preset(self):
+        assert list(PRESETS) == ["byte_histogram", "api", "strings"]
+        assert all(p.feature_kind == kind for kind, p in PRESETS.items())
+
+    def test_binary_is_a_sigmoid_output(self):
+        # whatever the kind is called
+        assert GanPreset("api", 4, 2, (4,), (4,), "softmax").is_binary is False
+        assert GanPreset("x", 4, 2, (4,), (4,), "sigmoid").is_binary is True
 
 
 class TestNoise:
@@ -386,7 +390,7 @@ class TestTraining:
         cfg = TrainingConfig(max_steps=3)
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(gan.TrainingDivergedError) as err:
-                train(*data, gan.byte_preset(), cfg)
+                train(*data, gan.PRESETS["byte_histogram"], cfg)
         assert err.value.step == 1
 
     def test_metrics_sink_called_every_step(self):

@@ -1,5 +1,6 @@
 import collections
 import dataclasses
+import hashlib
 import json
 import shutil
 import struct
@@ -230,6 +231,29 @@ class TestConfig:
             ExperimentConfig(detectors=[harness.DetectorSpec(
                 "x", "mlp", ("byte",), hyperparams={"hiden": 8})])
 
+    @pytest.mark.parametrize("path,bound", [
+        (("corpus", "n_per_class"), harness.MAX_N_PER_CLASS),
+        (("corpus", "content_size"), harness.MAX_CONTENT_SIZE),
+        (("feature_cfg", "k_api"), harness.MAX_TOPK),
+        (("feature_cfg", "k_strings"), harness.MAX_TOPK),
+        (("feature_cfg", "hash_dim"), harness.MAX_HASH_DIM)],
+        ids=lambda v: ".".join(v) if isinstance(v, tuple) else None)
+    def test_size_over_its_bound_exits_2_at_load(self, tmp_path, path, bound):
+        # the check runs before any stage, so nothing is allocated
+        def config_with(value):
+            cfg = tiny_config().to_dict()
+            cfg[path[0]][path[1]] = [400, value] \
+                if path[1] == "content_size" else value
+            return cfg
+        ExperimentConfig.from_dict(config_with(bound))
+        p = tmp_path / "big.json"
+        p.write_text(json.dumps(config_with(bound + 1)))
+        with pytest.raises(ConfigError, match=str(bound)):
+            harness.load_config(p)
+        assert cli.main(["pipeline", "--config", str(p),
+                         "--workdir", str(tmp_path / "w")]) == 2
+        assert not (tmp_path / "w").exists()
+
     @pytest.mark.parametrize("field", ["hash_dim", "k_api", "k_strings"])
     def test_feature_size_below_one_rejected(self, field):
         with pytest.raises(ConfigError):
@@ -261,13 +285,13 @@ class TestCorpus:
         written = ExperimentConfig.from_dict(
             json.loads(json.dumps(cfg.to_dict(), sort_keys=True)))
         assert written.config_hash() == cfg.config_hash()
-        made, _ = gen_corpus(cfg.corpus, 0, tmp_path / "a")
-        read, _ = gen_corpus(written.corpus, 0, tmp_path / "b")
-        assert read["digest"] == made["digest"]
+        made = gen_corpus(cfg.corpus, 0, tmp_path / "a")
+        read = gen_corpus(written.corpus, 0, tmp_path / "b")
+        assert read.meta["digest"] == made.meta["digest"]
 
     def test_gen_corpus_counts_and_labels(self, tmp_path):
         cfg = CorpusConfig(n_per_class=3, content_size=(200, 400))
-        _, blobs = gen_corpus(cfg, 0, tmp_path / "c")
+        blobs = gen_corpus(cfg, 0, tmp_path / "c")
         labels = [r["label"] for r in blobs.records.values()]
         assert labels.count("benign") == 3
         assert labels.count("malicious") == 3
@@ -277,16 +301,19 @@ class TestCorpus:
 
     def test_same_seed_identical_bytes(self, tmp_path):
         cfg = CorpusConfig(n_per_class=2, content_size=(200, 300))
-        assert gen_corpus(cfg, 5, tmp_path / "a") \
-            == gen_corpus(cfg, 5, tmp_path / "b")
+        a = gen_corpus(cfg, 5, tmp_path / "a")
+        b = gen_corpus(cfg, 5, tmp_path / "b")
+        assert (a.meta, a.records, a) == (b.meta, b.records, b)
 
     def test_saved_corpus_loads_back_under_its_key(self, tmp_path):
         corpus = gen_corpus(CorpusConfig(n_per_class=2,
                                          content_size=(200, 300)), 5,
                             tmp_path / "c")
         save_corpus(tmp_path / "c", corpus, "k1")
-        assert load_corpus(tmp_path / "c", "k1") == corpus
-        assert load_corpus(tmp_path / "c") == corpus
+        for key in ("k1", None):
+            loaded = load_corpus(tmp_path / "c", key)
+            assert (loaded.meta, loaded.records, loaded) \
+                == (corpus.meta, corpus.records, corpus)
         with pytest.raises(ValueError):
             load_corpus(tmp_path / "c", "k2")
 
@@ -299,11 +326,32 @@ class TestCorpus:
         with pytest.raises(ValueError):
             load_corpus(tmp_path)
 
+    @pytest.mark.parametrize("name", ["", ".", "..", "../a.exe", "sub/a.exe",
+                                      "/a.exe"])
+    def test_record_not_a_plain_file_name_rejected(self, tmp_path, name):
+        # the file itself is there, at the path the name leads to
+        corpus = gen_corpus(CorpusConfig(n_per_class=2,
+                                         content_size=(200, 300)), 5,
+                            tmp_path / "c" / "d")
+        first = next(iter(corpus))
+        save_corpus(tmp_path / "c" / "d", corpus, "k")
+        manifest_path = tmp_path / "c" / "d" / "manifest.json"
+        manifest = json.loads(manifest_path.read_text())
+        manifest["files"][0]["name"] = name
+        manifest_path.write_text(json.dumps(manifest))
+        if name not in ("", ".", "..", "/a.exe"):
+            target = tmp_path / "c" / "d" / name
+            target.parent.mkdir(parents=True, exist_ok=True)
+            (tmp_path / "c" / "d" / first).rename(target)
+        with pytest.raises(ValueError, match="file name"):
+            load_corpus(tmp_path / "c" / "d", "k")
+        with pytest.raises(ValueError, match="file name"):
+            harness.load_attack(manifest_path, "k")
+
     def test_save_corpus_replaces_the_directory(self, tmp_path):
         (tmp_path / "c").mkdir()
         (tmp_path / "c" / "stale.exe").write_bytes(b"MZ")
-        save_corpus(tmp_path / "c", ({"seed": 0},
-                                     harness.FileSet(tmp_path / "c")), "k")
+        save_corpus(tmp_path / "c", harness.FileSet(tmp_path / "c"), "k")
         assert sorted(p.name for p in (tmp_path / "c").iterdir()) \
             == ["manifest.json"]
 
@@ -326,7 +374,7 @@ class TestCorpus:
 
     def test_class_profiles_separate_histograms(self, tmp_path):
         cfg = CorpusConfig(n_per_class=5, content_size=(2000, 3000))
-        _, blobs = gen_corpus(cfg, 1, tmp_path)
+        blobs = gen_corpus(cfg, 1, tmp_path)
         from ganevade.features import byte_histogram
         high = {name: byte_histogram(b)[0x80:].sum()
                 for name, b in blobs.items()}
@@ -342,14 +390,14 @@ class TestCorpus:
             sections=[petk.SectionSpec(".t", size=100)]))
         (bdir / "one.exe").write_bytes(data)
         (mdir / "two.exe").write_bytes(data)
-        _, blobs = ingest_dirs(bdir, mdir)
+        blobs = ingest_dirs(bdir, mdir)
         labels = sorted(r["label"] for r in blobs.records.values())
         assert labels == ["benign", "malicious"]
         assert list(blobs.values()) == [data, data]
         assert not (tmp_path / "out").exists()
 
     def test_dirs_corpus_with_an_empty_file_runs(self, tmp_path):
-        _, blobs = gen_corpus(
+        blobs = gen_corpus(
             CorpusConfig(n_per_class=20, content_size=(400, 800)), 3,
             tmp_path / "gen")
         dirs = {label: tmp_path / label for label in ("benign", "malicious")}
@@ -396,12 +444,12 @@ class TestSplits:
 class TestPresetScaling:
     def test_canonical_when_dims_match(self):
         p = pipeline_preset("byte_histogram", 256)
-        assert p == gan.byte_preset()
+        assert p == gan.PRESETS["byte_histogram"]
 
     def test_scaled_variant_otherwise(self):
         p = pipeline_preset("api", 150)
         assert p.input_dim == 150
-        assert p.noise_dim == gan.api_preset().noise_dim
+        assert p.noise_dim == gan.PRESETS["api"].noise_dim
         assert p.output_activation == "sigmoid"
 
 
@@ -685,7 +733,7 @@ class TestCorpusOnDisk:
         harness.stage_corpus(state)
         assert isinstance(state.blobs, harness.FileSet)
         assert state.blobs == gen_corpus(state.cfg.corpus, state.cfg.seed,
-                                         tmp_path / "again")[1]
+                                         tmp_path / "again")
 
     def test_resumed_byte_run_reads_each_corpus_file_once(
             self, tmp_path, monkeypatch):
@@ -701,7 +749,7 @@ class TestCorpusOnDisk:
             collections.Counter(dict.fromkeys(state.blobs, 1))
 
     def test_dirs_corpus_reads_each_source_once(self, tmp_path, monkeypatch):
-        _, blobs = gen_corpus(
+        blobs = gen_corpus(
             CorpusConfig(n_per_class=10, content_size=(400, 800)), 3,
             tmp_path / "gen")
         dirs = {label: tmp_path / label for label in ("benign", "malicious")}
@@ -784,11 +832,42 @@ class TestCorpusOnDisk:
 
         for attack, out in state.attack_outputs.items():
             assert not any(isinstance(v, (bytes, bytearray, memoryview))
-                           for v in values([dataclasses.asdict(out),
-                                            out.files.records]))
-            assert out.files.directory == tmp_path / "w" / "attacks" / attack
-            assert sorted(out.files) == sorted(
-                p.name for p in out.files.directory.glob("*.exe"))
+                           for v in values([out.meta, out.records]))
+            assert out.directory == tmp_path / "w" / "attacks" / attack
+            assert sorted(out) == sorted(
+                p.name for p in out.directory.glob("*.exe"))
+
+    def test_record_named_outside_the_workdir_is_made_again(self, tmp_path):
+        # a test-split malicious record renamed out of corpus/, its file
+        # moved to match and its key kept: the corpus is made again, and no
+        # attack writes outside the workdir
+        cfg = tiny_config(attacks=ALL_ATTACKS)
+        p, workdir = tmp_path / "cfg.json", tmp_path / "a" / "b" / "w"
+        p.write_text(json.dumps(cfg.to_dict()))
+        argv = ["pipeline", "--config", str(p), "--workdir", str(workdir)]
+        assert cli.main(argv) == 0
+        manifest_path = workdir / "corpus" / "manifest.json"
+        intact = manifest_path.read_text()
+        manifest = json.loads(intact)
+        labels = [rec["label"] for rec in manifest["files"]]
+        victim = next(manifest["files"][i]
+                      for i in split_indices(labels, cfg.split, cfg.seed)["test"]
+                      if labels[i] == "malicious")
+        hostile = "../../../escaped.exe"
+        (workdir / "corpus" / victim["name"]).rename(
+            workdir / "corpus" / hostile)
+        victim["name"] = hostile
+        manifest_path.write_text(json.dumps(manifest))
+        shutil.rmtree(workdir / "attacks")
+
+        def outside():
+            return sorted(path for path in tmp_path.rglob("*")
+                          if workdir not in (path, *path.parents))
+        before = outside()
+        assert tmp_path / "a" / "escaped.exe" in before
+        assert cli.main(argv) == 0
+        assert outside() == before
+        assert manifest_path.read_text() == intact
 
 
     @pytest.mark.parametrize("attack,stage", [("gan_api", "evaluate")])
@@ -797,13 +876,14 @@ class TestCorpusOnDisk:
         run_attack = harness.run_attack
         edited = []
 
-        def run_then_edit(state, spec, out):
-            run_attack(state, spec, out)
-            path = out.files.path(next(iter(out.files)))
+        def run_then_edit(state, steps, directory):
+            out = run_attack(state, steps, directory)
+            path = out.path(next(iter(out)))
             data = bytearray(path.read_bytes())
             data[200:208] = bytes(255 - b for b in data[200:208])
             path.write_bytes(data)
             edited.append(path)
+            return out
         monkeypatch.setattr(harness, "run_attack", run_then_edit)
         with pytest.raises(StageError) as exc:
             run_pipeline(tiny_config(attacks=(attack,)), tmp_path / "w")
@@ -873,7 +953,7 @@ class TestResume:
         """Record (or refuse) every extraction (``FileFeatures``) of a file
         of the corpus in ``workdir`` and every detector and GAN fit."""
         done = {"extract": 0, "detectors": [], "gans": []}
-        corpus = set(load_corpus(workdir / "corpus")[1].values())
+        corpus = set(load_corpus(workdir / "corpus").values())
         real_train = gan.train
         real_detector = detectors.train_detector
 
@@ -1223,7 +1303,7 @@ class TestResume:
         assert len(state.blobs) == 8
         fresh = PipelineState(cfg=bigger, workdir=tmp_path / "fresh")
         harness.run_stages(fresh, "corpus")
-        assert state.manifest == fresh.manifest
+        assert state.blobs.meta == fresh.blobs.meta
         assert state.blobs == fresh.blobs
 
     @pytest.mark.parametrize("constant", ["BYTE_ALPHA", "API_POOLS",
@@ -1244,7 +1324,7 @@ class TestResume:
         assert state.computed == {("corpus", "synthetic")}
         fresh = PipelineState(cfg=cfg, workdir=tmp_path / "fresh")
         harness.run_stages(fresh, "corpus")
-        assert state.manifest == fresh.manifest
+        assert state.blobs.meta == fresh.blobs.meta
 
     def test_attack_outputs_replace_an_earlier_run(self, tmp_path):
         # 4 test files per class at the first split, 1 at the second
@@ -1284,18 +1364,53 @@ class ReadRecorder:
 
 def undeclared_reads(state, attack: str, directory: Path) -> set:
     """The config fields ``attack`` reads, run on ``state``, that its key
-    slice (its ``fields`` and ``seed``) leaves out."""
+    slice (its steps' ``fields`` and ``seed``) leaves out."""
     read = set()
     recorded = dataclasses.replace(state, cfg=ReadRecorder(state.cfg, read))
-    harness.run_attack(recorded, harness.ATTACKS[attack],
-                       harness.AttackOutput(harness.FileSet(directory)))
-    return read - set(harness.ATTACKS[attack].fields) - {"seed"}
+    steps = harness.ATTACKS[attack]
+    harness.run_attack(recorded, steps, directory)
+    return read - {name for step in steps for name in step.fields} - {"seed"}
+
+
+# the GAN kinds and config fields of each attack's key, as each attack
+# listed them before its steps declared their own
+ATTACK_KEY_SLICES = {
+    "gan_byte": (("byte_histogram",), ("gap",)),
+    "gan_api": (("api",), ("max_new_imports",)),
+    "gan_strings": (("strings",), ("max_new_strings",)),
+    "gan_all": (("byte_histogram", "api", "strings"),
+                ("max_new_imports", "max_new_strings", "gap")),
+    "benign_injection": ((), ()),
+    "malgan_byte": ((), ("detectors", "malgan_max_queries", "gap")),
+}
 
 
 class TestAttackResume:
     """Each attack's outputs resume under the key of the config fields it
     reads, and each attack's detection rates under that key and the
     detectors' keys."""
+
+    def test_steps_declare_each_attack_reference_slice(self):
+        assert list(harness.ATTACKS) == list(ATTACK_KEY_SLICES)
+        for attack, (gans, fields) in ATTACK_KEY_SLICES.items():
+            assert harness.attack_gans(attack) == gans
+            assert {name for step in harness.ATTACKS[attack]
+                    for name in step.fields} == set(fields)
+
+    def test_each_attack_key_is_built_from_the_reference_slice(
+            self, trained_for_every_attack, tmp_path):
+        base = trained_for_every_attack
+        state = dataclasses.replace(base, workdir=tmp_path,
+                                    keys=dict(base.keys), computed=set(),
+                                    attack_outputs={})
+        harness.stage_attacks(state)
+        config = state.cfg.to_dict()
+        for attack, (gans, fields) in ATTACK_KEY_SLICES.items():
+            parts = ["attack", attack, state.extract_key,
+                     [state.keys[("gan", kind)] for kind in gans],
+                     {name: config[name] for name in fields}, state.cfg.seed]
+            assert state.keys[("attack", attack)] == hashlib.sha256(
+                json.dumps(parts, sort_keys=True).encode()).hexdigest()
 
     @pytest.mark.parametrize("attack", ALL_ATTACKS)
     def test_key_slice_holds_every_field_read(self, trained_for_every_attack,
@@ -1305,14 +1420,16 @@ class TestAttackResume:
 
     @pytest.mark.parametrize("attack,name", [
         (attack, name) for attack in ALL_ATTACKS
-        for name in harness.ATTACKS[attack].fields])
+        for name in sorted({name for step in harness.ATTACKS[attack]
+                            for name in step.fields})])
     def test_a_field_left_out_of_a_slice_is_found(
             self, trained_for_every_attack, tmp_path, monkeypatch, attack,
             name):
-        # so no declared field is one the attack does not read either
-        spec = harness.ATTACKS[attack]
-        monkeypatch.setitem(harness.ATTACKS, attack, spec._replace(
-            fields=tuple(f for f in spec.fields if f != name)))
+        # so no declared field is one the attack does not read either: the
+        # field is dropped from the step that declares it
+        monkeypatch.setitem(harness.ATTACKS, attack, tuple(
+            step._replace(fields=tuple(f for f in step.fields if f != name))
+            for step in harness.ATTACKS[attack]))
         assert undeclared_reads(trained_for_every_attack, attack,
                                 tmp_path) == {name}
 
@@ -1557,13 +1674,13 @@ class TestCapacityCap:
             pipeline_preset("api", len(vocab)), seed=0)
         names = [state.table.names[i]
                  for i in harness._rows(state, "test", "malicious")]
-        out = harness.AttackOutput(harness.FileSet(tmp_path / "out"))
-        harness.run_attack(state, harness.ATTACKS["gan_api"], out)
-        assert out.warnings
-        assert list(out.files) == names
-        assert out.stats == {"mean_new_imports": 0.0}
+        out = harness.run_attack(state, harness.ATTACKS["gan_api"],
+                                 tmp_path / "out")
+        assert out.meta["warnings"]
+        assert list(out) == names
+        assert out.meta["stats"] == {"mean_new_imports": 0.0}
         from ganevade.features import extract_imports
-        for name, data in zip(names, out.files.files(names)):
+        for name, data in zip(names, out.files(names)):
             before = extract_imports(petk.parse(state.blobs[name]))
             assert extract_imports(petk.parse(data)) == before
 
@@ -1732,9 +1849,16 @@ class TestCli:
                                       ["attack", "--attack", "bogus"]])
     def test_unknown_subcommand_target_exit_2(self, tmp_path,
                                               tiny_config_file, argv):
-        rc = cli.main([*argv, "--config", str(tiny_config_file),
-                       "--workdir", str(tmp_path / "w")])
-        assert rc == 2
+        argv = [*argv, "--config", str(tiny_config_file),
+                "--workdir", str(tmp_path / "w")]
+        if argv[1] == "--name":
+            assert cli.main(argv) == 2
+        else:
+            # outside the choices of its table: argparse exits 2 itself
+            with pytest.raises(SystemExit) as exc:
+                cli.main(argv)
+            assert exc.value.code == 2
+        assert not (tmp_path / "w").exists()
 
     def test_gap_zero_byte_attack_exit_0(self, tmp_path, monkeypatch):
         # gap 0 in the attack and in the sweep is the exact model

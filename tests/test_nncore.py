@@ -555,7 +555,7 @@ class TestAdam:
         # one step on the byte generator's ~200k parameters allocates no
         # parameter-sized float buffer: under two blocks of scratch (the
         # finiteness mask is one byte per parameter) plus 64 KiB
-        model = gan.build_gan(gan.byte_preset())
+        model = gan.build_gan(gan.PRESETS["byte_histogram"])
         state = AdamState.for_net(model.generator)
         assert state.flat.size > 3 * ADAM_BLOCK
         params = model.generator.parameters()

@@ -223,7 +223,7 @@ def binary_rows(rng, n, dim, density):
 
 
 @pytest.mark.parametrize("preset,rows", [
-    (gan.byte_preset(), lambda rng, n: byte_rows(rng, n, 256)),
+    (gan.PRESETS["byte_histogram"], lambda rng, n: byte_rows(rng, n, 256)),
     (GanPreset("api", 12, 4, (16, 16), (8, 8), "sigmoid"),
      lambda rng, n: binary_rows(rng, n, 12, 0.3)),
     # the pipeline's api preset at the default k_api of 150
