@@ -379,7 +379,7 @@ class FileSet(Mapping):
         self.directory = directory
         self.records = {rec["name"]: rec for rec in records}
         self.kind = kind    # what the error of a changed file calls it
-        self.meta = {}     # the rest of its manifest
+        self.meta = {}      # the rest of its manifest
 
     def path(self, name: str) -> Path:
         rec = self.records[name]

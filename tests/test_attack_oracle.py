@@ -205,4 +205,4 @@ def test_both_indicator_caps_warn(trained, tmp_path):
     caps = {w.rsplit(" ", 1)[1] for w in out.meta["warnings"]}
     assert caps == {"3", "2"}
     assert set(out.meta["stats"]) == {"mean_new_imports", "mean_new_strings",
-                              "mean_appended_bytes"}
+                                      "mean_appended_bytes"}
