@@ -6,8 +6,10 @@ one by its row. A CLI subcommand runs the table up to its own stage; a run
 is reproducible from the config and seed. No file is held in memory: the
 corpus and each attack's outputs are a ``FileSet`` each, whose files are
 read from disk when a stage visits them and checked against their records,
-with the rest of its manifest as ``meta``. Each attack writes each
-rewritten file under ``attacks/<attack>/`` as it makes it, and evaluation
+with the rest of its manifest as ``meta``. A set's files are written on
+one writer thread while the caller makes the next, at most
+``WRITE_AHEAD`` of them waiting. Each attack writes each rewritten file
+under ``attacks/<attack>/`` as it makes it, and evaluation
 re-extracts features from those files, never from the adversarial feature
 vectors. ``_store`` writes every JSON artifact, a set's manifest among
 them, and ``_stored`` reads it back.
@@ -44,6 +46,7 @@ dtype (``checkpoint.narrowest``).
 
 from __future__ import annotations
 
+import collections
 import dataclasses
 import functools
 import hashlib
@@ -53,6 +56,7 @@ import math
 import os
 import re
 import shutil
+import threading
 import time
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, field
@@ -178,7 +182,7 @@ DETECTOR_NAME = re.compile(r"[A-Za-z0-9_-]+")
 # the upper bounds of the config's sizes, each with the largest allocation
 # it allows, the other sizes at their bounds
 MAX_N_PER_CLASS = 10_000    # a matrix of 20,000 float64 rows of 4096: 655 MB
-MAX_CONTENT_SIZE = 1 << 20  # a write batch of 64 files of 1 MiB: 64 MiB
+MAX_CONTENT_SIZE = 1 << 20  # WRITE_AHEAD files of 1 MiB: 64 MiB
 MAX_HASH_DIM = 4096         # a hashed row of 32 KiB per file
 # pipeline_preset's GAN of a Top-K family: about 3 k^2 = 12.6M generator
 # weights, 101 MB, and 403 MB with their gradient and two Adam moments
@@ -257,6 +261,9 @@ class ExperimentConfig:
             for fam in spec.families:
                 if fam not in FAMILIES:
                     raise ConfigError(f"unknown feature family {fam!r}")
+                if spec.families.count(fam) > 1:
+                    raise ConfigError(f"detector {spec.name!r} names the "
+                                      f"family {fam!r} twice")
         # MalGAN queries a byte-only detector; gan_byte's gap sweep scores on one
         if ({"gan_byte", "malgan_byte"} & set(self.attacks) and
                 ("byte",) not in [spec.families for spec in self.detectors]):
@@ -367,19 +374,79 @@ class CorpusError(RuntimeError):
     """A stored file whose bytes differ from those its manifest records."""
 
 
+# at most this many files handed to a FileSet's writer wait to be written:
+# the caller that makes them faster waits, holding no more files' bytes
+WRITE_AHEAD = 64
+
+
+class _Writer:
+    """One thread that creates each file handed to ``put``, in order, while
+    the caller makes the next; ``close`` waits for them all and raises the
+    first error. Each of ``os.open``, ``os.write`` and ``os.close`` lets the
+    caller run meanwhile; once a write fails, the rest are not made."""
+
+    def __init__(self):
+        self.pending = collections.deque()
+        self.ready = threading.Semaphore(0)
+        self.slots = threading.Semaphore(WRITE_AHEAD)
+        self.error = None
+        self.thread = threading.Thread(target=self._run, daemon=True)
+        self.thread.start()
+
+    def put(self, path: Path, data: bytes) -> None:
+        self.slots.acquire()
+        if self.error is not None:
+            raise self.error
+        self.pending.append((path, data))
+        self.ready.release()
+
+    def close(self) -> None:
+        self.pending.append(None)
+        self.ready.release()
+        self.thread.join()
+        if self.error is not None:
+            raise self.error
+
+    def _run(self) -> None:
+        while True:
+            self.ready.acquire()
+            item = self.pending.popleft()
+            if item is None:
+                return
+            path, data = item
+            if self.error is None:
+                try:
+                    fd = os.open(path, os.O_WRONLY | os.O_CREAT | os.O_TRUNC,
+                                 0o666)
+                    try:
+                        view = memoryview(data)
+                        while view:
+                            view = view[os.write(fd, view):]
+                    finally:
+                        os.close(fd)
+                # kept for the caller to raise; this thread goes on freeing
+                # a slot for each file, so no caller waits for one forever
+                except Exception as exc:
+                    self.error = exc
+            self.slots.release()
+
+
 class FileSet(Mapping):
     """Read-only name -> bytes over files on disk, each recorded by name,
     size and SHA-256 (and a corpus file's ``label`` and ``source``, a
     padded file's ``certificate``) in the order it was added. A file is
     read each time it is accessed and never held; bytes other than those
     recorded raise ``CorpusError``, naming it. A record with a ``source``
-    (a ``dirs`` corpus) is read there, any other from ``directory``."""
+    (a ``dirs`` corpus) is read there, any other from ``directory``.
+    ``write`` hands each file to a writer thread; ``wait``, which reading
+    a file and ``save`` call, waits until they are all written."""
 
     def __init__(self, directory: Path | None, records=(), kind="corpus"):
         self.directory = directory
         self.records = {rec["name"]: rec for rec in records}
         self.kind = kind    # what the error of a changed file calls it
         self.meta = {}      # the rest of its manifest
+        self._writer = None
 
     def path(self, name: str) -> Path:
         rec = self.records[name]
@@ -391,13 +458,26 @@ class FileSet(Mapping):
                               "sha256": hashlib.sha256(data).hexdigest()}
 
     def write(self, name: str, data: bytes, **extra) -> None:
-        # the directory comes with the first file: an attack that fails
-        # before it makes one leaves none
-        self.directory.mkdir(parents=True, exist_ok=True)
-        (self.directory / name).write_bytes(data)
+        """Record ``data`` as file ``name`` in ``directory`` and hand it to
+        the set's writer, started with the first file; raise the error of
+        an earlier write."""
+        if self._writer is None:
+            # the directory comes with the first file: an attack that fails
+            # before it makes one leaves none
+            self.directory.mkdir(parents=True, exist_ok=True)
+            self._writer = _Writer()
+        self._writer.put(self.directory / name, data)
         self.add(name, data, **extra)
 
+    def wait(self) -> None:
+        """Wait until every file handed to ``write`` is written and stop the
+        writer; raise the first write error."""
+        writer, self._writer = self._writer, None
+        if writer is not None:
+            writer.close()
+
     def __getitem__(self, name: str) -> bytes:
+        self.wait()
         path = self.path(name)
         data = path.read_bytes()
         if hashlib.sha256(data).hexdigest() != self.records[name]["sha256"]:
@@ -416,21 +496,26 @@ class FileSet(Mapping):
 
     def save(self, path: Path, key: str | None) -> None:
         """``meta``, the records and ``key`` at ``path``, after the files."""
+        self.wait()
         _store(path, key, **self.meta, files=list(self.records.values()))
 
     @classmethod
     def load(cls, path: Path, key: str | None, kind: str, required: tuple,
              **fields) -> "FileSet":
         """The set ``save`` wrote at ``path`` under ``key``, each record, each
-        of ``fields`` of ``meta`` and each file (``check``) checked."""
+        of ``fields`` of ``meta`` and each file (``check``) checked. Each
+        record holds the string fields ``required``; one with a ``source``
+        not among them is refused, so a set whose files all live in
+        ``directory`` is read nowhere else."""
         meta = _stored(path, key)
         records = ckpt.field(meta, "files", list, dict)
         for rec in records:
             ckpt.field(rec, "size", int)
             for name in ("name", "sha256", *required):
                 ckpt.field(rec, name, str)
-            if "source" in rec:
-                ckpt.field(rec, "source", str)
+            if "source" in rec and "source" not in required:
+                raise ValueError(f"{path.name} records a source for "
+                                 f"{rec['name']!r}")
             # a name with a directory in it leads out of ``directory``
             if rec["name"] in ("", ".", "..") or \
                     os.path.basename(rec["name"]) != rec["name"]:
@@ -489,13 +574,6 @@ def _stored(path: Path, key: str | None) -> dict:
     return stored
 
 
-# gen_corpus writes the files it makes in batches of this many: creating
-# each file right after making it, interleaved with generation, ran about
-# 15% slower on ext4 (a 1000-file corpus, 2 vCPUs), and a batch holds at
-# most this many files' bytes
-CORPUS_WRITE_BATCH = 64
-
-
 def _synth_files(cfg: CorpusConfig, seed: int):
     """(name, label, bytes) of each synthetic corpus file, in manifest
     order, each made when it is reached."""
@@ -523,15 +601,17 @@ def _digest(digest, name: str, label: str, data: bytes) -> None:
 
 def gen_corpus(cfg: CorpusConfig, seed: int, corpus_dir: Path) -> FileSet:
     """A labeled synthetic PE corpus written to ``corpus_dir``, in place of
-    whatever it held, as it is made, ``CORPUS_WRITE_BATCH`` files at a
-    time, its files read from disk when accessed. Same seed, same bytes."""
+    whatever it held, each file handed to the writer as it is made and
+    written while the next is made, its files read from disk when
+    accessed. Same seed, same bytes."""
     shutil.rmtree(corpus_dir, ignore_errors=True)
     blobs, digest = FileSet(corpus_dir), hashlib.sha256()
-    files = _synth_files(cfg, seed)
-    while batch := list(itertools.islice(files, CORPUS_WRITE_BATCH)):
-        for name, label, data in batch:
+    try:
+        for name, label, data in _synth_files(cfg, seed):
             blobs.write(name, data, label=label)
             _digest(digest, name, label, data)
+    finally:
+        blobs.wait()
     blobs.meta = {"seed": seed, "digest": digest.hexdigest()}
     return blobs
 
@@ -570,12 +650,15 @@ def save_corpus(corpus_dir: Path, blobs: FileSet, key: str | None = None) -> Non
     blobs.save(corpus_dir / "manifest.json", key)
 
 
-def load_corpus(corpus_dir: Path, key: str | None = None) -> FileSet:
-    """The corpus ``save_corpus`` wrote. ``ValueError`` (or ``OSError``) for
-    a miss, which is made again; ``CorpusError``, which fails the stage and
-    names it, for a file that kept its size but not its bytes."""
+def load_corpus(corpus_dir: Path, key: str | None = None,
+                kind: str = "synthetic") -> FileSet:
+    """The ``kind`` corpus ``save_corpus`` wrote. ``ValueError`` (or
+    ``OSError``) for a miss, which is made again; ``CorpusError``, which
+    fails the stage and names it, for a file that kept its size but not its
+    bytes. Only a ``dirs`` corpus reads its files at their sources."""
     return FileSet.load(corpus_dir / "manifest.json", key, "corpus",
-                        ("label",), digest=(str,))
+                        ("label", "source") if kind == "dirs" else ("label",),
+                        digest=(str,))
 
 
 # --- feature extraction -----------------------------------------------------
@@ -879,18 +962,21 @@ def run_attack(state: PipelineState, steps: tuple, directory: Path) -> FileSet:
     out.meta = {"query_count": 0, "stats": {}, "warnings": []}
     edits = [(step.family, step.prepare(state, out)) for step in steps]
     numbers = {}
-    for i in _rows(state, "test", "malicious"):
-        name = state.table.names[i]
-        pe, extras = petk.parse(state.blobs[name], strict=False), {}
-        for k, (family, edit) in enumerate(edits):
-            row = None if family is None else (
-                state.table.matrices[family][i] if k == 0 else
-                state.table.vector_for(FileFeatures(pe.data), (family,)))
-            pe, extra, nums = edit(name, pe, row, out)
-            extras.update(extra)
-            for stat, value in nums.items():
-                numbers.setdefault(stat, []).append(value)
-        out.write(name, pe.data, **extras)
+    try:
+        for i in _rows(state, "test", "malicious"):
+            name = state.table.names[i]
+            pe, extras = petk.parse(state.blobs[name], strict=False), {}
+            for k, (family, edit) in enumerate(edits):
+                row = None if family is None else (
+                    state.table.matrices[family][i] if k == 0 else
+                    state.table.vector_for(FileFeatures(pe.data), (family,)))
+                pe, extra, nums = edit(name, pe, row, out)
+                extras.update(extra)
+                for stat, value in nums.items():
+                    numbers.setdefault(stat, []).append(value)
+            out.write(name, pe.data, **extras)
+    finally:
+        out.wait()
     out.meta["stats"].update({stat: float(np.mean(values))
                               for stat, values in numbers.items()})
     return out
@@ -982,7 +1068,8 @@ def stage_corpus(state: PipelineState):
     # a corpus just made is read back from disk like a stored one, so no
     # stage holds its bytes
     state.blobs = _resume(
-        state, key, [Artifact(what, corpus_dir, load_corpus, save_corpus)],
+        state, key, [Artifact(what, corpus_dir, functools.partial(
+            load_corpus, kind=cfg.kind), save_corpus)],
         lambda _: {what: gen_corpus(cfg, state.cfg.seed, corpus_dir)
                    if made is None else made})[what]
 

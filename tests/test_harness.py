@@ -1,9 +1,14 @@
 import collections
 import dataclasses
+import errno
 import hashlib
 import json
+import os
 import shutil
 import struct
+import sys
+import threading
+import time
 import weakref
 from pathlib import Path
 
@@ -92,6 +97,20 @@ class TestConfig:
         with pytest.raises(ConfigError):
             ExperimentConfig(detectors=[harness.DetectorSpec(
                 "x", "logreg", ("registry",))])
+
+    @pytest.mark.parametrize("family,attack", [("api_topk", "gan_api"),
+                                               ("byte", "gan_byte")])
+    def test_family_named_twice_exits_2_at_load(self, tmp_path, family,
+                                                attack):
+        p = tmp_path / "twice.json"
+        p.write_text(json.dumps({
+            "detectors": [{"name": "d", "families": [family, family]}],
+            "attacks": [attack]}))
+        with pytest.raises(ConfigError, match=f"family '{family}' twice"):
+            harness.load_config(p)
+        assert cli.main(["pipeline", "--config", str(p),
+                         "--workdir", str(tmp_path / "w")]) == 2
+        assert not (tmp_path / "w").exists()
 
     @staticmethod
     def mlp_with(**hyperparams):
@@ -357,8 +376,8 @@ class TestCorpus:
 
     def test_gen_corpus_writes_files_as_they_are_made(self, tmp_path,
                                                       monkeypatch):
-        # when a file is made, the files of every batch before its own are
-        # on disk
+        # when file i is made, at most WRITE_AHEAD of the i made before it
+        # wait to be written, and no later file is on disk
         on_disk = []
         synth_pe = petk.synth_pe
 
@@ -366,11 +385,16 @@ class TestCorpus:
             on_disk.append(len(list((tmp_path / "c").glob("*.exe"))))
             return synth_pe(spec, seed=seed)
         monkeypatch.setattr(petk, "synth_pe", recording_synth_pe)
-        batch = harness.CORPUS_WRITE_BATCH
-        n = batch + 10
-        gen_corpus(CorpusConfig(n_per_class=n, content_size=(200, 300)), 0,
-                   tmp_path / "c")
-        assert on_disk == [i - i % batch for i in range(2 * n)]
+        ahead = harness.WRITE_AHEAD
+        n = ahead + 10
+        blobs = gen_corpus(CorpusConfig(n_per_class=n,
+                                        content_size=(200, 300)), 0,
+                           tmp_path / "c")
+        assert len(on_disk) == 2 * n
+        assert all(i - ahead <= k <= i for i, k in enumerate(on_disk)), \
+            on_disk
+        assert sorted(blobs) == sorted(p.name for p in
+                                       (tmp_path / "c").glob("*.exe"))
 
     def test_class_profiles_separate_histograms(self, tmp_path):
         cfg = CorpusConfig(n_per_class=5, content_size=(2000, 3000))
@@ -419,6 +443,162 @@ class TestCorpus:
         assert manifest["skipped"] == [{"source": str(empty),
                                         "reason": "empty file"}]
         assert len(manifest["files"]) == 40
+
+
+class TestWriter:
+    """A file set's files are written on one writer thread; the first write
+    error is raised in the caller, once the writes before it have landed."""
+
+    @staticmethod
+    def fail_kth_file(monkeypatch, directory: Path, k: int) -> OSError:
+        """Make the ``k``-th file created in ``directory`` fail to open,
+        with the error returned."""
+        error = OSError(errno.ENOSPC, "No space left on device")
+        created, real_open = [], os.open
+
+        def failing_open(path, *args, **kwargs):
+            if Path(path).parent == directory:
+                created.append(path)
+                if len(created) == k:
+                    raise error
+            return real_open(path, *args, **kwargs)
+        monkeypatch.setattr(os, "open", failing_open)
+        return error
+
+    def test_caller_waits_while_write_ahead_files_wait(self, tmp_path,
+                                                       monkeypatch):
+        # the writer is held at the first file until a timer lets it go:
+        # the caller hands WRITE_AHEAD files on, makes one more and waits
+        # for a slot before it makes the next
+        released, real_open = threading.Event(), os.open
+
+        def held_open(path, *args, **kwargs):
+            if Path(path).parent == tmp_path / "c":
+                released.wait()
+            return real_open(path, *args, **kwargs)
+        made, synth_pe = [], petk.synth_pe
+
+        def recording_synth_pe(spec, seed=0):
+            made.append(released.is_set())
+            return synth_pe(spec, seed=seed)
+        monkeypatch.setattr(os, "open", held_open)
+        monkeypatch.setattr(petk, "synth_pe", recording_synth_pe)
+        timer = threading.Timer(0.5, released.set)
+        timer.start()
+        try:
+            gen_corpus(CorpusConfig(n_per_class=harness.WRITE_AHEAD,
+                                    content_size=(200, 300)), 0,
+                       tmp_path / "c")
+        finally:
+            released.set()
+            timer.join(5)
+        assert all(made[harness.WRITE_AHEAD + 1:])
+
+    def test_sets_written_from_several_threads_keep_their_bytes(self,
+                                                                tmp_path):
+        # four callers, each with its own set and writer, switching threads
+        # as often as the interpreter allows: no file is lost, swapped or
+        # cut short
+        def fill(files, k):
+            for i in range(200):
+                files.write(f"f{i:03d}.exe", bytes([k, i % 256]) * (i + 1))
+            files.wait()
+        sets = [harness.FileSet(tmp_path / str(k)) for k in range(4)]
+        callers = [threading.Thread(target=fill, args=(files, k))
+                   for k, files in enumerate(sets)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for caller in callers:
+                caller.start()
+            for caller in callers:
+                caller.join(60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(caller.is_alive() for caller in callers)
+        for k, files in enumerate(sets):
+            assert sorted(p.name for p in files.directory.iterdir()) == \
+                [f"f{i:03d}.exe" for i in range(200)]
+            for i in range(200):
+                assert files[f"f{i:03d}.exe"] == \
+                    bytes([k, i % 256]) * (i + 1)
+
+    @pytest.mark.parametrize("then", ["read", "save"])
+    def test_reading_or_saving_waits_for_the_writes(self, tmp_path,
+                                                    monkeypatch, then):
+        real_open = os.open
+
+        def slow_open(path, *args, **kwargs):
+            if Path(path).parent == tmp_path / "s":
+                time.sleep(0.05)
+            return real_open(path, *args, **kwargs)
+        monkeypatch.setattr(os, "open", slow_open)
+        threads = threading.active_count()
+        files = harness.FileSet(tmp_path / "s")
+        data = {f"f{i}.exe": bytes([i]) * 100 for i in range(3)}
+        for name, blob in data.items():
+            files.write(name, blob)
+        if then == "read":
+            assert files["f2.exe"] == data["f2.exe"]
+        else:
+            files.save(tmp_path / "s" / "manifest.json", "k")
+        assert {p.name: p.read_bytes()
+                for p in (tmp_path / "s").glob("*.exe")} == data
+        assert threading.active_count() == threads
+
+    def test_write_error_surfaces_from_gen_corpus(self, tmp_path, monkeypatch,
+                                                  capsys, tiny_config_file):
+        # past the write-ahead bound, so the caller has waited for a slot
+        k = harness.WRITE_AHEAD + 2
+        cfg = CorpusConfig(n_per_class=k + 8, content_size=(200, 300))
+        error = self.fail_kth_file(monkeypatch, tmp_path / "c", k)
+        threads = threading.active_count()
+        with pytest.raises(OSError) as exc:
+            gen_corpus(cfg, 0, tmp_path / "c")
+        assert exc.value is error
+        assert threading.active_count() == threads
+        written = sorted((tmp_path / "c").iterdir())
+        assert [p.name for p in written] == [f"benign_{i:05d}.exe"
+                                             for i in range(k - 1)]
+        monkeypatch.undo()
+        intact = gen_corpus(cfg, 0, tmp_path / "intact")
+        assert [p.read_bytes() for p in written] == \
+            [intact[p.name] for p in written]
+        # the CLI names the stage, and no manifest is written
+        workdir = tmp_path / "w"
+        self.fail_kth_file(monkeypatch, workdir / "corpus", 3)
+        assert cli.main(["gen-corpus", "--config", str(tiny_config_file),
+                         "--workdir", str(workdir)]) == 3
+        assert "stage 'corpus' failed: OSError: [Errno 28]" \
+            in capsys.readouterr().err
+        assert threading.active_count() == threads
+        assert sorted(p.name for p in (workdir / "corpus").iterdir()) == \
+            ["benign_00000.exe", "benign_00001.exe"]
+
+    def test_write_error_surfaces_from_run_attack(self, tmp_path,
+                                                  monkeypatch):
+        cfg = dataclasses.replace(tiny_config(attacks=("gan_api",)),
+                                  split=(0.5, 0.1, 0.4))
+        state = PipelineState(cfg=cfg, workdir=tmp_path / "w")
+        harness.run_stages(state, "train-gan")
+        directory = tmp_path / "w" / "attacks" / "gan_api"
+        error = self.fail_kth_file(monkeypatch, directory, 3)
+        threads = threading.active_count()
+        with pytest.raises(StageError) as exc:
+            harness.run_stages(state, "attack")
+        assert exc.value.stage == "attack"
+        assert exc.value.__cause__ is error
+        assert threading.active_count() == threads
+        # the two files before the failed one, and no manifest
+        names = [state.table.names[i]
+                 for i in harness._rows(state, "test", "malicious")]
+        assert len(names) == 4
+        assert sorted(p.name for p in directory.iterdir()) == names[:2]
+        monkeypatch.undo()
+        out = harness.run_attack(state, harness.ATTACKS["gan_api"],
+                                 tmp_path / "intact")
+        assert [(directory / name).read_bytes() for name in names[:2]] == \
+            [out[name] for name in names[:2]]
 
 
 class TestSplits:
@@ -912,7 +1092,7 @@ class TestManifests:
          ["files", "key", "query_count", "stats", "warnings"],
          ["certificate", "name", "sha256", "size"])])
     @pytest.mark.parametrize("damage", ["size_mistyped", "sha256_missing",
-                                        "files_not_a_list"])
+                                        "files_not_a_list", "source_added"])
     def test_malformed_manifest_is_recomputed(self, gan_byte_run, tmp_path,
                                               manifest, what, fields, record,
                                               damage):
@@ -929,6 +1109,12 @@ class TestManifests:
             stored["files"][0]["size"] = str(stored["files"][0]["size"])
         elif damage == "sha256_missing":
             del stored["files"][-1]["sha256"]
+        elif damage == "source_added":
+            # the file moved out of the workdir, its record pointing there:
+            # only a dirs corpus reads a file at its source
+            moved = tmp_path / "moved.exe"
+            (path.parent / stored["files"][0]["name"]).rename(moved)
+            stored["files"][0]["source"] = str(moved)
         else:
             stored["files"] = {rec["name"]: rec for rec in stored["files"]}
         path.write_text(json.dumps(stored))
